@@ -3,7 +3,7 @@
 A scenario is a JSON file with a schema version, a command, the blocks
 that command needs, and an options block. Unknown fields are rejected
 with their path. Reports are deterministic: identical inputs produce
-byte-identical report.json and CSV outputs for any thread count.
+byte-identical report.json and CSV outputs.
 
 Exit codes: 0 on pass, 1 on domain findings (a failed equilibrium check,
 a safe-profitable deviation, a gamma-set mismatch), 2 on errors.
@@ -258,6 +258,9 @@ def _environment_from(obj, path: str) -> ec.Environment:
     )
     if env.observability not in ("public", "private"):
         raise ScenarioError(f"schema error at {path}.observability: expected 'public' or 'private'")
+    validation = ec.validate(env)
+    if not validation.passed:
+        raise ScenarioError(f"invalid environment at {path}: {'; '.join(validation.violations)}")
     return env
 
 
@@ -350,7 +353,6 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
 
 _OPTION_KEYS = (
     "tol",
-    "threads",
     "policies",
     "mixing",
     "cap",
@@ -383,6 +385,9 @@ def _assessment_from(env: ec.Environment, obj, path: str) -> eq.Assessment:
     for j, c in enumerate(obj["contracts"]):
         cpath = f"{path}.contracts[{j}]"
         _check_keys(c, ("kind", "menu", "pairs"), ("kind",), cpath)
+        needed = {"menu_rec": "menu", "plain": "menu", "submenu": "pairs"}.get(c["kind"])
+        if needed is not None and needed not in c:
+            raise ScenarioError(f"schema error at {cpath}.{needed}: missing field {needed!r}")
         if c["kind"] == "menu_rec":
             mechs.append(ct.menu_rec(env, j, [str(x) for x in c["menu"]]))
         elif c["kind"] == "plain":
@@ -434,13 +439,12 @@ def _config_hash(raw: Mapping) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _search_options(opts: Mapping, threads: int, tol: float | None) -> eq.SearchOptions:
+def _search_options(opts: Mapping, tol: float | None) -> eq.SearchOptions:
     return eq.SearchOptions(
         tol=float(opts.get("tol", 1e-9)) if tol is None else tol,
         policies=tuple(opts.get("policies", ("prior",))),
         mixing=opts.get("mixing", "pure"),
         cap=int(opts.get("cap", 5_000_000)),
-        threads=threads,
     )
 
 
@@ -483,17 +487,16 @@ def _mechanism_payload(mech: ct.Mechanism) -> list:
     ]
 
 
-def run(sc: ScenarioFile, tol: float | None = None, threads: int = 1, seed: int | None = None) -> RunReport:
+def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
     """Execute a parsed scenario and assemble its report."""
     start = time.perf_counter()
     report = RunReport(command=sc.command, config_hash=_config_hash(sc.raw), payload={})
     opts = _options_from(sc.raw, sc.command)
     handler = _HANDLERS[sc.command]
-    handler(sc, report, opts, tol, threads)
+    handler(sc, report, opts, tol)
     report.payload = {
         "command": sc.command,
         "config_hash": report.config_hash,
-        "seed": seed,
         "results": report.payload,
         "warnings": list(report.warnings),
     }
@@ -501,9 +504,9 @@ def run(sc: ScenarioFile, tol: float | None = None, threads: int = 1, seed: int 
     return report
 
 
-def _run_solve_single(sc, report, opts, tol, threads):
+def _run_solve_single(sc, report, opts, tol):
     problem = _single_problem_from(sc.raw["problem"], "$.problem")
-    result = ss.solve(problem, threads=threads)
+    result = ss.solve(problem)
     report.payload = {
         "x": result.x,
         "y": result.y,
@@ -519,9 +522,9 @@ def _run_solve_single(sc, report, opts, tol, threads):
     )
 
 
-def _run_solve_agency(sc, report, opts, tol, threads):
+def _run_solve_agency(sc, report, opts, tol):
     problem, extras = _agency_problem_from(sc.raw["agency"], "$.agency")
-    eqm = sa.fixed_point(problem, start=extras["start"], threads=min(threads, 2))
+    eqm = sa.fixed_point(problem, start=extras["start"])
     report.payload = {
         "x": list(eqm.x),
         "y": list(eqm.y),
@@ -559,7 +562,7 @@ def _run_solve_agency(sc, report, opts, tol, threads):
             report.warnings.append("safe-profitable deviation found")
 
 
-def _run_revisable_check(sc, report, opts, tol, threads):
+def _run_revisable_check(sc, report, opts, tol):
     model, z, steps = _revisable_from(sc.raw["revisable"], "$.revisable")
     gamma = rv.check_gamma_equal(model, z, steps, tol=tol or 1e-9)
     report.payload = {
@@ -588,7 +591,7 @@ def _run_revisable_check(sc, report, opts, tol, threads):
         report.warnings.append("allocation sets differ between revision bounds")
 
 
-def _run_enumerate(sc, report, opts, tol, threads):
+def _run_enumerate(sc, report, opts, tol):
     env = _environment_from(sc.raw["environment"], "$.environment")
     j = int(opts.get("principal", 1)) - 1
     space = opts.get("space", "gstar")
@@ -608,7 +611,7 @@ def _run_enumerate(sc, report, opts, tol, threads):
     }
 
 
-def _run_check_equilibrium(sc, report, opts, tol, threads):
+def _run_check_equilibrium(sc, report, opts, tol):
     env = _environment_from(sc.raw["environment"], "$.environment")
     assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
     rep = eq.check_continuation(env, assessment, tol or float(opts.get("tol", 1e-9)))
@@ -632,12 +635,12 @@ def _deviation_space_from(env, opts):
     return {j: builders[name](env, j) for j in range(env.n)}
 
 
-def _run_robust(sc, report, opts, tol, threads, require_private=False):
+def _run_robust(sc, report, opts, tol, require_private=False):
     env = _environment_from(sc.raw["environment"], "$.environment")
     if require_private and env.observability != "private":
         raise ScenarioError("private-check requires an environment with private observability")
     assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
-    options = _search_options(opts, threads, tol)
+    options = _search_options(opts, tol)
     base = eq.check_continuation(env, assessment, options.tol)
     if not base.passed:
         report.payload = {"base": _equilibrium_payload(base), "findings": []}
@@ -673,7 +676,7 @@ def _run_robust(sc, report, opts, tol, threads, require_private=False):
                 )
 
 
-def _run_necessity(sc, report, opts, tol, threads):
+def _run_necessity(sc, report, opts, tol):
     skeleton = _environment_from(sc.raw["environment"], "$.environment")
     j = int(opts.get("principal", 1)) - 1
     menu = [str(x) for x in opts.get("menu", skeleton.principals[j].x_labels)]
@@ -697,7 +700,7 @@ def _run_necessity(sc, report, opts, tol, threads):
         strategy[lab] = ((tuple(prof), 1.0),)
     assessment = eq.build_assessment(env, contracts, strategy)
     rep = eq.check_continuation(env, assessment, tol or 1e-9)
-    options = _search_options(opts, threads, tol)
+    options = _search_options(opts, tol)
     found = eq.enumerate_equilibria(env, contracts, options)
     used = set()
     for fe in found:
@@ -722,11 +725,11 @@ def _run_necessity(sc, report, opts, tol, threads):
         report.warnings.append("necessity construction failed a check")
 
 
-def _run_plain_menu_demo(sc, report, opts, tol, threads):
+def _run_plain_menu_demo(sc, report, opts, tol):
     env, assessment, deviation, meta = ct.plain_menu_scenario(
         n_aux=int(opts.get("aux_states", 0))
     )
-    options = _search_options(opts, threads, tol)
+    options = _search_options(opts, tol)
     base = eq.check_continuation(env, assessment, options.tol)
     state_values = eq.principal_state_values(env, assessment, meta["deviator"])
     rep = eq.check_robust(env, assessment, options=options, tol=options.tol)
@@ -765,8 +768,8 @@ _HANDLERS = {
     "revisable-check": _run_revisable_check,
     "enumerate-canonical": _run_enumerate,
     "check-equilibrium": _run_check_equilibrium,
-    "robust-check": lambda sc, r, o, t, th: _run_robust(sc, r, o, t, th, False),
-    "private-check": lambda sc, r, o, t, th: _run_robust(sc, r, o, t, th, True),
+    "robust-check": lambda sc, r, o, t: _run_robust(sc, r, o, t, False),
+    "private-check": lambda sc, r, o, t: _run_robust(sc, r, o, t, True),
     "necessity-env": _run_necessity,
     "plain-menu-demo": _run_plain_menu_demo,
 }
@@ -781,18 +784,13 @@ def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(), help="Scenario JSON file.")
 @click.option("--out", "out_dir", default=None, help="Output directory (default: $CONTRACT_FORGE_OUT or ./reports).")
 @click.option("--tol", default=None, type=float, help="Override the scenario tolerance.")
-@click.option("--threads", default=1, type=int, help="Worker threads for searches.")
-@click.option("--seed", default=None, type=int, help="Seed for randomized instance generation commands.")
-def main(scenario_path, out_dir, tol, threads, seed):
+def main(scenario_path, out_dir, tol):
     """Run a scenario and write its report."""
     out = out_dir or os.environ.get("CONTRACT_FORGE_OUT") or "reports"
     try:
         sc = parse_scenario(scenario_path)
-        report = run(sc, tol=tol, threads=threads, seed=seed)
+        report = run(sc, tol=tol)
         files = write_report(report, out)
-    except (ScenarioError, exprlang.ParseError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
     except (ValueError, RuntimeError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)

@@ -19,18 +19,20 @@ the deviation strictly improves the deviator.
 
 All search operations walk a declared finite space (pure agent
 strategies, pure continuation choices, off-path beliefs drawn from a
-finite policy menu) and are deterministic for any thread count.
+finite policy menu) and are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import Mechanism, image, menu_rec
+from .contracts import Mechanism, enumerate_gstar, enumerate_private, image, menu_rec
 from .env_core import (
     OPT_OUT,
     Allocation,
@@ -121,7 +123,6 @@ class SearchOptions:
     mixing: str = "pure"  # "pure" | "two-point"
     mix_step: float = 0.125
     cap: int = 5_000_000
-    threads: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,7 +178,6 @@ class _Game:
         ]
         self.sizes = [len(c.messages) for c in contracts]
         self.profiles = list(itertools.product(*[range(s) for s in self.sizes]))
-        self.profile_index = {p: i for i, p in enumerate(self.profiles)}
         # first message of each contract carrying a given action
         self.selector = []
         for j in range(self.n):
@@ -186,6 +186,8 @@ class _Game:
                 sel.setdefault(a, i)
             self.selector.append(sel)
         self.U = np.array([env.outside_option(v) for v in self.t_values])
+        # the agent's payoff floor: the outside option when exit is allowed
+        self.floor = self.U if env.optout else np.full(self.T, -np.inf)
         self._pay: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def profile_labels(self, prof: tuple[int, ...]) -> tuple[str, ...]:
@@ -213,10 +215,8 @@ class _Game:
         self._pay[key] = (u, v)
         return u, v
 
-    def rest_profiles(self, j: int) -> list[tuple[int, ...]]:
-        return list(
-            itertools.product(*[range(self.sizes[k]) for k in range(self.n) if k != j])
-        )
+    def others(self, j: int) -> list[int]:
+        return [k for k in range(self.n) if k != j]
 
     @staticmethod
     def merge(j: int, mj: int, rest: tuple[int, ...]) -> tuple[int, ...]:
@@ -299,14 +299,14 @@ def _public_beliefs(game: _Game, q, policy: str):
 def _participation_rest(game: _Game, q, j: int):
     """Per type: conditional distribution over others' messages given participation."""
     out = []
-    default_rest = tuple(0 for k in range(game.n) if k != j)
+    default_rest = (0,) * (game.n - 1)
     for t in range(game.T):
         acc: dict[tuple[int, ...], float] = {}
         total = 0.0
         for prof, prob in q[t]:
             if prof is None or prob == 0.0:
                 continue
-            rest = tuple(prof[k] for k in range(game.n) if k != j)
+            rest = tuple(prof[k] for k in game.others(j))
             acc[rest] = acc.get(rest, 0.0) + prob
             total += prob
         if total > 0.0:
@@ -325,7 +325,7 @@ def _private_beliefs(game: _Game, q, j: int, policy: str):
             if prof is None or prob == 0.0:
                 continue
             mj = prof[j]
-            rest = tuple(prof[k] for k in range(game.n) if k != j)
+            rest = tuple(prof[k] for k in game.others(j))
             w = game.mu[t] * prob
             onpath.setdefault(mj, {})
             onpath[mj][(t, rest)] = onpath[mj].get((t, rest), 0.0) + w
@@ -357,6 +357,41 @@ def _private_beliefs(game: _Game, q, j: int, policy: str):
     return beliefs
 
 
+def _raw_beliefs(game: _Game, q, policy: str):
+    """Index-keyed beliefs: public, profile -> type vector (shared by every
+    principal); private, per principal, own message -> weights over (type,
+    others' messages)."""
+    if game.mode == "public":
+        return _public_beliefs(game, q, policy)
+    return [_private_beliefs(game, q, j, policy) for j in range(game.n)]
+
+
+def _belief_system(game: _Game, raw, policy: str) -> BeliefSystem:
+    """Label-keyed :class:`BeliefSystem` of :func:`_raw_beliefs` output."""
+    if game.mode == "public":
+        shared = {
+            game.profile_labels(prof): tuple(float(x) for x in vec)
+            for prof, vec in raw.items()
+        }
+        return BeliefSystem(
+            mode="public", public={j: dict(shared) for j in range(game.n)}, offpath=policy
+        )
+    priv = {}
+    for j in range(game.n):
+        others = game.others(j)
+        priv[j] = {
+            game.msg_labels[j][i]: {
+                (
+                    game.t_labels[t],
+                    tuple(game.msg_labels[k][r] for k, r in zip(others, rest)),
+                ): float(w)
+                for (t, rest), w in raw[j][i].items()
+            }
+            for i in range(game.sizes[j])
+        }
+    return BeliefSystem(mode="private", private=priv, offpath=policy)
+
+
 def bayes_update(
     game_env: Environment,
     contracts: Sequence[Mechanism],
@@ -372,30 +407,7 @@ def bayes_update(
         raise ValueError(f"unknown off-path policy {offpath!r}")
     game = _Game(game_env, contracts)
     q = _normalize_strategy(game, strategy)
-    if game.mode == "public":
-        pub: dict[int, dict[tuple[str, ...], tuple[float, ...]]] = {}
-        table = _public_beliefs(game, q, offpath)
-        shared = {
-            game.profile_labels(prof): tuple(float(x) for x in vec)
-            for prof, vec in table.items()
-        }
-        for j in range(game.n):
-            pub[j] = dict(shared)
-        return BeliefSystem(mode="public", public=pub, offpath=offpath)
-    priv: dict[int, dict[str, dict]] = {}
-    for j in range(game.n):
-        table_j = _private_beliefs(game, q, j, offpath)
-        priv[j] = {}
-        for mj, weights in table_j.items():
-            rest_labels = lambda rest: tuple(
-                game.msg_labels[k][rest[i]]
-                for i, k in enumerate(k for k in range(game.n) if k != j)
-            )
-            priv[j][game.msg_labels[j][mj]] = {
-                (game.t_labels[t], rest_labels(rest)): float(w)
-                for (t, rest), w in weights.items()
-            }
-    return BeliefSystem(mode="private", private=priv, offpath=offpath)
+    return _belief_system(game, _raw_beliefs(game, q, offpath), offpath)
 
 
 def build_assessment(
@@ -442,7 +454,7 @@ def build_assessment(
 
 
 # ---------------------------------------------------------------------------
-# Checking
+# Assessments as index tables
 # ---------------------------------------------------------------------------
 
 
@@ -492,7 +504,7 @@ def _belief_vectors(game: _Game, assessment: Assessment):
     out_p: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], float]] = {}
     for j in range(game.n):
         table = assessment.beliefs.private[j]
-        others = [k for k in range(game.n) if k != j]
+        others = game.others(j)
         for i, lab in enumerate(game.msg_labels[j]):
             raw = table[lab]
             conv: dict[tuple[int, tuple[int, ...]], float] = {}
@@ -506,13 +518,115 @@ def _belief_vectors(game: _Game, assessment: Assessment):
     return out_p
 
 
+# ---------------------------------------------------------------------------
+# Finite-game primitives, shared by checking, search, audit and
+# canonicalization. ``q`` maps type index -> [(profile, or None for
+# opting out, probability)]; ``gamma`` maps message profile -> y-profile.
+# ---------------------------------------------------------------------------
+
+
+def _play(env: Environment, assessment: Assessment):
+    """(game, q, gamma) of an assessment."""
+    game = _Game(env, assessment.contracts)
+    q = _normalize_strategy(game, assessment.strategy)
+    return game, q, _continuation_arrays(game, assessment)
+
+
+def _agent_payoff(game: _Game, q, gamma) -> np.ndarray:
+    """The agent's equilibrium payoff per type; opting out pays U."""
+    pay = np.zeros(game.T)
+    for t in range(game.T):
+        total = 0.0
+        for prof, prob in q[t]:
+            if prof is None:
+                total += prob * game.U[t]
+            else:
+                u, _ = game.payoffs(prof, gamma[prof])
+                total += prob * float(u[t])
+        pay[t] = total
+    return pay
+
+
+def _agent_gap(game: _Game, pay: np.ndarray, outcomes) -> tuple[float, int | None, tuple | None]:
+    """The agent's largest gain over ``pay`` from opting out (when allowed)
+    or from any (profile, y-profile) in ``outcomes``.
+
+    Returns (gap, type index, profile), profile None for opting out; the
+    first type and the first outcome attaining the gap are reported, and
+    no gain at all is (0.0, None, None).
+    """
+    rows = [game.floor]
+    profs: list[tuple[int, ...] | None] = [None]
+    for prof, ys in outcomes:
+        rows.append(game.payoffs(prof, ys)[0])
+        profs.append(prof)
+    table = np.array(rows)
+    gaps = table.max(axis=0) - pay
+    t = int(gaps.argmax())
+    if not gaps[t] > 0.0:
+        return 0.0, None, None
+    return float(gaps[t]), t, profs[int(table[:, t].argmax())]
+
+
+def _public_value(game: _Game, j: int, prof: tuple[int, ...], belief, y_j: str, ys) -> float:
+    """Principal j's expected payoff from y_j at message profile ``prof``
+    under a type belief, the others playing ``ys``."""
+    _, v = game.payoffs(prof, ys[:j] + (y_j,) + ys[j + 1 :])
+    return float(belief @ v[j])
+
+
+def _private_value(game: _Game, j: int, i: int, belief, y_j: str, cont) -> float:
+    """Principal j's expected payoff from y_j after own message i under a
+    belief over (type, others' messages), each other principal k playing
+    ``cont[k][message]``."""
+    total = 0.0
+    for (t, rest), w in belief.items():
+        if w == 0.0:
+            continue
+        prof = _Game.merge(j, i, rest)
+        ys = tuple(y_j if k == j else cont[k][prof[k]] for k in range(game.n))
+        _, v = game.payoffs(prof, ys)
+        total += w * float(v[j][t])
+    return total
+
+
+def _allocation(game: _Game, q, gamma) -> Allocation:
+    """Pushforward of the agent's strategy through contracts and continuation."""
+    entries: dict[str, tuple] = {}
+    for t, lab in enumerate(game.t_labels):
+        acc: dict = {}
+        for prof, prob in q[t]:
+            if prob == 0.0:
+                continue
+            key = OPT_OUT if prof is None else game.action_key(prof, gamma[prof])
+            acc[key] = acc.get(key, 0.0) + prob
+        entries[lab] = tuple(sorted(acc.items(), key=lambda kv: repr(kv[0])))
+    return Allocation(entries)
+
+
+def _values(game: _Game, q, gamma) -> tuple[float, ...]:
+    """Every principal's ex ante payoff (opt-out yields zero)."""
+    totals = [0.0] * game.n
+    for t in range(game.T):
+        for prof, prob in q[t]:
+            if prof is None or prob == 0.0:
+                continue
+            _, v = game.payoffs(prof, gamma[prof])
+            for j in range(game.n):
+                totals[j] += game.mu[t] * prob * float(v[j][t])
+    return tuple(float(x) for x in totals)
+
+
+# ---------------------------------------------------------------------------
+# Checking
+# ---------------------------------------------------------------------------
+
+
 def check_continuation(
     env: Environment, assessment: Assessment, tol: float = 1e-9
 ) -> EquilibriumReport:
     """Exact verification of the three continuation-equilibrium conditions."""
-    game = _Game(env, assessment.contracts)
-    q = _normalize_strategy(game, assessment.strategy)
-    gamma = _continuation_arrays(game, assessment)
+    game, q, gamma = _play(env, assessment)
     for prof, ys in gamma.items():
         for j in range(game.n):
             if ys[j] not in game.feas[j][prof[j]]:
@@ -540,7 +654,7 @@ def check_continuation(
             joint_j: dict[tuple[int, int, tuple[int, ...]], float] = {}
             for prof, vec in joint.items():
                 mj = prof[j]
-                rest = tuple(prof[k] for k in range(game.n) if k != j)
+                rest = tuple(prof[k] for k in game.others(j))
                 mass_j[mj] = mass_j.get(mj, 0.0) + float(vec.sum())
                 for t in range(game.T):
                     if vec[t] != 0.0:
@@ -556,154 +670,81 @@ def check_continuation(
                     lhs = p.get((t, rest), 0.0) * m
                     rhs = joint_j.get((t, mj, rest), 0.0)
                     bayes_gap = max(bayes_gap, abs(lhs - rhs))
-    bayes_ok = bayes_gap <= tol
 
     # (ii) agent optimality with interim participation.
+    agent_gap, t, where = _agent_gap(game, _agent_payoff(game, q, gamma), gamma.items())
     agent_worst = None
-    agent_gap = 0.0
-    eq_pay = np.zeros(game.T)
-    for t in range(game.T):
-        total = 0.0
-        for prof, prob in q[t]:
-            if prof is None:
-                total += prob * game.U[t]
-            else:
-                u, _ = game.payoffs(prof, gamma[prof])
-                total += prob * float(u[t])
-        eq_pay[t] = total
-    for t in range(game.T):
-        best = game.U[t] if env.optout else -np.inf
-        best_where: tuple[str, ...] | str = OPT_OUT
-        for prof in game.profiles:
-            u, _ = game.payoffs(prof, gamma[prof])
-            if float(u[t]) > best:
-                best = float(u[t])
-                best_where = game.profile_labels(prof)
-        gap = best - eq_pay[t]
-        if gap > agent_gap:
-            agent_gap = gap
-            agent_worst = (game.t_labels[t], best_where, float(gap))
-    agent_ok = agent_gap <= tol
+    if t is not None:
+        where_labels = OPT_OUT if where is None else game.profile_labels(where)
+        agent_worst = (game.t_labels[t], where_labels, agent_gap)
 
-    # (iii) principal optimality after every message (profile).
+    # (iii) principal optimality after every message (profile). A site is
+    # (principal, where, equilibrium y, feasible ys, value of a y there).
+    if game.mode == "public":
+        sites = [
+            (
+                j, game.profile_labels(prof), gamma[prof][j], game.feas[j][prof[j]],
+                partial(_public_value, game, j, prof, beliefs[(j, prof)], ys=gamma[prof]),
+            )
+            for prof in game.profiles
+            for j in range(game.n)
+        ]
+    else:
+        cont = [
+            {i: assessment.continuation[j][lab] for i, lab in enumerate(game.msg_labels[j])}
+            for j in range(game.n)
+        ]
+        sites = [
+            (
+                j, game.msg_labels[j][i], cont[j][i], game.feas[j][i],
+                partial(_private_value, game, j, i, beliefs[(j, i)], cont=cont),
+            )
+            for j in range(game.n)
+            for i in range(game.sizes[j])
+        ]
     principal_worst = None
     principal_gap = 0.0
     ties: list[tuple] = []
-    if game.mode == "public":
-        for prof in game.profiles:
-            ys = gamma[prof]
-            for j in range(game.n):
-                p = beliefs[(j, prof)]
-                _, v = game.payoffs(prof, ys)
-                lhs = float(p @ v[j])
-                for y_dev in game.feas[j][prof[j]]:
-                    if y_dev == ys[j]:
-                        continue
-                    alt = ys[:j] + (y_dev,) + ys[j + 1 :]
-                    _, v_alt = game.payoffs(prof, alt)
-                    rhs = float(p @ v_alt[j])
-                    gap = rhs - lhs
-                    if abs(gap) <= tol and gap <= tol:
-                        ties.append((j, game.profile_labels(prof), y_dev))
-                    if gap > principal_gap:
-                        principal_gap = gap
-                        principal_worst = (
-                            j,
-                            game.profile_labels(prof),
-                            y_dev,
-                            float(gap),
-                        )
-    else:
-        # own-message continuation values via belief over (type, rest)
-        cont_j = [
-            {i: assessment.continuation[j][game.msg_labels[j][i]] for i in range(game.sizes[j])}
-            for j in range(game.n)
-        ]
-        for j in range(game.n):
-            others = [k for k in range(game.n) if k != j]
-            for i in range(game.sizes[j]):
-                p = beliefs[(j, i)]
+    for j, where, y_eq, feasible, value in sites:
+        lhs = value(y_eq)
+        for y_dev in feasible:
+            if y_dev == y_eq:
+                continue
+            gap = value(y_dev) - lhs
+            if abs(gap) <= tol:
+                ties.append((j, where, y_dev))
+            if gap > principal_gap:
+                principal_gap = gap
+                principal_worst = (j, where, y_dev, float(gap))
 
-                def value_of(y_j: str) -> float:
-                    total = 0.0
-                    for (t, rest), w in p.items():
-                        if w == 0.0:
-                            continue
-                        prof = _Game.merge(j, i, rest)
-                        ys = tuple(
-                            y_j if k == j else cont_j[k][prof[k]] for k in range(game.n)
-                        )
-                        u, v = game.payoffs(prof, ys)
-                        total += w * float(v[j][t])
-                    return total
-
-                lhs = value_of(cont_j[j][i])
-                for y_dev in game.feas[j][i]:
-                    if y_dev == cont_j[j][i]:
-                        continue
-                    rhs = value_of(y_dev)
-                    gap = rhs - lhs
-                    if abs(gap) <= tol and gap <= tol:
-                        ties.append((j, game.msg_labels[j][i], y_dev))
-                    if gap > principal_gap:
-                        principal_gap = gap
-                        principal_worst = (j, game.msg_labels[j][i], y_dev, float(gap))
-    principal_ok = principal_gap <= tol
-
-    alloc = induced_allocation(env, assessment)
-    values = tuple(float(principal_value(env, assessment, j)) for j in range(game.n))
     return EquilibriumReport(
-        bayes_ok=bool(bayes_ok),
+        bayes_ok=bool(bayes_gap <= tol),
         bayes_gap=float(bayes_gap),
-        agent_ok=bool(agent_ok),
+        agent_ok=bool(agent_gap <= tol),
         agent_worst=agent_worst,
-        principal_ok=bool(principal_ok),
+        principal_ok=bool(principal_gap <= tol),
         principal_worst=principal_worst,
-        values=values,
-        allocation=alloc,
+        values=_values(game, q, gamma),
+        allocation=_allocation(game, q, gamma),
         ties=tuple(ties),
     )
 
 
 def induced_allocation(env: Environment, assessment: Assessment) -> Allocation:
     """Pushforward of the agent's strategy through contracts and continuation."""
-    game = _Game(env, assessment.contracts)
-    q = _normalize_strategy(game, assessment.strategy)
-    gamma = _continuation_arrays(game, assessment)
-    entries: dict[str, tuple] = {}
-    for t, lab in enumerate(game.t_labels):
-        acc: dict = {}
-        for prof, prob in q[t]:
-            if prob == 0.0:
-                continue
-            key = OPT_OUT if prof is None else game.action_key(prof, gamma[prof])
-            acc[key] = acc.get(key, 0.0) + prob
-        entries[lab] = tuple(sorted(acc.items(), key=lambda kv: repr(kv[0])))
-    return Allocation(entries)
+    return _allocation(*_play(env, assessment))
 
 
 def principal_value(env: Environment, assessment: Assessment, j: int) -> float:
     """Principal ``j``'s ex ante payoff (opt-out yields zero)."""
-    game = _Game(env, assessment.contracts)
-    q = _normalize_strategy(game, assessment.strategy)
-    gamma = _continuation_arrays(game, assessment)
-    total = 0.0
-    for t in range(game.T):
-        for prof, prob in q[t]:
-            if prof is None or prob == 0.0:
-                continue
-            _, v = game.payoffs(prof, gamma[prof])
-            total += game.mu[t] * prob * float(v[j][t])
-    return total
+    return _values(*_play(env, assessment))[j]
 
 
 def principal_state_values(
     env: Environment, assessment: Assessment, j: int
 ) -> dict[str, float]:
     """Principal ``j``'s expected payoff conditional on each type."""
-    game = _Game(env, assessment.contracts)
-    q = _normalize_strategy(game, assessment.strategy)
-    gamma = _continuation_arrays(game, assessment)
+    game, q, gamma = _play(env, assessment)
     out: dict[str, float] = {}
     for t, lab in enumerate(game.t_labels):
         total = 0.0
@@ -749,8 +790,10 @@ def _strategy_candidates(game: _Game, options: SearchOptions):
     yield from itertools.product(*per_type)
 
 
-def _posterior_from_q(game: _Game, qlist) -> dict:
-    return {t: list(dist) for t, dist in enumerate(qlist)}
+def _is_best_reply(value, y_eq: str, feasible, tol: float) -> bool:
+    """No feasible y beats ``y_eq`` by more than ``tol`` under ``value``."""
+    lhs = value(y_eq)
+    return not any(value(y) > lhs + tol for y in feasible if y != y_eq)
 
 
 def _nash_sets(game: _Game, beliefs_pub, tol: float):
@@ -758,215 +801,112 @@ def _nash_sets(game: _Game, beliefs_pub, tol: float):
     ne: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
     for prof in game.profiles:
         feas_sets = [game.feas[j][prof[j]] for j in range(game.n)]
-        values: dict[tuple[str, ...], np.ndarray] = {}
-        for ys in itertools.product(*feas_sets):
-            _, v = game.payoffs(prof, ys)
-            values[ys] = v
-        good = []
-        for ys in itertools.product(*feas_sets):
-            ok = True
-            for j in range(game.n):
-                p = beliefs_pub[prof]
-                lhs = float(p @ values[ys][j])
-                for y_dev in feas_sets[j]:
-                    if y_dev == ys[j]:
-                        continue
-                    alt = ys[:j] + (y_dev,) + ys[j + 1 :]
-                    if float(p @ values[alt][j]) > lhs + tol:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                good.append(ys)
-        ne[prof] = good
+        ne[prof] = [
+            ys
+            for ys in itertools.product(*feas_sets)
+            if all(
+                _is_best_reply(
+                    partial(_public_value, game, j, prof, beliefs_pub[prof], ys=ys),
+                    ys[j], feas_sets[j], tol,
+                )
+                for j in range(game.n)
+            )
+        ]
     return ne
 
 
-def _public_equilibria_for_q(game: _Game, qlist, policy: str, options: SearchOptions):
+def _onpath(q, own=None) -> list:
+    """Message profiles (or principal ``own``'s messages) sent with positive
+    probability, in first-use order."""
+    return list(dict.fromkeys(
+        prof if own is None else prof[own]
+        for dist in q.values()
+        for prof, prob in dist
+        if prof is not None and prob > 0.0
+    ))
+
+
+def _public_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
     """All (gamma, beliefs) completions of one agent strategy, public mode."""
     tol = options.tol
-    q = _posterior_from_q(game, qlist)
     beliefs_pub = _public_beliefs(game, q, policy)
     ne = _nash_sets(game, beliefs_pub, tol)
     if any(not v for v in ne.values()):
         return
-    onpath: list[tuple[int, ...]] = []
-    seen = set()
-    for t in range(game.T):
-        for prof, prob in q[t]:
-            if prof is not None and prob > 0.0 and prof not in seen:
-                seen.add(prof)
-                onpath.append(prof)
-    offpath = [prof for prof in game.profiles if prof not in seen]
-
-    combos = 1
-    for prof in onpath:
-        combos *= len(ne[prof])
+    onpath = _onpath(q)
+    offpath = sorted(set(game.profiles) - set(onpath))
+    combos = math.prod(len(ne[prof]) for prof in onpath)
     if combos > options.cap:
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
 
     for choice in itertools.product(*[ne[prof] for prof in onpath]):
-        assign = dict(zip(onpath, choice))
-        eq_pay = np.zeros(game.T)
-        ok = True
-        for t in range(game.T):
-            total = 0.0
-            for prof, prob in q[t]:
-                if prof is None:
-                    total += prob * game.U[t]
-                else:
-                    u, _ = game.payoffs(prof, assign[prof])
-                    total += prob * float(u[t])
-            eq_pay[t] = total
-            if game.env.optout and eq_pay[t] < game.U[t] - tol:
-                ok = False
-                break
-        if not ok:
+        gamma = dict(zip(onpath, choice))
+        pay = _agent_payoff(game, q, gamma)
+        if _agent_gap(game, pay, gamma.items())[0] > tol:
             continue
-        for prof in onpath:
-            u, _ = game.payoffs(prof, assign[prof])
-            if np.any(u > eq_pay + tol):
-                ok = False
-                break
-        if not ok:
-            continue
-        full = dict(assign)
         for prof in offpath:
-            pick = None
-            for ys in ne[prof]:
-                u, _ = game.payoffs(prof, ys)
-                if not np.any(u > eq_pay + tol):
-                    pick = ys
-                    break
+            # the first continuation that leaves the agent no profitable deviation
+            pick = next(
+                (ys for ys in ne[prof] if _agent_gap(game, pay, [(prof, ys)])[0] <= tol), None
+            )
             if pick is None:
-                ok = False
                 break
-            full[prof] = pick
-        if not ok:
-            continue
-        yield q, full, beliefs_pub
+            gamma[prof] = pick
+        else:
+            yield gamma, beliefs_pub
 
 
-def _private_equilibria_for_q(game: _Game, qlist, policy: str, options: SearchOptions):
+def _private_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
     """All continuation completions of one agent strategy, private mode."""
     tol = options.tol
-    q = _posterior_from_q(game, qlist)
-    beliefs = [
-        _private_beliefs(game, q, j, policy) for j in range(game.n)
-    ]
+    beliefs = _raw_beliefs(game, q, policy)
     slots = [(j, i) for j in range(game.n) for i in range(game.sizes[j])]
     pools = [game.feas[j][i] for j, i in slots]
-    combos = 1
-    for p in pools:
-        combos *= len(p)
+    combos = math.prod(len(p) for p in pools)
     if combos > options.cap:
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
     for flat in itertools.product(*pools):
-        cont = {}
+        cont: dict[int, dict[int, str]] = {}
         for (j, i), y in zip(slots, flat):
             cont.setdefault(j, {})[i] = y
         # principal optimality at every own message
-        ok = True
-        for j in range(game.n):
-            for i in range(game.sizes[j]):
-                p = beliefs[j][i]
-
-                def value_of(y_j: str) -> float:
-                    total = 0.0
-                    for (t, rest), w in p.items():
-                        if w == 0.0:
-                            continue
-                        prof = _Game.merge(j, i, rest)
-                        ys = tuple(
-                            y_j if k == j else cont[k][prof[k]] for k in range(game.n)
-                        )
-                        u, v = game.payoffs(prof, ys)
-                        total += w * float(v[j][t])
-                    return total
-
-                lhs = value_of(cont[j][i])
-                for y_dev in game.feas[j][i]:
-                    if y_dev != cont[j][i] and value_of(y_dev) > lhs + tol:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not all(
+            _is_best_reply(
+                partial(_private_value, game, j, i, beliefs[j][i], cont=cont),
+                cont[j][i], game.feas[j][i], tol,
+            )
+            for j, i in slots
+        ):
             continue
         gamma = {
             prof: tuple(cont[j][prof[j]] for j in range(game.n))
             for prof in game.profiles
         }
-        eq_pay = np.zeros(game.T)
-        for t in range(game.T):
-            total = 0.0
-            for prof, prob in q[t]:
-                if prof is None:
-                    total += prob * game.U[t]
-                else:
-                    u, _ = game.payoffs(prof, gamma[prof])
-                    total += prob * float(u[t])
-            eq_pay[t] = total
-        ok = not game.env.optout or bool(np.all(eq_pay >= game.U - tol))
-        if ok:
-            for prof in game.profiles:
-                u, _ = game.payoffs(prof, gamma[prof])
-                if np.any(u > eq_pay + tol):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        yield q, gamma, beliefs
+        if _agent_gap(game, _agent_payoff(game, q, gamma), gamma.items())[0] <= tol:
+            yield gamma, beliefs
 
 
 def _assessment_from(game: _Game, q, gamma, beliefs_raw, policy: str) -> Assessment:
-    strategy = {}
-    for t, lab in enumerate(game.t_labels):
-        dist = []
-        for prof, prob in q[t]:
-            outcome = OPT_OUT if prof is None else game.profile_labels(prof)
-            dist.append((outcome, prob))
-        strategy[lab] = tuple(dist)
-    if game.mode == "public":
-        cont = {
-            j: {game.profile_labels(p): ys[j] for p, ys in gamma.items()}
-            for j in range(game.n)
-        }
-        shared = {
-            game.profile_labels(p): tuple(float(x) for x in vec)
-            for p, vec in beliefs_raw.items()
-        }
-        bel = BeliefSystem(
-            mode="public",
-            public={j: dict(shared) for j in range(game.n)},
-            offpath=policy,
+    strategy = {
+        lab: tuple(
+            (OPT_OUT if prof is None else game.profile_labels(prof), prob)
+            for prof, prob in q[t]
         )
-    else:
-        cont = {}
-        for j in range(game.n):
-            col = {}
-            for prof, ys in gamma.items():
-                col[game.msg_labels[j][prof[j]]] = ys[j]
-            cont[j] = col
-        priv = {}
-        for j in range(game.n):
-            others = [k for k in range(game.n) if k != j]
-            priv[j] = {
-                game.msg_labels[j][i]: {
-                    (
-                        game.t_labels[t],
-                        tuple(game.msg_labels[k][r] for k, r in zip(others, rest)),
-                    ): float(w)
-                    for (t, rest), w in beliefs_raw[j][i].items()
-                }
-                for i in range(game.sizes[j])
-            }
-        bel = BeliefSystem(mode="private", private=priv, offpath=policy)
+        for t, lab in enumerate(game.t_labels)
+    }
+    public = game.mode == "public"
+    cont = {
+        j: {
+            (game.profile_labels(p) if public else game.msg_labels[j][p[j]]): ys[j]
+            for p, ys in gamma.items()
+        }
+        for j in range(game.n)
+    }
     return Assessment(
-        contracts=game.contracts, strategy=strategy, continuation=cont, beliefs=bel
+        contracts=game.contracts,
+        strategy=strategy,
+        continuation=cont,
+        beliefs=_belief_system(game, beliefs_raw, policy),
     )
 
 
@@ -980,47 +920,23 @@ def enumerate_equilibria(
     The space is: pure agent strategies (optionally two-point mixtures on a
     probability grid), pure continuation choices, and off-path beliefs from
     the policy menu in ``options.policies``. Results are deduplicated by
-    induced allocation and returned in a deterministic order.
+    induced allocation, the first hit in policy then candidate order
+    winning, and returned in a deterministic order.
     """
     options = options or SearchOptions()
     game = _Game(env, contracts)
-    found: dict[tuple, FoundEquilibrium] = {}
-
-    def run_chunk(job):
-        policy, chunk = job
-        rows = []
-        for qlist in chunk:
-            gen = (
-                _public_equilibria_for_q(game, qlist, policy, options)
-                if game.mode == "public"
-                else _private_equilibria_for_q(game, qlist, policy, options)
-            )
-            for q, gamma, beliefs_raw in gen:
-                a = _assessment_from(game, q, gamma, beliefs_raw, policy)
-                alloc = induced_allocation(env, a)
-                vals = tuple(principal_value(env, a, j) for j in range(game.n))
-                rows.append((alloc.key(), FoundEquilibrium(a, alloc, vals)))
-        return rows
-
+    search = _public_equilibria_for_q if game.mode == "public" else _private_equilibria_for_q
     candidates = list(_strategy_candidates(game, options))
-    if options.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        size = max(1, len(candidates) // (options.threads * 4))
-        jobs = [
-            (policy, candidates[i : i + size])
-            for policy in options.policies
-            for i in range(0, len(candidates), size)
-        ]
-        with ThreadPoolExecutor(max_workers=options.threads) as ex:
-            all_rows = list(ex.map(run_chunk, jobs))
-    else:
-        all_rows = [run_chunk((policy, candidates)) for policy in options.policies]
-    # merge in deterministic job order, first hit per allocation wins
-    for rows in all_rows:
-        for key, fe in rows:
-            if key not in found:
-                found[key] = fe
+    found: dict[tuple, FoundEquilibrium] = {}
+    for policy in options.policies:
+        for qlist in candidates:
+            q = dict(enumerate(qlist))
+            for gamma, beliefs_raw in search(game, q, policy, options):
+                alloc = _allocation(game, q, gamma)
+                key = alloc.key()
+                if key not in found:
+                    a = _assessment_from(game, q, gamma, beliefs_raw, policy)
+                    found[key] = FoundEquilibrium(a, alloc, _values(game, q, gamma))
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -1056,108 +972,49 @@ def private_post_deviation_values(
         }
         for k in range(game.n)
     ]
+
+    def gamma_with(choice: dict[int, str]):
+        """Continuation at every profile whose message to j has a choice."""
+        return {
+            prof: tuple(
+                choice[prof[j]] if k == j else frozen[k][prof[k]] for k in range(game.n)
+            )
+            for prof in game.profiles
+            if prof[j] in choice
+        }
+
     values: list[float] = []
     for policy in options.policies:
         for qlist in _strategy_candidates(game, options):
-            q = _posterior_from_q(game, qlist)
+            q = dict(enumerate(qlist))
             p_j = _private_beliefs(game, q, j, policy)
-
-            def value_of(i: int, y_j: str) -> float:
-                total = 0.0
-                for (t, rest), w in p_j[i].items():
-                    if w == 0.0:
-                        continue
-                    prof = _Game.merge(j, i, rest)
-                    ys = tuple(
-                        y_j if k == j else frozen[k][prof[k]] for k in range(game.n)
-                    )
-                    u, v = game.payoffs(prof, ys)
-                    total += w * float(v[j][t])
-                return total
-
             br: list[list[str]] = []
             for i in range(game.sizes[j]):
-                vals = [(value_of(i, y), y) for y in game.feas[j][i]]
+                vals = [(_private_value(game, j, i, p_j[i], y, frozen), y) for y in game.feas[j][i]]
                 top = max(v for v, _ in vals)
                 br.append([y for v, y in vals if v >= top - tol])
 
-            onpath_own: list[int] = []
-            seen = set()
-            for t in range(game.T):
-                for prof, prob in q[t]:
-                    if prof is not None and prob > 0.0 and prof[j] not in seen:
-                        seen.add(prof[j])
-                        onpath_own.append(prof[j])
-            offpath_own = [i for i in range(game.sizes[j]) if i not in seen]
-
-            def gamma_for(choice: dict[int, str]):
-                def g(prof):
-                    return tuple(
-                        choice[prof[j]] if k == j else frozen[k][prof[k]]
-                        for k in range(game.n)
-                    )
-
-                return g
-
+            onpath_own = _onpath(q, own=j)
+            offpath_own = [i for i in range(game.sizes[j]) if i not in onpath_own]
             for combo in itertools.product(*[br[i] for i in onpath_own]):
                 choice = dict(zip(onpath_own, combo))
-                g = gamma_for(choice)
-                eq_pay = np.zeros(game.T)
-                ok = True
-                for t in range(game.T):
-                    total = 0.0
-                    for prof, prob in q[t]:
-                        if prof is None:
-                            total += prob * game.U[t]
-                        else:
-                            u, _ = game.payoffs(prof, g(prof))
-                            total += prob * float(u[t])
-                    eq_pay[t] = total
-                    if game.env.optout and eq_pay[t] < game.U[t] - tol:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for prof in game.profiles:
-                    if prof[j] in choice:
-                        u, _ = game.payoffs(prof, g(prof))
-                        if np.any(u > eq_pay + tol):
-                            ok = False
-                            break
-                if not ok:
+                gamma = gamma_with(choice)
+                pay = _agent_payoff(game, q, gamma)
+                if _agent_gap(game, pay, gamma.items())[0] > tol:
                     continue
                 for o in offpath_own:
-                    pick = None
-                    for y in br[o]:
-                        bad = False
-                        for rest in game.rest_profiles(j):
-                            prof = _Game.merge(j, o, rest)
-                            ys = tuple(
-                                y if k == j else frozen[k][prof[k]]
-                                for k in range(game.n)
-                            )
-                            u, _ = game.payoffs(prof, ys)
-                            if np.any(u > eq_pay + tol):
-                                bad = True
-                                break
-                        if not bad:
-                            pick = y
-                            break
+                    pick = next(
+                        (
+                            y for y in br[o]
+                            if _agent_gap(game, pay, gamma_with({o: y}).items())[0] <= tol
+                        ),
+                        None,
+                    )
                     if pick is None:
-                        ok = False
                         break
                     choice[o] = pick
-                if not ok:
-                    continue
-                g = gamma_for(choice)
-                total = 0.0
-                for t in range(game.T):
-                    for prof, prob in q[t]:
-                        if prof is None or prob == 0.0:
-                            continue
-                        _, v = game.payoffs(prof, g(prof))
-                        total += game.mu[t] * prob * float(v[j][t])
-                values.append(total)
+                else:
+                    values.append(_values(game, q, gamma_with(choice))[j])
     return values
 
 
@@ -1184,7 +1041,6 @@ def check_robust(
         raise ValueError("assessment fails continuation checks; robustness undefined")
     findings: list[DeviationFinding] = []
     private = env.observability == "private"
-    from .contracts import enumerate_gstar, enumerate_private
 
     for j in range(env.n):
         if deviation_space is not None and j in deviation_space:
@@ -1238,9 +1094,7 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
     off-path behavior is copied through a fixed per-action selector. The
     induced allocation and every principal's value are preserved exactly.
     """
-    game = _Game(env, assessment.contracts)
-    q = _normalize_strategy(game, assessment.strategy)
-    gamma = _continuation_arrays(game, assessment)
+    game, q, gamma = _play(env, assessment)
     new_contracts = tuple(
         menu_rec(env, j, image(assessment.contracts[j])) for j in range(game.n)
     )
@@ -1261,6 +1115,7 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
 
     ngame = _Game(env, new_contracts)
     nq = _normalize_strategy(ngame, strategy)
+    offpath = assessment.beliefs.offpath
 
     # Fill continuation and beliefs for every new profile: on the recoded
     # image use the recommendations and the preimage's beliefs; elsewhere
@@ -1300,64 +1155,35 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
                 else:
                     ref = original_ref(labs)
                     pub[j][labs] = tuple(float(x) for x in old_beliefs[(j, ref)])
-        bel = BeliefSystem(
-            mode="public", public=pub, offpath=assessment.beliefs.offpath
-        )
+        bel = BeliefSystem(mode="public", public=pub, offpath=offpath)
         return Assessment(new_contracts, strategy, cont, bel)
 
-    # private: recode each principal's own message independently
-    old_beliefs = _belief_vectors(game, assessment)
+    # private: recode each principal's own message independently; on-path
+    # own messages take the Bayes beliefs of the recoded strategy
+    bayes = _belief_system(ngame, _raw_beliefs(ngame, nq, offpath), offpath).private
+    own_recode = [
+        {
+            i: f"{game.msg_action[j][i]}|{assessment.continuation[j][game.msg_labels[j][i]]}"
+            for i in range(game.sizes[j])
+        }
+        for j in range(game.n)
+    ]
     cont = {j: {} for j in range(game.n)}
     priv: dict[int, dict] = {j: {} for j in range(game.n)}
-    onpath_own: list[dict[int, dict]] = []
     for j in range(game.n):
-        table = _private_beliefs(ngame, nq, j, assessment.beliefs.offpath)
-        onpath_mass: dict[int, float] = {}
-        for t, dist in nq.items():
-            for prof, prob in dist:
-                if prof is not None and prob > 0:
-                    onpath_mass[prof[j]] = onpath_mass.get(prof[j], 0.0) + prob
-        onpath_own.append({"mass": onpath_mass, "table": table})
-
-    # per-principal recode map: old own message -> new own label
-    own_recode = []
-    for j in range(game.n):
-        col = {}
-        for i in range(game.sizes[j]):
-            y = assessment.continuation[j][game.msg_labels[j][i]]
-            col[i] = f"{game.msg_action[j][i]}|{y}"
-        own_recode.append(col)
-
-    others_of = [
-        [k for k in range(game.n) if k != j] for j in range(game.n)
-    ]
-    for j in range(game.n):
-        new_game_labels = ngame.msg_labels[j]
-        table = onpath_own[j]["table"]
-        mass = onpath_own[j]["mass"]
-        old_priv = assessment.beliefs.private[j]
-        for i, lab in enumerate(new_game_labels):
+        onpath_own = set(_onpath(nq, own=j))
+        for i, lab in enumerate(ngame.msg_labels[j]):
             x_lab, y_lab = lab.split("|", 1)
             recoded_from = [
                 oi for oi in range(game.sizes[j]) if own_recode[j][oi] == lab
             ]
-            if i in mass:
+            if i in onpath_own:
                 cont[j][lab] = y_lab
-                priv[j][lab] = {
-                    (
-                        ngame.t_labels[t],
-                        tuple(
-                            ngame.msg_labels[k][r]
-                            for k, r in zip(others_of[j], rest)
-                        ),
-                    ): float(w)
-                    for (t, rest), w in table[i].items()
-                }
+                priv[j][lab] = bayes[j][lab]
             elif recoded_from:
-                oi = recoded_from[0]
                 cont[j][lab] = y_lab
                 priv[j][lab] = _recode_private_belief(
-                    game, assessment, j, oi, own_recode
+                    game, assessment, j, recoded_from[0], own_recode
                 )
             else:
                 oi = game.selector[j][x_lab]
@@ -1365,18 +1191,17 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
                 priv[j][lab] = _recode_private_belief(
                     game, assessment, j, oi, own_recode
                 )
-    bel = BeliefSystem(mode="private", private=priv, offpath=assessment.beliefs.offpath)
+    bel = BeliefSystem(mode="private", private=priv, offpath=offpath)
     return Assessment(new_contracts, strategy, cont, bel)
 
 
 def _recode_private_belief(game, assessment, j, old_own_index, own_recode):
     """Push an old private belief through the other principals' recodings."""
     old = assessment.beliefs.private[j][game.msg_labels[j][old_own_index]]
-    others = [k for k in range(game.n) if k != j]
     out: dict = {}
     for (t_lab, rest_labs), w in old.items():
         new_rest = []
-        for k, rl in zip(others, rest_labs):
+        for k, rl in zip(game.others(j), rest_labs):
             oi = game.msg_labels[k].index(rl)
             new_rest.append(own_recode[k][oi])
         key = (t_lab, tuple(new_rest))

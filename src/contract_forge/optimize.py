@@ -1,8 +1,8 @@
-"""Deterministic 1-D maximization: coarse grid plus golden-section refinement.
+"""Deterministic 1-D maximization by golden-section search.
 
 Objectives here are unimodal up to kinks (participation cutoffs), so
-derivative-free bracketing is the safe choice. Ties on grids break toward
-the lowest index.
+derivative-free bracketing is the safe choice. The golden ratios are
+shared with the vectorized row search in ``solver_single``.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
-__all__ = ["golden_max", "grid_then_golden"]
+__all__ = ["golden_max"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -46,30 +44,3 @@ def golden_max(
     x = 0.5 * (a + d) if yc > yd else 0.5 * (c + b)
     return x, f(x)
 
-
-def grid_then_golden(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n: int = 256,
-    tol: float = 1e-8,
-    grid_values: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Scan ``n`` grid points, then refine around the best bracket.
-
-    ``grid_values`` may carry precomputed objective values on the implied
-    ``linspace(lo, hi, n)`` grid to avoid re-evaluation. Returns the better
-    of the grid optimum and the refined point.
-    """
-    xs = np.linspace(lo, hi, n)
-    if grid_values is None:
-        vals = np.array([f(x) for x in xs])
-    else:
-        vals = np.asarray(grid_values, dtype=float)
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
-    x_ref, v_ref = golden_max(f, float(a), float(b), tol)
-    if v_ref >= vals[i]:
-        return float(x_ref), float(v_ref)
-    return float(xs[i]), float(vals[i])

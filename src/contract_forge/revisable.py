@@ -16,8 +16,8 @@ closed forms (ceiling/floor thresholds of the sender-optimal rule).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +101,8 @@ class RevisableModel:
     eta_hi: float = 1.0
     z_range: tuple[float, float] = (-10.0, 10.0)
     ideal_form: tuple | None = None  # ("affine", k, a)
+    # the receiver payoff compiled over (z, theta), once per model
+    receiver_fn: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("additive", "proportional"):
@@ -109,6 +111,9 @@ class RevisableModel:
             raise ValueError("additive revision bound must be nonnegative")
         if self.mode == "proportional" and not 0.0 < self.eta_lo <= self.eta_hi:
             raise ValueError("proportional bounds must satisfy 0 < lo <= hi")
+        object.__setattr__(
+            self, "receiver_fn", exprlang.compile_fn(self.receiver, ["z", "theta"])
+        )
 
     @staticmethod
     def additive(
@@ -132,12 +137,10 @@ class RevisableModel:
         return exprlang.evaluate(self.receiver, {"z": z, "theta": theta})
 
     def receiver_expectation(self, z: float, belief: Belief) -> float:
-        return expect(lambda th: _vec_eval(self.receiver, z, th), belief)
-
-
-def _vec_eval(expr: exprlang.Expr, z: float, theta) -> np.ndarray:
-    fn = exprlang.compile_fn(expr, ["z", "theta"])
-    return np.asarray(fn(z, np.asarray(theta, dtype=float)), dtype=float)
+        fn = self.receiver_fn
+        return expect(
+            lambda th: np.asarray(fn(z, np.asarray(th, dtype=float)), dtype=float), belief
+        )
 
 
 def audit_concavity(
@@ -159,9 +162,8 @@ def audit_concavity(
         idx = np.linspace(0, len(pts) - 1, min(7, len(pts))).astype(int)
         thetas = [float(pts[i]) for i in idx]
     zs = np.linspace(lo, hi, grid)
-    fn = exprlang.compile_fn(model.receiver, ["z", "theta"])
     for th in thetas:
-        vals = np.asarray(fn(zs, float(th)), dtype=float)
+        vals = np.asarray(model.receiver_fn(zs, float(th)), dtype=float)
         second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         if not np.all(second < 0.0):
             raise ConcavityError(
@@ -186,7 +188,7 @@ def posterior_ideal(
     if model.ideal_form is not None and model.ideal_form[0] == "affine":
         _, k, a = model.ideal_form
         return float(k) + float(a) * expect(lambda th: th, belief)
-    fn = exprlang.compile_fn(model.receiver, ["z", "theta"])
+    fn = model.receiver_fn
     pts = np.array(belief.points)
     w = np.array(belief.weights)
 
@@ -226,29 +228,28 @@ def endpoint_baseline(
 ) -> tuple[float, float]:
     """Baseline and revision placing ``z_target`` at the receiver's optimum.
 
-    A target below the posterior ideal sits at the upper endpoint of the
-    feasible interval; above, at the lower endpoint; at the ideal, in the
-    middle. Returns (baseline, revision); the revision is the additive
-    step or the proportional factor, and baseline (+ or *) revision equals
-    the target.
+    A target below the posterior ideal (z < r - tol) sits at the upper
+    endpoint of the feasible interval; above it (z > r + tol), at the
+    lower endpoint; otherwise, a tie, in the middle. Returns (baseline,
+    revision); the revision is the additive step or the proportional
+    factor, and baseline (+ or *) revision equals the target.
     """
+    below, above = z_target < r - tol, z_target > r + tol
     if model.mode == "additive":
-        if abs(z_target - r) <= tol:
-            return (z_target, 0.0)
-        if z_target < r:
+        if below:
             return (z_target - model.alpha, model.alpha)
-        return (z_target + model.alpha, -model.alpha)
+        if above:
+            return (z_target + model.alpha, -model.alpha)
+        return (z_target, 0.0)
     if z_target <= 0.0:
         raise ValueError("proportional placement requires a positive target")
-    if abs(z_target - r) <= tol:
+    if not (below or above):
         if model.eta_lo <= 1.0 <= model.eta_hi:
             return (z_target, 1.0)
         # identity revision unavailable: park the target at the endpoint
         # nearer to one, keeping the whole interval weakly on one side of r
-        if model.eta_hi < 1.0:
-            return (z_target / model.eta_hi, model.eta_hi)
-        return (z_target / model.eta_lo, model.eta_lo)
-    if z_target < r:
+        below = model.eta_hi < 1.0
+    if below:
         return (z_target / model.eta_hi, model.eta_hi)
     return (z_target / model.eta_lo, model.eta_lo)
 
@@ -493,15 +494,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, alpha_steps: int):
             labels,
         )
         r = posterior_ideal(model, belief, audit=False)
-        x_hat, rev = endpoint_baseline(
-            RevisableModel(
-                mode="additive", sender=model.sender, receiver=model.receiver,
-                types=model.types, alpha=game_a.model.alpha,
-                z_range=model.z_range, ideal_form=model.ideal_form,
-            ),
-            z,
-            r,
-        )
+        x_hat, rev = endpoint_baseline(game_a.model, z, r)
         lo, hi = x_hat - game_a.model.alpha, x_hat + game_a.model.alpha
         scan = np.linspace(lo, hi, 101)
         vals = np.array([model.receiver_expectation(float(s), belief) for s in scan])
@@ -594,7 +587,7 @@ def enumerate_final_allocations(
     T = len(labels)
     Z = np.array(game.z_values)
     u_fn = exprlang.compile_fn(game.model.sender, ["z", "theta"])
-    v_fn = exprlang.compile_fn(game.model.receiver, ["z", "theta"])
+    v_fn = game.model.receiver_fn
     u_tab = np.asarray(u_fn(Z[:, None], thetas[None, :]), dtype=float)  # |Z| x T
     v_tab = np.asarray(v_fn(Z[:, None], thetas[None, :]), dtype=float)
 

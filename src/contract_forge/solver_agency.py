@@ -180,16 +180,13 @@ def fixed_point(
     damping: float | None = None,
     tol: float | None = None,
     max_iter: int | None = None,
-    threads: int = 1,
 ) -> AgencyEquilibrium:
     """Damped simultaneous best-response iteration to a simple-offer equilibrium.
 
     Iterates x <- (1 - lambda) x + lambda BR(x) until the best-response
     residual drops below ``tol``; raises on non-convergence, attaching the
-    trajectory. The two best responses of an iteration are independent
-    (and evaluated concurrently when ``threads`` allows); the coarse
-    zoomed search is used on the way and the reported equilibrium is
-    re-solved at full resolution.
+    trajectory. The coarse zoomed search is used on the way and the
+    reported equilibrium is re-solved at full resolution.
     """
     lam = problem.damping if damping is None else damping
     tol = problem.fp_tol if tol is None else tol
@@ -205,28 +202,15 @@ def fixed_point(
             cache[key] = best_response(problem, j, xo, fast=True)[0]
         return cache[key]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=2)
-        both = lambda xv: list(pool.map(lambda j: br(j, xv[1 - j]), (0, 1)))
-    else:
-        pool = None
-        both = lambda xv: [br(0, xv[1]), br(1, xv[0])]
-
     residual = math.inf
     iterations = 0
-    try:
-        for iterations in range(max_iter + 1):
-            targets = both(x)
-            residual = max(abs(targets[0] - x[0]), abs(targets[1] - x[1]))
-            if residual <= tol:
-                break
-            x = [(1.0 - lam) * x[j] + lam * targets[j] for j in range(2)]
-            trajectory.append(tuple(x))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for iterations in range(max_iter + 1):
+        targets = [br(0, x[1]), br(1, x[0])]
+        residual = max(abs(targets[0] - x[0]), abs(targets[1] - x[1]))
+        if residual <= tol:
+            break
+        x = [(1.0 - lam) * x[j] + lam * targets[j] for j in range(2)]
+        trajectory.append(tuple(x))
     converged = residual <= tol
     if not converged:
         raise RuntimeError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import exprlang
 from .env_core import Belief, TypeSpace
-from .optimize import golden_max
+from .optimize import _INV_PHI, _INV_PHI_SQ, golden_max
 
 __all__ = [
     "SingleProblem",
@@ -219,13 +219,6 @@ def _stay_probability(problem: SingleProblem, x: float, y: float) -> float:
     return float(np.sum(coef * dens) * h / 3.0)
 
 
-def _profit_safe(problem: SingleProblem, x: float, y: float) -> float:
-    try:
-        return expected_profit(problem, x, y)
-    except MonotonicityError:
-        return -math.inf
-
-
 def _profit_scalar(problem: SingleProblem, x: float, y: float, audit: bool) -> float:
     """Scalar counterpart of :func:`_profit_vec`; avoids array dispatch."""
     lo, hi = _theta_span(problem.types)
@@ -338,10 +331,6 @@ def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray) -> np.n
     return vals.reshape(len(xs), len(ys))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
-
 def _row_golden(
     problem: SingleProblem,
     X: np.ndarray,
@@ -415,7 +404,7 @@ def _inner_solve(problem: SingleProblem, x: float) -> tuple[float, float]:
     return float(v[0]), float(y[0])
 
 
-def solve(problem: SingleProblem, threads: int = 1) -> SolveResult:
+def solve(problem: SingleProblem) -> SolveResult:
     """Two-step optimum: outer search over x, inner search over y.
 
     Both loops scan an even grid and refine around the best bracket by
@@ -425,17 +414,7 @@ def solve(problem: SingleProblem, threads: int = 1) -> SolveResult:
     beats zero the result is the no-trade outcome.
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], problem.x_grid)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(xs, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda block: _inner_rows(problem, block), chunks))
-        values = np.concatenate([p[0] for p in parts])
-        inner_y = np.concatenate([p[1] for p in parts])
-    else:
-        values, inner_y = _inner_rows(problem, xs)
+    values, inner_y = _inner_rows(problem, xs)
     trace = tuple((float(x), float(v)) for x, v in zip(xs, values))
 
     i = int(np.argmax(values))

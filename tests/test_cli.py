@@ -152,16 +152,6 @@ class TestRunAndReports:
         for f1, f2 in zip(one, two):
             assert f1.read_bytes() == f2.read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        sc = cli.parse_scenario(fixture_path("necessity_env.json"))
-        outputs = []
-        for threads in (1, 2, 8):
-            report = cli.run(sc, threads=threads)
-            out = tmp_path / f"t{threads}"
-            cli.write_report(report, out)
-            outputs.append((out / "report.json").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_number_formatting_12_digits(self):
         from contract_forge.reportio import dumps, format_number
 
@@ -308,6 +298,50 @@ class TestEngineScenarios:
         report = cli.run(cli.parse_scenario(path))
         assert report.exit_code == 0
         assert report.payload["results"]["passed"] is True
+
+
+class TestScenarioErrors:
+    """Malformed or invalid scenarios exit 2 with a message, never a traceback."""
+
+    VALID = [{"kind": "menu_rec", "menu": ["a"]}, {"kind": "menu_rec", "menu": ["d"]}]
+
+    def _check_necessity_env(self, tmp_path, contracts, t0_weight=None):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["command"] = "check-equilibrium"
+        if t0_weight is not None:
+            raw["environment"]["types"]["items"][0]["weight"] = t0_weight
+        raw["assessment"] = {
+            "contracts": contracts,
+            "strategy": {
+                lab: [{"profile": ["a|w", "d|e"], "prob": 1.0}] for lab in ("t0", "t1", "t2")
+            },
+        }
+        raw["options"] = {}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        return CliRunner().invoke(
+            cli.main, ["--scenario", str(path), "--out", str(tmp_path / "out")]
+        )
+
+    def test_valid_scenario_passes(self, tmp_path):
+        res = self._check_necessity_env(tmp_path, self.VALID)
+        assert res.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "kind, field", [("menu_rec", "menu"), ("plain", "menu"), ("submenu", "pairs")]
+    )
+    def test_contract_missing_field(self, tmp_path, kind, field):
+        res = self._check_necessity_env(tmp_path, [{"kind": kind}, self.VALID[1]])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"$.assessment.contracts[0].{field}" in res.output
+
+    def test_prior_weights_not_summing_to_one(self, tmp_path):
+        res = self._check_necessity_env(tmp_path, self.VALID, t0_weight=0.9)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "$.environment" in res.output
+        assert "prior weights sum to" in res.output
 
 
 class TestSerializationRoundTrip:

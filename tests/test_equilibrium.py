@@ -258,18 +258,26 @@ class TestEnumerate:
             )
             assert engine == oracle
 
-    def test_deterministic_across_threads(self):
-        rng = np.random.default_rng(11)
-        env, contracts = random_instance(rng)
-        keys = []
-        for threads in (1, 2, 8):
-            found = eq.enumerate_equilibria(
-                env,
-                contracts,
-                eq.SearchOptions(policies=("prior", "lowest-type"), threads=threads),
-            )
-            keys.append([fe.allocation.key() for fe in found])
-        assert keys[0] == keys[1] == keys[2]
+
+    def test_found_equilibria_match_public_recomputation(self):
+        """Allocations and values computed inside the search equal the public
+        functions' recomputation from each found assessment, exactly."""
+        rng = np.random.default_rng(20250810)
+        options = eq.SearchOptions(policies=("prior", "lowest-type"))
+        classes = set()
+        for _ in range(30):
+            env, contracts = random_instance(rng)
+            classes.add((env.observability, env.optout))
+            for fe in eq.enumerate_equilibria(env, contracts, options):
+                a = fe.assessment
+                assert fe.allocation.key() == eq.induced_allocation(env, a).key()
+                assert fe.values == tuple(
+                    eq.principal_value(env, a, j) for j in range(env.n)
+                )
+                assert eq.check_continuation(env, a).values == fe.values
+        assert classes == {
+            ("public", True), ("public", False), ("private", True), ("private", False)
+        }
 
 
 class TestCanonicalize:

@@ -252,7 +252,7 @@ def test_enumeration_cap_guard():
         rv.enumerate_final_allocations(game, cap=1000)
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -285,6 +285,7 @@ def test_proportional_endpoint_algebra(z, r, lo, spread):
     alpha=st.floats(0.0, 2.0),
 )
 @settings(max_examples=100, deadline=None)
+@example(z=-3.157e-229, r=1e-12, alpha=1.0)
 def test_additive_endpoint_algebra(z, r, alpha):
     m = quadratic_model(alpha=alpha)
     x, y = rv.endpoint_baseline(m, z, r)

@@ -172,12 +172,6 @@ class TestRobustnessCheck:
         assert findings[0].deviation_value <= single_value + 1e-3
 
 
-def test_fixed_point_threads_match_sequential(worked, equilibrium):
-    eqm2 = sa.fixed_point(worked, threads=2)
-    assert eqm2.x == equilibrium.x
-    assert eqm2.values == equilibrium.values
-
-
 class TestBilateralProfitFormula:
     def test_scaled_cutoff_profit_identity(self, worked):
         """Bilateral expected profit matches (4-t)(A K(t) sqrt(x) - x^2)."""

@@ -119,12 +119,6 @@ class TestSolve:
         assert value == pytest.approx(labor_solution.value, abs=1e-6)
         assert x == pytest.approx(labor_solution.x, abs=1e-3)
 
-    def test_threads_do_not_change_result(self, labor, labor_solution):
-        r2 = ss.solve(labor, threads=4)
-        assert r2.x == labor_solution.x
-        assert r2.y == labor_solution.y
-        assert r2.value == labor_solution.value
-
 
 class TestLaborProfile:
     def test_point_values(self):
