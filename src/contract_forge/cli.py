@@ -75,6 +75,9 @@ class ScenarioFile:
     command: str
     raw: Mapping
     path: str
+    # built and validated blocks by name ("environment", "problem",
+    # "agency", "revisable", "options"); handlers read these, not ``raw``
+    blocks: Mapping = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -135,22 +138,20 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
     for block in _BLOCKS_BY_COMMAND[command]:
         if block not in raw:
             raise ScenarioError(f"schema error at $: command {command!r} needs {block!r}")
-    scenario = ScenarioFile(command=command, raw=raw, path=str(path))
-    _validate_blocks(scenario)
-    return scenario
+    return ScenarioFile(command=command, raw=raw, path=str(path), blocks=_build_blocks(raw))
 
 
-def _validate_blocks(sc: ScenarioFile) -> None:
-    if "environment" in sc.raw:
-        _environment_from(sc.raw["environment"], "$.environment")
-    if "problem" in sc.raw:
-        _single_problem_from(sc.raw["problem"], "$.problem")
-    if "agency" in sc.raw:
-        _agency_problem_from(sc.raw["agency"], "$.agency")
-    if "revisable" in sc.raw:
-        _revisable_from(sc.raw["revisable"], "$.revisable")
-    if "options" in sc.raw:
-        _options_from(sc.raw, sc.command)
+def _build_blocks(raw: Mapping) -> dict:
+    """Build (and so validate) every block present, once."""
+    builders = {
+        "environment": _environment_from,
+        "problem": _single_problem_from,
+        "agency": _agency_problem_from,
+        "revisable": _revisable_from,
+    }
+    blocks = {name: build(raw[name], f"$.{name}") for name, build in builders.items() if name in raw}
+    blocks["options"] = _options_from(raw)
+    return blocks
 
 
 def _typespace_from(obj, path: str) -> ec.TypeSpace:
@@ -364,7 +365,7 @@ _OPTION_KEYS = (
 )
 
 
-def _options_from(raw: Mapping, command: str) -> dict:
+def _options_from(raw: Mapping) -> dict:
     obj = raw.get("options", {})
     _check_keys(obj, _OPTION_KEYS, (), "$.options")
     out = dict(obj)
@@ -491,9 +492,8 @@ def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
     """Execute a parsed scenario and assemble its report."""
     start = time.perf_counter()
     report = RunReport(command=sc.command, config_hash=_config_hash(sc.raw), payload={})
-    opts = _options_from(sc.raw, sc.command)
     handler = _HANDLERS[sc.command]
-    handler(sc, report, opts, tol)
+    handler(sc, report, sc.blocks["options"], tol)
     report.payload = {
         "command": sc.command,
         "config_hash": report.config_hash,
@@ -505,8 +505,7 @@ def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
 
 
 def _run_solve_single(sc, report, opts, tol):
-    problem = _single_problem_from(sc.raw["problem"], "$.problem")
-    result = ss.solve(problem)
+    result = ss.solve(sc.blocks["problem"])
     report.payload = {
         "x": result.x,
         "y": result.y,
@@ -523,7 +522,7 @@ def _run_solve_single(sc, report, opts, tol):
 
 
 def _run_solve_agency(sc, report, opts, tol):
-    problem, extras = _agency_problem_from(sc.raw["agency"], "$.agency")
+    problem, extras = sc.blocks["agency"]
     eqm = sa.fixed_point(problem, start=extras["start"])
     report.payload = {
         "x": list(eqm.x),
@@ -563,7 +562,7 @@ def _run_solve_agency(sc, report, opts, tol):
 
 
 def _run_revisable_check(sc, report, opts, tol):
-    model, z, steps = _revisable_from(sc.raw["revisable"], "$.revisable")
+    model, z, steps = sc.blocks["revisable"]
     gamma = rv.check_gamma_equal(model, z, steps, tol=tol or 1e-9)
     report.payload = {
         "equal": gamma.equal,
@@ -592,7 +591,7 @@ def _run_revisable_check(sc, report, opts, tol):
 
 
 def _run_enumerate(sc, report, opts, tol):
-    env = _environment_from(sc.raw["environment"], "$.environment")
+    env = sc.blocks["environment"]
     j = int(opts.get("principal", 1)) - 1
     space = opts.get("space", "gstar")
     if space == "gstar":
@@ -612,7 +611,7 @@ def _run_enumerate(sc, report, opts, tol):
 
 
 def _run_check_equilibrium(sc, report, opts, tol):
-    env = _environment_from(sc.raw["environment"], "$.environment")
+    env = sc.blocks["environment"]
     assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
     rep = eq.check_continuation(env, assessment, tol or float(opts.get("tol", 1e-9)))
     report.payload = _equilibrium_payload(rep)
@@ -636,7 +635,7 @@ def _deviation_space_from(env, opts):
 
 
 def _run_robust(sc, report, opts, tol, require_private=False):
-    env = _environment_from(sc.raw["environment"], "$.environment")
+    env = sc.blocks["environment"]
     if require_private and env.observability != "private":
         raise ScenarioError("private-check requires an environment with private observability")
     assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
@@ -677,7 +676,7 @@ def _run_robust(sc, report, opts, tol, require_private=False):
 
 
 def _run_necessity(sc, report, opts, tol):
-    skeleton = _environment_from(sc.raw["environment"], "$.environment")
+    skeleton = sc.blocks["environment"]
     j = int(opts.get("principal", 1)) - 1
     menu = [str(x) for x in opts.get("menu", skeleton.principals[j].x_labels)]
     env, ref_alloc, phi = ct.necessity_environment(skeleton, j, menu)

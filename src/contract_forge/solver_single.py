@@ -9,8 +9,11 @@ adds nothing, so the optimum solves
     max over x of  max over y of  E[ 1{u(x,y,theta) >= 0} * v(x,y,theta) ]
 
 evaluated here by a kink-safe grid-then-golden-section search in each
-variable, with the participation cutoff found by bisection and the
-expectation by composite Simpson quadrature split exactly at the cutoff.
+variable. One vectorized kernel (``_profit``) gives the value, the stay
+probability and the participation cutoff of many (x, y) pairs at once:
+the cutoff by a bracketed Chandrupatla root finder on the rows where it
+is interior, the expectation by composite Simpson quadrature split
+exactly at the cutoff.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import numpy as np
 from . import exprlang
 from .env_core import Belief, TypeSpace
 from .optimize import _INV_PHI, _INV_PHI_SQ, golden_max
+
+_EPS = float(np.finfo(float).eps)
+_ROOT_MAX_STEPS = 100  # a safeguard: smooth rows close in 4-6 steps, a kink at the root in 13-48
 
 __all__ = [
     "SingleProblem",
@@ -46,12 +52,12 @@ class MonotonicityError(ValueError):
     """A payoff monotonicity audit failed at the probed point."""
 
 
-def _as_fn(expr) -> Callable:
+def _as_fn(expr, names: Sequence[str] = ("x", "y", "theta")) -> Callable:
     if callable(expr):
         return expr
     if isinstance(expr, str):
         expr = exprlang.parse(expr)
-    return exprlang.compile_fn(expr, ["x", "y", "theta"])
+    return exprlang.compile_fn(expr, list(names))
 
 
 @dataclass
@@ -71,7 +77,7 @@ class SingleProblem:
     x_grid: int = 256
     y_grid: int = 256
     panels: int = 256
-    root_tol: float = 1e-10
+    root_tol: float = 4e-15  # about the width of 48 halvings of a unit type span
     opt_tol: float = 1e-8
     tol: float = 1e-9
 
@@ -117,16 +123,6 @@ class AuditReport:
     degenerate_equal: bool
 
 
-def _audit_increasing(problem: SingleProblem, x: float, y: float, n: int = 33) -> None:
-    lo, hi = _theta_span(problem.types)
-    grid = np.linspace(lo, hi, n)
-    vals = np.asarray(problem.u_fn(x, y, grid), dtype=float)
-    if not np.all(np.diff(vals) > 0.0):
-        raise MonotonicityError(
-            f"agent utility is not strictly increasing in theta at (x, y) = ({x}, {y})"
-        )
-
-
 def _theta_span(types: TypeSpace) -> tuple[float, float]:
     if types.kind == "interval":
         return types.lo, types.hi
@@ -134,34 +130,59 @@ def _theta_span(types: TypeSpace) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def cutoff(problem: SingleProblem, x: float, y: float) -> CutoffResult:
-    """Participation threshold: the root of u(x, y, .) on the type span.
+def _rows(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A payoff evaluation as a float array of ``shape``; payoffs that
+    ignore some of their arguments come back smaller and are broadcast."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
-    Flags "all-stay" when the lowest type already accepts and "none-stay"
-    when even the highest type refuses; otherwise bisects to ``root_tol``.
-    Indifferent cutoff types count as staying. An everywhere-negative
-    sweep certifies "none-stay" before the monotonicity audit, which only
-    guards the root-finding path.
+
+def _cutoff_root(u, a, b, ua, ub, tol: float) -> np.ndarray:
+    """Participation cutoffs of rows with u(a) < 0 <= u(b), by vectorized
+    Chandrupatla steps (Chandrupatla 1997, Adv. Eng. Softw. 28(3)).
+
+    ``u(rows, theta)`` evaluates the agent utility of the listed rows.
+    Each row keeps a bracket [x1, x2] (x1 the newest probe) and the point
+    x3 it last discarded. The next probe is the inverse quadratic
+    interpolant through the three where Chandrupatla's test finds it well
+    placed and the midpoint otherwise, kept tol/2 inside the bracket so
+    the bracket closes. A row ends when its bracket is narrower than
+    ``tol`` or its newest probe is an exact zero; it returns the
+    bracket's staying end, so indifferent types stay.
     """
-    lo, hi = _theta_span(problem.types)
-    sweep = np.asarray(problem.u_fn(x, y, np.linspace(lo, hi, 33)), dtype=float)
-    if np.all(sweep < 0.0):
-        return CutoffResult("none-stay", None)
-    _audit_increasing(problem, x, y)
-    u_lo = float(problem.u_fn(x, y, lo))
-    u_hi = float(problem.u_fn(x, y, hi))
-    if u_lo >= 0.0:
-        return CutoffResult("all-stay", None)
-    if u_hi < 0.0:
-        return CutoffResult("none-stay", None)
-    a, b = lo, hi
-    while b - a > problem.root_tol:
-        mid = 0.5 * (a + b)
-        if float(problem.u_fn(x, y, mid)) >= 0.0:
-            b = mid
-        else:
-            a = mid
-    return CutoffResult("interior", 0.5 * (a + b))
+    out = np.empty_like(a)
+    rows = np.arange(a.size)
+    x1, f1, x2, f2 = a, ua, b, ub
+    x3 = f3 = np.full_like(a, np.nan)  # no discarded point yet: bisect first
+    for _ in range(_ROOT_MAX_STEPS):
+        width = np.abs(x2 - x1)
+        done = (f1 == 0.0) | (width < tol)
+        if done.any():
+            out[rows[done]] = np.where(f1[done] >= 0.0, x1[done], x2[done])
+            keep = ~done
+            rows, x1, f1, x2, f2, x3, f3, width = (
+                rows[keep], x1[keep], f1[keep], x2[keep], f2[keep], x3[keep], f3[keep], width[keep]
+            )
+            if rows.size == 0:
+                return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            t = np.where(
+                (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                f1 / (f2 - f1) * f3 / (f2 - f3)
+                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
+                0.5,
+            )
+        t_min = 0.5 * tol / width
+        xt = x1 + np.clip(t, t_min, 1.0 - t_min) * (x2 - x1)
+        ft = u(rows, xt)
+        same = (ft >= 0.0) == (f1 >= 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+    out[rows] = np.where(f1 >= 0.0, x1, x2)
+    return out
 
 
 _SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -178,138 +199,107 @@ def _simpson_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return hit
 
 
-def expected_profit(problem: SingleProblem, x: float, y: float) -> float:
-    """Expected principal payoff with exit: v integrated over stayers."""
-    if problem.types.kind == "finite":
-        th = problem.types.values
-        w = problem.types.weights
-        uv = np.asarray(problem.u_fn(x, y, th), dtype=float)
-        vv = np.asarray(problem.v_fn(x, y, th), dtype=float)
-        return float(np.sum(w * vv * (uv >= 0.0)))
-    cut = cutoff(problem, x, y)
-    if cut.kind == "none-stay":
-        return 0.0
-    lo, hi = problem.types.lo, problem.types.hi
-    start = lo if cut.kind == "all-stay" else max(cut.theta, lo)
-    if start >= hi:
-        return 0.0
-    frac, coef = _simpson_nodes(problem.panels)
-    nodes = start + (hi - start) * frac
-    vals = np.asarray(problem.v_fn(x, y, nodes), dtype=float)
-    dens = problem.types.density_at(nodes)
-    h = (hi - start) / problem.panels
-    return float(np.sum(coef * vals * dens) * h / 3.0)
+def _profit(
+    problem: SingleProblem, X, Y, audit: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected profit, stay probability and cutoff for paired (x, y) arrays.
 
-
-def _stay_probability(problem: SingleProblem, x: float, y: float) -> float:
-    if problem.types.kind == "finite":
-        th = problem.types.values
-        w = problem.types.weights
-        uv = np.asarray(problem.u_fn(x, y, th), dtype=float)
-        return float(np.sum(w * (uv >= 0.0)))
-    cut = cutoff(problem, x, y)
-    if cut.kind == "none-stay":
-        return 0.0
-    lo, hi = problem.types.lo, problem.types.hi
-    start = lo if cut.kind == "all-stay" else max(cut.theta, lo)
-    frac, coef = _simpson_nodes(problem.panels)
-    nodes = start + (hi - start) * frac
-    dens = problem.types.density_at(nodes)
-    h = (hi - start) / problem.panels
-    return float(np.sum(coef * dens) * h / 3.0)
-
-
-def _profit_scalar(problem: SingleProblem, x: float, y: float, audit: bool) -> float:
-    """Scalar counterpart of :func:`_profit_vec`; avoids array dispatch."""
-    lo, hi = _theta_span(problem.types)
-    if audit:
-        sweep = np.asarray(
-            problem.u_fn(x, y, np.linspace(lo, hi, 33)), dtype=float
-        )
-        if np.all(sweep < 0.0):
-            return 0.0
-        if not np.all(np.diff(sweep) > 0.0):
-            return -math.inf
-    if problem.types.kind == "finite":
-        th = problem.types.values
-        w = problem.types.weights
-        uv = np.asarray(problem.u_fn(x, y, th), dtype=float)
-        vv = np.asarray(problem.v_fn(x, y, th), dtype=float)
-        return float(np.sum(w * vv * (uv >= 0.0)))
-    if float(problem.u_fn(x, y, hi)) < 0.0:
-        return 0.0
-    if float(problem.u_fn(x, y, lo)) >= 0.0:
-        start = lo
-    else:
-        a, b = lo, hi
-        for _ in range(48):
-            mid = 0.5 * (a + b)
-            if float(problem.u_fn(x, y, mid)) >= 0.0:
-                b = mid
-            else:
-                a = mid
-        start = 0.5 * (a + b)
-    frac, coef = _simpson_nodes(problem.panels)
-    span = hi - start
-    nodes = start + span * frac
-    vvals = np.asarray(problem.v_fn(x, y, nodes), dtype=float)
-    dens = problem.types.density_at(nodes)
-    return float(np.sum(coef * vvals * dens) * span / problem.panels / 3.0)
-
-
-def _profit_vec(
-    problem: SingleProblem, X: np.ndarray, Y: np.ndarray, audit: bool = True
-) -> np.ndarray:
-    """Expected profit for paired (x, y) arrays; invalid entries are -inf.
-
-    One vectorized pass: the 33-point monotonicity sweep, the
-    participation bisection, and the Simpson quadrature all run on the
-    flat arrays. Entries failing the strict-increase audit are kept only
-    when the sweep certifies that no type stays (profit 0). Refinement
-    probes inside already-audited brackets pass ``audit=False``.
+    The one participation kernel. u is swept over the type span (33
+    points with the audit, the two ends without); rows whose highest type
+    refuses retain no one (profit 0, cutoff nan), rows whose lowest type
+    accepts retain everyone (cutoff lo), and the rest get their cutoff
+    from :func:`_cutoff_root`, bracketed by the sweep. Interval types
+    integrate v and the density by Simpson's rule from the cutoff up;
+    finite types sum over the stayers. With ``audit``, entries failing
+    the strict-increase audit are -inf unless the sweep certifies that
+    no type stays; refinement probes inside audited brackets skip it.
     """
     X = np.asarray(X, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
-    if X.size == 1:
-        return np.array([_profit_scalar(problem, float(X[0]), float(Y[0]), audit)])
+    n = X.size
     lo, hi = _theta_span(problem.types)
+    grid = np.linspace(lo, hi, 33) if audit else np.array([lo, hi])
+    sweep = _rows(problem.u_fn(X[:, None], Y[:, None], grid[None, :]), (n, grid.size))
+    none = sweep[:, -1] < 0.0
     if audit:
-        sweep = np.asarray(
-            problem.u_fn(X[:, None], Y[:, None], np.linspace(lo, hi, 33)[None, :]),
-            dtype=float,
-        )
-        increasing = np.all(np.diff(sweep, axis=1) > 0.0, axis=1)
-        grid_none = np.all(sweep < 0.0, axis=1)
-        valid = increasing | grid_none
-
-    if problem.types.kind == "finite":
-        th = problem.types.values
-        w = problem.types.weights
-        uv = np.asarray(problem.u_fn(X[:, None], Y[:, None], th[None, :]), dtype=float)
-        vv = np.asarray(problem.v_fn(X[:, None], Y[:, None], th[None, :]), dtype=float)
-        vals = np.sum(w[None, :] * vv * (uv >= 0.0), axis=1)
+        valid = np.all(np.diff(sweep, axis=1) > 0.0, axis=1) | np.all(sweep < 0.0, axis=1)
     else:
-        u_lo = np.asarray(problem.u_fn(X, Y, lo), dtype=float)
-        u_hi = np.asarray(problem.u_fn(X, Y, hi), dtype=float)
-        a = np.full_like(X, lo)
-        b = np.full_like(X, hi)
-        for _ in range(48):
-            mid = 0.5 * (a + b)
-            stay = np.asarray(problem.u_fn(X, Y, mid), dtype=float) >= 0.0
-            b = np.where(stay, mid, b)
-            a = np.where(stay, a, mid)
-        start = np.where(u_lo >= 0.0, lo, 0.5 * (a + b))
-        frac, coef = _simpson_nodes(problem.panels)
-        span = hi - start
-        nodes = start[:, None] + span[:, None] * frac[None, :]
-        vvals = np.asarray(problem.v_fn(X[:, None], Y[:, None], nodes), dtype=float)
-        dens = problem.types.density_at(nodes)
-        vals = np.sum(coef[None, :] * vvals * dens, axis=1) * span / problem.panels / 3.0
-        vals = np.where(u_hi < 0.0, 0.0, vals)
+        valid = np.ones(n, dtype=bool)
+    cut = np.where(none | ~valid, np.nan, lo)
+    inner = np.flatnonzero(valid & ~none & (sweep[:, 0] < 0.0))
+    if inner.size:
+        Xi, Yi = X[inner], Y[inner]
+        k = np.argmax(sweep[inner] >= 0.0, axis=1)  # first staying grid point
+        cut[inner] = _cutoff_root(
+            lambda rows, th: _rows(problem.u_fn(Xi[rows], Yi[rows], th), th.shape),
+            grid[k - 1],
+            grid[k],
+            sweep[inner, k - 1],
+            sweep[inner, k],
+            problem.root_tol + 4.0 * _EPS * max(abs(lo), abs(hi)),
+        )
+
+    value = np.zeros(n)
+    stay = np.zeros(n)
+    live = np.flatnonzero(~np.isnan(cut))
+    if live.size:
+        Xl, Yl = X[live, None], Y[live, None]
+        if problem.types.kind == "finite":
+            th, w = problem.types.values, problem.types.weights
+            shape = (live.size, th.size)
+            uv = _rows(problem.u_fn(Xl, Yl, th[None, :]), shape)
+            vv = _rows(problem.v_fn(Xl, Yl, th[None, :]), shape)
+            value[live] = np.sum(w[None, :] * vv * (uv >= 0.0), axis=1)
+            stay[live] = np.sum(w[None, :] * (uv >= 0.0), axis=1)
+        else:
+            frac, coef = _simpson_nodes(problem.panels)
+            span = hi - cut[live]
+            nodes = cut[live, None] + span[:, None] * frac[None, :]
+            vv = _rows(problem.v_fn(Xl, Yl, nodes), nodes.shape)
+            dens = problem.types.density_at(nodes)
+            value[live] = np.sum(coef[None, :] * vv * dens, axis=1) * span / problem.panels / 3.0
+            stay[live] = np.sum(coef[None, :] * dens, axis=1) * span / problem.panels / 3.0
     if audit:
-        vals = np.where(grid_none, 0.0, vals)
-        vals = np.where(valid, vals, -np.inf)
-    return vals
+        value[~valid] = -np.inf
+        stay[~valid] = np.nan
+    return value, stay, cut
+
+
+def _point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, float]:
+    """Audited (value, stay probability, cutoff) at one offer pair."""
+    value, stay, cut = _profit(problem, [x], [y])
+    if value[0] == -np.inf:
+        raise MonotonicityError(
+            f"agent utility is not strictly increasing in theta at (x, y) = ({x}, {y})"
+        )
+    return float(value[0]), float(stay[0]), float(cut[0])
+
+
+def _cutoff_result(problem: SingleProblem, cut: float) -> CutoffResult:
+    if math.isnan(cut):
+        return CutoffResult("none-stay", None)
+    if cut == _theta_span(problem.types)[0]:
+        return CutoffResult("all-stay", None)
+    return CutoffResult("interior", cut)
+
+
+def cutoff(problem: SingleProblem, x: float, y: float) -> CutoffResult:
+    """Participation threshold: the root of u(x, y, .) on the type span.
+
+    Flags "all-stay" when the lowest type already accepts and "none-stay"
+    when even the highest type refuses; otherwise the kernel brackets the
+    root to ``root_tol``, indifferent types staying. An everywhere-negative
+    sweep certifies "none-stay" before the monotonicity audit.
+    """
+    return _cutoff_result(problem, _point(problem, x, y)[2])
+
+
+def expected_profit(problem: SingleProblem, x: float, y: float) -> float:
+    """Expected principal payoff with exit: v integrated over stayers.
+
+    Raises :class:`MonotonicityError` where the kernel's audit fails.
+    """
+    return _point(problem, x, y)[0]
 
 
 def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -320,15 +310,11 @@ def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray) -> np.n
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     Xf, Yf = X.ravel(), Y.ravel()
     chunk = max(1, 2_000_000 // max(problem.panels + 1, 1))
-    if Xf.size <= chunk:
-        vals = _profit_vec(problem, Xf, Yf)
-    else:
-        parts = [
-            _profit_vec(problem, Xf[i : i + chunk], Yf[i : i + chunk])
-            for i in range(0, Xf.size, chunk)
-        ]
-        vals = np.concatenate(parts)
-    return vals.reshape(len(xs), len(ys))
+    parts = [
+        _profit(problem, Xf[i : i + chunk], Yf[i : i + chunk])[0]
+        for i in range(0, Xf.size, chunk)
+    ]
+    return np.concatenate(parts).reshape(len(xs), len(ys))
 
 
 def _row_golden(
@@ -345,12 +331,12 @@ def _row_golden(
     width = float(np.max(dist)) if len(dist) else 0.0
     if width <= tol:
         mid = 0.5 * (a + b)
-        return mid, _profit_vec(problem, X, mid)
+        return mid, _profit(problem, X, mid)[0]
     n = int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
     c = a + _INV_PHI_SQ * dist
     d = a + _INV_PHI * dist
-    yc = _profit_vec(problem, X, c, audit=False)
-    yd = _profit_vec(problem, X, d, audit=False)
+    yc = _profit(problem, X, c, audit=False)[0]
+    yd = _profit(problem, X, d, audit=False)[0]
     for _ in range(max(n - 1, 0)):
         left = yc > yd  # maximum bracketed in [a, d] where true, [c, b] where false
         b = np.where(left, d, b)
@@ -359,11 +345,11 @@ def _row_golden(
         c = a + _INV_PHI_SQ * dist  # equals the surviving old point on one side
         d = a + _INV_PHI * dist
         probe = np.where(left, c, d)
-        yp = _profit_vec(problem, X, probe, audit=False)
+        yp = _profit(problem, X, probe, audit=False)[0]
         yc, yd = np.where(left, yp, yd), np.where(left, yc, yp)
     pick_left = yc > yd
     y = np.where(pick_left, 0.5 * (a + d), 0.5 * (c + b))
-    return y, _profit_vec(problem, X, y)  # final value honors the audit
+    return y, _profit(problem, X, y)[0]  # final value honors the audit
 
 
 def _inner_rows(
@@ -378,24 +364,20 @@ def _inner_rows(
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
     grid = _profit_grid(problem, xs, ys)
     idx = np.argmax(grid, axis=1)
-    grid_best = grid[np.arange(len(xs)), idx]
-    a = ys[np.maximum(idx - 1, 0)]
-    b = ys[np.minimum(idx + 1, problem.y_grid - 1)]
-    finite = np.isfinite(grid_best)
-    if not np.any(finite):
-        return grid_best, ys[idx].astype(float)
-    y_ref = ys[idx].astype(float)
-    v_ref = grid_best.copy()
-    xf = np.asarray(xs, dtype=float)[finite]
-    yr, vr = _row_golden(problem, xf, a[finite], b[finite], problem.opt_tol)
-    better = vr > v_ref[finite]
-    v_out = v_ref[finite].copy()
-    y_out = y_ref[finite].copy()
-    v_out[better] = vr[better]
-    y_out[better] = yr[better]
-    v_ref[finite] = v_out
-    y_ref[finite] = y_out
-    return v_ref, y_ref
+    value, y = grid[np.arange(len(xs)), idx], ys[idx]
+    rows = np.flatnonzero(np.isfinite(value))
+    if rows.size:
+        yr, vr = _row_golden(
+            problem,
+            np.asarray(xs, dtype=float)[rows],
+            ys[np.maximum(idx[rows] - 1, 0)],
+            ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)],
+            problem.opt_tol,
+        )
+        better = vr > value[rows]
+        value[rows[better]] = vr[better]
+        y[rows[better]] = yr[better]
+    return value, y
 
 
 def _inner_solve(problem: SingleProblem, x: float) -> tuple[float, float]:
@@ -434,9 +416,10 @@ def solve(problem: SingleProblem) -> SolveResult:
 
     if value <= 0.0:
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
-    cut = cutoff(problem, x_star, y_star)
-    stay = _stay_probability(problem, x_star, y_star)
-    return SolveResult(x_star, y_star, cut, float(value), stay, False, trace)
+    _, stay, cut = _point(problem, x_star, y_star)
+    return SolveResult(
+        x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace
+    )
 
 
 def zoom_solve(

@@ -82,6 +82,14 @@ class TestRunAndReports:
         files = cli.write_report(report, tmp_path)
         assert [f.name for f in files] == ["report.json"]
 
+    def test_environment_validated_once(self, monkeypatch):
+        calls = []
+        validate = cli.ec.validate
+        monkeypatch.setattr(cli.ec, "validate", lambda env: calls.append(env) or validate(env))
+        report = cli.run(cli.parse_scenario(fixture_path("example4_enumerate.json")))
+        assert report.payload["results"]["count"] == 3
+        assert len(calls) == 1
+
     def test_empty_tables_no_csv(self, tmp_path):
         sc = cli.parse_scenario(fixture_path("necessity_env.json"))
         report = cli.run(sc)

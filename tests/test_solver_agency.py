@@ -117,6 +117,37 @@ class TestFixedPoint:
         with pytest.raises(RuntimeError, match="did not converge"):
             sa.fixed_point(worked, max_iter=2)
 
+    def test_fixture_converges_in_few_iterations(self, equilibrium):
+        assert equilibrium.iterations <= 8
+        assert len(equilibrium.trajectory) == equilibrium.iterations + 1
+
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.6, BETA, 0.8, 0.9])
+    def test_worked_family_root_and_solved_pairs(self, beta):
+        problem = sa.AgencyProblem(
+            beta=beta,
+            agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
+            principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
+        )
+        eqm = sa.fixed_point(problem)
+        root = _closed_form_root(beta)
+        for j in (0, 1):
+            assert abs(eqm.x[j] - root) <= 1e-3
+            # participation binds at the lowest type: y = sqrt(3 x), cutoff 3
+            assert abs(eqm.y[j] - math.sqrt(3.0 * eqm.x[j])) <= 1e-9
+            assert abs(eqm.cutoffs[j] - 3.0) <= 1e-9
+
+
+def _closed_form_root(beta: float) -> float:
+    """Positive root of x = worked_family_best_response(beta, x), by bisection."""
+    lo, hi = 0.0, 20.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sa.worked_family_best_response(beta, mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 class TestCutoffValueShape:
     def test_numerator_at_three(self):
@@ -157,6 +188,14 @@ class TestRobustnessCheck:
         f = findings[0]
         assert f.best_offer == pytest.approx(3.0, abs=0.26)
         assert f.deviation_value <= equilibrium.values[0] + 1e-6
+
+    def test_menu_bound_is_best_inner_value(self, worked, equilibrium):
+        menu = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        _, findings = sa.robustness_check(worked, equilibrium, {1: [menu]})
+        single = sa.bilateral_reduce(worked, 1, equilibrium.x[0])
+        per_offer = [max(ss._inner_solve(single, x)[0], 0.0) for x in menu]
+        assert findings[0].deviation_value == pytest.approx(max(per_offer), abs=1e-9)
+        assert findings[0].best_offer == menu[int(np.argmax(per_offer))]
 
     def test_decoupled_menu_bounded_by_single_optimum(self):
         problem = sa.AgencyProblem(

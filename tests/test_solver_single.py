@@ -63,6 +63,87 @@ class TestCutoff:
             ss.cutoff(bad, 5.0, 1.0)
 
 
+def _counted(problem: ss.SingleProblem) -> list:
+    """Count the agent-utility evaluations the kernel makes on ``problem``."""
+    calls = []
+    u_fn = problem.u_fn
+    problem.u_fn = lambda *args: calls.append(1) or u_fn(*args)
+    return calls
+
+
+class TestKernel:
+    """The participation kernel ``_profit`` and its bracketed root finder."""
+
+    @given(x=st.floats(0.3, 3.0), t=st.floats(3.0, 4.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=80, deadline=None)
+    def test_cutoff_matches_closed_form(self, labor, x, t):
+        y = math.sqrt(x * t)
+        for audit in (True, False):
+            _, _, cut = ss._profit(labor, [x], [y], audit=audit)
+            assert abs(cut[0] - y * y / x) <= 1e-12
+
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_indifferent_type_stays(self, audit):
+        # u = theta - 4 on [3, 5]: the type 4 is exactly indifferent
+        p = ss.SingleProblem(u="x*theta - y^2", v="y*theta", types=ec.TypeSpace.interval(3.0, 5.0))
+        _, stay, cut = ss._profit(p, [1.0], [2.0], audit=audit)
+        assert cut[0] == 4.0
+        assert stay[0] == pytest.approx(0.5, abs=1e-12)
+        assert ss.cutoff(p, 1.0, 2.0) == ss.CutoffResult("interior", 4.0)
+
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_all_stay_and_none_stay_rows(self, labor, audit):
+        value, stay, cut = ss._profit(labor, [1.0, 1.0, 1.0], [0.0, 1.9, 3.0], audit=audit)
+        assert cut[0] == 3.0 and stay[0] == pytest.approx(1.0, abs=1e-12)
+        assert cut[1] == pytest.approx(1.9**2, abs=1e-12)
+        assert stay[1] == pytest.approx(4.0 - 1.9**2, abs=1e-12)
+        assert math.isnan(cut[2]) and stay[2] == 0.0 and value[2] == 0.0
+        assert value[0] == pytest.approx(-1.0, abs=1e-12)  # v = -x^2 for everyone
+
+    def test_smooth_rows_need_few_evaluations(self, labor):
+        problem = ss.SingleProblem(u=labor.u, v=labor.v)
+        calls = _counted(problem)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.3, 3.0, 500)
+        Y = np.sqrt(X * rng.uniform(3.0, 4.0, 500))
+        _, _, cut = ss._profit(problem, X, Y, audit=False)
+        assert np.max(np.abs(cut - Y * Y / X)) <= 1e-12
+        assert len(calls) <= 10  # the end sweep plus the root steps
+
+    @pytest.mark.parametrize(
+        "u, max_calls",
+        [
+            ("min(x*theta - y^2, 2*(x*theta - y^2))", 20),  # kink at the root
+            ("min(x*theta - y^2, 4*x - y^2 + 0.5*(theta - 4))", 8),  # kink beside it
+        ],
+    )
+    def test_kinked_utility(self, u, max_calls):
+        p = ss.SingleProblem(u=u, v="y*theta - x^2")
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0.5, 2.0, 200)
+        Y = np.sqrt(X * rng.uniform(3.05, 3.95, 200))
+        calls = _counted(p)
+        for audit in (True, False):
+            calls.clear()
+            _, _, cut = ss._profit(p, X, Y, audit=audit)
+            assert np.max(np.abs(cut - Y * Y / X)) <= 1e-12
+            assert len(calls) <= max_calls  # the sweep plus the root steps
+
+    def test_finite_type_space(self):
+        types = ec.TypeSpace.uniform_finite([3.0, 4.0, 5.0])
+        p = ss.SingleProblem(u="x*theta - y^2", v="y*theta", types=types)
+        y = math.sqrt(3.2)
+        value, stay, cut = ss._profit(p, [1.0], [y])
+        assert cut[0] == pytest.approx(3.2, abs=1e-12)
+        assert ss.cutoff(p, 1.0, y).theta == pytest.approx(3.2, abs=1e-12)
+        assert stay[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert value[0] == pytest.approx(y * (4.0 + 5.0) / 3.0, abs=1e-12)
+        # u = theta - 4: the indifferent type 4 stays and is the exact cutoff
+        value, stay, cut = ss._profit(p, [1.0], [2.0])
+        assert cut[0] == 4.0
+        assert stay[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
 class TestExpectedProfit:
     def test_profit_at_unit_offer(self, labor):
         # all stay at t = 3: (4-3) * (K(3) * sqrt(1) - 1)
