@@ -265,6 +265,15 @@ def _environment_from(obj, path: str) -> ec.Environment:
     return env
 
 
+def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
+    """A nonempty list of numbers, of ``length`` when given."""
+    ok = isinstance(value, list) and len(value) > 0 and length in (None, len(value))
+    if not ok or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        size = f"{length} numbers" if length else "numbers"
+        raise ScenarioError(f"schema error at {path}: expected a list of {size}")
+    return tuple(float(v) for v in value)
+
+
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
     _check_keys(
         obj,
@@ -276,8 +285,8 @@ def _single_problem_from(obj, path: str) -> ss.SingleProblem:
         u=_parse_expr(obj["agent"], f"{path}.agent"),
         v=_parse_expr(obj["principal"], f"{path}.principal"),
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=tuple(obj.get("x_box", (0.0, 5.0))),
-        y_box=tuple(obj.get("y_box", (0.0, 5.0))),
+        x_box=_numbers(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box", 2),
+        y_box=_numbers(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box", 2),
         x_grid=int(obj.get("x_grid", 256)),
         y_grid=int(obj.get("y_grid", 256)),
         panels=int(obj.get("panels", 256)),
@@ -312,20 +321,25 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         agent_utilities=tuple(_parse_expr(u, f"{path}.agent_utilities[{i}]") for i, u in enumerate(us)),
         principal_payoffs=tuple(_parse_expr(v, f"{path}.principal_payoffs[{i}]") for i, v in enumerate(vs)),
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=tuple(obj.get("x_box", (0.0, 5.0))),
-        y_box=tuple(obj.get("y_box", (0.0, 5.0))),
+        x_box=_numbers(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box", 2),
+        y_box=_numbers(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box", 2),
         damping=float(obj.get("damping", 0.5)),
         fp_tol=float(obj.get("fp_tol", 2e-4)),
         max_iter=int(obj.get("max_iter", 200)),
     )
-    extras = {
-        "start": tuple(obj.get("start", (0.0, 0.0))),
-        "deviation_menus": {
-            int(k) - 1: [list(map(float, menu)) for menu in menus]
-            for k, menus in obj.get("deviation_menus", {}).items()
-        },
-    }
-    return problem, extras
+    mpath = f"{path}.deviation_menus"
+    raw_menus = obj.get("deviation_menus", {})
+    if not isinstance(raw_menus, Mapping):
+        raise ScenarioError(f"schema error at {mpath}: expected an object")
+    menus = {}
+    for k, entries in raw_menus.items():
+        if k not in ("1", "2"):
+            raise ScenarioError(f"schema error at {mpath}.{k}: expected principal '1' or '2'")
+        if not isinstance(entries, list):
+            raise ScenarioError(f"schema error at {mpath}.{k}: expected a list of menus")
+        menus[int(k) - 1] = [list(_numbers(m, f"{mpath}.{k}[{i}]")) for i, m in enumerate(entries)]
+    start = _numbers(obj.get("start", [0.0, 0.0]), f"{path}.start", 2)
+    return problem, {"start": start, "deviation_menus": menus}
 
 
 def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...], int]:

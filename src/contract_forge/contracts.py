@@ -77,9 +77,6 @@ class Mechanism:
     def labels(self) -> tuple[str, ...]:
         return tuple(m.label for m in self.messages)
 
-    def action_of(self, msg_index: int) -> str:
-        return self.messages[msg_index].action
-
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 

@@ -47,6 +47,14 @@ DEFAULT_TOL = 1e-9
 OPT_OUT = "opt-out"
 
 
+def simpson_coefficients(n_points: int) -> np.ndarray:
+    """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 (odd ``n_points``)."""
+    coef = np.ones(n_points)
+    coef[1:-1:2] = 4.0
+    coef[2:-1:2] = 2.0
+    return coef
+
+
 @dataclass(frozen=True, slots=True)
 class FiniteType:
     label: str
@@ -138,10 +146,7 @@ class TypeSpace:
             raise ValueError("interval grids need an odd point count >= 3")
         pts = np.linspace(self.lo, self.hi, n)
         h = (self.hi - self.lo) / (n - 1)
-        coef = np.ones(n)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        w = coef * (h / 3.0) * self.density_at(pts)
+        w = simpson_coefficients(n) * (h / 3.0) * self.density_at(pts)
         total = float(w.sum())
         if abs(total - 1.0) > DENSITY_TOL:
             raise ValueError(
@@ -176,19 +181,6 @@ class Belief:
     @staticmethod
     def point_mass(theta: float) -> "Belief":
         return Belief((float(theta),), (1.0,))
-
-    @staticmethod
-    def from_weights(ts: TypeSpace, weights: Sequence[float]) -> "Belief":
-        """Normalized belief over a finite type space from raw weights."""
-        w = np.asarray(weights, dtype=float)
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("belief has empty support")
-        return Belief(
-            tuple(float(v) for v in ts.values),
-            tuple(float(x) for x in (w / total)),
-            ts.labels,
-        )
 
 
 def expect(f: Callable[[float], float] | np.ndarray, belief: Belief) -> float:
@@ -338,9 +330,6 @@ class Environment:
     @property
     def n(self) -> int:
         return len(self.principals)
-
-    def type_index(self, label: str) -> int:
-        return self.types.labels.index(label)
 
     def action_context(self, profile: ProfileKey) -> dict[str, float]:
         """Numeric binding for an expression payoff: x1,y1,... plus x_1,y_1 aliases.

@@ -16,7 +16,7 @@ closed forms (ceiling/floor thresholds of the sender-optimal rule).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,12 +32,9 @@ from .env_core import (
     PrincipalSpec,
     TypeSpace,
     expect,
+    simpson_coefficients,
 )
-from .equilibrium import (
-    Assessment,
-    BeliefSystem,
-    check_continuation,
-)
+from .equilibrium import Assessment, BeliefSystem, check_continuation
 from .optimize import golden_max
 
 __all__ = [
@@ -128,18 +125,6 @@ class RevisableModel:
         return RevisableModel(
             mode="additive", sender=conv(sender), receiver=conv(receiver),
             types=types, alpha=alpha, z_range=z_range, ideal_form=ideal_form,
-        )
-
-    def sender_payoff(self, z: float, theta: float) -> float:
-        return exprlang.evaluate(self.sender, {"z": z, "theta": theta})
-
-    def receiver_payoff(self, z: float, theta: float) -> float:
-        return exprlang.evaluate(self.receiver, {"z": z, "theta": theta})
-
-    def receiver_expectation(self, z: float, belief: Belief) -> float:
-        fn = self.receiver_fn
-        return expect(
-            lambda th: np.asarray(fn(z, np.asarray(th, dtype=float)), dtype=float), belief
         )
 
 
@@ -254,6 +239,25 @@ def endpoint_baseline(
     return (z_target / model.eta_lo, model.eta_lo)
 
 
+def _placement(
+    model: RevisableModel, z: float, belief: Belief
+) -> tuple[float, float, float, float]:
+    """Endpoint placement of ``z`` at ``belief`` and its constrained optimum.
+
+    Returns (baseline, revision, constrained optimum, scan step): the
+    optimum is the receiver's best of 101 evenly spaced final actions of
+    the feasible interval around the baseline, under the belief.
+    """
+    r = posterior_ideal(model, belief, audit=False)
+    x_hat, rev = endpoint_baseline(model, z, r)
+    lo, hi = feasible_final_interval(model, x_hat)
+    scan = np.linspace(lo, hi, 101)
+    pts = np.array(belief.points)
+    vals = np.asarray(model.receiver_fn(scan[:, None], pts[None, :]), dtype=float)
+    expected = np.broadcast_to(vals, (scan.size, pts.size)) @ np.array(belief.weights)
+    return x_hat, rev, float(scan[int(np.argmax(expected))]), (hi - lo) / 100.0
+
+
 # ---------------------------------------------------------------------------
 # Discretized single-receiver game
 # ---------------------------------------------------------------------------
@@ -274,10 +278,6 @@ class GridGame:
     env: Environment
     x_values: tuple[float, ...]
     rev_values: tuple[float, ...]
-
-    @property
-    def step(self) -> float:
-        return self.z_values[1] - self.z_values[0]
 
     def x_label(self, value: float) -> str:
         for i, v in enumerate(self.x_values):
@@ -316,26 +316,16 @@ def build_grid_game(
         raise ValueError("alpha_steps must be nonnegative")
     alpha = m * h
     if abs(model.alpha - alpha) > 1e-9:
-        model = RevisableModel(
-            mode="additive", sender=model.sender, receiver=model.receiver,
-            types=model.types, alpha=alpha, z_range=model.z_range,
-            ideal_form=model.ideal_form,
-        )
+        model = replace(model, alpha=alpha)
     xs = tuple(z[0] + h * k for k in range(-m, len(z) + m))
     revs = tuple(h * k for k in range(-m, m + 1))
     x_actions = tuple(ActionValue(f"b{i}", v) for i, v in enumerate(xs))
     y_actions = tuple(ActionValue(f"r{i}", v) for i, v in enumerate(revs))
-    feasible = {}
-    for i, x in enumerate(xs):
-        ok = tuple(
-            f"r{k}"
-            for k, r in enumerate(revs)
-            if any(abs(x + r - zv) <= 1e-9 for zv in z)
-        )
-        feasible[f"b{i}"] = ok
-    spec = PrincipalSpec(
-        contractible=x_actions, noncontractible=y_actions, feasible=feasible
-    )
+    feasible = {
+        f"b{i}": tuple(f"r{k}" for k, r in enumerate(revs) if any(abs(x + r - zv) <= 1e-9 for zv in z))
+        for i, x in enumerate(xs)
+    }
+    spec = PrincipalSpec(contractible=x_actions, noncontractible=y_actions, feasible=feasible)
     u_expr = _subst_z(model.sender, exprlang.Bin("+", exprlang.Var("x"), exprlang.Var("y")))
     v_expr = _subst_z(model.receiver, exprlang.Bin("+", exprlang.Var("x"), exprlang.Var("y")))
     env = Environment(
@@ -385,88 +375,84 @@ def final_allocation_of(game: GridGame, alloc: Allocation) -> FinalAllocation:
     return FinalAllocation(entries)
 
 
-def _message_posteriors(game: GridGame, assessment: Assessment):
-    """On-path posterior weight vectors keyed by message label."""
-    env = game.env
-    T = len(env.types.labels)
-    mu = env.types.weights
-    post: dict[str, np.ndarray] = {}
-    for t, lab in enumerate(env.types.labels):
-        for outcome, prob in assessment.strategy[lab]:
-            if prob == 0.0:
-                continue
-            msg = outcome[0]
-            vec = post.setdefault(msg, np.zeros(T))
-            vec[t] += mu[t] * prob
-    return {m: v / v.sum() for m, v in post.items()}
+def _push_forward(strategy, recode: Mapping[str, str]) -> dict:
+    """``strategy`` with every message relabelled by ``recode``, masses merged."""
+    out = {}
+    for lab, dist in strategy.items():
+        acc: dict[tuple[str, ...], float] = {}
+        for outcome, prob in dist:
+            new = (recode[outcome[0]],)
+            acc[new] = acc.get(new, 0.0) + prob
+        out[lab] = tuple(sorted(acc.items()))
+    return out
+
+
+def _posteriors(game: GridGame, strategy) -> dict[str, tuple[float, ...]]:
+    """Bayes posterior weights of every message ``strategy`` sends."""
+    labels = game.env.types.labels
+    mu = game.env.types.weights
+    mass: dict[str, np.ndarray] = {}
+    for t, lab in enumerate(labels):
+        for outcome, prob in strategy[lab]:
+            if prob > 0.0:
+                vec = mass.setdefault(outcome[0], np.zeros(len(labels)))
+                vec[t] += mu[t] * prob
+    return {m: tuple(float(x) for x in v / v.sum()) for m, v in mass.items()}
+
+
+def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessment:
+    """Menu-with-recommendations assessment of the grid game.
+
+    The menu is the baselines of the messages in ``beliefs`` (weight
+    vectors keyed by message label); every message ``strategy`` sends is
+    one of them. Those messages play their recommendation under their
+    belief. Every other message copies the revision and belief of the
+    first message in ``beliefs``, in message order, with the same
+    baseline.
+    """
+    menu = sorted({m.split("|", 1)[0] for m in beliefs}, key=lambda s: int(s[1:]))
+    mech = menu_rec(game.env, 0, menu)
+    first: dict[str, str] = {}
+    for m in mech.messages:
+        if m.label in beliefs:
+            first.setdefault(m.action, m.label)
+    continuation, public = {}, {}
+    for m in mech.messages:
+        src = m.label if m.label in beliefs else first[m.action]
+        continuation[(m.label,)] = src.split("|", 1)[1]
+        public[(m.label,)] = tuple(beliefs[src])
+    return Assessment(
+        contracts=(mech,),
+        strategy=strategy,
+        continuation={0: continuation},
+        beliefs=BeliefSystem(mode="public", public={0: public}, offpath=offpath),
+    )
 
 
 def collapse_to_full(game: GridGame, assessment: Assessment):
     """Convert a limited-model assessment to the alpha = 0 model.
 
     Each message's baseline becomes the final action it induced and the
-    revision is zeroed; the final-action allocation is unchanged.
+    revision is zeroed; the final-action allocation is unchanged. A
+    recoded message the new strategy sends carries its Bayes posterior;
+    one it does not send keeps the belief of the first old message, in
+    message order, recoded to it. With no discretion each baseline has a
+    single message, so no message is left to copy another.
     """
-    env = game.env
-    mech = assessment.contracts[0]
     cont = assessment.continuation[0]
-    finals: dict[str, float] = {}
-    for msg in mech.messages:
-        y_lab = cont[(msg.label,)]
-        finals[msg.label] = game.final_of(msg.action, y_lab)
-
-    game0 = build_grid_game(
-        RevisableModel(
-            mode="additive", sender=game.model.sender, receiver=game.model.receiver,
-            types=game.model.types, alpha=0.0, z_range=game.model.z_range,
-            ideal_form=game.model.ideal_form,
-        ),
-        game.z_values,
-        0,
-    )
-    menu = sorted({game0.x_label(z) for z in finals.values()}, key=lambda s: int(s[1:]))
-    mech0 = menu_rec(game0.env, 0, menu)
+    game0 = build_grid_game(replace(game.model, alpha=0.0), game.z_values, 0)
     zero = game0.rev_label(0.0)
-    recode = {m: f"{game0.x_label(z)}|{zero}" for m, z in finals.items()}
-
-    strategy = {}
-    for lab, dist in assessment.strategy.items():
-        acc: dict[tuple[str, ...], float] = {}
-        for outcome, prob in dist:
-            new = (recode[outcome[0]],)
-            acc[new] = acc.get(new, 0.0) + prob
-        strategy[lab] = tuple(sorted(acc.items()))
-
+    recode = {
+        m.label: f"{game0.x_label(game.final_of(m.action, cont[(m.label,)]))}|{zero}"
+        for m in assessment.contracts[0].messages
+    }
+    strategy = _push_forward(assessment.strategy, recode)
     old_beliefs = assessment.beliefs.public[0]
-    labels = game0.env.types.labels
-    onpath = {}
-    mu = game0.env.types.weights
-    T = len(labels)
-    for t, lab in enumerate(labels):
-        for outcome, prob in strategy[lab]:
-            if prob > 0:
-                vec = onpath.setdefault(outcome[0], np.zeros(T))
-                vec[t] += mu[t] * prob
     beliefs = {}
-    continuation = {}
-    for msg in mech0.messages:
-        prof = (msg.label,)
-        continuation[prof] = zero
-        if msg.label in onpath:
-            vec = onpath[msg.label]
-            beliefs[prof] = tuple(float(x) for x in vec / vec.sum())
-        else:
-            src = next(m for m, new in recode.items() if new == msg.label)
-            beliefs[prof] = tuple(old_beliefs[(src,)])
-    new = Assessment(
-        contracts=(mech0,),
-        strategy=strategy,
-        continuation={0: continuation},
-        beliefs=BeliefSystem(
-            mode="public", public={0: beliefs}, offpath=assessment.beliefs.offpath
-        ),
-    )
-    return game0, new
+    for old, new in recode.items():
+        beliefs.setdefault(new, old_beliefs[(old,)])
+    beliefs.update(_posteriors(game0, strategy))
+    return game0, _menu_assessment(game0, strategy, beliefs, assessment.beliefs.offpath)
 
 
 def lift_to_limited(game0: GridGame, assessment: Assessment, alpha_steps: int):
@@ -475,79 +461,32 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, alpha_steps: int):
     Places each message's final action at the appropriate endpoint of the
     revision window around the new baseline, using the posterior ideal at
     the message's belief; verifies the constrained receiver optimum on a
-    101-point scan of the feasible interval.
+    101-point scan of the feasible interval. Each placed message keeps its
+    old belief; every other message of the new menu copies the revision
+    and belief of the first placed message, in message order, with its
+    baseline.
     """
-    model = game0.model
-    audit_concavity(model)
-    game_a = build_grid_game(model, game0.z_values, alpha_steps)
-    mech0 = assessment.contracts[0]
+    audit_concavity(game0.model)
+    game_a = build_grid_game(game0.model, game0.z_values, alpha_steps)
+    types = game0.env.types
     old_beliefs = assessment.beliefs.public[0]
-    labels = game0.env.types.labels
-
-    placements: dict[str, tuple[float, float, tuple[float, ...]]] = {}
-    for msg in mech0.messages:
+    recode: dict[str, str] = {}
+    beliefs: dict[str, tuple[float, ...]] = {}
+    for msg in assessment.contracts[0].messages:
         z = game0.x_values[int(msg.action[1:])]
         bel_vec = old_beliefs[(msg.label,)]
         belief = Belief(
-            tuple(float(v) for v in game0.env.types.values),
-            tuple(float(w) for w in bel_vec),
-            labels,
+            tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec), types.labels
         )
-        r = posterior_ideal(model, belief, audit=False)
-        x_hat, rev = endpoint_baseline(game_a.model, z, r)
-        lo, hi = x_hat - game_a.model.alpha, x_hat + game_a.model.alpha
-        scan = np.linspace(lo, hi, 101)
-        vals = np.array([model.receiver_expectation(float(s), belief) for s in scan])
-        z_best = float(scan[int(np.argmax(vals))])
-        step = (hi - lo) / 100.0 if hi > lo else 1.0
+        x_hat, rev, z_best, step = _placement(game_a.model, z, belief)
         if abs(z_best - z) > step + 1e-9:
             raise ValueError(
                 f"endpoint placement failed: constrained optimum {z_best!r} != {z!r}"
             )
-        placements[msg.label] = (x_hat, rev, bel_vec)
-
-    menu = sorted(
-        {game_a.x_label(x) for x, _, _ in placements.values()}, key=lambda s: int(s[1:])
-    )
-    mech_a = menu_rec(game_a.env, 0, menu)
-    recode = {
-        m: f"{game_a.x_label(x)}|{game_a.rev_label(rev)}"
-        for m, (x, rev, _) in placements.items()
-    }
-
-    strategy = {}
-    for lab, dist in assessment.strategy.items():
-        acc: dict[tuple[str, ...], float] = {}
-        for outcome, prob in dist:
-            new = (recode[outcome[0]],)
-            acc[new] = acc.get(new, 0.0) + prob
-        strategy[lab] = tuple(sorted(acc.items()))
-
-    by_new = {new: old for old, new in recode.items()}
-    selector: dict[str, str] = {}
-    for msg in mech_a.messages:
-        if msg.label in by_new:
-            selector.setdefault(msg.action, msg.label)
-    continuation = {}
-    beliefs = {}
-    for msg in mech_a.messages:
-        prof = (msg.label,)
-        if msg.label in by_new:
-            continuation[prof] = msg.recommendation
-            beliefs[prof] = tuple(placements[by_new[msg.label]][2])
-        else:
-            ref = selector[msg.action]
-            continuation[prof] = ref.split("|", 1)[1]
-            beliefs[prof] = tuple(placements[by_new[ref]][2])
-    new = Assessment(
-        contracts=(mech_a,),
-        strategy=strategy,
-        continuation={0: continuation},
-        beliefs=BeliefSystem(
-            mode="public", public={0: beliefs}, offpath=assessment.beliefs.offpath
-        ),
-    )
-    return game_a, new
+        recode[msg.label] = f"{game_a.x_label(x_hat)}|{game_a.rev_label(rev)}"
+        beliefs[recode[msg.label]] = bel_vec
+    strategy = _push_forward(assessment.strategy, recode)
+    return game_a, _menu_assessment(game_a, strategy, beliefs, assessment.beliefs.offpath)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +513,14 @@ def enumerate_final_allocations(
 
     Enumerates type partitions with one message per block, keeping only
     receiver-optimal recommendations per block posterior and agent-optimal
-    block assignments; off-path recommendations copy the behavior of the
-    first block sharing the baseline, so deviations duplicate on-path
-    final actions. Every found equilibrium is re-validated by the generic
-    continuation checker when ``validate`` is set. Raises when the grid
-    implies more block-assignment candidates than ``cap``.
+    block assignments. The menu is the blocks' baselines; each block's
+    message plays its recommendation under the block's Bayes posterior,
+    and every off-path message copies the revision and belief of the
+    first on-path message, in message order, with its baseline, so a
+    deviation only reaches on-path final actions. Every found equilibrium
+    is re-validated by the generic continuation checker when ``validate``
+    is set. Raises when the grid implies more block-assignment candidates
+    than ``cap``.
     """
     env = game.env
     labels = env.types.labels
@@ -663,48 +605,13 @@ def enumerate_final_allocations(
 
 
 def _assessment_from_blocks(game: GridGame, part, combo) -> Assessment:
-    env = game.env
-    labels = env.types.labels
-    mu = env.types.weights
-    T = len(labels)
-    msg_of_block = []
-    for xi, zi in combo:
-        rev = game.z_values[zi] - game.x_values[xi]
-        msg_of_block.append(f"b{xi}|{game.rev_label(rev)}")
-    menu = sorted({f"b{xi}" for xi, _ in combo}, key=lambda s: int(s[1:]))
-    mech = menu_rec(env, 0, menu)
-
+    labels = game.env.types.labels
     strategy = {}
-    for block, msg in zip(part, msg_of_block):
+    for block, (xi, zi) in zip(part, combo):
+        msg = f"b{xi}|{game.rev_label(game.z_values[zi] - game.x_values[xi])}"
         for t in block:
             strategy[labels[t]] = (((msg,), 1.0),)
-
-    posteriors: dict[str, tuple[float, ...]] = {}
-    for block, msg in zip(part, msg_of_block):
-        w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
-        posteriors[msg] = tuple(float(x) for x in w / w.sum())
-
-    selector: dict[str, str] = {}
-    for msg in msg_of_block:
-        selector.setdefault(msg.split("|", 1)[0], msg)
-
-    continuation = {}
-    beliefs = {}
-    for m in mech.messages:
-        prof = (m.label,)
-        if m.label in posteriors:
-            continuation[prof] = m.recommendation
-            beliefs[prof] = posteriors[m.label]
-        else:
-            ref = selector[m.action]
-            continuation[prof] = ref.split("|", 1)[1]
-            beliefs[prof] = posteriors[ref]
-    return Assessment(
-        contracts=(mech,),
-        strategy=strategy,
-        continuation={0: continuation},
-        beliefs=BeliefSystem(mode="public", public={0: beliefs}, offpath="selector"),
-    )
+    return _menu_assessment(game, strategy, _posteriors(game, strategy), "selector")
 
 
 @dataclass(frozen=True, slots=True)
@@ -742,26 +649,22 @@ def check_gamma_equal(
     only_lim = tuple(sorted(set(lim) - set(full), key=repr))
     only_full = tuple(sorted(set(full) - set(lim), key=repr))
 
-    lift_failures = 0
-    for key, (fa, assessment) in full.items():
-        try:
-            g2, lifted = lift_to_limited(game_0, assessment, alpha_steps)
-            rep = check_continuation(g2.env, lifted, tol)
-            fa2 = final_allocation_of(g2, rep.allocation)
-            if not rep.passed or fa2.key() != key:
-                lift_failures += 1
-        except (ValueError, ConcavityError):
-            lift_failures += 1
-    collapse_failures = 0
-    for key, (fa, assessment) in lim.items():
-        try:
-            g2, collapsed = collapse_to_full(game_a, assessment)
-            rep = check_continuation(g2.env, collapsed, tol)
-            fa2 = final_allocation_of(g2, rep.allocation)
-            if not rep.passed or fa2.key() != key:
-                collapse_failures += 1
-        except (ValueError, ConcavityError):
-            collapse_failures += 1
+    failures = []
+    for transform, found in (
+        (lambda a: lift_to_limited(game_0, a, alpha_steps), full),
+        (lambda a: collapse_to_full(game_a, a), lim),
+    ):
+        failed = 0
+        for key, (_fa, assessment) in found.items():
+            try:
+                g2, moved = transform(assessment)
+                rep = check_continuation(g2.env, moved, tol)
+                if not rep.passed or final_allocation_of(g2, rep.allocation).key() != key:
+                    failed += 1
+            except ValueError:  # ConcavityError included
+                failed += 1
+        failures.append(failed)
+    lift_failures, collapse_failures = failures
 
     return GammaReport(
         equal=not only_lim and not only_full,
@@ -832,20 +735,12 @@ def ms_lift_check(
     theta1, theta2, valid = ms_thresholds(k, a)
     if not valid:
         raise ValueError("bias outside the validity band of the closed form")
-    base = ms_model(k, a)
-    model = RevisableModel(
-        mode="additive", sender=base.sender, receiver=base.receiver,
-        types=base.types, alpha=alpha, z_range=base.z_range,
-        ideal_form=base.ideal_form,
-    )
+    model = replace(ms_model(k, a), alpha=alpha)
 
     def pooled_belief(lo: float, hi: float) -> Belief:
         pts = np.linspace(lo, hi, 201)
         h = (hi - lo) / 200.0
-        coef = np.ones(201)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        w = coef * h / 3.0
+        w = simpson_coefficients(201) * h / 3.0
         return Belief(tuple(map(float, pts)), tuple(map(float, w / w.sum())))
 
     worst = 0.0
@@ -857,11 +752,6 @@ def ms_lift_check(
             belief = pooled_belief(theta2, 1.0)
         else:
             belief = Belief.point_mass(float(theta))
-        r = posterior_ideal(model, belief, audit=False)
-        x_hat, _rev = endpoint_baseline(model, z, r)
-        lo, hi = feasible_final_interval(model, x_hat)
-        scan = np.linspace(lo, hi, 101)
-        vals = np.array([model.receiver_expectation(float(s), belief) for s in scan])
-        z_best = float(scan[int(np.argmax(vals))])
+        _x, _rev, z_best, _step = _placement(model, z, belief)
         worst = max(worst, abs(z_best - z))
     return {"worst_deviation": worst, "scan_step": (2.0 * alpha) / 100.0}

@@ -43,6 +43,11 @@ __all__ = [
 
 
 _ANDERSON_DEPTH = 2
+# Fast best responses inside the iteration: quadrature panels, zoom
+# stages and grid points per stage of ``zoom_solve``.
+_ITER_PANELS = 96
+_ITER_STAGES = 4
+_ITER_GRID = 48
 # Golden-section tolerance in y for the reported pairs: the inner optimum
 # sits at the participation kink, and 1e-12 keeps the reported cutoff
 # within 1e-11 of the lowest type on the worked family.
@@ -68,9 +73,6 @@ class AgencyProblem:
     x_grid: int = 256
     y_grid: int = 256
     panels: int = 256
-    iter_panels: int = 96
-    iter_stages: int = 4
-    iter_grid: int = 48
     damping: float = 0.5
     max_iter: int = 200
     fp_tol: float = 2e-4
@@ -139,7 +141,7 @@ def bilateral_reduce(
         y_box=problem.y_box,
         x_grid=problem.x_grid,
         y_grid=64 if fast else problem.y_grid,
-        panels=problem.iter_panels if fast else problem.panels,
+        panels=_ITER_PANELS if fast else problem.panels,
     )
 
 
@@ -153,7 +155,7 @@ def best_response(
     """
     single = bilateral_reduce(problem, j, x_other, fast=fast)
     if fast:
-        value, x, _y = zoom_solve(single, problem.iter_stages, problem.iter_grid)
+        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID)
         return (0.0 if value <= 0.0 else float(x)), None
     result = solve(single)
     if result.no_trade or result.x is None:

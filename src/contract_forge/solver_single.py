@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprlang
-from .env_core import Belief, TypeSpace
+from .env_core import Belief, TypeSpace, simpson_coefficients
 from .optimize import _INV_PHI, _INV_PHI_SQ, golden_max
 
 _EPS = float(np.finfo(float).eps)
@@ -79,7 +79,6 @@ class SingleProblem:
     panels: int = 256
     root_tol: float = 4e-15  # about the width of 48 halvings of a unit type span
     opt_tol: float = 1e-8
-    tol: float = 1e-9
 
     def __post_init__(self):
         self.u_fn = _as_fn(self.u)
@@ -191,11 +190,7 @@ _SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _simpson_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     hit = _SIMPSON_CACHE.get(n)
     if hit is None:
-        frac = np.linspace(0.0, 1.0, n + 1)
-        coef = np.ones(n + 1)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        hit = _SIMPSON_CACHE[n] = (frac, coef)
+        hit = _SIMPSON_CACHE[n] = (np.linspace(0.0, 1.0, n + 1), simpson_coefficients(n + 1))
     return hit
 
 

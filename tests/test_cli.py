@@ -352,6 +352,31 @@ class TestScenarioErrors:
         assert "prior weights sum to" in res.output
 
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("deviation_menus", {"3": [[1, 2]]}, "$.agency.deviation_menus.3"),
+            ("deviation_menus", {"1": [[]]}, "$.agency.deviation_menus.1[0]"),
+            ("deviation_menus", {"1": [[1.0, "two"]]}, "$.agency.deviation_menus.1[0]"),
+            ("deviation_menus", {"2": [0.0, 1.0]}, "$.agency.deviation_menus.2[0]"),
+            ("deviation_menus", [[1.0]], "$.agency.deviation_menus"),
+            ("start", [1.0], "$.agency.start"),
+            ("x_box", [0.0, 1.0, 2.0], "$.agency.x_box"),
+            ("y_box", 5.0, "$.agency.y_box"),
+        ],
+    )
+    def test_agency_lists_checked(self, tmp_path, field, value, where):
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        raw["agency"][field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(
+            cli.main, ["--scenario", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert where in res.output
+
 class TestSerializationRoundTrip:
     def test_check_equilibrium_report_serializes(self, tmp_path):
         """Flag fields reach the JSON writer as plain booleans and numbers."""

@@ -176,6 +176,59 @@ class TestTransforms:
             pytest.fail("expected the ideal-point allocation in the enumeration")
 
 
+class TestMenuAssessment:
+    """Off-path messages repeat the first on-path message with their baseline."""
+
+    def _game(self, alpha_steps):
+        model = rv.RevisableModel.additive(
+            "-(z - theta)^2",
+            "-(z-0.1-0.6*theta)^2",
+            TypeSpace.uniform_finite([0.0, 0.5, 1.0]),
+            alpha=0.0,
+            z_range=(-1.0, 2.0),
+            ideal_form=("affine", 0.1, 0.6),
+        )
+        return rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, 5)), alpha_steps)
+
+    @staticmethod
+    def _check_offpath_rule(assessment):
+        """Returns whether two sent messages share a baseline."""
+        sent = {o[0] for dist in assessment.strategy.values() for o, p in dist if p > 0}
+        cont = assessment.continuation[0]
+        beliefs = assessment.beliefs.public[0]
+        messages = assessment.contracts[0].messages
+        for msg in messages:
+            if msg.label in sent:
+                assert cont[(msg.label,)] == msg.recommendation
+                continue
+            src = next(m.label for m in messages if m.label in sent and m.action == msg.action)
+            assert cont[(msg.label,)] == cont[(src,)]
+            assert beliefs[(msg.label,)] == beliefs[(src,)]
+        baselines = [m.split("|", 1)[0] for m in sent]
+        return len(baselines) != len(set(baselines))
+
+    def test_enumerated_assessments(self):
+        game = self._game(1)
+        found = rv.enumerate_final_allocations(game, validate=False)
+        shared = 0
+        for key, (fa, assessment) in found.items():
+            shared += self._check_offpath_rule(assessment)
+            assert check_continuation(game.env, assessment).passed
+        # the grid has allocations with two on-path messages on one baseline
+        assert len(found) == 25 and shared == 4
+
+    def test_lift_then_collapse(self):
+        game0 = self._game(0)
+        for key, (fa, assessment) in rv.enumerate_final_allocations(game0).items():
+            g_a, lifted = rv.lift_to_limited(game0, assessment, 1)
+            self._check_offpath_rule(lifted)
+            assert check_continuation(g_a.env, lifted).passed
+            g_back, collapsed = rv.collapse_to_full(g_a, lifted)
+            rep = check_continuation(g_back.env, collapsed)
+            assert rep.passed
+            assert rv.final_allocation_of(g_back, rep.allocation).key() == key
+
+
 class TestGammaEquality:
     def test_alpha_zero_trivially_equal(self):
         model = quadratic_model(types=TypeSpace.uniform_finite([0.0, 1.0]))
