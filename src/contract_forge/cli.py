@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -274,6 +275,13 @@ def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+def _number(value, path: str, ok=math.isfinite, expect: str = "a finite number"):
+    """One JSON number (not a boolean) for which ``ok`` holds."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not ok(value):
+        raise ScenarioError(f"schema error at {path}: expected {expect}")
+    return value
+
+
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
     _check_keys(
         obj,
@@ -312,20 +320,30 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         ("beta", "agent_utilities", "principal_payoffs", "types"),
         path,
     )
-    us = obj["agent_utilities"]
-    vs = obj["principal_payoffs"]
-    if len(us) != 2 or len(vs) != 2:
-        raise ScenarioError(f"schema error at {path}: two principals are required")
+    exprs = {}
+    for key in ("agent_utilities", "principal_payoffs"):
+        if not isinstance(obj[key], list) or len(obj[key]) != 2:
+            raise ScenarioError(f"schema error at {path}.{key}: expected a list of two expressions")
+        exprs[key] = tuple(_parse_expr(e, f"{path}.{key}[{i}]") for i, e in enumerate(obj[key]))
     problem = sa.AgencyProblem(
-        beta=float(obj["beta"]),
-        agent_utilities=tuple(_parse_expr(u, f"{path}.agent_utilities[{i}]") for i, u in enumerate(us)),
-        principal_payoffs=tuple(_parse_expr(v, f"{path}.principal_payoffs[{i}]") for i, v in enumerate(vs)),
+        beta=float(_number(obj["beta"], f"{path}.beta")),
+        agent_utilities=exprs["agent_utilities"],
+        principal_payoffs=exprs["principal_payoffs"],
         types=_typespace_from(obj["types"], f"{path}.types"),
         x_box=_numbers(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box", 2),
         y_box=_numbers(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box", 2),
-        damping=float(obj.get("damping", 0.5)),
-        fp_tol=float(obj.get("fp_tol", 2e-4)),
-        max_iter=int(obj.get("max_iter", 200)),
+        damping=float(
+            _number(obj.get("damping", 0.5), f"{path}.damping", lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+        ),
+        fp_tol=float(
+            _number(obj.get("fp_tol", 2e-4), f"{path}.fp_tol", lambda v: 0.0 < v < math.inf, "a finite number > 0")
+        ),
+        max_iter=_number(
+            obj.get("max_iter", 200),
+            f"{path}.max_iter",
+            lambda v: isinstance(v, int) and 1 <= v <= 10_000,
+            "an integer in [1, 10000]",
+        ),
     )
     mpath = f"{path}.deviation_menus"
     raw_menus = obj.get("deviation_menus", {})
@@ -551,11 +569,14 @@ def _run_solve_agency(sc, report, opts, tol):
         ("iteration", "x1", "x2"),
         [(i, x1, x2) for i, (x1, x2) in enumerate(eqm.trajectory)],
     )
-    curve = []
-    for xo in np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9):
-        br, _ = sa.best_response(problem, 0, float(xo), fast=True)
-        curve.append((float(xo), br))
-    report.tables["best_response"] = (("x_other", "best_response"), curve)
+    # principal 1's curve: reuse the fixed point's responses, solve the rest in one pass
+    offers = [float(xo) for xo in np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)]
+    known = dict(eqm.responses)
+    fresh = [xo for xo in offers if (0, xo) not in known]
+    if fresh:
+        found = sa.best_response(problem, 0, fresh, fast=True)[0]
+        known.update(((0, xo), float(b)) for xo, b in zip(fresh, found))
+    report.tables["best_response"] = (("x_other", "best_response"), [(xo, known[(0, xo)]) for xo in offers])
     menus = extras["deviation_menus"]
     if menus:
         ok, findings = sa.robustness_check(problem, eqm, menus)

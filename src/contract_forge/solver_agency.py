@@ -19,26 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace
-from .solver_single import (
-    SingleProblem,
-    _as_fn,
-    _inner_rows,
-    _inner_solve,
-    _point,
-    solve,
-    zoom_solve,
-)
+from .solver_single import SingleProblem, _as_fn, _inner_rows, _inner_solve, _point, solve, zoom_solve
 
 __all__ = [
-    "AgencyProblem",
-    "AgencyEquilibrium",
-    "RobustnessFinding",
-    "bilateral_reduce",
-    "best_response",
-    "worked_family_best_response",
-    "fixed_point",
-    "cutoff_value_shape",
-    "robustness_check",
+    "AgencyProblem", "AgencyEquilibrium", "RobustnessFinding", "bilateral_reduce", "best_response",
+    "worked_family_best_response", "fixed_point", "cutoff_value_shape", "robustness_check",
 ]
 
 
@@ -89,11 +74,10 @@ class AgencyProblem:
     @property
     def symmetric(self) -> bool:
         """Both principals share payoffs, so best responses coincide."""
-
-        def same(a, b):
-            return a is b or (not callable(a) and not callable(b) and a == b)
-
-        return same(*self.agent_utilities) and same(*self.principal_payoffs)
+        return all(
+            a is b or (not callable(a) and not callable(b) and a == b)
+            for a, b in (self.agent_utilities, self.principal_payoffs)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +90,9 @@ class AgencyEquilibrium:
     iterations: int
     converged: bool
     trajectory: tuple[tuple[float, float], ...]
+    # fast best responses met on the way, keyed (principal, rival offer);
+    # a symmetric problem keys both principals' under principal 0
+    responses: Mapping[tuple[int, float], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,19 +106,25 @@ class RobustnessFinding:
 
 
 def bilateral_reduce(
-    problem: AgencyProblem, j: int, x_other: float, fast: bool = False
+    problem: AgencyProblem, j: int, x_other, fast: bool = False
 ) -> SingleProblem:
-    """Single-principal slice of principal ``j`` at a frozen rival offer."""
+    """Single-principal slice of principal ``j`` at frozen rival offers.
+
+    ``x_other`` is one offer or an array of them. The slice's payoffs take
+    an optional fourth argument, an index into those offers (the first
+    when omitted), which the kernel passes per row when one call solves
+    every offer (``zoom_solve(..., rivals=...)``).
+    """
     beta = problem.beta
     u_fn = problem.u_fns[j]
     v_fn = problem.v_fns[j]
-    xo = float(x_other)
+    xo = np.atleast_1d(np.asarray(x_other, dtype=float))
 
-    def u(x, y, theta):
+    def u(x, y, theta, r=0):
         return u_fn(x, y, theta, beta)
 
-    def v(x, y, theta):
-        return v_fn(x, y, xo, theta, beta)
+    def v(x, y, theta, r=0):
+        return v_fn(x, y, xo[r], theta, beta)
 
     return SingleProblem(
         u=u,
@@ -145,18 +138,19 @@ def bilateral_reduce(
     )
 
 
-def best_response(
-    problem: AgencyProblem, j: int, x_other: float, fast: bool = False
-) -> tuple[float, object]:
+def best_response(problem: AgencyProblem, j: int, x_other, fast: bool = False) -> tuple:
     """Principal ``j``'s optimal simple offer against a frozen rival offer.
 
     ``fast`` switches to the zoomed grid scan used inside best-response
-    iteration; the default path is the full grid-plus-golden solve.
+    iteration; the default path is the full grid-plus-golden solve. With
+    ``fast``, ``x_other`` may be an array of rival offers: one zoomed pass
+    answers them all with an array, each entry equal to its own call.
     """
     single = bilateral_reduce(problem, j, x_other, fast=fast)
     if fast:
-        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID)
-        return (0.0 if value <= 0.0 else float(x)), None
+        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID, np.size(x_other))
+        x = np.where(value <= 0.0, 0.0, x)
+        return (x if np.ndim(x_other) else float(x[0])), None
     result = solve(single)
     if result.no_trade or result.x is None:
         return 0.0, result
@@ -188,30 +182,36 @@ def fixed_point(
     replaces it, unless the accelerated point leaves ``x_box`` or the
     residual grew since the previous step. Iterates until the residual
     drops below ``tol``; raises on non-convergence, attaching the
-    trajectory. The coarse zoomed search is used on the way; the reported
-    y, cutoff and value of each principal come from one full-resolution
-    inner solve at the reported own offer against the rival's.
+    trajectory. The coarse zoomed search is used on the way, once per new
+    (principal, rival offer), both principals in one batched call when the
+    problem is symmetric; the answers are returned as ``responses``. The
+    reported y, cutoff and value of each principal come from one
+    full-resolution inner solve at the reported own offer against the
+    rival's, shared when the problem is symmetric and the offers equal.
     """
     lam = problem.damping if damping is None else damping
     tol = problem.fp_tol if tol is None else tol
     max_iter = problem.max_iter if max_iter is None else max_iter
     x = np.array([float(start[0]), float(start[1])])
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
-    cache: dict[tuple, float] = {}
+    responses: dict[tuple[int, float], float] = {}
     symmetric = problem.symmetric
     box_lo, box_hi = problem.x_box
 
-    def br(j: int, xo: float) -> float:
-        key = (xo,) if symmetric else (j, xo)
-        if key not in cache:
-            cache[key] = best_response(problem, j, xo, fast=True)[0]
-        return cache[key]
+    def br(x: np.ndarray) -> np.ndarray:
+        need = [(0 if symmetric else j, float(x[1 - j])) for j in range(2)]
+        for j in dict.fromkeys(j for j, _ in need):
+            offers = list(dict.fromkeys(xo for i, xo in need if i == j and (i, xo) not in responses))
+            if offers:
+                found = best_response(problem, j, offers, fast=True)[0].tolist()
+                responses.update(zip([(j, xo) for xo in offers], found))
+        return np.array([responses[key] for key in need])
 
     history: list[tuple[np.ndarray, np.ndarray]] = []
     residual = prev_residual = math.inf
     iterations = 0
     for iterations in range(max_iter + 1):
-        f = np.array([br(0, float(x[1])), br(1, float(x[0]))]) - x
+        f = br(x) - x
         residual = float(np.max(np.abs(f)))
         if residual <= tol:
             break
@@ -235,12 +235,15 @@ def fixed_point(
         )
 
     ys, cuts, vals = [0.0, 0.0], [None, None], [0.0, 0.0]
-    for j in range(2):
+    same = symmetric and x[0] == x[1]  # then principal 2's pair is principal 1's
+    for j in range(1 if same else 2):
         single = replace(bilateral_reduce(problem, j, x[1 - j]), opt_tol=_KINK_TOL)
         value, y = _inner_solve(single, x[j])
         if value > 0.0:  # otherwise no trade: y 0, no cutoff, value 0
             cut = _point(single, x[j], y)[2]  # the lowest type when all stay
             ys[j], cuts[j], vals[j] = y, (None if math.isnan(cut) else cut), value
+    if same:
+        ys[1], cuts[1], vals[1] = ys[0], cuts[0], vals[0]
     return AgencyEquilibrium(
         x=(float(x[0]), float(x[1])),
         y=(ys[0], ys[1]),
@@ -250,6 +253,7 @@ def fixed_point(
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),
+        responses=responses,
     )
 
 
@@ -268,21 +272,6 @@ def cutoff_value_shape(t: float) -> tuple[float, float]:
     return factor, numerator
 
 
-def _best_offer_value(
-    problem: AgencyProblem, j: int, x_other: float, offers: Sequence[float]
-) -> tuple[float, float]:
-    """Best value over fixed contractible offers against a frozen rival.
-
-    One inner-row search over all offers; an offer worth no more than
-    zero scores the no-trade value 0.
-    """
-    single = bilateral_reduce(problem, j, x_other)
-    values, _ = _inner_rows(single, np.asarray(offers, dtype=float))
-    values = np.where(values > 0.0, values, 0.0)
-    i = int(np.argmax(values))
-    return float(offers[i]), float(values[i])
-
-
 def robustness_check(
     problem: AgencyProblem,
     equilibrium: AgencyEquilibrium,
@@ -295,24 +284,19 @@ def robustness_check(
     continuation (the rival's offer and the agent's rival-relationship
     payoff frozen), reduces the deviation to the bilateral single-offer
     problem, and bounds the menu's best atomic continuation value by the
-    best single offer it contains. A menu is flagged only if that bound
-    strictly exceeds the equilibrium value plus ``tol``.
+    best single offer it contains, found by one inner-row search over the
+    menu; an offer worth no more than zero scores the no-trade value 0. A
+    menu is flagged only if that bound strictly exceeds the equilibrium
+    value plus ``tol``.
     """
     findings: list[RobustnessFinding] = []
     for j, menus in deviation_menus.items():
-        x_other = equilibrium.x[1 - j]
+        single = bilateral_reduce(problem, j, equilibrium.x[1 - j])
         for menu in menus:
             offers = tuple(float(x) for x in menu)
-            bx, bv = _best_offer_value(problem, j, x_other, offers)
-            safe = bv > equilibrium.values[j] + tol
-            findings.append(
-                RobustnessFinding(
-                    principal=j,
-                    menu=offers,
-                    best_offer=bx,
-                    deviation_value=bv,
-                    equilibrium_value=equilibrium.values[j],
-                    safe_profitable=safe,
-                )
-            )
+            values = _inner_rows(single, offers)[0]
+            values = np.where(values > 0.0, values, 0.0)
+            i = int(np.argmax(values))
+            bv, ev = float(values[i]), equilibrium.values[j]
+            findings.append(RobustnessFinding(j, offers, offers[i], bv, ev, bv > ev + tol))
     return (not any(f.safe_profitable for f in findings)), tuple(findings)

@@ -363,6 +363,21 @@ class TestScenarioErrors:
             ("start", [1.0], "$.agency.start"),
             ("x_box", [0.0, 1.0, 2.0], "$.agency.x_box"),
             ("y_box", 5.0, "$.agency.y_box"),
+            ("beta", None, "$.agency.beta"),
+            ("beta", "x", "$.agency.beta"),
+            ("beta", float("inf"), "$.agency.beta"),
+            ("max_iter", [], "$.agency.max_iter"),
+            ("max_iter", -1, "$.agency.max_iter"),
+            ("max_iter", 2.5, "$.agency.max_iter"),
+            ("max_iter", 10_001, "$.agency.max_iter"),
+            ("fp_tol", -1, "$.agency.fp_tol"),
+            ("fp_tol", 0, "$.agency.fp_tol"),
+            ("damping", 0, "$.agency.damping"),
+            ("damping", 1.5, "$.agency.damping"),
+            ("damping", True, "$.agency.damping"),
+            ("agent_utilities", None, "$.agency.agent_utilities"),
+            ("agent_utilities", ["x*theta - y^2"], "$.agency.agent_utilities"),
+            ("principal_payoffs", "y*theta - x^2", "$.agency.principal_payoffs"),
         ],
     )
     def test_agency_lists_checked(self, tmp_path, field, value, where):

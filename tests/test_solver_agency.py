@@ -1,12 +1,24 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from contract_forge import cli
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
 
 BETA = 17.0 / 21.0
+
+
+def _worked_family(beta: float) -> sa.AgencyProblem:
+    return sa.AgencyProblem(
+        beta=beta,
+        agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
+        principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +92,91 @@ class TestBestResponse:
             assert x == pytest.approx(
                 sa.worked_family_best_response(BETA, float(xo)), abs=1e-3
             )
+
+
+class TestBatchedBestResponse:
+    """One zoomed pass over many rival offers answers as the per-offer calls do."""
+
+    @given(
+        beta=st.floats(0.3, 0.9),
+        offers=st.lists(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 5.0), min_size=1, max_size=4),
+    )
+    @example(beta=BETA, offers=[0.0, 5.0, 0.0, 2.5])
+    @settings(max_examples=6, deadline=None)
+    def test_batch_equals_per_offer_calls(self, beta, offers):
+        problem = _worked_family(beta)
+        batch, _ = sa.best_response(problem, 0, offers, fast=True)
+        assert batch.shape == (len(offers),)
+        for xo, got in zip(offers, batch):
+            assert got == sa.best_response(problem, 0, xo, fast=True)[0]
+
+    def test_rival_without_finite_value_stops_alone(self):
+        # v is nan for rival offers below 1, so those rivals stop at stage 1
+        problem = sa.AgencyProblem(
+            beta=0.5,
+            agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
+            principal_payoffs=("sqrt(x_other - 1)*y*theta - x^2",) * 2,
+        )
+        offers = [0.0, 2.0, 0.5, 3.0]
+        batch = ss.zoom_solve(sa.bilateral_reduce(problem, 0, offers, fast=True), 4, 48, len(offers))
+        assert list(np.isfinite(batch[0])) == [False, True, False, True]
+        for k, xo in enumerate(offers):
+            alone = ss.zoom_solve(sa.bilateral_reduce(problem, 0, xo, fast=True), 4, 48)
+            assert [part[k] for part in batch] == [part[0] for part in alone]
+
+    def test_chunks_inside_a_rival_mesh_do_not_change_grid(self, worked):
+        # full panels evaluate blocks of 2,000,000 // 257 // 256 = 30 x-rows;
+        # each rival has 31, so block boundaries fall inside a rival's mesh
+        offers = [0.0, 1.5, 3.0]
+        batched = sa.bilateral_reduce(worked, 0, offers)
+        xs = np.linspace(0.5, 4.5, 31)
+        ys = np.linspace(0.0, 5.0, 256)
+        assert 2_000_000 // (batched.panels + 1) // ys.size < xs.size
+        grid = ss._profit_grid(batched, np.tile(xs, 3), ys, np.repeat(np.arange(3), xs.size))
+        for k, xo in enumerate(offers):
+            alone = ss._profit_grid(sa.bilateral_reduce(worked, 0, xo), xs, ys)
+            assert np.array_equal(grid[k * xs.size : (k + 1) * xs.size], alone)
+
+
+@pytest.fixture(scope="module")
+def fixture_run():
+    """One ``cli.run`` of the bundled agency fixture, counting kernel passes
+    (``_inner_rows`` calls) and recording every best-response call."""
+    seen = {"inner_rows": 0, "best_response": []}
+    inner_rows, best_response = ss._inner_rows, sa.best_response
+
+    def counted(*args, **kwargs):
+        seen["inner_rows"] += 1
+        return inner_rows(*args, **kwargs)
+
+    def recorded(problem, j, x_other, fast=False):
+        seen["best_response"].append((j, x_other))
+        return best_response(problem, j, x_other, fast)
+
+    path = resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json"
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (ss, sa):
+            mp.setattr(module, "_inner_rows", counted)
+        mp.setattr(sa, "best_response", recorded)
+        report = cli.run(cli.parse_scenario(str(path)))
+    return report, seen
+
+
+class TestAgencyRun:
+    def test_kernel_pass_count(self, fixture_run):
+        # 6 fixed-point best responses and one batched curve pass, 4 zoom
+        # stages each, one reported pair (symmetric, x1 == x2), one menu
+        _, seen = fixture_run
+        assert seen["inner_rows"] == 30
+
+    def test_curve_reuses_fixed_point_answer(self, fixture_run):
+        report, seen = fixture_run
+        *iteration, (j, curve_offers) = seen["best_response"]
+        assert j == 0 and len(curve_offers) == 8 and 0.0 not in curve_offers
+        assert (0, [0.0]) in iteration  # the start (0, 0) asked for it
+        rows = dict(report.tables["best_response"][1])
+        assert list(rows) == [0.5 * i for i in range(9)]
+        assert rows[0.0] == sa.best_response(_worked_family(BETA), 0, 0.0, fast=True)[0]
 
 
 class TestFixedPoint:
