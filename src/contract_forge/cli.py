@@ -569,14 +569,12 @@ def _run_solve_agency(sc, report, opts, tol):
         ("iteration", "x1", "x2"),
         [(i, x1, x2) for i, (x1, x2) in enumerate(eqm.trajectory)],
     )
-    # principal 1's curve: reuse the fixed point's responses, solve the rest in one pass
-    offers = [float(xo) for xo in np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)]
-    known = dict(eqm.responses)
-    fresh = [xo for xo in offers if (0, xo) not in known]
-    if fresh:
-        found = sa.best_response(problem, 0, fresh, fast=True)[0]
-        known.update(((0, xo), float(b)) for xo, b in zip(fresh, found))
-    report.tables["best_response"] = (("x_other", "best_response"), [(xo, known[(0, xo)]) for xo in offers])
+    offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
+    curve, _ = sa.best_response(problem, 0, offers, fast=True)  # one batched pass
+    report.tables["best_response"] = (
+        ("x_other", "best_response"),
+        [(float(xo), float(br)) for xo, br in zip(offers, curve)],
+    )
     menus = extras["deviation_menus"]
     if menus:
         ok, findings = sa.robustness_check(problem, eqm, menus)

@@ -19,11 +19,26 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace
-from .solver_single import SingleProblem, _as_fn, _inner_rows, _inner_solve, _point, solve, zoom_solve
+from .solver_single import (
+    SingleProblem,
+    _as_fn,
+    _inner_rows,
+    _inner_solve,
+    _point,
+    solve,
+    zoom_solve,
+)
 
 __all__ = [
-    "AgencyProblem", "AgencyEquilibrium", "RobustnessFinding", "bilateral_reduce", "best_response",
-    "worked_family_best_response", "fixed_point", "cutoff_value_shape", "robustness_check",
+    "AgencyProblem",
+    "AgencyEquilibrium",
+    "RobustnessFinding",
+    "bilateral_reduce",
+    "best_response",
+    "worked_family_best_response",
+    "fixed_point",
+    "cutoff_value_shape",
+    "robustness_check",
 ]
 
 
@@ -74,10 +89,11 @@ class AgencyProblem:
     @property
     def symmetric(self) -> bool:
         """Both principals share payoffs, so best responses coincide."""
-        return all(
-            a is b or (not callable(a) and not callable(b) and a == b)
-            for a, b in (self.agent_utilities, self.principal_payoffs)
-        )
+
+        def same(a, b):
+            return a is b or (not callable(a) and not callable(b) and a == b)
+
+        return same(*self.agent_utilities) and same(*self.principal_payoffs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,9 +106,6 @@ class AgencyEquilibrium:
     iterations: int
     converged: bool
     trajectory: tuple[tuple[float, float], ...]
-    # fast best responses met on the way, keyed (principal, rival offer);
-    # a symmetric problem keys both principals' under principal 0
-    responses: Mapping[tuple[int, float], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +123,10 @@ def bilateral_reduce(
 ) -> SingleProblem:
     """Single-principal slice of principal ``j`` at frozen rival offers.
 
-    ``x_other`` is one offer or an array of them. The slice's payoffs take
-    an optional fourth argument, an index into those offers (the first
-    when omitted), which the kernel passes per row when one call solves
-    every offer (``zoom_solve(..., rivals=...)``).
+    ``x_other`` is one offer or an array of them. For an array the slice
+    records their count as ``rivals``, and its payoffs take an optional
+    fourth argument, an index into the offers (the first when omitted),
+    which ``zoom_solve`` passes per row to answer every offer at once.
     """
     beta = problem.beta
     u_fn = problem.u_fns[j]
@@ -135,10 +148,13 @@ def bilateral_reduce(
         x_grid=problem.x_grid,
         y_grid=64 if fast else problem.y_grid,
         panels=_ITER_PANELS if fast else problem.panels,
+        rivals=xo.size if np.ndim(x_other) else None,
     )
 
 
-def best_response(problem: AgencyProblem, j: int, x_other, fast: bool = False) -> tuple:
+def best_response(
+    problem: AgencyProblem, j: int, x_other, fast: bool = False
+) -> tuple[float | np.ndarray, object]:
     """Principal ``j``'s optimal simple offer against a frozen rival offer.
 
     ``fast`` switches to the zoomed grid scan used inside best-response
@@ -146,11 +162,13 @@ def best_response(problem: AgencyProblem, j: int, x_other, fast: bool = False) -
     ``fast``, ``x_other`` may be an array of rival offers: one zoomed pass
     answers them all with an array, each entry equal to its own call.
     """
+    if not fast and np.size(x_other) != 1:
+        raise ValueError("an array of rival offers needs fast=True")
     single = bilateral_reduce(problem, j, x_other, fast=fast)
     if fast:
-        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID, np.size(x_other))
+        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID)
         x = np.where(value <= 0.0, 0.0, x)
-        return (x if np.ndim(x_other) else float(x[0])), None
+        return (x if np.ndim(x_other) else float(x)), None
     result = solve(single)
     if result.no_trade or result.x is None:
         return 0.0, result
@@ -182,36 +200,31 @@ def fixed_point(
     replaces it, unless the accelerated point leaves ``x_box`` or the
     residual grew since the previous step. Iterates until the residual
     drops below ``tol``; raises on non-convergence, attaching the
-    trajectory. The coarse zoomed search is used on the way, once per new
-    (principal, rival offer), both principals in one batched call when the
-    problem is symmetric; the answers are returned as ``responses``. The
-    reported y, cutoff and value of each principal come from one
-    full-resolution inner solve at the reported own offer against the
-    rival's, shared when the problem is symmetric and the offers equal.
+    trajectory. The coarse zoomed search is used on the way; the reported
+    y, cutoff and value of each principal come from one full-resolution
+    inner solve at the reported own offer against the rival's, shared when
+    the problem is symmetric and the offers are equal.
     """
     lam = problem.damping if damping is None else damping
     tol = problem.fp_tol if tol is None else tol
     max_iter = problem.max_iter if max_iter is None else max_iter
     x = np.array([float(start[0]), float(start[1])])
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
-    responses: dict[tuple[int, float], float] = {}
+    cache: dict[tuple, float] = {}
     symmetric = problem.symmetric
     box_lo, box_hi = problem.x_box
 
-    def br(x: np.ndarray) -> np.ndarray:
-        need = [(0 if symmetric else j, float(x[1 - j])) for j in range(2)]
-        for j in dict.fromkeys(j for j, _ in need):
-            offers = list(dict.fromkeys(xo for i, xo in need if i == j and (i, xo) not in responses))
-            if offers:
-                found = best_response(problem, j, offers, fast=True)[0].tolist()
-                responses.update(zip([(j, xo) for xo in offers], found))
-        return np.array([responses[key] for key in need])
+    def br(j: int, xo: float) -> float:
+        key = (xo,) if symmetric else (j, xo)
+        if key not in cache:
+            cache[key] = best_response(problem, j, xo, fast=True)[0]
+        return cache[key]
 
     history: list[tuple[np.ndarray, np.ndarray]] = []
     residual = prev_residual = math.inf
     iterations = 0
     for iterations in range(max_iter + 1):
-        f = br(x) - x
+        f = np.array([br(0, float(x[1])), br(1, float(x[0]))]) - x
         residual = float(np.max(np.abs(f)))
         if residual <= tol:
             break
@@ -253,7 +266,6 @@ def fixed_point(
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),
-        responses=responses,
     )
 
 
@@ -272,6 +284,21 @@ def cutoff_value_shape(t: float) -> tuple[float, float]:
     return factor, numerator
 
 
+def _best_offer_value(
+    problem: AgencyProblem, j: int, x_other: float, offers: Sequence[float]
+) -> tuple[float, float]:
+    """Best value over fixed contractible offers against a frozen rival.
+
+    One inner-row search over all offers; an offer worth no more than
+    zero scores the no-trade value 0.
+    """
+    single = bilateral_reduce(problem, j, x_other)
+    values, _ = _inner_rows(single, np.asarray(offers, dtype=float))
+    values = np.where(values > 0.0, values, 0.0)
+    i = int(np.argmax(values))
+    return float(offers[i]), float(values[i])
+
+
 def robustness_check(
     problem: AgencyProblem,
     equilibrium: AgencyEquilibrium,
@@ -284,19 +311,24 @@ def robustness_check(
     continuation (the rival's offer and the agent's rival-relationship
     payoff frozen), reduces the deviation to the bilateral single-offer
     problem, and bounds the menu's best atomic continuation value by the
-    best single offer it contains, found by one inner-row search over the
-    menu; an offer worth no more than zero scores the no-trade value 0. A
-    menu is flagged only if that bound strictly exceeds the equilibrium
-    value plus ``tol``.
+    best single offer it contains. A menu is flagged only if that bound
+    strictly exceeds the equilibrium value plus ``tol``.
     """
     findings: list[RobustnessFinding] = []
     for j, menus in deviation_menus.items():
-        single = bilateral_reduce(problem, j, equilibrium.x[1 - j])
+        x_other = equilibrium.x[1 - j]
         for menu in menus:
             offers = tuple(float(x) for x in menu)
-            values = _inner_rows(single, offers)[0]
-            values = np.where(values > 0.0, values, 0.0)
-            i = int(np.argmax(values))
-            bv, ev = float(values[i]), equilibrium.values[j]
-            findings.append(RobustnessFinding(j, offers, offers[i], bv, ev, bv > ev + tol))
+            bx, bv = _best_offer_value(problem, j, x_other, offers)
+            safe = bv > equilibrium.values[j] + tol
+            findings.append(
+                RobustnessFinding(
+                    principal=j,
+                    menu=offers,
+                    best_offer=bx,
+                    deviation_value=bv,
+                    equilibrium_value=equilibrium.values[j],
+                    safe_profitable=safe,
+                )
+            )
     return (not any(f.safe_profitable for f in findings)), tuple(findings)

@@ -18,7 +18,6 @@ exactly at the cutoff.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -33,8 +32,18 @@ _EPS = float(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100  # a safeguard: smooth rows close in 4-6 steps, a kink at the root in 13-48
 
 __all__ = [
-    "SingleProblem", "SolveResult", "CutoffResult", "RentProbeResult", "MonotonicityError", "cutoff",
-    "expected_profit", "solve", "zoom_solve", "labor_profile", "rent_probe", "single_crossing_audit",
+    "SingleProblem",
+    "SolveResult",
+    "CutoffResult",
+    "RentProbeResult",
+    "MonotonicityError",
+    "cutoff",
+    "expected_profit",
+    "solve",
+    "zoom_solve",
+    "labor_profile",
+    "rent_probe",
+    "single_crossing_audit",
     "AuditReport",
 ]
 
@@ -57,7 +66,11 @@ class SingleProblem:
 
     ``u`` and ``v`` may be expression text, parsed expressions, or plain
     callables of (x, y, theta) accepting numpy broadcasting. The type
-    space is an interval (quadrature) or finite (weighted sum).
+    space is an interval (quadrature) or finite (weighted sum). With
+    ``rivals``, u and v take a fourth argument, each row's index into that
+    many rival offers bound by the caller
+    (``solver_agency.bilateral_reduce``); ``zoom_solve`` then answers
+    every rival offer in one pass per stage.
     """
 
     u: object
@@ -70,6 +83,7 @@ class SingleProblem:
     panels: int = 256
     root_tol: float = 4e-15  # about the width of 48 halvings of a unit type span
     opt_tol: float = 1e-8
+    rivals: int | None = None
 
     def __post_init__(self):
         self.u_fn = _as_fn(self.u)
@@ -175,9 +189,14 @@ def _cutoff_root(u, a, b, ua, ub, tol: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _simpson_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.linspace(0.0, 1.0, n + 1), simpson_coefficients(n + 1)
+    hit = _SIMPSON_CACHE.get(n)
+    if hit is None:
+        hit = _SIMPSON_CACHE[n] = (np.linspace(0.0, 1.0, n + 1), simpson_coefficients(n + 1))
+    return hit
 
 
 def _at(r, rows):
@@ -306,12 +325,18 @@ def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None)
     for i in range(0, len(xs), block):
         rows = np.arange(i, min(i + block, len(xs)))
         X, Y = np.repeat(xs[rows], len(ys)), np.tile(ys, rows.size)
-        out[rows] = _profit(problem, X, Y, r=_at(r, np.repeat(rows, len(ys))))[0].reshape(rows.size, -1)
+        values = _profit(problem, X, Y, r=_at(r, np.repeat(rows, len(ys))))[0]
+        out[rows] = values.reshape(rows.size, len(ys))
     return out
 
 
 def _row_golden(
-    problem: SingleProblem, X: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float, r=None
+    problem: SingleProblem,
+    X: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+    r=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximization in y, vectorized across rows of fixed x.
 
@@ -422,8 +447,8 @@ def solve(problem: SingleProblem) -> SolveResult:
 
 
 def zoom_solve(
-    problem: SingleProblem, stages: int = 4, grid: int = 48, rivals: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    problem: SingleProblem, stages: int = 4, grid: int = 48
+) -> tuple:
     """Fast (x, y) optimizer for iterative callers (best-response dynamics).
 
     Each stage scans an x-grid with the vectorized inner-row search (the
@@ -435,12 +460,12 @@ def zoom_solve(
     point and curve), 632 of 828 stages refined a winner more than one
     row away from the grid argmax.
 
-    With ``rivals``, the problem binds that many rival offers and its
-    payoffs take a rival index (``solver_agency.bilateral_reduce``); one
+    Returns (value, x, y). When the problem binds ``rivals`` offers, one
     pass per stage serves them all, each rival with its own box and its
-    own stop at a stage without a finite value. Returns arrays (value, x,
-    y) with one entry per rival (one entry without ``rivals``).
+    own stop at a stage without a finite value, and the three are arrays
+    with one entry per rival.
     """
+    rivals = problem.rivals
     k = 1 if rivals is None else rivals
     xlo, xhi = np.full(k, float(problem.x_box[0])), np.full(k, float(problem.x_box[1]))
     value, x, y = np.full(k, -math.inf), xlo.copy(), np.full(k, float(problem.y_box[0]))
@@ -461,6 +486,8 @@ def zoom_solve(
         todo = todo[~stop]
         if not todo.size:
             break
+    if rivals is None:
+        return float(value[0]), float(x[0]), float(y[0])
     return value, x, y
 
 
@@ -551,8 +578,14 @@ def single_crossing_audit(
     signs = np.where(d > tol * scale, 1, np.where(d < -tol * scale, -1, 0))
     nonzero = signs[signs != 0]
     sign_changes = int(np.sum(nonzero[1:] != nonzero[:-1])) if nonzero.size else 0
-    zero = signs == 0
-    zero_runs = int(np.sum(zero & ~np.r_[False, zero[:-1]]))  # zeros that start a run
+    zero_runs = 0
+    in_run = False
+    for s in signs:
+        if s == 0 and not in_run:
+            zero_runs += 1
+            in_run = True
+        elif s != 0:
+            in_run = False
     degenerate = bool(np.all(signs == 0))
     passed = degenerate or (sign_changes <= 1 and zero_runs <= 1)
     return AuditReport(passed, sign_changes, zero_runs, degenerate)

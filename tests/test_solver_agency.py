@@ -118,11 +118,25 @@ class TestBatchedBestResponse:
             principal_payoffs=("sqrt(x_other - 1)*y*theta - x^2",) * 2,
         )
         offers = [0.0, 2.0, 0.5, 3.0]
-        batch = ss.zoom_solve(sa.bilateral_reduce(problem, 0, offers, fast=True), 4, 48, len(offers))
+        batch = ss.zoom_solve(sa.bilateral_reduce(problem, 0, offers, fast=True), 4, 48)
         assert list(np.isfinite(batch[0])) == [False, True, False, True]
         for k, xo in enumerate(offers):
             alone = ss.zoom_solve(sa.bilateral_reduce(problem, 0, xo, fast=True), 4, 48)
-            assert [part[k] for part in batch] == [part[0] for part in alone]
+            assert [part[k] for part in batch] == list(alone)
+
+    def test_slice_records_rival_count(self, worked):
+        assert sa.bilateral_reduce(worked, 0, 1.0).rivals is None
+        assert sa.bilateral_reduce(worked, 0, [1.0]).rivals == 1
+        assert sa.bilateral_reduce(worked, 0, np.array([0.0, 1.0, 2.0])).rivals == 3
+
+    def test_scalar_call_answers_with_floats(self, worked):
+        value, x, y = ss.zoom_solve(sa.bilateral_reduce(worked, 0, 1.0, fast=True))
+        assert all(type(part) is float for part in (value, x, y))
+        assert type(sa.best_response(worked, 0, 1.0, fast=True)[0]) is float
+
+    def test_array_without_fast_is_rejected(self, worked):
+        with pytest.raises(ValueError, match="fast=True"):
+            sa.best_response(worked, 0, [0.0, 1.0])
 
     def test_chunks_inside_a_rival_mesh_do_not_change_grid(self, worked):
         # full panels evaluate blocks of 2,000,000 // 257 // 256 = 30 x-rows;
@@ -150,8 +164,9 @@ def fixture_run():
         return inner_rows(*args, **kwargs)
 
     def recorded(problem, j, x_other, fast=False):
-        seen["best_response"].append((j, x_other))
-        return best_response(problem, j, x_other, fast)
+        answer = best_response(problem, j, x_other, fast)
+        seen["best_response"].append((j, x_other, answer[0]))
+        return answer
 
     path = resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json"
     with pytest.MonkeyPatch.context() as mp:
@@ -169,14 +184,15 @@ class TestAgencyRun:
         _, seen = fixture_run
         assert seen["inner_rows"] == 30
 
-    def test_curve_reuses_fixed_point_answer(self, fixture_run):
+    def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run):
         report, seen = fixture_run
-        *iteration, (j, curve_offers) = seen["best_response"]
-        assert j == 0 and len(curve_offers) == 8 and 0.0 not in curve_offers
-        assert (0, [0.0]) in iteration  # the start (0, 0) asked for it
+        *iteration, (j, curve_offers, curve) = seen["best_response"]
+        assert j == 0 and list(curve_offers) == [0.5 * i for i in range(9)]
+        # the start (0, 0) asked for the response to 0 on its own
+        at_zero = [answer for j, xo, answer in iteration if j == 0 and xo == 0.0]
+        assert at_zero and curve[0] == at_zero[0]
         rows = dict(report.tables["best_response"][1])
-        assert list(rows) == [0.5 * i for i in range(9)]
-        assert rows[0.0] == sa.best_response(_worked_family(BETA), 0, 0.0, fast=True)[0]
+        assert list(rows.values()) == list(curve)
 
 
 class TestFixedPoint:
