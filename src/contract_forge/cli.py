@@ -267,10 +267,11 @@ def _environment_from(obj, path: str) -> ec.Environment:
 
 
 def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
-    """A nonempty list of numbers, of ``length`` when given."""
+    """A nonempty list of finite numbers, of ``length`` when given."""
     ok = isinstance(value, list) and len(value) > 0 and length in (None, len(value))
-    if not ok or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        size = f"{length} numbers" if length else "numbers"
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if not ok or not all(number(v) for v in value):
+        size = f"{length} finite numbers" if length else "finite numbers"
         raise ScenarioError(f"schema error at {path}: expected a list of {size}")
     return tuple(float(v) for v in value)
 
@@ -280,6 +281,21 @@ def _number(value, path: str, ok=math.isfinite, expect: str = "a finite number")
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not ok(value):
         raise ScenarioError(f"schema error at {path}: expected {expect}")
     return value
+
+
+def _integer(value, path: str, lo: int, hi: int, even: bool = False) -> int:
+    """A JSON integer in [lo, hi], even when ``even`` is set."""
+    ok = lambda v: isinstance(v, int) and lo <= v <= hi and not (even and v % 2)
+    kind = "an even integer" if even else "an integer"
+    return _number(value, path, ok, f"{kind} in [{lo}, {hi}]")
+
+
+def _box(value, path: str) -> tuple[float, float]:
+    """Two finite numbers, the first below the second."""
+    lo, hi = _numbers(value, path, 2)
+    if not lo < hi:
+        raise ScenarioError(f"schema error at {path}: expected lo < hi")
+    return lo, hi
 
 
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
@@ -293,11 +309,11 @@ def _single_problem_from(obj, path: str) -> ss.SingleProblem:
         u=_parse_expr(obj["agent"], f"{path}.agent"),
         v=_parse_expr(obj["principal"], f"{path}.principal"),
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=_numbers(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box", 2),
-        y_box=_numbers(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box", 2),
-        x_grid=int(obj.get("x_grid", 256)),
-        y_grid=int(obj.get("y_grid", 256)),
-        panels=int(obj.get("panels", 256)),
+        x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
+        y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
+        x_grid=_integer(obj.get("x_grid", 256), f"{path}.x_grid", 1, 100_000),
+        y_grid=_integer(obj.get("y_grid", 256), f"{path}.y_grid", 1, 100_000),
+        panels=_integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, even=True),
     )
 
 
@@ -330,20 +346,15 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         agent_utilities=exprs["agent_utilities"],
         principal_payoffs=exprs["principal_payoffs"],
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=_numbers(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box", 2),
-        y_box=_numbers(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box", 2),
+        x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
+        y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
         damping=float(
             _number(obj.get("damping", 0.5), f"{path}.damping", lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
         ),
         fp_tol=float(
             _number(obj.get("fp_tol", 2e-4), f"{path}.fp_tol", lambda v: 0.0 < v < math.inf, "a finite number > 0")
         ),
-        max_iter=_number(
-            obj.get("max_iter", 200),
-            f"{path}.max_iter",
-            lambda v: isinstance(v, int) and 1 <= v <= 10_000,
-            "an integer in [1, 10000]",
-        ),
+        max_iter=_integer(obj.get("max_iter", 200), f"{path}.max_iter", 1, 10_000),
     )
     mpath = f"{path}.deviation_menus"
     raw_menus = obj.get("deviation_menus", {})
@@ -369,19 +380,23 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     )
     if obj["mode"] != "additive":
         raise ScenarioError(f"schema error at {path}.mode: grid checks support 'additive'")
-    zg = obj["z_grid"]
-    _check_keys(zg, ("lo", "hi", "points"), ("lo", "hi", "points"), f"{path}.z_grid")
-    z = tuple(np.linspace(float(zg["lo"]), float(zg["hi"]), int(zg["points"])))
+    zg, zpath = obj["z_grid"], f"{path}.z_grid"
+    _check_keys(zg, ("lo", "hi", "points"), ("lo", "hi", "points"), zpath)
+    lo = float(_number(zg["lo"], f"{zpath}.lo"))
+    hi = float(_number(zg["hi"], f"{zpath}.hi", lambda v: lo < v < math.inf, "a finite number above lo"))
+    points = _integer(zg["points"], f"{zpath}.points", 2, 1000)
+    # points - 1 steps already let every baseline reach every final action
+    alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
     ideal = obj.get("ideal_form")
     model = rv.RevisableModel.additive(
         _parse_expr(obj["sender"], f"{path}.sender"),
         _parse_expr(obj["receiver"], f"{path}.receiver"),
         _typespace_from(obj["types"], f"{path}.types"),
         alpha=0.0,
-        z_range=tuple(obj.get("z_range", (float(zg["lo"]) - 1.0, float(zg["hi"]) + 1.0))),
-        ideal_form=None if ideal is None else ("affine", float(ideal[0]), float(ideal[1])),
+        z_range=_box(obj.get("z_range", [lo - 1.0, hi + 1.0]), f"{path}.z_range"),
+        ideal_form=None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2)),
     )
-    return model, z, int(obj["alpha_steps"])
+    return model, tuple(np.linspace(lo, hi, points)), alpha_steps
 
 
 _OPTION_KEYS = (

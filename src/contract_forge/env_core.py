@@ -35,6 +35,7 @@ __all__ = [
     "validate",
     "payoff_u",
     "payoff_v",
+    "payoff_tables",
     "expect",
     "check_allocation",
 ]
@@ -326,6 +327,7 @@ class Environment:
     payoffs: PayoffModel
     observability: str = "public"  # "public" | "private"
     optout: bool = True
+    _tables: dict | None = field(default=None, init=False, compare=False, repr=False)  # payoff_tables
 
     @property
     def n(self) -> int:
@@ -530,16 +532,15 @@ def validate(env: Environment) -> ValidationReport:
 
     finite_env = env.types.kind == "finite" and all(s.is_finite for s in env.principals)
     if finite_env and not violations:
-        profiles = _profile_sweep(env)
-        for t in env.types.finite:
+        profiles, tables = _profile_sweep(env), payoff_tables(env)
+        for i, t in enumerate(env.types.finite):
             for prof in profiles:
-                try:
-                    u = payoff_u(env, prof, t.value)
-                    vs = [payoff_v(env, j, prof, t.value) for j in range(env.n)]
+                try:  # left out of the tables: the scalar path up to this type names the error
+                    u, v = tables.get(prof) or _scalar_payoffs(env, prof, env.types.values[: i + 1])
                 except EvalError as e:
                     violations.append(f"payoff evaluation failed: {e}")
                     break
-                if not all(math.isfinite(x) for x in [u, *vs]):
+                if not all(math.isfinite(x) for x in [u[i], *v[:, i]]):
                     violations.append(
                         f"non-finite payoff at type {t.label!r}, profile {prof!r}"
                     )
@@ -549,6 +550,33 @@ def validate(env: Environment) -> ValidationReport:
             break
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def _scalar_payoffs(env: Environment, prof: ProfileKey, values) -> tuple[np.ndarray, np.ndarray]:
+    """(agent payoffs over ``values``, principal payoffs n x len(values)) at one profile."""
+    u = np.array([payoff_u(env, prof, tv) for tv in values])
+    return u, np.array([[payoff_v(env, j, prof, tv) for tv in values] for j in range(env.n)])
+
+
+def payoff_tables(env: Environment) -> dict[ProfileKey, tuple[np.ndarray, np.ndarray]]:
+    """(agent payoffs over types, principal payoffs n x T) per profile of the sweep.
+
+    Filled once per environment by the scalar path and kept on it,
+    read-only. A profile whose evaluation raises is left out, so the build
+    never fails: only a caller that reaches that profile gets the scalar
+    path's error, which names the failing subexpression.
+    """
+    if env._tables is None:
+        tables = {}
+        for prof in _profile_sweep(env):
+            try:
+                u, v = _scalar_payoffs(env, prof, env.types.values)
+            except EvalError:
+                continue
+            u.flags.writeable = v.flags.writeable = False
+            tables[prof] = (u, v)
+        object.__setattr__(env, "_tables", tables)
+    return env._tables
 
 
 def _profile_sweep(env: Environment):

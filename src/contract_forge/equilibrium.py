@@ -38,8 +38,8 @@ from .env_core import (
     Allocation,
     Environment,
     ProfileKey,
-    payoff_u,
-    payoff_v,
+    _scalar_payoffs,
+    payoff_tables,
 )
 
 __all__ = [
@@ -208,12 +208,10 @@ class _Game:
         if hit is not None:
             return hit
         pk = self.action_key(prof, ys)
-        u = np.array([payoff_u(self.env, pk, v) for v in self.t_values])
-        v = np.array(
-            [[payoff_v(self.env, j, pk, tv) for tv in self.t_values] for j in range(self.n)]
-        )
-        self._pay[key] = (u, v)
-        return u, v
+        # a profile left out of the tables: the scalar path raises its error
+        hit = payoff_tables(self.env).get(pk) or _scalar_payoffs(self.env, pk, self.t_values)
+        self._pay[key] = hit
+        return hit
 
     def others(self, j: int) -> list[int]:
         return [k for k in range(self.n) if k != j]

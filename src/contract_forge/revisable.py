@@ -15,7 +15,7 @@ closed forms (ceiling/floor thresholds of the sender-optimal rule).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -429,10 +429,11 @@ def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessm
     )
 
 
-def collapse_to_full(game: GridGame, assessment: Assessment):
-    """Convert a limited-model assessment to the alpha = 0 model.
+def collapse_to_full(game: GridGame, assessment: Assessment, game0: GridGame) -> Assessment:
+    """Convert a limited-model assessment to ``game0``, the alpha = 0 grid game.
 
-    Each message's baseline becomes the final action it induced and the
+    The caller passes the target game, built once per check. Each
+    message's baseline becomes the final action it induced and the
     revision is zeroed; the final-action allocation is unchanged. A
     recoded message the new strategy sends carries its Bayes posterior;
     one it does not send keeps the belief of the first old message, in
@@ -440,7 +441,6 @@ def collapse_to_full(game: GridGame, assessment: Assessment):
     single message, so no message is left to copy another.
     """
     cont = assessment.continuation[0]
-    game0 = build_grid_game(replace(game.model, alpha=0.0), game.z_values, 0)
     zero = game0.rev_label(0.0)
     recode = {
         m.label: f"{game0.x_label(game.final_of(m.action, cont[(m.label,)]))}|{zero}"
@@ -452,22 +452,22 @@ def collapse_to_full(game: GridGame, assessment: Assessment):
     for old, new in recode.items():
         beliefs.setdefault(new, old_beliefs[(old,)])
     beliefs.update(_posteriors(game0, strategy))
-    return game0, _menu_assessment(game0, strategy, beliefs, assessment.beliefs.offpath)
+    return _menu_assessment(game0, strategy, beliefs, assessment.beliefs.offpath)
 
 
-def lift_to_limited(game0: GridGame, assessment: Assessment, alpha_steps: int):
-    """Convert a full-commitment assessment to the limited model.
+def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -> Assessment:
+    """Convert a full-commitment assessment to ``game_a``, the limited grid game.
 
-    Places each message's final action at the appropriate endpoint of the
-    revision window around the new baseline, using the posterior ideal at
-    the message's belief; verifies the constrained receiver optimum on a
+    The caller passes the target game, built once per check. Places each
+    message's final action at the appropriate endpoint of the revision
+    window around the new baseline, using the posterior ideal at the
+    message's belief; verifies the constrained receiver optimum on a
     101-point scan of the feasible interval. Each placed message keeps its
     old belief; every other message of the new menu copies the revision
     and belief of the first placed message, in message order, with its
     baseline.
     """
     audit_concavity(game0.model)
-    game_a = build_grid_game(game0.model, game0.z_values, alpha_steps)
     types = game0.env.types
     old_beliefs = assessment.beliefs.public[0]
     recode: dict[str, str] = {}
@@ -486,7 +486,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, alpha_steps: int):
         recode[msg.label] = f"{game_a.x_label(x_hat)}|{game_a.rev_label(rev)}"
         beliefs[recode[msg.label]] = bel_vec
     strategy = _push_forward(assessment.strategy, recode)
-    return game_a, _menu_assessment(game_a, strategy, beliefs, assessment.beliefs.offpath)
+    return _menu_assessment(game_a, strategy, beliefs, assessment.beliefs.offpath)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +504,10 @@ def _partitions(items: Sequence[int]):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+# candidates per vectorized filter pass: bounds the memory of the rows x blocks x types gather
+_FILTER_BLOCK = 1024
 
 
 def enumerate_final_allocations(
@@ -546,6 +550,7 @@ def enumerate_final_allocations(
     found: dict[tuple, tuple[FinalAllocation, Assessment]] = {}
     candidates = 0
     for part in _partitions(list(range(T))):
+        block_of = np.array([next(b for b, blk in enumerate(part) if t in blk) for t in range(T)])
         # per block: receiver-optimal final actions per baseline
         options: list[list[tuple[int, int]]] = []  # (x index, z index)
         for block in part:
@@ -561,46 +566,41 @@ def enumerate_final_allocations(
                     if vbar[zi] >= best - tol:
                         opts.append((xi, zi))
             options.append(opts)
-        size = 1
-        for opts in options:
-            size *= len(opts)
+        shape = tuple(len(o) for o in options)
+        size = math.prod(shape)
         candidates += size
         if candidates > cap:
             raise ValueError(
                 f"grid caps exceeded: more than {cap} block-assignment candidates"
             )
-        for combo in itertools.product(*options):
-            if len(set(combo)) != len(combo):
-                continue
+        pairs = [np.array(o, dtype=int).reshape(-1, 2) for o in options]
+        for start in range(0, size, _FILTER_BLOCK):
+            # the next candidates in itertools.product order: rows x blocks x (x, z index)
+            pick = np.unravel_index(np.arange(start, min(start + _FILTER_BLOCK, size)), shape)
+            combos = np.stack([p[i] for p, i in zip(pairs, pick)], axis=1)
+            codes = np.sort(combos[..., 0] * len(Z) + combos[..., 1], axis=1)
+            distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
             # agent optimality: each type's assigned z beats every used z
-            z_of_type = np.empty(T, dtype=int)
-            for block, (xi, zi) in zip(part, combo):
-                for t in block:
-                    z_of_type[t] = zi
-            used = sorted(set(zi for _, zi in combo))
-            ok = True
-            for t in range(T):
-                best = max(u_tab[zi, t] for zi in used)
-                if u_tab[z_of_type[t], t] < best - tol:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            fa = FinalAllocation(
-                {labels[t]: ((float(Z[z_of_type[t]]), 1.0),) for t in range(T)}
-            )
-            key = fa.key()
-            if key in found:
-                continue
-            assessment = _assessment_from_blocks(game, part, combo)
-            if validate:
-                report = check_continuation(env, assessment, tol)
-                if not report.passed:
-                    raise AssertionError(
-                        "partition enumeration produced an invalid equilibrium; "
-                        f"worst violations: {report.agent_worst} {report.principal_worst}"
-                    )
-            found[key] = (fa, assessment)
+            zs = combos[..., 1]
+            own = u_tab[zs[:, block_of], np.arange(T)]
+            keep = distinct & ~np.any(own < u_tab[zs].max(axis=1) - tol, axis=1)
+            for combo in combos[keep].tolist():
+                z_of_type = [combo[b][1] for b in block_of.tolist()]
+                fa = FinalAllocation(
+                    {labels[t]: ((float(Z[z_of_type[t]]), 1.0),) for t in range(T)}
+                )
+                key = fa.key()
+                if key in found:
+                    continue
+                assessment = _assessment_from_blocks(game, part, combo)
+                if validate:
+                    report = check_continuation(env, assessment, tol)
+                    if not report.passed:
+                        raise AssertionError(
+                            "partition enumeration produced an invalid equilibrium; "
+                            f"worst violations: {report.agent_worst} {report.principal_worst}"
+                        )
+                found[key] = (fa, assessment)
     return found
 
 
@@ -650,16 +650,15 @@ def check_gamma_equal(
     only_full = tuple(sorted(set(full) - set(lim), key=repr))
 
     failures = []
-    for transform, found in (
-        (lambda a: lift_to_limited(game_0, a, alpha_steps), full),
-        (lambda a: collapse_to_full(game_a, a), lim),
+    for transform, source, target, found in (
+        (lift_to_limited, game_0, game_a, full),
+        (collapse_to_full, game_a, game_0, lim),
     ):
         failed = 0
         for key, (_fa, assessment) in found.items():
             try:
-                g2, moved = transform(assessment)
-                rep = check_continuation(g2.env, moved, tol)
-                if not rep.passed or final_allocation_of(g2, rep.allocation).key() != key:
+                rep = check_continuation(target.env, transform(source, assessment, target), tol)
+                if not rep.passed or final_allocation_of(target, rep.allocation).key() != key:
                     failed += 1
             except ValueError:  # ConcavityError included
                 failed += 1

@@ -351,6 +351,17 @@ class TestScenarioErrors:
         assert "$.environment" in res.output
         assert "prior weights sum to" in res.output
 
+    def _invoke_with(self, tmp_path, fixture, block, keys, value):
+        raw = json.loads(fixture_path(fixture).read_text())
+        target = raw[block]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        return CliRunner().invoke(
+            cli.main, ["--scenario", str(path), "--out", str(tmp_path / "out")]
+        )
 
     @pytest.mark.parametrize(
         "field, value, where",
@@ -378,19 +389,52 @@ class TestScenarioErrors:
             ("agent_utilities", None, "$.agency.agent_utilities"),
             ("agent_utilities", ["x*theta - y^2"], "$.agency.agent_utilities"),
             ("principal_payoffs", "y*theta - x^2", "$.agency.principal_payoffs"),
+            ("x_box", [5.0, 0.0], "$.agency.x_box"),
+            ("y_box", [1.0, float("inf")], "$.agency.y_box"),
         ],
     )
     def test_agency_lists_checked(self, tmp_path, field, value, where):
-        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
-        raw["agency"][field] = value
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        res = CliRunner().invoke(
-            cli.main, ["--scenario", str(path), "--out", str(tmp_path / "out")]
-        )
+        res = self._invoke_with(tmp_path, "agency_beta17_21.json", "agency", [field], value)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert where in res.output
+
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (["alpha_steps"], 1e308, "$.revisable.alpha_steps"),
+            (["alpha_steps"], None, "$.revisable.alpha_steps"),
+            (["alpha_steps"], "x", "$.revisable.alpha_steps"),
+            (["alpha_steps"], -1, "$.revisable.alpha_steps"),
+            (["alpha_steps"], 5, "$.revisable.alpha_steps"),
+            (["z_grid", "lo"], None, "$.revisable.z_grid.lo"),
+            (["z_grid", "hi"], 0.0, "$.revisable.z_grid.hi"),
+            (["z_grid", "points"], 1e308, "$.revisable.z_grid.points"),
+            (["z_grid", "points"], 1, "$.revisable.z_grid.points"),
+            (["z_range"], [], "$.revisable.z_range"),
+            (["z_range"], ["x", 1], "$.revisable.z_range"),
+            (["z_range"], [2.0, -1.0], "$.revisable.z_range"),
+            (["ideal_form"], {}, "$.revisable.ideal_form"),
+            (["ideal_form"], [1], "$.revisable.ideal_form"),
+            (["ideal_form"], [float("inf"), 0.7], "$.revisable.ideal_form"),
+        ],
+    )
+    def test_revisable_fields_checked(self, tmp_path, keys, value, where):
+        res = self._invoke_with(tmp_path, "revisable_grid.json", "revisable", keys, value)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert where in res.output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("x_grid", 0), ("y_grid", 100_001), ("y_box", [1.0, 1.0]), ("panels", None), ("panels", 3)],
+    )
+    def test_single_problem_fields_checked(self, tmp_path, key, value):
+        res = self._invoke_with(tmp_path, "labor_single.json", "problem", [key], value)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"$.problem.{key}" in res.output
+
 
 class TestSerializationRoundTrip:
     def test_check_equilibrium_report_serializes(self, tmp_path):

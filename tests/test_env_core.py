@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,3 +205,82 @@ def test_interval_contractible_set_blocks_enumeration():
     assert ec.validate(env).passed
     with pytest.raises(ValueError, match="not finite"):
         ct.enumerate_gstar(env, 0)
+
+
+_EXPRESSIONS = ("x1*theta - y1^2", "log(theta) + x1", "sqrt(theta)*y1", "y1/(theta - 1)", "theta")
+
+
+@st.composite
+def _random_env(draw):
+    """One or two principals with random feasibility, expression or table
+    payoffs; some expressions raise at one type (log or division at 0 or 1)."""
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3, unique=True))
+    num = st.floats(-2.0, 2.0, allow_nan=False)
+    specs = []
+    for _ in range(n):
+        xs = tuple(ec.ActionValue(f"x{i}", draw(num)) for i in range(draw(st.integers(1, 2))))
+        ys = tuple(ec.ActionValue(f"y{i}", draw(num)) for i in range(draw(st.integers(2, 3))))
+        labels = [y.label for y in ys]
+        feasible = {
+            x.label: tuple(draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)))
+            for x in xs
+        }
+        specs.append(ec.PrincipalSpec(contractible=xs, noncontractible=ys, feasible=feasible))
+    exprs = [draw(st.sampled_from(_EXPRESSIONS)) for _ in range(n + 1)]
+    env = ec.Environment(
+        types=ec.TypeSpace.uniform_finite(values),
+        principals=tuple(specs),
+        payoffs=ec.PayoffModel.from_expressions(exprs[0], exprs[1:]),
+    )
+    if draw(st.booleans()):
+        return env
+    entries = {
+        (t, prof): (draw(st.integers(-3, 3)), tuple(draw(num) for _ in range(n)))
+        for t in env.types.labels
+        for prof in ec._profile_sweep(env)
+    }
+    return replace(env, payoffs=ec.PayoffModel.from_table(entries, n))
+
+
+@given(env=_random_env())
+@settings(max_examples=60, deadline=None)
+def test_payoff_tables_equal_scalar_path(env):
+    tables = ec.payoff_tables(env)
+    assert ec.payoff_tables(env) is tables  # built once per environment
+    for prof in ec._profile_sweep(env):
+        try:
+            u = np.array([ec.payoff_u(env, prof, tv) for tv in env.types.values])
+            v = np.array(
+                [[ec.payoff_v(env, j, prof, tv) for tv in env.types.values] for j in range(env.n)]
+            )
+        except ec.EvalError:
+            assert prof not in tables
+            continue
+        assert tables[prof][0].dtype == u.dtype and tables[prof][1].dtype == v.dtype
+        assert np.array_equal(tables[prof][0], u) and np.array_equal(tables[prof][1], v)
+
+
+def test_profile_raising_at_one_type_is_left_out():
+    from contract_forge import contracts as ct
+    from contract_forge import equilibrium as eq
+
+    spec = ec.PrincipalSpec(
+        contractible=(ec.ActionValue("a", 1.0),),
+        noncontractible=(ec.ActionValue("lo", 0.0), ec.ActionValue("hi", 1.0)),
+        feasible={"a": ("lo", "hi")},
+    )
+    env = ec.Environment(
+        types=ec.TypeSpace.uniform_finite([1.0, 0.0]),
+        principals=(spec,),
+        payoffs=ec.PayoffModel.from_expressions("y*log(theta + 1 - y)", ["y*theta"]),
+    )
+    # the log's argument is 0 at the type at 0 after "hi" only
+    assert set(ec.payoff_tables(env)) == {(("a", "lo"),)}
+    assert ec.validate(env).violations == (
+        "payoff evaluation failed: log of nonpositive value in log(((theta+1)-y))",
+    )
+    mech = ct.menu_rec(env, 0, ["a"])
+    strategy = {"t0": ((("a|hi",), 1.0),), "t1": ((("a|lo",), 1.0),)}
+    with pytest.raises(ec.EvalError, match=r"^log of nonpositive value in log\(\(\(theta\+1\)-y\)\)$"):
+        eq.check_continuation(env, eq.build_assessment(env, (mech,), strategy))

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from contract_forge import exprlang
 from contract_forge import revisable as rv
 from contract_forge.env_core import Belief, TypeSpace
 from contract_forge.equilibrium import check_continuation
@@ -123,7 +125,8 @@ class TestTransforms:
         game = self._small_game(0)
         found = rv.enumerate_final_allocations(game)
         key, (fa, assessment) = next(iter(found.items()))
-        g0, collapsed = rv.collapse_to_full(game, assessment)
+        g0 = self._small_game(0)
+        collapsed = rv.collapse_to_full(game, assessment, g0)
         rep = check_continuation(g0.env, collapsed)
         assert rep.passed
         assert rv.final_allocation_of(g0, rep.allocation).key() == key
@@ -132,28 +135,28 @@ class TestTransforms:
         game = self._small_game(0)
         found = rv.enumerate_final_allocations(game)
         for key, (fa, assessment) in list(found.items())[:5]:
-            g2, lifted = rv.lift_to_limited(game, assessment, 0)
-            rep = check_continuation(g2.env, lifted)
+            lifted = rv.lift_to_limited(game, assessment, game)
+            rep = check_continuation(game.env, lifted)
             assert rep.passed
-            assert rv.final_allocation_of(g2, rep.allocation).key() == key
+            assert rv.final_allocation_of(game, rep.allocation).key() == key
 
     def test_round_trip_preserves_final_allocation_and_sender_payoffs(self):
-        game0 = self._small_game(0)
+        game0, g_a = self._small_game(0), self._small_game(1)
         found = rv.enumerate_final_allocations(game0)
         for key, (fa, assessment) in list(found.items())[:10]:
-            g_a, lifted = rv.lift_to_limited(game0, assessment, 1)
+            lifted = rv.lift_to_limited(game0, assessment, g_a)
             rep_a = check_continuation(g_a.env, lifted)
             assert rep_a.passed
-            g_back, collapsed = rv.collapse_to_full(g_a, lifted)
-            rep_0 = check_continuation(g_back.env, collapsed)
+            collapsed = rv.collapse_to_full(g_a, lifted, game0)
+            rep_0 = check_continuation(game0.env, collapsed)
             assert rep_0.passed
-            assert rv.final_allocation_of(g_back, rep_0.allocation).key() == key
+            assert rv.final_allocation_of(game0, rep_0.allocation).key() == key
             # per-type sender payoffs unchanged by the transforms
             u = lambda z, th: -((z - th) ** 2)
             for t_label, dist in fa.entries.items():
                 th = game0.env.types.values[game0.env.types.labels.index(t_label)]
                 before = sum(p * u(z, th) for z, p in dist)
-                after_dist = rv.final_allocation_of(g_back, rep_0.allocation).entries[
+                after_dist = rv.final_allocation_of(game0, rep_0.allocation).entries[
                     t_label
                 ]
                 after = sum(p * u(z, th) for z, p in after_dist)
@@ -162,11 +165,12 @@ class TestTransforms:
     def test_message_with_zero_gap_keeps_baseline(self):
         model = quadratic_model(k=0.0, a=1.0, types=TypeSpace.uniform_finite([0.5]))
         game0 = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, 5)), 0)
+        g_a = rv.build_grid_game(model, game0.z_values, 1)
         found = rv.enumerate_final_allocations(game0)
         # pick the allocation putting the single type at its ideal z = 0.5
         for key, (fa, assessment) in found.items():
             if fa.entries["t0"][0][0] == pytest.approx(0.5):
-                g_a, lifted = rv.lift_to_limited(game0, assessment, 1)
+                lifted = rv.lift_to_limited(game0, assessment, g_a)
                 msg = lifted.strategy["t0"][0][0][0]
                 x_lab, rev_lab = msg.split("|")
                 assert g_a.final_of(x_lab, rev_lab) == pytest.approx(0.5)
@@ -218,15 +222,15 @@ class TestMenuAssessment:
         assert len(found) == 25 and shared == 4
 
     def test_lift_then_collapse(self):
-        game0 = self._game(0)
+        game0, g_a = self._game(0), self._game(1)
         for key, (fa, assessment) in rv.enumerate_final_allocations(game0).items():
-            g_a, lifted = rv.lift_to_limited(game0, assessment, 1)
+            lifted = rv.lift_to_limited(game0, assessment, g_a)
             self._check_offpath_rule(lifted)
             assert check_continuation(g_a.env, lifted).passed
-            g_back, collapsed = rv.collapse_to_full(g_a, lifted)
-            rep = check_continuation(g_back.env, collapsed)
+            collapsed = rv.collapse_to_full(g_a, lifted, game0)
+            rep = check_continuation(game0.env, collapsed)
             assert rep.passed
-            assert rv.final_allocation_of(g_back, rep.allocation).key() == key
+            assert rv.final_allocation_of(game0, rep.allocation).key() == key
 
 
 class TestGammaEquality:
@@ -294,6 +298,80 @@ class TestClosedForms:
     def test_lift_check_passes(self):
         out = rv.ms_lift_check(0.2, 0.5, 0.3, theta_grid=21)
         assert out["worst_deviation"] <= out["scan_step"] + 1e-9
+
+
+def _naive_final_allocation_keys(game, tol=1e-9):
+    """Final-allocation keys in discovery order, one candidate at a time."""
+    thetas = game.env.types.values
+    mu = game.env.types.weights
+    T = len(thetas)
+    Z = np.array(game.z_values)
+    u_fn = exprlang.compile_fn(game.model.sender, ["z", "theta"])
+    u_tab = np.asarray(u_fn(Z[:, None], thetas[None, :]), dtype=float)
+    v_tab = np.asarray(game.model.receiver_fn(Z[:, None], thetas[None, :]), dtype=float)
+    windows = [
+        sorted({i for i, z in enumerate(Z) for r in game.rev_values if abs(x + r - z) <= 1e-9})
+        for x in game.x_values
+    ]
+    keys = []
+    for part in rv._partitions(list(range(T))):
+        options = []
+        for block in part:
+            w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
+            vbar = v_tab @ (w / w.sum())
+            options.append([
+                (xi, zi) for xi, win in enumerate(windows) for zi in win
+                if vbar[zi] >= max(vbar[w] for w in win) - tol
+            ])
+        for combo in itertools.product(*options):
+            if len(set(combo)) != len(combo):
+                continue
+            z_of = {t: zi for block, (_, zi) in zip(part, combo) for t in block}
+            used = {zi for _, zi in combo}
+            if all(u_tab[z_of[t], t] >= max(u_tab[zi, t] for zi in used) - tol for t in range(T)):
+                key = rv.FinalAllocation(
+                    {game.env.types.labels[t]: ((float(Z[z_of[t]]), 1.0),) for t in range(T)}
+                ).key()
+                if key not in keys:
+                    keys.append(key)
+    return keys
+
+
+@pytest.mark.parametrize("receiver", ["-(z - 0.05 - 0.7*theta)^2", "0*z*theta"])
+def test_vectorized_filter_matches_naive_loop(monkeypatch, receiver):
+    """Block boundaries of 7 fall inside partitions; the flat receiver ties
+    every final action of every window."""
+    monkeypatch.setattr(rv, "_FILTER_BLOCK", 7)
+    model = rv.RevisableModel.additive(
+        "-(z - theta)^2", receiver, TypeSpace.uniform_finite([0.0, 0.5, 1.0]), alpha=0.0
+    )
+    game = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, 5)), 1)
+    found = rv.enumerate_final_allocations(game, validate=False)
+    assert list(found) == _naive_final_allocation_keys(game)
+
+
+def test_check_gamma_equal_work_counts(monkeypatch):
+    """Two grid games per check, one payoff table per game environment,
+    and every found, lifted and collapsed assessment checked once."""
+    from contract_forge import env_core
+
+    counts = {"build": 0, "payoff": 0, "check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rv, "build_grid_game", counted("build", rv.build_grid_game))
+    monkeypatch.setattr(rv, "check_continuation", counted("check", rv.check_continuation))
+    monkeypatch.setattr(env_core, "payoff_u", counted("payoff", env_core.payoff_u))
+    monkeypatch.setattr(env_core, "payoff_v", counted("payoff", env_core.payoff_v))
+    rep = rv.check_gamma_equal(quadratic_model(), tuple(np.linspace(0.0, 1.0, 5)), 1)
+    assert rep.equal and rep.transforms_ok and rep.n_full == 45
+    # 5 types x (15 + 5 feasible pairs) x (agent + receiver) evaluations;
+    # 45 allocations found in each model, each lifted or collapsed
+    assert counts == {"build": 2, "payoff": 200, "check": 180}
 
 
 def test_enumeration_cap_guard():
