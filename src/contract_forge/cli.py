@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,20 +31,24 @@ from . import exprlang
 from . import revisable as rv
 from . import solver_agency as sa
 from . import solver_single as ss
-from .reportio import dumps, write_report_files
+from .reportio import write_report_files
 
 SCHEMA_VERSION = 1
-COMMANDS = (
-    "solve-single",
-    "solve-agency",
-    "revisable-check",
-    "enumerate-canonical",
-    "check-equilibrium",
-    "robust-check",
-    "private-check",
-    "necessity-env",
-    "plain-menu-demo",
-)
+_SEARCH = ("tol", "policies", "mixing", "cap")
+# per command: the blocks it needs and the options it reads (any other
+# option is an unknown field)
+_COMMAND_SPECS = {
+    "solve-single": (("problem",), ()),
+    "solve-agency": (("agency",), ()),
+    "revisable-check": (("revisable",), ("tol",)),
+    "enumerate-canonical": (("environment",), ("principal", "space")),
+    "check-equilibrium": (("environment", "assessment"), ("tol",)),
+    "robust-check": (("environment", "assessment"), _SEARCH + ("deviations",)),
+    "private-check": (("environment", "assessment"), _SEARCH + ("deviations",)),
+    "necessity-env": (("environment",), _SEARCH + ("principal", "menu")),
+    "plain-menu-demo": ((), _SEARCH + ("aux_states",)),
+}
+COMMANDS = tuple(_COMMAND_SPECS)
 
 
 class ScenarioError(ValueError):
@@ -62,13 +66,67 @@ def _check_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str], p
             raise ScenarioError(f"schema error at {path}: missing field {key!r}")
 
 
-def _parse_expr(text, path: str) -> exprlang.Expr:
+def _parse_expr(text, path: str, names: Sequence[str] | None = None) -> exprlang.Expr:
+    """An expression string, over only ``names`` when given."""
     if not isinstance(text, str):
         raise ScenarioError(f"schema error at {path}: expected an expression string")
     try:
-        return exprlang.parse(text)
+        expr = exprlang.parse(text)
     except exprlang.ParseError as e:
         raise ScenarioError(f"expression error at {path}: {e}") from None
+    unknown = sorted(exprlang.free_vars(expr).difference(names)) if names is not None else ()
+    if unknown:
+        raise ScenarioError(f"expression error at {path}: unknown variable {unknown[0]!r}")
+    return expr
+
+
+def _number(value, path: str, ok=math.isfinite, expect: str = "a finite number"):
+    """One JSON number (not a boolean) for which ``ok`` holds."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not ok(value):
+        raise ScenarioError(f"schema error at {path}: expected {expect}")
+    return value
+
+
+def _integer(value, path: str, lo: int, hi: int, parity: int | None = None) -> int:
+    """A JSON integer in [lo, hi], even (``parity`` 0) or odd (1) when set."""
+    ok = lambda v: isinstance(v, int) and lo <= v <= hi and parity in (None, v % 2)
+    kind = {None: "an integer", 0: "an even integer", 1: "an odd integer"}[parity]
+    return _number(value, path, ok, f"{kind} in [{lo}, {hi}]")
+
+
+def _text(value, path: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"schema error at {path}: expected a string")
+    return value
+
+
+def _choice(value, path: str, choices: Sequence):
+    """One of ``choices``, compared with its JSON type (true is not 1)."""
+    if not any(type(value) is type(c) and value == c for c in choices):
+        listed = ", ".join(json.dumps(c) for c in choices)
+        raise ScenarioError(f"schema error at {path}: expected one of {listed}")
+    return value
+
+
+def _list(value, path: str, length: int | None = None) -> list:
+    """A nonempty JSON list, of ``length`` items when given."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        raise ScenarioError(f"schema error at {path}: expected a list of {length or 'one or more'} items")
+    return value
+
+
+def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
+    """A nonempty list of finite numbers, of ``length`` when given."""
+    return tuple(float(_number(v, f"{path}[{i}]")) for i, v in enumerate(_list(value, path, length)))
+
+
+def _box(value, path: str) -> tuple[float, float]:
+    """Two finite numbers, the first below the second."""
+    lo, hi = _numbers(value, path, 2)
+    if not lo < hi:
+        raise ScenarioError(f"schema error at {path}: expected lo < hi")
+    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +134,9 @@ class ScenarioFile:
     command: str
     raw: Mapping
     path: str
-    # built and validated blocks by name ("environment", "problem",
-    # "agency", "revisable", "options"); handlers read these, not ``raw``
+    # built and checked blocks by name ("environment", "assessment",
+    # "problem", "agency", "revisable", "options"); handlers read only
+    # these, and ``raw`` serves the config hash
     blocks: Mapping = field(default_factory=dict)
 
 
@@ -96,28 +155,11 @@ class RunReport:
 # Scenario parsing
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = (
-    "schema",
-    "command",
-    "environment",
-    "assessment",
-    "problem",
-    "agency",
-    "revisable",
-    "options",
-)
+_TOP_KEYS = ("schema", "command", "environment", "assessment", "problem", "agency", "revisable", "options")
 
-_BLOCKS_BY_COMMAND = {
-    "solve-single": ("problem",),
-    "solve-agency": ("agency",),
-    "revisable-check": ("revisable",),
-    "enumerate-canonical": ("environment",),
-    "check-equilibrium": ("environment", "assessment"),
-    "robust-check": ("environment", "assessment"),
-    "private-check": ("environment", "assessment"),
-    "necessity-env": ("environment",),
-    "plain-menu-demo": (),
-}
+# contract spaces by option value: ``space`` s is enumerated by
+# ``ct.enumerate_<s>``, looked up when called
+_SPACES = ("gstar", "gsharp", "private")
 
 
 def parse_scenario(path: str | Path) -> ScenarioFile:
@@ -136,175 +178,129 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
     command = raw["command"]
     if command not in COMMANDS:
         raise ScenarioError(f"schema error at $.command: unknown command {command!r}")
-    for block in _BLOCKS_BY_COMMAND[command]:
+    for block in _COMMAND_SPECS[command][0]:
         if block not in raw:
             raise ScenarioError(f"schema error at $: command {command!r} needs {block!r}")
-    return ScenarioFile(command=command, raw=raw, path=str(path), blocks=_build_blocks(raw))
+    return ScenarioFile(command=command, raw=raw, path=str(path), blocks=_build_blocks(raw, command))
 
 
-def _build_blocks(raw: Mapping) -> dict:
-    """Build (and so validate) every block present, once."""
+def _build_blocks(raw: Mapping, command: str) -> dict:
+    """Build (and so check) every block present, once.
+
+    A ValueError that a library constructor raises while a block is
+    built is reported as a ScenarioError at that block's path.
+    """
+    blocks: dict = {}
     builders = {
         "environment": _environment_from,
         "problem": _single_problem_from,
         "agency": _agency_problem_from,
         "revisable": _revisable_from,
+        "assessment": lambda obj, path: _assessment_from(blocks.get("environment"), obj, path),
+        "options": lambda obj, path: _options_from(obj, path, command, blocks.get("environment")),
     }
-    blocks = {name: build(raw[name], f"$.{name}") for name, build in builders.items() if name in raw}
-    blocks["options"] = _options_from(raw)
+    for name, build in builders.items():
+        if name in raw or name == "options":
+            try:
+                blocks[name] = build(raw.get(name, {}), f"$.{name}")
+            except ScenarioError:
+                raise
+            except ValueError as e:
+                raise ScenarioError(f"invalid {name} at $.{name}: {e}") from None
     return blocks
 
 
-def _typespace_from(obj, path: str) -> ec.TypeSpace:
-    _check_keys(
-        obj,
-        ("kind", "items", "lo", "hi", "density", "mean", "sd", "grid"),
-        ("kind",),
-        path,
-    )
-    if obj["kind"] == "finite":
-        items = obj.get("items")
-        if not isinstance(items, list) or not items:
-            raise ScenarioError(f"schema error at {path}.items: expected a nonempty list")
+def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval")) -> ec.TypeSpace:
+    _check_keys(obj, ("kind", "items", "lo", "hi", "density", "mean", "sd", "grid"), ("kind",), path)
+    if _choice(obj["kind"], f"{path}.kind", kinds) == "finite":
+        _check_keys(obj, ("kind", "items"), ("items",), path)
         rows = []
-        for i, it in enumerate(items):
-            _check_keys(it, ("label", "value", "weight"), ("label", "value", "weight"), f"{path}.items[{i}]")
-            rows.append((str(it["label"]), float(it["value"]), float(it["weight"])))
+        for i, it in enumerate(_list(obj["items"], f"{path}.items")):
+            ipath = f"{path}.items[{i}]"
+            _check_keys(it, ("label", "value", "weight"), ("label", "value", "weight"), ipath)
+            value, weight = (float(_number(it[k], f"{ipath}.{k}")) for k in ("value", "weight"))
+            rows.append((_text(it["label"], f"{ipath}.label"), value, weight))
         return ec.TypeSpace.from_finite(rows)
-    if obj["kind"] == "interval":
-        _check_keys(
-            obj,
-            ("kind", "lo", "hi", "density", "mean", "sd", "grid"),
-            ("lo", "hi"),
-            path,
-        )
-        return ec.TypeSpace.interval(
-            float(obj["lo"]),
-            float(obj["hi"]),
-            density=obj.get("density", "uniform"),
-            mean=float(obj.get("mean", 0.0)),
-            sd=float(obj.get("sd", 1.0)),
-            grid_points=int(obj.get("grid", 1025)),
-        )
-    raise ScenarioError(f"schema error at {path}.kind: expected 'finite' or 'interval'")
+    _check_keys(obj, ("kind", "lo", "hi", "density", "mean", "sd", "grid"), ("lo", "hi"), path)
+    lo = float(_number(obj["lo"], f"{path}.lo"))
+    return ec.TypeSpace.interval(
+        lo,
+        float(_number(obj["hi"], f"{path}.hi", lambda v: lo < v < math.inf, "a finite number above lo")),
+        density=_choice(obj.get("density", "uniform"), f"{path}.density", ("uniform", "normal")),
+        mean=float(_number(obj.get("mean", 0.0), f"{path}.mean")),
+        sd=float(_number(obj.get("sd", 1.0), f"{path}.sd", lambda v: 0.0 < v < math.inf, "a finite number > 0")),
+        grid_points=_integer(obj.get("grid", 1025), f"{path}.grid", 3, 100_001, parity=1),
+    )
 
 
 def _actions_from(items, path: str) -> tuple[ec.ActionValue, ...]:
-    if not isinstance(items, list) or not items:
-        raise ScenarioError(f"schema error at {path}: expected a nonempty list")
     out = []
-    for i, it in enumerate(items):
-        _check_keys(it, ("label", "value"), ("label",), f"{path}[{i}]")
+    for i, it in enumerate(_list(items, path)):
+        ipath = f"{path}[{i}]"
+        _check_keys(it, ("label", "value"), ("label",), ipath)
         value = it.get("value")
-        out.append(ec.ActionValue(str(it["label"]), None if value is None else float(value)))
+        label = _text(it["label"], f"{ipath}.label")
+        if any(a.label == label for a in out):
+            raise ScenarioError(f"schema error at {ipath}.label: duplicate label {label!r}")
+        out.append(ec.ActionValue(label, None if value is None else float(_number(value, f"{ipath}.value"))))
     return tuple(out)
 
 
 def _environment_from(obj, path: str) -> ec.Environment:
-    _check_keys(
-        obj,
-        ("types", "principals", "payoffs", "observability", "optout"),
-        ("types", "principals", "payoffs"),
-        path,
-    )
+    required = ("types", "principals", "payoffs")
+    _check_keys(obj, required + ("observability", "optout"), required, path)
     types = _typespace_from(obj["types"], f"{path}.types")
     principals = []
-    if not isinstance(obj["principals"], list) or not obj["principals"]:
-        raise ScenarioError(f"schema error at {path}.principals: expected a nonempty list")
-    for j, spec in enumerate(obj["principals"]):
+    for j, spec in enumerate(_list(obj["principals"], f"{path}.principals")):
         spath = f"{path}.principals[{j}]"
         _check_keys(spec, ("contractible", "noncontractible", "feasible"), ("contractible", "noncontractible", "feasible"), spath)
+        xs = _actions_from(spec["contractible"], f"{spath}.contractible")
+        ys = _actions_from(spec["noncontractible"], f"{spath}.noncontractible")
+        fpath, y_labels = f"{spath}.feasible", [y.label for y in ys]
+        _check_keys(spec["feasible"], [x.label for x in xs], (), fpath)
         feasible = {
-            str(k): tuple(str(y) for y in v) for k, v in spec["feasible"].items()
+            x: tuple(_choice(y, f"{fpath}.{x}[{i}]", y_labels) for i, y in enumerate(_list(v, f"{fpath}.{x}")))
+            for x, v in spec["feasible"].items()
         }
-        principals.append(
-            ec.PrincipalSpec(
-                contractible=_actions_from(spec["contractible"], f"{spath}.contractible"),
-                noncontractible=_actions_from(spec["noncontractible"], f"{spath}.noncontractible"),
-                feasible=feasible,
-            )
-        )
-    pay = obj["payoffs"]
-    ppath = f"{path}.payoffs"
+        principals.append(ec.PrincipalSpec(contractible=xs, noncontractible=ys, feasible=feasible))
+    n = len(principals)
+    pay, ppath = obj["payoffs"], f"{path}.payoffs"
     _check_keys(pay, ("mode", "agent", "principals", "outside", "entries"), ("mode",), ppath)
-    if pay["mode"] == "expressions":
-        agent = _parse_expr(pay.get("agent"), f"{ppath}.agent")
-        pexprs = [
-            _parse_expr(e, f"{ppath}.principals[{i}]")
-            for i, e in enumerate(pay.get("principals", []))
-        ]
-        if len(pexprs) != len(principals):
-            raise ScenarioError(f"schema error at {ppath}.principals: need one expression per principal")
-        outside = _parse_expr(pay.get("outside", "0"), f"{ppath}.outside")
-        payoffs = ec.PayoffModel.from_expressions(agent, pexprs, outside)
-    elif pay["mode"] == "table":
+    outside = _parse_expr(pay.get("outside", "0"), f"{ppath}.outside")
+    if _choice(pay["mode"], f"{ppath}.mode", ("expressions", "table")) == "expressions":
+        _check_keys(pay, ("mode", "agent", "principals", "outside"), ("agent", "principals"), ppath)
+        pexprs = _list(pay["principals"], f"{ppath}.principals", n)
+        pexprs = [_parse_expr(e, f"{ppath}.principals[{i}]") for i, e in enumerate(pexprs)]
+        payoffs = ec.PayoffModel.from_expressions(_parse_expr(pay["agent"], f"{ppath}.agent"), pexprs, outside)
+    else:
+        _check_keys(pay, ("mode", "outside", "entries"), ("entries",), ppath)
         entries = {}
-        for i, row in enumerate(pay.get("entries", [])):
+        for i, row in enumerate(_list(pay["entries"], f"{ppath}.entries")):
             rpath = f"{ppath}.entries[{i}]"
             _check_keys(row, ("state", "pairs", "agent", "principals"), ("state", "pairs", "agent", "principals"), rpath)
-            prof = tuple((str(x), str(y)) for x, y in row["pairs"])
-            entries[(str(row["state"]), prof)] = (
-                float(row["agent"]),
-                tuple(float(v) for v in row["principals"]),
+            prof = tuple(
+                tuple(_text(v, f"{rpath}.pairs[{k}][{m}]") for m, v in enumerate(_list(pair, f"{rpath}.pairs[{k}]", 2)))
+                for k, pair in enumerate(_list(row["pairs"], f"{rpath}.pairs", n))
             )
-        outside = _parse_expr(pay.get("outside", "0"), f"{ppath}.outside")
-        payoffs = ec.PayoffModel.from_table(entries, n_principals=len(principals), outside=outside)
-    else:
-        raise ScenarioError(f"schema error at {ppath}.mode: expected 'expressions' or 'table'")
+            agent = float(_number(row["agent"], f"{rpath}.agent"))
+            entries[(_text(row["state"], f"{rpath}.state"), prof)] = (agent, _numbers(row["principals"], f"{rpath}.principals", n))
+        payoffs = ec.PayoffModel.from_table(entries, n_principals=n, outside=outside)
     env = ec.Environment(
         types=types,
         principals=tuple(principals),
         payoffs=payoffs,
-        observability=obj.get("observability", "public"),
-        optout=bool(obj.get("optout", True)),
+        observability=_choice(obj.get("observability", "public"), f"{path}.observability", ("public", "private")),
+        optout=_choice(obj.get("optout", True), f"{path}.optout", (True, False)),
     )
-    if env.observability not in ("public", "private"):
-        raise ScenarioError(f"schema error at {path}.observability: expected 'public' or 'private'")
     validation = ec.validate(env)
     if not validation.passed:
         raise ScenarioError(f"invalid environment at {path}: {'; '.join(validation.violations)}")
     return env
 
 
-def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
-    """A nonempty list of finite numbers, of ``length`` when given."""
-    ok = isinstance(value, list) and len(value) > 0 and length in (None, len(value))
-    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    if not ok or not all(number(v) for v in value):
-        size = f"{length} finite numbers" if length else "finite numbers"
-        raise ScenarioError(f"schema error at {path}: expected a list of {size}")
-    return tuple(float(v) for v in value)
-
-
-def _number(value, path: str, ok=math.isfinite, expect: str = "a finite number"):
-    """One JSON number (not a boolean) for which ``ok`` holds."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not ok(value):
-        raise ScenarioError(f"schema error at {path}: expected {expect}")
-    return value
-
-
-def _integer(value, path: str, lo: int, hi: int, even: bool = False) -> int:
-    """A JSON integer in [lo, hi], even when ``even`` is set."""
-    ok = lambda v: isinstance(v, int) and lo <= v <= hi and not (even and v % 2)
-    kind = "an even integer" if even else "an integer"
-    return _number(value, path, ok, f"{kind} in [{lo}, {hi}]")
-
-
-def _box(value, path: str) -> tuple[float, float]:
-    """Two finite numbers, the first below the second."""
-    lo, hi = _numbers(value, path, 2)
-    if not lo < hi:
-        raise ScenarioError(f"schema error at {path}: expected lo < hi")
-    return lo, hi
-
-
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
-    _check_keys(
-        obj,
-        ("agent", "principal", "types", "x_box", "y_box", "x_grid", "y_grid", "panels"),
-        ("agent", "principal", "types"),
-        path,
-    )
+    required = ("agent", "principal", "types")
+    _check_keys(obj, required + ("x_box", "y_box", "x_grid", "y_grid", "panels"), required, path)
     return ss.SingleProblem(
         u=_parse_expr(obj["agent"], f"{path}.agent"),
         v=_parse_expr(obj["principal"], f"{path}.principal"),
@@ -313,34 +309,18 @@ def _single_problem_from(obj, path: str) -> ss.SingleProblem:
         y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
         x_grid=_integer(obj.get("x_grid", 256), f"{path}.x_grid", 1, 100_000),
         y_grid=_integer(obj.get("y_grid", 256), f"{path}.y_grid", 1, 100_000),
-        panels=_integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, even=True),
+        panels=_integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, parity=0),
     )
 
 
 def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
-    _check_keys(
-        obj,
-        (
-            "beta",
-            "agent_utilities",
-            "principal_payoffs",
-            "types",
-            "x_box",
-            "y_box",
-            "start",
-            "damping",
-            "fp_tol",
-            "max_iter",
-            "deviation_menus",
-        ),
-        ("beta", "agent_utilities", "principal_payoffs", "types"),
-        path,
-    )
-    exprs = {}
-    for key in ("agent_utilities", "principal_payoffs"):
-        if not isinstance(obj[key], list) or len(obj[key]) != 2:
-            raise ScenarioError(f"schema error at {path}.{key}: expected a list of two expressions")
-        exprs[key] = tuple(_parse_expr(e, f"{path}.{key}[{i}]") for i, e in enumerate(obj[key]))
+    required = ("beta", "agent_utilities", "principal_payoffs", "types")
+    optional = ("x_box", "y_box", "start", "damping", "fp_tol", "max_iter", "deviation_menus")
+    _check_keys(obj, required + optional, required, path)
+    exprs = {
+        key: tuple(_parse_expr(e, f"{path}.{key}[{i}]") for i, e in enumerate(_list(obj[key], f"{path}.{key}", 2)))
+        for key in ("agent_utilities", "principal_payoffs")
+    }
     problem = sa.AgencyProblem(
         beta=float(_number(obj["beta"], f"{path}.beta")),
         agent_utilities=exprs["agent_utilities"],
@@ -372,109 +352,154 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
 
 
 def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...], int]:
-    _check_keys(
-        obj,
-        ("mode", "sender", "receiver", "types", "z_grid", "alpha_steps", "z_range", "ideal_form"),
-        ("mode", "sender", "receiver", "types", "z_grid", "alpha_steps"),
-        path,
-    )
-    if obj["mode"] != "additive":
-        raise ScenarioError(f"schema error at {path}.mode: grid checks support 'additive'")
+    required = ("mode", "sender", "receiver", "types", "z_grid", "alpha_steps")
+    _check_keys(obj, required + ("z_range", "ideal_form"), required, path)
+    _choice(obj["mode"], f"{path}.mode", ("additive",))  # grid checks support additive revision only
     zg, zpath = obj["z_grid"], f"{path}.z_grid"
     _check_keys(zg, ("lo", "hi", "points"), ("lo", "hi", "points"), zpath)
-    lo = float(_number(zg["lo"], f"{zpath}.lo"))
-    hi = float(_number(zg["hi"], f"{zpath}.hi", lambda v: lo < v < math.inf, "a finite number above lo"))
+    # within 1e6 of zero the grid's rounding stays below the 1e-9 at which grid games match actions
+    lo = float(_number(zg["lo"], f"{zpath}.lo", lambda v: abs(v) <= 1e6, "a number in [-1e6, 1e6]"))
+    hi = float(_number(zg["hi"], f"{zpath}.hi", lambda v: lo < v <= 1e6, "a number in (lo, 1e6]"))
     points = _integer(zg["points"], f"{zpath}.points", 2, 1000)
     # points - 1 steps already let every baseline reach every final action
     alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
     ideal = obj.get("ideal_form")
+    types = _typespace_from(obj["types"], f"{path}.types", ("finite",))
     model = rv.RevisableModel.additive(
-        _parse_expr(obj["sender"], f"{path}.sender"),
-        _parse_expr(obj["receiver"], f"{path}.receiver"),
-        _typespace_from(obj["types"], f"{path}.types"),
+        _parse_expr(obj["sender"], f"{path}.sender", ("z", "theta")),
+        _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta")),
+        types,
         alpha=0.0,
         z_range=_box(obj.get("z_range", [lo - 1.0, hi + 1.0]), f"{path}.z_range"),
         ideal_form=None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2)),
     )
-    return model, tuple(np.linspace(lo, hi, points)), alpha_steps
+    if ideal is not None:
+        # the declared ideal k + a*theta must beat both neighbours h away at every type
+        _, k, a = model.ideal_form
+        theta = types.values[:, None]
+        h = 1e-6 * (model.z_range[1] - model.z_range[0])
+        v = np.broadcast_to(model.receiver_fn(k + a * theta + np.array([-h, 0.0, h]), theta), (len(theta), 3))
+        if not np.all((v[:, 0] < v[:, 1]) & (v[:, 2] < v[:, 1])):
+            raise ScenarioError(f"schema error at {path}.ideal_form: k + a*theta is not the receiver's ideal at each type")
+    z = np.linspace(lo, hi, points)
+    sender_fn = exprlang.compile_fn(model.sender, ["z", "theta"])
+    for name, fn in (("sender", sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
+        if not np.all(np.isfinite(fn(z[:, None], types.values))):
+            raise ScenarioError(f"invalid revisable at {path}.{name}: not finite at every grid point and type")
+    return model, tuple(z), alpha_steps
 
 
-_OPTION_KEYS = (
-    "tol",
-    "policies",
-    "mixing",
-    "cap",
-    "principal",
-    "space",
-    "menu",
-    "deviations",
-    "aux_states",
-)
+@dataclass(frozen=True, slots=True)
+class Options:
+    """The options block, with the default of every option it leaves out."""
+
+    tol: float = 1e-9
+    principal: int = 0  # 0-based
+    space: str = "gstar"
+    menu: tuple[str, ...] = ()  # necessity-env: all of the principal's contractible actions by default
+    deviations: str | None = None  # None: the audit's own space (private or gstar)
+    aux_states: int = 0
+    policies: tuple[str, ...] = ("prior",)
+    mixing: str = "pure"
+    cap: int = 5_000_000
+
+    def search(self, tol: float) -> eq.SearchOptions:
+        return eq.SearchOptions(tol=tol, policies=self.policies, mixing=self.mixing, cap=self.cap)
 
 
-def _options_from(raw: Mapping) -> dict:
-    obj = raw.get("options", {})
-    _check_keys(obj, _OPTION_KEYS, (), "$.options")
-    out = dict(obj)
-    for key in ("policies",):
-        if key in out:
-            out[key] = tuple(out[key])
-    return out
+# option -> reader(value, path, environment); ``_options_from`` reads ``menu``
+# itself, once ``principal`` is known
+_OPTION_READERS = {
+    "tol": lambda v, p, env: float(_number(v, p, lambda t: 0.0 <= t < math.inf, "a finite number >= 0")),
+    "principal": lambda v, p, env: _integer(v, p, 1, env.n) - 1,
+    "space": lambda v, p, env: _choice(v, p, _SPACES),
+    "deviations": lambda v, p, env: _choice(v, p, _SPACES),
+    # plain-menu-demo time grows about 30-fold per auxiliary state
+    "aux_states": lambda v, p, env: _integer(v, p, 0, 3),
+    "policies": lambda v, p, env: tuple(
+        _choice(x, f"{p}[{i}]", eq.OFFPATH_POLICIES) for i, x in enumerate(_list(v, p))
+    ),
+    "mixing": lambda v, p, env: _choice(v, p, ("pure", "two-point")),
+    "cap": lambda v, p, env: _integer(v, p, 1, 1_000_000_000),
+}
 
 
-def _assessment_from(env: ec.Environment, obj, path: str) -> eq.Assessment:
-    _check_keys(
-        obj,
-        ("contracts", "strategy", "continuation", "offpath"),
-        ("contracts", "strategy"),
-        path,
-    )
+def _options_from(obj, path: str, command: str, env: ec.Environment | None) -> Options:
+    _check_keys(obj, _COMMAND_SPECS[command][1], (), path)
+    opts = Options(**{k: _OPTION_READERS[k](v, f"{path}.{k}", env) for k, v in obj.items() if k != "menu"})
+    if "menu" not in _COMMAND_SPECS[command][1]:
+        return opts
+    menu = labels = env.principals[opts.principal].x_labels
+    if "menu" in obj:
+        menu = tuple(_choice(x, f"{path}.menu[{i}]", labels) for i, x in enumerate(_list(obj["menu"], f"{path}.menu")))
+    if len(set(menu)) > len(env.types.finite):  # the construction gives each menu action a type
+        raise ScenarioError(f"schema error at {path}.menu: {len(set(menu))} actions for {len(env.types.finite)} types")
+    return replace(opts, menu=menu)
+
+
+def _assessment_from(env: ec.Environment | None, obj, path: str) -> eq.Assessment:
+    if env is None:
+        raise ScenarioError(f"schema error at {path}: an assessment needs an environment")
+    _check_keys(obj, ("contracts", "strategy", "continuation", "offpath"), ("contracts", "strategy"), path)
     mechs = []
-    for j, c in enumerate(obj["contracts"]):
+    for j, c in enumerate(_list(obj["contracts"], f"{path}.contracts", env.n)):
         cpath = f"{path}.contracts[{j}]"
         _check_keys(c, ("kind", "menu", "pairs"), ("kind",), cpath)
-        needed = {"menu_rec": "menu", "plain": "menu", "submenu": "pairs"}.get(c["kind"])
-        if needed is not None and needed not in c:
-            raise ScenarioError(f"schema error at {cpath}.{needed}: missing field {needed!r}")
-        if c["kind"] == "menu_rec":
-            mechs.append(ct.menu_rec(env, j, [str(x) for x in c["menu"]]))
-        elif c["kind"] == "plain":
-            mechs.append(ct.plain_menu(env, j, [str(x) for x in c["menu"]]))
-        elif c["kind"] == "submenu":
-            mechs.append(ct.submenu(env, j, [(str(x), str(y)) for x, y in c["pairs"]]))
+        kind = _choice(c["kind"], f"{cpath}.kind", ("menu_rec", "plain", "submenu"))
+        key = "pairs" if kind == "submenu" else "menu"
+        items = _list(c.get(key), f"{cpath}.{key}")
+        if kind == "submenu":
+            pairs = [
+                tuple(_text(v, f"{cpath}.pairs[{i}][{k}]") for k, v in enumerate(_list(pair, f"{cpath}.pairs[{i}]", 2)))
+                for i, pair in enumerate(items)
+            ]
+            mechs.append(ct.submenu(env, j, pairs))
         else:
-            raise ScenarioError(f"schema error at {cpath}.kind: unknown contract kind")
-    strategy = {}
+            menu = [_choice(x, f"{cpath}.menu[{i}]", env.principals[j].x_labels) for i, x in enumerate(items)]
+            mechs.append((ct.menu_rec if kind == "menu_rec" else ct.plain_menu)(env, j, menu))
+
+    def profile(value, ppath: str) -> tuple[str, ...]:
+        """One message per principal, each from that principal's contract."""
+        return tuple(_choice(m, f"{ppath}[{k}]", mechs[k].labels) for k, m in enumerate(_list(value, ppath, env.n)))
+
+    spath, strategy = f"{path}.strategy", {}
+    _check_keys(obj["strategy"], env.types.labels, env.types.labels, spath)
     for t_label, rows in obj["strategy"].items():
         dist = []
-        for i, row in enumerate(rows):
-            rpath = f"{path}.strategy[{t_label!r}][{i}]"
+        for i, row in enumerate(_list(rows, f"{spath}.{t_label}")):
+            rpath = f"{spath}.{t_label}[{i}]"
             _check_keys(row, ("profile", "opt_out", "prob"), ("prob",), rpath)
-            if row.get("opt_out"):
-                dist.append((ec.OPT_OUT, float(row["prob"])))
-            else:
-                dist.append((tuple(str(m) for m in row["profile"]), float(row["prob"])))
-        strategy[str(t_label)] = tuple(dist)
+            prob = float(_number(row["prob"], f"{rpath}.prob", lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+            opt_out = _choice(row.get("opt_out", False), f"{rpath}.opt_out", (True, False))
+            dist.append((ec.OPT_OUT if opt_out else profile(row.get("profile"), f"{rpath}.profile"), prob))
+        strategy[t_label] = tuple(dist)
     continuation = obj.get("continuation", "recommendation")
-    if isinstance(continuation, list):
-        cont: dict[int, dict] = {}
-        for i, row in enumerate(continuation):
+    if not isinstance(continuation, list):
+        _choice(continuation, f"{path}.continuation", ("recommendation",))
+    else:
+        private = env.observability == "private"
+        cont: dict[int, dict] = {j: {} for j in range(env.n)}
+        for i, row in enumerate(_list(continuation, f"{path}.continuation")):
             rpath = f"{path}.continuation[{i}]"
-            _check_keys(row, ("principal", "profile", "message", "action"), ("principal", "action"), rpath)
-            j = int(row["principal"]) - 1
-            col = cont.setdefault(j, {})
-            if env.observability == "private":
-                col[str(row["message"])] = str(row["action"])
+            required = ("principal", "message" if private else "profile", "action")
+            _check_keys(row, ("principal", "profile", "message", "action"), required, rpath)
+            j = _integer(row["principal"], f"{rpath}.principal", 1, env.n) - 1
+            if private:
+                key = _choice(row["message"], f"{rpath}.message", mechs[j].labels)
             else:
-                col[tuple(str(m) for m in row["profile"])] = str(row["action"])
+                key = profile(row["profile"], f"{rpath}.profile")
+            x = mechs[j].messages[mechs[j].index_of(key if private else key[j])].action
+            cont[j][key] = _choice(row["action"], f"{rpath}.action", env.principals[j].feasible[x])
+        # every key is one of principal j's messages (private) or one message profile (public)
+        for j in range(env.n):
+            need = len(mechs[j].labels) if private else math.prod(len(m.labels) for m in mechs)
+            if len(cont[j]) < need:
+                raise ScenarioError(
+                    f"schema error at {path}.continuation: principal {j + 1} acts at {len(cont[j])} of {need} keys"
+                )
         continuation = cont
-    return eq.build_assessment(
-        env,
-        mechs,
-        strategy,
-        continuation=continuation,
-        offpath=obj.get("offpath", "prior"),
-    )
+    offpath = _choice(obj.get("offpath", "prior"), f"{path}.offpath", eq.OFFPATH_POLICIES)
+    return eq.build_assessment(env, mechs, strategy, continuation=continuation, offpath=offpath)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +510,6 @@ def _assessment_from(env: ec.Environment, obj, path: str) -> eq.Assessment:
 def _config_hash(raw: Mapping) -> str:
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(canon).hexdigest()
-
-
-def _search_options(opts: Mapping, tol: float | None) -> eq.SearchOptions:
-    return eq.SearchOptions(
-        tol=float(opts.get("tol", 1e-9)) if tol is None else tol,
-        policies=tuple(opts.get("policies", ("prior",))),
-        mixing=opts.get("mixing", "pure"),
-        cap=int(opts.get("cap", 5_000_000)),
-    )
 
 
 def _allocation_payload(alloc: ec.Allocation) -> list:
@@ -536,11 +552,15 @@ def _mechanism_payload(mech: ct.Mechanism) -> list:
 
 
 def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
-    """Execute a parsed scenario and assemble its report."""
+    """Execute a parsed scenario and assemble its report.
+
+    The tolerance is ``tol`` when given, else the scenario's
+    ``options.tol``, else 1e-9; every checking command uses it.
+    """
     start = time.perf_counter()
+    tol = sc.blocks["options"].tol if tol is None else _OPTION_READERS["tol"](tol, "--tol", None)
     report = RunReport(command=sc.command, config_hash=_config_hash(sc.raw), payload={})
-    handler = _HANDLERS[sc.command]
-    handler(sc, report, sc.blocks["options"], tol)
+    _HANDLERS[sc.command](sc, report, sc.blocks["options"], tol)
     report.payload = {
         "command": sc.command,
         "config_hash": report.config_hash,
@@ -611,7 +631,7 @@ def _run_solve_agency(sc, report, opts, tol):
 
 def _run_revisable_check(sc, report, opts, tol):
     model, z, steps = sc.blocks["revisable"]
-    gamma = rv.check_gamma_equal(model, z, steps, tol=tol or 1e-9)
+    gamma = rv.check_gamma_equal(model, z, steps, tol=tol)
     report.payload = {
         "equal": gamma.equal,
         "n_limited": gamma.n_limited,
@@ -620,6 +640,10 @@ def _run_revisable_check(sc, report, opts, tol):
         "lift_failures": gamma.lift_failures,
         "collapse_failures": gamma.collapse_failures,
     }
+    # the allocations found under one revision bound only: type -> [[z, probability], ...]
+    for name, keys in (("only_limited", gamma.only_limited), ("only_full", gamma.only_full)):
+        if keys:
+            report.payload[name] = [{t: [list(zp) for zp in dist] for t, dist in key} for key in keys]
 
     def rows_of(allocs):
         keyed = sorted(allocs, key=lambda fa: repr(fa.key()))
@@ -633,71 +657,49 @@ def _run_revisable_check(sc, report, opts, tol):
 
     report.tables["gamma_alpha"] = (("type", "z", "probability", "regime"), rows_of(gamma.limited))
     report.tables["gamma_zero"] = (("type", "z", "probability", "regime"), rows_of(gamma.full))
-    if not (gamma.equal and gamma.transforms_ok):
+    if not gamma.equal:
         report.exit_code = 1
-        report.warnings.append("allocation sets differ between revision bounds")
+        report.warnings.append(
+            f"allocation sets differ between revision bounds: {len(gamma.only_limited)} only limited, "
+            f"{len(gamma.only_full)} only full"
+        )
+    if not gamma.transforms_ok:
+        report.exit_code = 1
+        report.warnings.append(f"lift or collapse fails: {gamma.lift_failures} lift, {gamma.collapse_failures} collapse")
 
 
 def _run_enumerate(sc, report, opts, tol):
-    env = sc.blocks["environment"]
-    j = int(opts.get("principal", 1)) - 1
-    space = opts.get("space", "gstar")
-    if space == "gstar":
-        mechs = ct.enumerate_gstar(env, j)
-    elif space == "gsharp":
-        mechs = ct.enumerate_gsharp(env, j)
-    elif space == "private":
-        mechs = ct.enumerate_private(env, j)
-    else:
-        raise ScenarioError(f"schema error at $.options.space: unknown space {space!r}")
+    mechs = getattr(ct, f"enumerate_{opts.space}")(sc.blocks["environment"], opts.principal)
     report.payload = {
-        "principal": j + 1,
-        "space": space,
+        "principal": opts.principal + 1,
+        "space": opts.space,
         "count": len(mechs),
         "contracts": [_mechanism_payload(m) for m in mechs],
     }
 
 
 def _run_check_equilibrium(sc, report, opts, tol):
-    env = sc.blocks["environment"]
-    assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
-    rep = eq.check_continuation(env, assessment, tol or float(opts.get("tol", 1e-9)))
+    rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], tol)
     report.payload = _equilibrium_payload(rep)
     if not rep.passed:
         report.exit_code = 1
         report.warnings.append("assessment fails continuation checks")
 
 
-def _deviation_space_from(env, opts):
-    name = opts.get("deviations")
-    if name is None:
-        return None
-    builders = {
-        "gstar": ct.enumerate_gstar,
-        "gsharp": ct.enumerate_gsharp,
-        "private": ct.enumerate_private,
-    }
-    if name not in builders:
-        raise ScenarioError(f"schema error at $.options.deviations: unknown space {name!r}")
-    return {j: builders[name](env, j) for j in range(env.n)}
-
-
 def _run_robust(sc, report, opts, tol, require_private=False):
-    env = sc.blocks["environment"]
+    env, assessment = sc.blocks["environment"], sc.blocks["assessment"]
     if require_private and env.observability != "private":
-        raise ScenarioError("private-check requires an environment with private observability")
-    assessment = _assessment_from(env, sc.raw["assessment"], "$.assessment")
-    options = _search_options(opts, tol)
-    base = eq.check_continuation(env, assessment, options.tol)
+        raise ScenarioError("schema error at $.environment.observability: private-check requires 'private'")
+    base = eq.check_continuation(env, assessment, tol)
     if not base.passed:
         report.payload = {"base": _equilibrium_payload(base), "findings": []}
         report.exit_code = 1
         report.warnings.append("assessment fails continuation checks")
         return
-    rep = eq.check_robust(
-        env, assessment, deviation_space=_deviation_space_from(env, opts),
-        options=options, tol=options.tol,
-    )
+    space = None if opts.deviations is None else {
+        j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
+    }
+    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search(tol), tol=tol)
     report.payload = {
         "passed": rep.passed,
         "base": _equilibrium_payload(rep.base),
@@ -724,9 +726,8 @@ def _run_robust(sc, report, opts, tol, require_private=False):
 
 
 def _run_necessity(sc, report, opts, tol):
-    skeleton = sc.blocks["environment"]
-    j = int(opts.get("principal", 1)) - 1
-    menu = [str(x) for x in opts.get("menu", skeleton.principals[j].x_labels)]
+    skeleton, j = sc.blocks["environment"], opts.principal
+    menu = list(opts.menu)
     env, ref_alloc, phi = ct.necessity_environment(skeleton, j, menu)
     validation = ec.validate(env)
     contracts = []
@@ -746,9 +747,8 @@ def _run_necessity(sc, report, opts, tol):
             prof.append(f"{x}|{y}")
         strategy[lab] = ((tuple(prof), 1.0),)
     assessment = eq.build_assessment(env, contracts, strategy)
-    rep = eq.check_continuation(env, assessment, tol or 1e-9)
-    options = _search_options(opts, tol)
-    found = eq.enumerate_equilibria(env, contracts, options)
+    rep = eq.check_continuation(env, assessment, tol)
+    found = eq.enumerate_equilibria(env, contracts, opts.search(tol))
     used = set()
     for fe in found:
         for dist in fe.allocation.entries.values():
@@ -773,13 +773,11 @@ def _run_necessity(sc, report, opts, tol):
 
 
 def _run_plain_menu_demo(sc, report, opts, tol):
-    env, assessment, deviation, meta = ct.plain_menu_scenario(
-        n_aux=int(opts.get("aux_states", 0))
-    )
-    options = _search_options(opts, tol)
-    base = eq.check_continuation(env, assessment, options.tol)
+    env, assessment, deviation, meta = ct.plain_menu_scenario(n_aux=opts.aux_states)
+    options = opts.search(tol)
+    base = eq.check_continuation(env, assessment, tol)
     state_values = eq.principal_state_values(env, assessment, meta["deviator"])
-    rep = eq.check_robust(env, assessment, options=options, tol=options.tol)
+    rep = eq.check_robust(env, assessment, options=options, tol=tol)
     post = eq.private_post_deviation_values(
         env, assessment, meta["deviator"], deviation, options
     )

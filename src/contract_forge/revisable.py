@@ -321,9 +321,10 @@ def build_grid_game(
     revs = tuple(h * k for k in range(-m, m + 1))
     x_actions = tuple(ActionValue(f"b{i}", v) for i, v in enumerate(xs))
     y_actions = tuple(ActionValue(f"r{i}", v) for i, v in enumerate(revs))
+    # baseline b_i plus revision r_k lands on z_{i+k-2m}: feasible when on the grid
     feasible = {
-        f"b{i}": tuple(f"r{k}" for k, r in enumerate(revs) if any(abs(x + r - zv) <= 1e-9 for zv in z))
-        for i, x in enumerate(xs)
+        f"b{i}": tuple(f"r{k}" for k in range(2 * m + 1) if 0 <= i + k - 2 * m < len(z))
+        for i in range(len(xs))
     }
     spec = PrincipalSpec(contractible=x_actions, noncontractible=y_actions, feasible=feasible)
     u_expr = _subst_z(model.sender, exprlang.Bin("+", exprlang.Var("x"), exprlang.Var("y")))
@@ -537,15 +538,9 @@ def enumerate_final_allocations(
     u_tab = np.asarray(u_fn(Z[:, None], thetas[None, :]), dtype=float)  # |Z| x T
     v_tab = np.asarray(v_fn(Z[:, None], thetas[None, :]), dtype=float)
 
-    z_index = {round(z, 12): i for i, z in enumerate(game.z_values)}
-    windows: list[list[int]] = []
-    for x in game.x_values:
-        win = [
-            z_index[round(x + r, 12)]
-            for r in game.rev_values
-            if round(x + r, 12) in z_index
-        ]
-        windows.append(sorted(set(win)))
+    # the final actions baseline b_i reaches: z_{i+k-2m} for revisions r_0..r_2m
+    m = game.alpha_steps
+    windows = [range(max(0, i - 2 * m), min(len(Z), i + 1)) for i in range(len(game.x_values))]
 
     found: dict[tuple, tuple[FinalAllocation, Assessment]] = {}
     candidates = 0
@@ -608,7 +603,7 @@ def _assessment_from_blocks(game: GridGame, part, combo) -> Assessment:
     labels = game.env.types.labels
     strategy = {}
     for block, (xi, zi) in zip(part, combo):
-        msg = f"b{xi}|{game.rev_label(game.z_values[zi] - game.x_values[xi])}"
+        msg = f"b{xi}|r{zi - xi + 2 * game.alpha_steps}"  # b_xi + r_k = z_(xi+k-2m)
         for t in block:
             strategy[labels[t]] = (((msg,), 1.0),)
     return _menu_assessment(game, strategy, _posteriors(game, strategy), "selector")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
@@ -480,3 +481,167 @@ class TestSerializationRoundTrip:
         assert payload["results"]["passed"] is True
         assert payload["results"]["values"] == [1]
         assert payload["results"]["bayes_ok"] is True
+
+
+def _write(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _invoke_raw(tmp_path, raw, *flags):
+    path = _write(tmp_path, raw)
+    return CliRunner().invoke(cli.main, ["--scenario", str(path), "--out", str(tmp_path / "out"), *flags])
+
+
+class TestOptions:
+    """Each command reads its own options, checked when the scenario is parsed."""
+
+    @pytest.mark.parametrize("value", [0, -1, 3, True])
+    def test_principal_out_of_range(self, tmp_path, value):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["options"]["principal"] = value
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "$.options.principal" in res.output
+
+    def test_menu_names_the_principals_actions(self, tmp_path):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["options"]["menu"] = ["a", "d"]  # "d" belongs to principal 2
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "$.options.menu[1]" in res.output
+
+    @pytest.mark.parametrize(
+        "name, option",
+        [
+            ("labor_single.json", {"tol": 1e-6}),
+            ("agency_beta17_21.json", {"principal": 1}),
+            ("example4_enumerate.json", {"tol": 1e-6}),
+            ("example4_enumerate.json", {"menu": ["x"]}),
+            ("revisable_grid.json", {"cap": 10}),
+            ("necessity_env.json", {"aux_states": 1}),
+            ("plain_menu_demo.json", {"deviations": "gstar"}),
+        ],
+    )
+    def test_option_the_command_does_not_read(self, tmp_path, name, option):
+        raw = json.loads(fixture_path(name).read_text())
+        raw["options"].update(option)
+        (key,) = option
+        with pytest.raises(cli.ScenarioError, match=rf"\$\.options: unknown field '{key}'"):
+            cli.parse_scenario(_write(tmp_path, raw))
+
+    def test_menu_needs_a_type_per_action(self, tmp_path):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        items = raw["environment"]["types"]["items"]
+        raw["environment"]["types"]["items"] = [dict(items[0], weight=0.5), dict(items[1], weight=0.5)]
+        raw["options"]["menu"] = ["a", "b", "c"]
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "$.options.menu" in res.output
+
+    def test_aux_states_bound(self, tmp_path):
+        raw = json.loads(fixture_path("plain_menu_demo.json").read_text())
+        raw["options"]["aux_states"] = 4
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "$.options.aux_states" in res.output
+
+    @pytest.mark.parametrize("name", ["revisable_grid.json", "necessity_env.json", "plain_menu_demo.json"])
+    @pytest.mark.parametrize("flags, expected", [((), 1e-6), (("--tol", "0"), 0.0)])
+    def test_tolerance_rule(self, tmp_path, monkeypatch, name, flags, expected):
+        """--tol if given, else options.tol, in every check a command makes."""
+        seen = []
+        check, search, gamma = cli.eq.check_continuation, cli.eq.enumerate_equilibria, cli.rv.check_gamma_equal
+        monkeypatch.setattr(cli.eq, "check_continuation", lambda e, a, tol: seen.append(tol) or check(e, a, tol))
+        monkeypatch.setattr(
+            cli.eq, "enumerate_equilibria", lambda e, c, opts: seen.append(opts.tol) or search(e, c, opts)
+        )
+        monkeypatch.setattr(cli.rv, "check_gamma_equal", lambda m, z, s, tol: seen.append(tol) or gamma(m, z, s, tol))
+        raw = json.loads(fixture_path(name).read_text())
+        raw["options"]["tol"] = 1e-6
+        res = _invoke_raw(tmp_path, raw, *flags)
+        assert res.exit_code in (0, 1)
+        assert seen and all(t == expected for t in seen)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_tol_flag_checked(self, tmp_path, value):
+        res = _invoke_raw(tmp_path, json.loads(fixture_path("necessity_env.json").read_text()), "--tol", value)
+        assert res.exit_code == 2
+        assert "--tol" in res.output
+
+
+def _shifted_grid(shift: float) -> dict:
+    """The revisable_grid fixture on types 0/0.15/0.3 and 8 points, moved by ``shift``."""
+    raw = json.loads(fixture_path("revisable_grid.json").read_text())
+    block = raw["revisable"]
+    block["sender"] = f"-(z - {shift!r} - theta)^2"
+    block["receiver"] = f"-(z - {shift + 0.05!r} - 0.7*theta)^2"
+    for item, value in zip(block["types"]["items"], (0.0, 0.15, 0.3)):
+        item["value"] = value
+    block["z_grid"] = {"lo": shift, "hi": shift + 0.3, "points": 8}
+    block["z_range"] = [shift - 1.0, shift + 2.0]
+    block["ideal_form"] = [shift + 0.05, 0.7]
+    return raw
+
+
+class TestRevisableCheck:
+    def test_translated_grid_equals_its_twin(self, tmp_path):
+        maps = {}
+        for shift in (0.0, 1000.0):
+            report = cli.run(cli.parse_scenario(_write(tmp_path, _shifted_grid(shift))))
+            results = report.payload["results"]
+            assert report.exit_code == 0
+            assert (results["n_limited"], results["n_full"], results["equal"]) == (80, 80, True)
+            assert (results["lift_failures"], results["collapse_failures"]) == (0, 0)
+            step = 0.3 / 7
+            maps[shift] = {
+                name: sorted((t, round((z - shift) / step), p, regime) for t, z, p, regime in rows)
+                for name, (_, rows) in report.tables.items()
+            }
+        assert maps[0.0] == maps[1000.0]
+
+    def test_ideal_form_must_match_the_receiver(self, tmp_path):
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        raw["revisable"]["ideal_form"] = [0.6, 0.7]  # the receiver's ideal is 0.05 + 0.7 theta
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "$.revisable.ideal_form" in res.output
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("z_grid", {"lo": 1e8, "hi": 1e8 + 0.3, "points": 8}, "$.revisable.z_grid.lo"),
+            ("sender", "-(z - x)^2", "$.revisable.sender"),
+            ("sender", "log(z - 0.5)", "$.revisable.sender"),  # not finite below z = 0.5
+        ],
+    )
+    def test_grid_fields_checked(self, tmp_path, field, value, where):
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        raw["revisable"][field] = value
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert where in res.output
+
+    def _run_with(self, monkeypatch, **fields):
+        gamma = cli.rv.check_gamma_equal
+        monkeypatch.setattr(
+            cli.rv, "check_gamma_equal", lambda *a, **k: dataclasses.replace(gamma(*a, **k), **fields)
+        )
+        return cli.run(cli.parse_scenario(fixture_path("revisable_grid.json")))
+
+    def test_transform_failures_are_not_a_set_mismatch(self, monkeypatch):
+        report = self._run_with(monkeypatch, transforms_ok=False, lift_failures=19)
+        assert report.exit_code == 1
+        assert report.payload["results"]["equal"] is True
+        assert report.warnings == ["lift or collapse fails: 19 lift, 0 collapse"]
+        assert "only_limited" not in report.payload["results"]
+
+    def test_mismatch_names_the_allocations(self, monkeypatch):
+        key = (("t0", ((0.0, 1.0),)), ("t1", ((0.5, 1.0),)))
+        report = self._run_with(monkeypatch, equal=False, only_limited=(key,))
+        assert report.exit_code == 1
+        assert report.warnings == ["allocation sets differ between revision bounds: 1 only limited, 0 only full"]
+        assert report.payload["results"]["only_limited"] == [{"t0": [[0.0, 1.0]], "t1": [[0.5, 1.0]]}]
+        assert "only_full" not in report.payload["results"]

@@ -350,6 +350,21 @@ def test_vectorized_filter_matches_naive_loop(monkeypatch, receiver):
     assert list(found) == _naive_final_allocation_keys(game)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.3, 0.2), (1000.0, 1000.3)])
+@pytest.mark.parametrize("points", [2, 3, 5, 8])
+def test_feasibility_by_index_matches_float_scan(lo, hi, points):
+    """b_i + r_k lands on z_(i+k-2m): the pairs a scan of x + r against the grid finds."""
+    model = quadratic_model(types=TypeSpace.uniform_finite([0.0, 1.0]))
+    z = tuple(np.linspace(lo, hi, points))
+    for m in range(points):
+        game = rv.build_grid_game(model, z, m)
+        scan = {
+            f"b{i}": tuple(f"r{k}" for k, r in enumerate(game.rev_values) if any(abs(x + r - zv) <= 1e-9 for zv in z))
+            for i, x in enumerate(game.x_values)
+        }
+        assert game.env.principals[0].feasible == scan
+
+
 def test_check_gamma_equal_work_counts(monkeypatch):
     """Two grid games per check, one payoff table per game environment,
     and every found, lifted and collapsed assessment checked once."""
