@@ -121,11 +121,12 @@ def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
     return tuple(float(_number(v, f"{path}[{i}]")) for i, v in enumerate(_list(value, path, length)))
 
 
-def _box(value, path: str) -> tuple[float, float]:
-    """Two finite numbers, the first below the second."""
+def _box(value, path: str, bound: float = math.inf) -> tuple[float, float]:
+    """Two finite numbers in [-bound, bound], the first below the second."""
     lo, hi = _numbers(value, path, 2)
-    if not lo < hi:
-        raise ScenarioError(f"schema error at {path}: expected lo < hi")
+    if not lo < hi or max(-lo, hi) > bound:
+        within = "" if bound == math.inf else f" in [-{bound:g}, {bound:g}]"
+        raise ScenarioError(f"schema error at {path}: expected lo < hi{within}")
     return lo, hi
 
 
@@ -370,7 +371,8 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
         _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta")),
         types,
         alpha=0.0,
-        z_range=_box(obj.get("z_range", [lo - 1.0, hi + 1.0]), f"{path}.z_range"),
+        # the grid's bound: beyond it the concavity audit overflows
+        z_range=_box(obj["z_range"], f"{path}.z_range", 1e6) if "z_range" in obj else (lo - 1.0, hi + 1.0),
         ideal_form=None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2)),
     )
     if ideal is not None:

@@ -189,6 +189,8 @@ class _Game:
         # the agent's payoff floor: the outside option when exit is allowed
         self.floor = self.U if env.optout else np.full(self.T, -np.inf)
         self._pay: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # best-reply sets of this game's search (_nash_set, _best_replies)
+        self.memo: dict[tuple, tuple] = {}
 
     def profile_labels(self, prof: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.msg_labels[j][m] for j, m in enumerate(prof))
@@ -760,57 +762,92 @@ def principal_state_values(
 # ---------------------------------------------------------------------------
 
 
-def _strategy_candidates(game: _Game, options: SearchOptions):
-    """Iterate agent strategies: per type, (outcome, prob) lists over profiles."""
+def _strategy_candidates(game: _Game, options: SearchOptions, keep):
+    """Iterate agent strategies: per type, (outcome, prob) lists over
+    profiles. The cap counts the declared space; a type's distribution is
+    then visited only where ``keep(t, dist)`` holds, in product order."""
     outcomes: list[tuple[int, ...] | None] = list(game.profiles)
     if game.env.optout:
         outcomes.append(None)
-    if options.mixing == "pure":
-        per_type = [[((o, 1.0),) for o in outcomes] for _ in range(game.T)]
-    elif options.mixing == "two-point":
+    dists = [((o, 1.0),) for o in outcomes]
+    if options.mixing == "two-point":
         k = round(1.0 / options.mix_step)
-        dists = [((o, 1.0),) for o in outcomes]
-        for a_i in range(len(outcomes)):
-            for b_i in range(a_i + 1, len(outcomes)):
-                for step in range(1, k):
-                    p = step / k
-                    dists.append(((outcomes[a_i], p), (outcomes[b_i], 1.0 - p)))
-        per_type = [list(dists) for _ in range(game.T)]
-    else:
+        for (a, b), step in itertools.product(itertools.combinations(outcomes, 2), range(1, k)):
+            dists.append(((a, step / k), (b, 1.0 - step / k)))
+    elif options.mixing != "pure":
         raise ValueError(f"unknown mixing mode {options.mixing!r}")
-    total = 1
-    for col in per_type:
-        total *= len(col)
+    total = len(dists) ** game.T
     if total * max(1, len(options.policies)) > options.cap:
-        raise SearchSpaceError(
-            f"{total} strategy candidates exceed the cap of {options.cap}"
-        )
-    yield from itertools.product(*per_type)
+        raise SearchSpaceError(f"{total} strategy candidates exceed the cap of {options.cap}")
+    yield from itertools.product(*[[d for d in dists if keep(t, d)] for t in range(game.T)])
 
 
-def _is_best_reply(value, y_eq: str, feasible, tol: float) -> bool:
-    """No feasible y beats ``y_eq`` by more than ``tol`` under ``value``."""
-    lhs = value(y_eq)
-    return not any(value(y) > lhs + tol for y in feasible if y != y_eq)
+def _beats(v: float, ref: float, tol: float) -> bool:
+    """The one best-reply boundary of the search: ``v`` beats ``ref`` when
+    it exceeds it by more than ``tol`` (the gap test of check_continuation)."""
+    return v - ref > tol
 
 
-def _nash_sets(game: _Game, beliefs_pub, tol: float):
-    """Per message profile: all y-profiles surviving every principal's check."""
-    ne: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+def _agent_prune(game: _Game, continuations, tol: float):
+    """``keep(t, dist)``: sum(p * best_t(o)) >= max(floor_t, max_o' worst_t(o')) - tol,
+    best and worst over the y-profiles ``continuations(o)``. The sum runs in
+    _agent_payoff's order, so rounding keeps it at or above the payoff, and
+    four ulps of the payoff scale are allowed on top."""
+    best, worst = {}, {}
     for prof in game.profiles:
+        u = np.array([game.payoffs(prof, ys)[0] for ys in continuations(prof)])
+        best[prof], worst[prof] = u.max(axis=0), u.min(axis=0)
+    top = np.maximum(game.floor, np.max(list(worst.values()), axis=0))
+    scale = max(float(np.abs(np.array(list(best.values()) + list(worst.values()))).max()),
+                float(np.abs(game.U).max()))
+    slack = tol + 4 * float(np.spacing(scale))
+
+    def keep(t: int, dist) -> bool:
+        total = 0.0
+        for o, p in dist:
+            total += p * (game.U[t] if o is None else float(best[o][t]))
+        return not _beats(float(top[t]), total, slack)
+
+    return keep
+
+
+def _best_of(value, feasible, tol: float) -> tuple[str, ...]:
+    """The feasible ys that no feasible y beats under ``value``."""
+    vals = [value(y) for y in feasible]
+    top = max(vals)
+    return tuple(y for y, v in zip(feasible, vals) if not _beats(top, v, tol))
+
+
+def _nash_set(game: _Game, prof: tuple[int, ...], belief: np.ndarray, tol: float):
+    """The y-profiles at ``prof`` where every principal best-replies under a
+    type belief; memoized on (profile, belief bytes), which fix it."""
+    key = (prof, belief.tobytes())
+    hit = game.memo.get(key)
+    if hit is None:
         feas_sets = [game.feas[j][prof[j]] for j in range(game.n)]
-        ne[prof] = [
+        hit = game.memo[key] = tuple(
             ys
             for ys in itertools.product(*feas_sets)
             if all(
-                _is_best_reply(
-                    partial(_public_value, game, j, prof, beliefs_pub[prof], ys=ys),
-                    ys[j], feas_sets[j], tol,
-                )
+                ys[j]
+                in _best_of(partial(_public_value, game, j, prof, belief, ys=ys), feas_sets[j], tol)
                 for j in range(game.n)
             )
-        ]
-    return ne
+        )
+    return hit
+
+
+def _best_replies(game: _Game, j: int, i: int, belief, cont, tol: float) -> tuple[str, ...]:
+    """Principal j's best replies after own message i under a private
+    belief, the others playing ``cont``; memoized on the belief's items in
+    order (which fix the summation) and the others' continuation."""
+    others = tuple(tuple(cont[k][m] for m in range(game.sizes[k])) for k in game.others(j))
+    key = (j, i, tuple(belief.items()), others)
+    hit = game.memo.get(key)
+    if hit is None:
+        value = partial(_private_value, game, j, i, belief, cont=cont)
+        hit = game.memo[key] = _best_of(value, game.feas[j][i], tol)
+    return hit
 
 
 def _onpath(q, own=None) -> list:
@@ -824,11 +861,33 @@ def _onpath(q, own=None) -> list:
     ))
 
 
+def _completions(game: _Game, q, onpath, offpath, sets, gamma_of, tol: float):
+    """``gamma_of(choice)`` for each on-path choice from ``sets`` leaving the
+    agent no profitable deviation, completed off path by the first choice
+    per slot (a profile, or an own message) that leaves none."""
+    for combo in itertools.product(*[sets[s] for s in onpath]):
+        choice = dict(zip(onpath, combo))
+        gamma = gamma_of(choice)
+        pay = _agent_payoff(game, q, gamma)
+        if _agent_gap(game, pay, gamma.items())[0] > tol:
+            continue
+        for s in offpath:
+            pick = next(
+                (c for c in sets[s] if _agent_gap(game, pay, gamma_of({s: c}).items())[0] <= tol),
+                None,
+            )
+            if pick is None:
+                break
+            choice[s] = pick
+        else:
+            yield gamma_of(choice)
+
+
 def _public_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
     """All (gamma, beliefs) completions of one agent strategy, public mode."""
     tol = options.tol
     beliefs_pub = _public_beliefs(game, q, policy)
-    ne = _nash_sets(game, beliefs_pub, tol)
+    ne = {prof: _nash_set(game, prof, beliefs_pub[prof], tol) for prof in game.profiles}
     if any(not v for v in ne.values()):
         return
     onpath = _onpath(q)
@@ -836,22 +895,8 @@ def _public_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions
     combos = math.prod(len(ne[prof]) for prof in onpath)
     if combos > options.cap:
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
-
-    for choice in itertools.product(*[ne[prof] for prof in onpath]):
-        gamma = dict(zip(onpath, choice))
-        pay = _agent_payoff(game, q, gamma)
-        if _agent_gap(game, pay, gamma.items())[0] > tol:
-            continue
-        for prof in offpath:
-            # the first continuation that leaves the agent no profitable deviation
-            pick = next(
-                (ys for ys in ne[prof] if _agent_gap(game, pay, [(prof, ys)])[0] <= tol), None
-            )
-            if pick is None:
-                break
-            gamma[prof] = pick
-        else:
-            yield gamma, beliefs_pub
+    for gamma in _completions(game, q, onpath, offpath, ne, dict, tol):
+        yield gamma, beliefs_pub
 
 
 def _private_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
@@ -859,27 +904,16 @@ def _private_equilibria_for_q(game: _Game, q, policy: str, options: SearchOption
     tol = options.tol
     beliefs = _raw_beliefs(game, q, policy)
     slots = [(j, i) for j in range(game.n) for i in range(game.sizes[j])]
-    pools = [game.feas[j][i] for j, i in slots]
-    combos = math.prod(len(p) for p in pools)
-    if combos > options.cap:
-        raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
-    for flat in itertools.product(*pools):
+    for flat in itertools.product(*[game.feas[j][i] for j, i in slots]):
         cont: dict[int, dict[int, str]] = {}
         for (j, i), y in zip(slots, flat):
             cont.setdefault(j, {})[i] = y
         # principal optimality at every own message
         if not all(
-            _is_best_reply(
-                partial(_private_value, game, j, i, beliefs[j][i], cont=cont),
-                cont[j][i], game.feas[j][i], tol,
-            )
-            for j, i in slots
+            cont[j][i] in _best_replies(game, j, i, beliefs[j][i], cont, tol) for j, i in slots
         ):
             continue
-        gamma = {
-            prof: tuple(cont[j][prof[j]] for j in range(game.n))
-            for prof in game.profiles
-        }
+        gamma = {prof: tuple(cont[j][prof[j]] for j in range(game.n)) for prof in game.profiles}
         if _agent_gap(game, _agent_payoff(game, q, gamma), gamma.items())[0] <= tol:
             yield gamma, beliefs
 
@@ -908,6 +942,32 @@ def _assessment_from(game: _Game, q, gamma, beliefs_raw, policy: str) -> Assessm
     )
 
 
+def _equilibria(game: _Game, options: SearchOptions):
+    """The search behind enumerate_equilibria and the public audit: the first
+    hit per allocation key as (key, allocation, policy, q, gamma, beliefs)."""
+    ys_at = {p: list(itertools.product(*[game.feas[j][m] for j, m in enumerate(p)])) for p in game.profiles}
+    keep = _agent_prune(game, ys_at.get, options.tol)
+    # a pruned strategy could meet the public continuation cap: then prune none
+    most_onpath = min(len(ys_at), game.T * (1 if options.mixing == "pure" else 2))
+    if game.mode == "public" and max(map(len, ys_at.values())) ** most_onpath > options.cap:
+        keep = lambda t, dist: True  # noqa: E731
+    candidates = list(_strategy_candidates(game, options, keep))
+    search = _public_equilibria_for_q if game.mode == "public" else _private_equilibria_for_q
+    combos = math.prod(len(f) for feas in game.feas for f in feas)
+    if game.mode == "private" and options.policies and combos > options.cap:  # for every strategy
+        raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
+    seen: set[tuple] = set()
+    for policy in options.policies:
+        for qlist in candidates:
+            q = dict(enumerate(qlist))
+            for gamma, beliefs_raw in search(game, q, policy, options):
+                alloc = _allocation(game, q, gamma)
+                key = alloc.key()
+                if key not in seen:
+                    seen.add(key)
+                    yield key, alloc, policy, q, gamma, beliefs_raw
+
+
 def enumerate_equilibria(
     env: Environment,
     contracts: Sequence[Mechanism],
@@ -920,21 +980,18 @@ def enumerate_equilibria(
     the policy menu in ``options.policies``. Results are deduplicated by
     induced allocation, the first hit in policy then candidate order
     winning, and returned in a deterministic order.
-    """
+
+    Agent strategies that cannot be optimal are dropped before any belief
+    is formed (_agent_prune, over every feasible y-profile at o): each type
+    gets at most sum(p * best_t(o)) and, up to ``tol``, at least the floor
+    and each worst_t(o'), so no equilibrium is lost. ``options.cap`` counts
+    the declared space."""
     options = options or SearchOptions()
     game = _Game(env, contracts)
-    search = _public_equilibria_for_q if game.mode == "public" else _private_equilibria_for_q
-    candidates = list(_strategy_candidates(game, options))
-    found: dict[tuple, FoundEquilibrium] = {}
-    for policy in options.policies:
-        for qlist in candidates:
-            q = dict(enumerate(qlist))
-            for gamma, beliefs_raw in search(game, q, policy, options):
-                alloc = _allocation(game, q, gamma)
-                key = alloc.key()
-                if key not in found:
-                    a = _assessment_from(game, q, gamma, beliefs_raw, policy)
-                    found[key] = FoundEquilibrium(a, alloc, _values(game, q, gamma))
+    found = {
+        key: FoundEquilibrium(_assessment_from(game, q, gamma, raw, policy), alloc, _values(game, q, gamma))
+        for key, alloc, policy, q, gamma, raw in _equilibria(game, options)
+    }
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -955,19 +1012,14 @@ def private_post_deviation_values(
     Non-deviating principals keep their mechanisms, continuation
     strategies, and beliefs; only the agent's strategy, the deviator's
     continuation choice, and the deviator's Bayes-consistent beliefs are
-    re-solved.
-    """
+    re-solved. Agent strategies are pruned as in enumerate_equilibria, over
+    the deviator's feasible y with the others frozen, so no value is lost."""
     contracts = list(assessment.contracts)
     contracts[j] = deviation
     game = _Game(env, contracts)
     tol = options.tol
     frozen = [
-        None
-        if k == j
-        else {
-            i: assessment.continuation[k][game.msg_labels[k][i]]
-            for i in range(game.sizes[k])
-        }
+        None if k == j else {i: assessment.continuation[k][lab] for i, lab in enumerate(game.msg_labels[k])}
         for k in range(game.n)
     ]
 
@@ -981,38 +1033,19 @@ def private_post_deviation_values(
             if prof[j] in choice
         }
 
+    keep = _agent_prune(game, lambda p: [gamma_with({p[j]: y})[p] for y in game.feas[j][p[j]]], tol)
     values: list[float] = []
     for policy in options.policies:
-        for qlist in _strategy_candidates(game, options):
+        for qlist in _strategy_candidates(game, options, keep):
             q = dict(enumerate(qlist))
             p_j = _private_beliefs(game, q, j, policy)
-            br: list[list[str]] = []
-            for i in range(game.sizes[j]):
-                vals = [(_private_value(game, j, i, p_j[i], y, frozen), y) for y in game.feas[j][i]]
-                top = max(v for v, _ in vals)
-                br.append([y for v, y in vals if v >= top - tol])
-
+            br = [_best_replies(game, j, i, p_j[i], frozen, tol) for i in range(game.sizes[j])]
             onpath_own = _onpath(q, own=j)
             offpath_own = [i for i in range(game.sizes[j]) if i not in onpath_own]
-            for combo in itertools.product(*[br[i] for i in onpath_own]):
-                choice = dict(zip(onpath_own, combo))
-                gamma = gamma_with(choice)
-                pay = _agent_payoff(game, q, gamma)
-                if _agent_gap(game, pay, gamma.items())[0] > tol:
-                    continue
-                for o in offpath_own:
-                    pick = next(
-                        (
-                            y for y in br[o]
-                            if _agent_gap(game, pay, gamma_with({o: y}).items())[0] <= tol
-                        ),
-                        None,
-                    )
-                    if pick is None:
-                        break
-                    choice[o] = pick
-                else:
-                    values.append(_values(game, q, gamma_with(choice))[j])
+            values += [
+                _values(game, q, gamma)[j]
+                for gamma in _completions(game, q, onpath_own, offpath_own, br, gamma_with, tol)
+            ]
     return values
 
 
@@ -1031,8 +1064,9 @@ def check_robust(
     only if every found continuation gives the deviator strictly more than
     the equilibrium value plus ``tol``. Deviating to the installed
     contract itself is seeded with the original outcome and is therefore
-    never safe-profitable.
-    """
+    never safe-profitable. Both searches drop agent strategies that hold
+    no equilibrium (see enumerate_equilibria); the public audit reads
+    values without building assessments."""
     options = options or SearchOptions(tol=tol)
     base = check_continuation(env, assessment, tol)
     if not base.passed:
@@ -1054,10 +1088,8 @@ def check_robust(
             else:
                 contracts = list(assessment.contracts)
                 contracts[j] = dev
-                vals = [
-                    fe.values[j]
-                    for fe in enumerate_equilibria(env, contracts, options)
-                ]
+                game = _Game(env, contracts)
+                vals = [_values(game, q, gamma)[j] for *_, q, gamma, _ in _equilibria(game, options)]
             if same:
                 vals = list(vals) + [base.values[j]]
             if not vals:

@@ -613,6 +613,7 @@ class TestRevisableCheck:
         "field, value, where",
         [
             ("z_grid", {"lo": 1e8, "hi": 1e8 + 0.3, "points": 8}, "$.revisable.z_grid.lo"),
+            ("z_range", [-1.0, 1e308], "$.revisable.z_range"),  # exited 1 with overflow warnings
             ("sender", "-(z - x)^2", "$.revisable.sender"),
             ("sender", "log(z - 0.5)", "$.revisable.sender"),  # not finite below z = 0.5
         ],

@@ -17,6 +17,9 @@ from click.testing import CliRunner
 
 from contract_forge import cli
 
+# a mutant that only warns (an overflow, say) fails as well
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 REPLACEMENTS = (None, [], {}, "x", -1, 1e308, [[]], True)
 SECONDS_PER_RUN = 5.0
 
