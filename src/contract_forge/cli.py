@@ -395,7 +395,7 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
 class Options:
     """The options block, with the default of every option it leaves out."""
 
-    tol: float = 1e-9
+    tol: float = ec.DEFAULT_TOL
     principal: int = 0  # 0-based
     space: str = "gstar"
     menu: tuple[str, ...] = ()  # necessity-env: all of the principal's contractible actions by default
@@ -557,7 +557,7 @@ def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
     """Execute a parsed scenario and assemble its report.
 
     The tolerance is ``tol`` when given, else the scenario's
-    ``options.tol``, else 1e-9; every checking command uses it.
+    ``options.tol``, else ``DEFAULT_TOL``; every checking command uses it.
     """
     start = time.perf_counter()
     tol = sc.blocks["options"].tol if tol is None else _OPTION_READERS["tol"](tol, "--tol", None)
@@ -607,7 +607,7 @@ def _run_solve_agency(sc, report, opts, tol):
         [(i, x1, x2) for i, (x1, x2) in enumerate(eqm.trajectory)],
     )
     offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
-    curve, _ = sa.best_response(problem, 0, offers, fast=True)  # one batched pass
+    curve = sa.best_response(problem, 0, offers)  # one batched pass
     report.tables["best_response"] = (
         ("x_other", "best_response"),
         [(float(xo), float(br)) for xo, br in zip(offers, curve)],
@@ -701,7 +701,7 @@ def _run_robust(sc, report, opts, tol, require_private=False):
     space = None if opts.deviations is None else {
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
     }
-    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search(tol), tol=tol)
+    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search(tol))
     report.payload = {
         "passed": rep.passed,
         "base": _equilibrium_payload(rep.base),
@@ -777,15 +777,14 @@ def _run_necessity(sc, report, opts, tol):
 def _run_plain_menu_demo(sc, report, opts, tol):
     env, assessment, deviation, meta = ct.plain_menu_scenario(n_aux=opts.aux_states)
     options = opts.search(tol)
-    base = eq.check_continuation(env, assessment, tol)
     state_values = eq.principal_state_values(env, assessment, meta["deviator"])
-    rep = eq.check_robust(env, assessment, options=options, tol=tol)
+    rep = eq.check_robust(env, assessment, options=options)
     post = eq.private_post_deviation_values(
         env, assessment, meta["deviator"], deviation, options
     )
     report.payload = {
         "kappa": meta["kappa"],
-        "separating": _equilibrium_payload(base),
+        "separating": _equilibrium_payload(rep.base),
         "deviator_state_values": {k: state_values[k] for k in sorted(state_values)},
         "post_deviation_values": sorted(set(round(float(v), 12) for v in post)),
         "robust_passed": rep.passed,

@@ -42,7 +42,7 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 DENSITY_TOL = 1e-9
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # payoff-gap tolerance of the equilibrium checks and searches
 
 #: Sentinel outcome for a type that takes the outside option.
 OPT_OUT = "opt-out"

@@ -34,6 +34,7 @@ import numpy as np
 
 from .contracts import Mechanism, enumerate_gstar, enumerate_private, image, menu_rec
 from .env_core import (
+    DEFAULT_TOL,
     OPT_OUT,
     Allocation,
     Environment,
@@ -118,7 +119,7 @@ class EquilibriumReport:
 
 @dataclass(frozen=True, slots=True)
 class SearchOptions:
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     policies: tuple[str, ...] = ("prior",)
     mixing: str = "pure"  # "pure" | "two-point"
     mix_step: float = 0.125
@@ -623,7 +624,7 @@ def _values(game: _Game, q, gamma) -> tuple[float, ...]:
 
 
 def check_continuation(
-    env: Environment, assessment: Assessment, tol: float = 1e-9
+    env: Environment, assessment: Assessment, tol: float = DEFAULT_TOL
 ) -> EquilibriumReport:
     """Exact verification of the three continuation-equilibrium conditions."""
     game, q, gamma = _play(env, assessment)
@@ -1054,20 +1055,21 @@ def check_robust(
     assessment: Assessment,
     deviation_space: Mapping[int, Sequence[Mechanism]] | None = None,
     options: SearchOptions | None = None,
-    tol: float = 1e-9,
 ) -> RobustReport:
     """No-safe-deviation audit of a continuation equilibrium.
 
-    For each principal and each deviation contract, the post-deviation
-    continuation equilibria are searched (full re-solve in public mode;
-    non-deviators frozen in private mode). A deviation is safe-profitable
-    only if every found continuation gives the deviator strictly more than
-    the equilibrium value plus ``tol``. Deviating to the installed
-    contract itself is seeded with the original outcome and is therefore
-    never safe-profitable. Both searches drop agent strategies that hold
-    no equilibrium (see enumerate_equilibria); the public audit reads
-    values without building assessments."""
-    options = options or SearchOptions(tol=tol)
+    The base assessment is checked, and the post-deviation continuation
+    equilibria of each principal's deviation contracts are searched (full
+    re-solve in public mode; non-deviators frozen in private mode), at
+    ``options.tol``. A deviation is safe-profitable only if every found
+    continuation gives the deviator strictly more than the equilibrium
+    value plus that tolerance. Deviating to the installed contract itself
+    is seeded with the original outcome and is therefore never
+    safe-profitable. Both searches drop agent strategies that hold no
+    equilibrium (see enumerate_equilibria); the public audit reads values
+    without building assessments."""
+    options = options or SearchOptions()
+    tol = options.tol
     base = check_continuation(env, assessment, tol)
     if not base.passed:
         raise ValueError("assessment fails continuation checks; robustness undefined")

@@ -24,6 +24,7 @@ import numpy as np
 from . import exprlang
 from .contracts import menu_rec
 from .env_core import (
+    DEFAULT_TOL,
     ActionValue,
     Allocation,
     Belief,
@@ -35,7 +36,7 @@ from .env_core import (
     simpson_coefficients,
 )
 from .equilibrium import Assessment, BeliefSystem, check_continuation
-from .optimize import golden_max
+from .optimize import golden_rows
 
 __all__ = [
     "RevisableModel",
@@ -187,7 +188,7 @@ def posterior_ideal(
         raise ValueError(
             "posterior ideal search found no interior bracket; widen z_range"
         )
-    z_star, _ = golden_max(value, float(zs[i - 1]), float(zs[i + 1]), tol)
+    z_star = golden_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], tol)[0]
     return float(z_star)
 
 
@@ -512,7 +513,7 @@ _FILTER_BLOCK = 1024
 
 
 def enumerate_final_allocations(
-    game: GridGame, tol: float = 1e-9, validate: bool = True, cap: int = 5_000_000
+    game: GridGame, tol: float = DEFAULT_TOL, validate: bool = True, cap: int = 5_000_000
 ) -> dict[tuple, tuple[FinalAllocation, Assessment]]:
     """All pure continuation-equilibrium final allocations of the grid game.
 
@@ -627,7 +628,7 @@ def check_gamma_equal(
     model: RevisableModel,
     z_values: Sequence[float],
     alpha_steps: int,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> GammaReport:
     """Exhaustively verify that bounded revision is allocation-neutral.
 

@@ -19,15 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace
-from .solver_single import (
-    SingleProblem,
-    _as_fn,
-    _inner_rows,
-    _inner_solve,
-    _point,
-    solve,
-    zoom_solve,
-)
+from .solver_single import SingleProblem, _as_fn, _inner_rows, _inner_solve, _point, zoom_solve
 
 __all__ = [
     "AgencyProblem",
@@ -43,11 +35,10 @@ __all__ = [
 
 
 _ANDERSON_DEPTH = 2
-# Fast best responses inside the iteration: quadrature panels, zoom
-# stages and grid points per stage of ``zoom_solve``.
+# The coarse slice that best responses search: y-grid points and
+# quadrature panels.
+_ITER_Y_GRID = 64
 _ITER_PANELS = 96
-_ITER_STAGES = 4
-_ITER_GRID = 48
 # Golden-section tolerance in y for the reported pairs: the inner optimum
 # sits at the participation kink, and 1e-12 keeps the reported cutoff
 # within 1e-11 of the lowest type on the worked family.
@@ -56,7 +47,7 @@ _KINK_TOL = 1e-12
 
 @dataclass
 class AgencyProblem:
-    """Bilateral payoffs, interaction strength, and search configuration.
+    """Bilateral payoffs, interaction strength, and fixed-point settings.
 
     ``agent_utilities[j]`` is u_j over (x, y, theta); ``principal_payoffs[j]``
     is v_j over (x, y, x_other, theta). Expression text may reference the
@@ -70,9 +61,6 @@ class AgencyProblem:
     types: TypeSpace = field(default_factory=lambda: TypeSpace.interval(3.0, 4.0))
     x_box: tuple[float, float] = (0.0, 5.0)
     y_box: tuple[float, float] = (0.0, 5.0)
-    x_grid: int = 256
-    y_grid: int = 256
-    panels: int = 256
     damping: float = 0.5
     max_iter: int = 200
     fp_tol: float = 2e-4
@@ -127,6 +115,8 @@ def bilateral_reduce(
     records their count as ``rivals``, and its payoffs take an optional
     fourth argument, an index into the offers (the first when omitted),
     which ``zoom_solve`` passes per row to answer every offer at once.
+    ``fast`` gives the coarse slice that best responses search; the
+    default is the full-resolution one of the reported pairs and menus.
     """
     beta = problem.beta
     u_fn = problem.u_fns[j]
@@ -139,40 +129,29 @@ def bilateral_reduce(
     def v(x, y, theta, r=0):
         return v_fn(x, y, xo[r], theta, beta)
 
+    coarse = {"y_grid": _ITER_Y_GRID, "panels": _ITER_PANELS} if fast else {}
     return SingleProblem(
         u=u,
         v=v,
         types=problem.types,
         x_box=problem.x_box,
         y_box=problem.y_box,
-        x_grid=problem.x_grid,
-        y_grid=64 if fast else problem.y_grid,
-        panels=_ITER_PANELS if fast else problem.panels,
         rivals=xo.size if np.ndim(x_other) else None,
+        **coarse,
     )
 
 
-def best_response(
-    problem: AgencyProblem, j: int, x_other, fast: bool = False
-) -> tuple[float | np.ndarray, object]:
+def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray:
     """Principal ``j``'s optimal simple offer against a frozen rival offer.
 
-    ``fast`` switches to the zoomed grid scan used inside best-response
-    iteration; the default path is the full grid-plus-golden solve. With
-    ``fast``, ``x_other`` may be an array of rival offers: one zoomed pass
-    answers them all with an array, each entry equal to its own call.
+    The zoomed search of ``zoom_solve`` on the coarse slice. ``x_other``
+    is one offer, answered with a float, or an array of offers, answered
+    in one pass with an array whose entries equal their own calls. An
+    offer worth no more than zero is answered with 0 (no trade).
     """
-    if not fast and np.size(x_other) != 1:
-        raise ValueError("an array of rival offers needs fast=True")
-    single = bilateral_reduce(problem, j, x_other, fast=fast)
-    if fast:
-        value, x, _y = zoom_solve(single, _ITER_STAGES, _ITER_GRID)
-        x = np.where(value <= 0.0, 0.0, x)
-        return (x if np.ndim(x_other) else float(x)), None
-    result = solve(single)
-    if result.no_trade or result.x is None:
-        return 0.0, result
-    return float(result.x), result
+    value, x, _ = zoom_solve(bilateral_reduce(problem, j, x_other, fast=True))
+    x = np.where(value <= 0.0, 0.0, x)
+    return x if np.ndim(x_other) else float(x[0])
 
 
 def worked_family_best_response(beta: float, x_other: float) -> float:
@@ -186,28 +165,24 @@ def worked_family_best_response(beta: float, x_other: float) -> float:
 
 
 def fixed_point(
-    problem: AgencyProblem,
-    start: tuple[float, float] = (0.0, 0.0),
-    damping: float | None = None,
-    tol: float | None = None,
-    max_iter: int | None = None,
+    problem: AgencyProblem, start: tuple[float, float] = (0.0, 0.0)
 ) -> AgencyEquilibrium:
     """Accelerated simultaneous best-response iteration to a simple-offer equilibrium.
 
-    With residual f(x) = BR(x) - x, the damped step is x + lambda f(x).
+    With residual f(x) = BR(x) - x, the damped step is x + lambda f(x),
+    lambda the problem's ``damping``.
     From the second step on, Anderson acceleration (Walker & Ni 2011,
     SIAM J. Numer. Anal. 49(4)) with the last ``_ANDERSON_DEPTH`` iterates
     replaces it, unless the accelerated point leaves ``x_box`` or the
     residual grew since the previous step. Iterates until the residual
-    drops below ``tol``; raises on non-convergence, attaching the
-    trajectory. The coarse zoomed search is used on the way; the reported
+    drops below ``fp_tol``, at most ``max_iter`` steps; raises on
+    non-convergence, attaching the trajectory. The best responses search
+    the coarse slice (see :func:`best_response`); the reported
     y, cutoff and value of each principal come from one full-resolution
     inner solve at the reported own offer against the rival's, shared when
     the problem is symmetric and the offers are equal.
     """
-    lam = problem.damping if damping is None else damping
-    tol = problem.fp_tol if tol is None else tol
-    max_iter = problem.max_iter if max_iter is None else max_iter
+    lam, tol, max_iter = problem.damping, problem.fp_tol, problem.max_iter
     x = np.array([float(start[0]), float(start[1])])
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
     cache: dict[tuple, float] = {}
@@ -217,7 +192,7 @@ def fixed_point(
     def br(j: int, xo: float) -> float:
         key = (xo,) if symmetric else (j, xo)
         if key not in cache:
-            cache[key] = best_response(problem, j, xo, fast=True)[0]
+            cache[key] = best_response(problem, j, xo)
         return cache[key]
 
     history: list[tuple[np.ndarray, np.ndarray]] = []

@@ -26,10 +26,14 @@ import numpy as np
 
 from . import exprlang
 from .env_core import Belief, TypeSpace, simpson_coefficients
-from .optimize import _INV_PHI, _INV_PHI_SQ, golden_max
+from .optimize import golden_rows
 
 _EPS = float(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100  # a safeguard: smooth rows close in 4-6 steps, a kink at the root in 13-48
+_ROOT_TOL = 4e-15  # cutoff bracket width: about 48 halvings of a unit type span
+# ``zoom_solve``: zoom stages and x-grid points per stage
+_ZOOM_STAGES = 4
+_ZOOM_GRID = 48
 
 __all__ = [
     "SingleProblem",
@@ -81,7 +85,6 @@ class SingleProblem:
     x_grid: int = 256
     y_grid: int = 256
     panels: int = 256
-    root_tol: float = 4e-15  # about the width of 48 halvings of a unit type span
     opt_tol: float = 1e-8
     rivals: int | None = None
 
@@ -248,7 +251,7 @@ def _profit(
             grid[k],
             sweep[inner, k - 1],
             sweep[inner, k],
-            problem.root_tol + 4.0 * _EPS * max(abs(lo), abs(hi)),
+            _ROOT_TOL + 4.0 * _EPS * max(abs(lo), abs(hi)),
         )
 
     value = np.zeros(n)
@@ -297,7 +300,7 @@ def cutoff(problem: SingleProblem, x: float, y: float) -> CutoffResult:
 
     Flags "all-stay" when the lowest type already accepts and "none-stay"
     when even the highest type refuses; otherwise the kernel brackets the
-    root to ``root_tol``, indifferent types staying. An everywhere-negative
+    root to ``_ROOT_TOL``, indifferent types staying. An everywhere-negative
     sweep certifies "none-stay" before the monotonicity audit.
     """
     return _cutoff_result(problem, _point(problem, x, y)[2])
@@ -330,57 +333,15 @@ def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None)
     return out
 
 
-def _row_golden(
-    problem: SingleProblem,
-    X: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    r=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization in y, vectorized across rows of fixed x.
-
-    The rows of one rival (every row, without ``r``) take the step count
-    of their widest bracket, or the bracket midpoints when it is within
-    ``tol``; rows with equal counts share each pass, so a row's result
-    does not depend on the other rivals in the call.
-    """
-    a, b = a.astype(float), b.astype(float)
-    group = np.zeros(a.size, dtype=int) if r is None else r
-    widest = np.zeros(group.max() + 1)
-    np.maximum.at(widest, group, b - a)
-    counts = [math.ceil(math.log(tol / w) / math.log(_INV_PHI)) if w > tol else 0 for w in widest]
-    steps = np.array(counts)[group]
-    y = 0.5 * (a + b)
-    for n in sorted(set(counts) - {0}):
-        rows = np.flatnonzero(steps == n)
-        Xn, rn, lo, hi = X[rows], _at(r, rows), a[rows], b[rows]
-        dist = hi - lo
-        c = lo + _INV_PHI_SQ * dist
-        d = lo + _INV_PHI * dist
-        yc = _profit(problem, Xn, c, audit=False, r=rn)[0]
-        yd = _profit(problem, Xn, d, audit=False, r=rn)[0]
-        for _ in range(n - 1):
-            left = yc > yd  # maximum bracketed in [lo, d] where true, [c, hi] where false
-            hi = np.where(left, d, hi)
-            lo = np.where(left, lo, c)
-            dist = dist * _INV_PHI
-            c = lo + _INV_PHI_SQ * dist  # equals the surviving old point on one side
-            d = lo + _INV_PHI * dist
-            yp = _profit(problem, Xn, np.where(left, c, d), audit=False, r=rn)[0]
-            yc, yd = np.where(left, yp, yd), np.where(left, yc, yp)
-        y[rows] = np.where(yc > yd, 0.5 * (lo + d), 0.5 * (c + hi))
-    return y, _profit(problem, X, y, r=r)[0]  # final value honors the audit
-
-
 def _inner_rows(
     problem: SingleProblem, xs: np.ndarray, r=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (value, y) per contractible offer, vectorized across offers.
 
     A y-grid scan brackets the per-row optimum; golden section refines
-    each bracket simultaneously. Grid ties break toward the lowest index
-    and the refinement is kept only when it improves on the grid value.
+    each bracket simultaneously, one group per rival, and the refined
+    value honors the audit. Grid ties break toward the lowest index and
+    the refinement is kept only when it improves on the grid value.
     ``r`` gives each offer its rival index (see :func:`_profit`).
     """
     xs = np.asarray(xs, dtype=float)
@@ -390,14 +351,15 @@ def _inner_rows(
     value, y = grid[np.arange(len(xs)), idx], ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
-        yr, vr = _row_golden(
-            problem,
-            xs[rows],
+        X, rr = xs[rows], _at(r, rows)
+        yr = golden_rows(
+            lambda k, yk: _profit(problem, X[k], yk, audit=False, r=_at(rr, k))[0],
             ys[np.maximum(idx[rows] - 1, 0)],
             ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)],
             problem.opt_tol,
-            _at(r, rows),
+            rr,
         )
+        vr = _profit(problem, X, yr, r=rr)[0]
         better = vr > value[rows]
         value[rows[better]] = vr[better]
         y[rows[better]] = yr[better]
@@ -428,15 +390,12 @@ def solve(problem: SingleProblem) -> SolveResult:
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, problem.x_grid - 1)])
-    x_ref, v_ref = golden_max(
-        lambda x: _inner_solve(problem, x)[0], a, b, problem.opt_tol
-    )
+    x_ref = float(golden_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, problem.opt_tol)[0])
+    v_ref, y_ref = _inner_solve(problem, x_ref)
     if v_ref >= values[i]:
-        x_star = float(x_ref)
-        value, y_star = _inner_solve(problem, x_star)
+        x_star, value, y_star = x_ref, v_ref, y_ref
     else:
-        x_star = float(xs[i])
-        value, y_star = float(values[i]), float(inner_y[i])
+        x_star, value, y_star = float(xs[i]), float(values[i]), float(inner_y[i])
 
     if value <= 0.0:
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
@@ -446,33 +405,32 @@ def solve(problem: SingleProblem) -> SolveResult:
     )
 
 
-def zoom_solve(
-    problem: SingleProblem, stages: int = 4, grid: int = 48
-) -> tuple:
+def zoom_solve(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fast (x, y) optimizer for iterative callers (best-response dynamics).
 
-    Each stage scans an x-grid with the vectorized inner-row search (the
-    inner optimum often sits at a participation kink, which the per-row
-    golden refinement resolves exactly), then zooms the x-box around the
-    incumbent row. Same unimodality assumption as the full solve. Every
-    row is refined, not only the incumbent and its neighbours: on the
-    worked agency family (beta in linspace(0.3, 0.9, 13) and 17/21, fixed
-    point and curve), 632 of 828 stages refined a winner more than one
-    row away from the grid argmax.
+    Each of ``_ZOOM_STAGES`` stages scans an x-grid of ``_ZOOM_GRID``
+    points with the vectorized inner-row search (the inner optimum often
+    sits at a participation kink, which the per-row golden refinement
+    resolves exactly), then zooms the x-box around the incumbent row.
+    Same unimodality assumption as the full solve. Every row is refined,
+    not only the incumbent and its neighbours: on the worked agency
+    family (beta in linspace(0.3, 0.9, 13) and 17/21, fixed point and
+    curve), 632 of 828 stages refined a winner more than one row away
+    from the grid argmax.
 
-    Returns (value, x, y). When the problem binds ``rivals`` offers, one
-    pass per stage serves them all, each rival with its own box and its
-    own stop at a stage without a finite value, and the three are arrays
-    with one entry per rival.
+    Returns arrays (value, x, y) with one entry per rival offer the
+    problem binds (one entry without ``rivals``). One pass per stage
+    serves every rival, each with its own box and its own stop at a stage
+    without a finite value.
     """
     rivals = problem.rivals
     k = 1 if rivals is None else rivals
     xlo, xhi = np.full(k, float(problem.x_box[0])), np.full(k, float(problem.x_box[1]))
     value, x, y = np.full(k, -math.inf), xlo.copy(), np.full(k, float(problem.y_box[0]))
     todo = np.arange(k)
-    for _ in range(stages):
-        xs = np.array([np.linspace(xlo[j], xhi[j], grid) for j in todo])
-        r = None if rivals is None else np.repeat(todo, grid)
+    for _ in range(_ZOOM_STAGES):
+        xs = np.array([np.linspace(xlo[j], xhi[j], _ZOOM_GRID) for j in todo])
+        r = None if rivals is None else np.repeat(todo, _ZOOM_GRID)
         values, inner_y = (v.reshape(xs.shape) for v in _inner_rows(problem, xs.ravel(), r))
         i = np.argmax(values, axis=1)
         vi, xi, yi = (v[np.arange(todo.size), i] for v in (values, xs, inner_y))
@@ -480,14 +438,12 @@ def zoom_solve(
         win = stop | (vi > value[todo])
         value[todo[win]] = np.where(stop, -math.inf, vi)[win]
         x[todo[win]], y[todo[win]] = xi[win], yi[win]
-        dx = (xhi[todo] - xlo[todo]) / (grid - 1)
+        dx = (xhi[todo] - xlo[todo]) / (_ZOOM_GRID - 1)
         xlo[todo] = np.maximum(problem.x_box[0], xi - 1.5 * dx)
         xhi[todo] = np.minimum(problem.x_box[1], xi + 1.5 * dx)
         todo = todo[~stop]
         if not todo.size:
             break
-    if rivals is None:
-        return float(value[0]), float(x[0]), float(y[0])
     return value, x, y
 
 

@@ -77,7 +77,7 @@ def test_criterion_2_common_agency():
     elapsed = time.perf_counter() - t0
     br_errors = []
     for xo in (0.0, 1.0, 2.0, 3.0):
-        numeric, _ = sa.best_response(problem, 0, xo)
+        numeric = sa.best_response(problem, 0, xo)
         br_errors.append(abs(numeric - sa.worked_family_best_response(BETA, xo)))
     ok = (
         abs(closed - 3.0) <= 1e-9

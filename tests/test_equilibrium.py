@@ -402,6 +402,18 @@ class TestCheckRobust:
         assert flagged[0].worst_value == pytest.approx(2.0)
         assert flagged[0].gain == pytest.approx(0.5)
 
+    def test_check_robust_uses_the_search_tolerance(self):
+        # found with tol = 1, this equilibrium fails the base checks at 1e-9;
+        # check_robust checks it at the tolerance of the options it is given
+        env, contracts = random_instance(np.random.default_rng(20250810))
+        options = eq.SearchOptions(tol=1.0, policies=("prior",))
+        found = eq.enumerate_equilibria(env, contracts, options)
+        assert found
+        assert not eq.check_continuation(env, found[0].assessment).passed
+        rep = eq.check_robust(env, found[0].assessment, options=options)
+        assert rep.base.passed
+        assert eq.check_continuation(env, found[0].assessment, 1.0) == rep.base
+
 
 class TestNoPostDeviationEquilibrium:
     def _pennies_env(self):
@@ -458,3 +470,4 @@ class TestNoPostDeviationEquilibrium:
         )
         with pytest.raises(ValueError, match="fails continuation checks"):
             eq.check_robust(env, bad, options=eq.SearchOptions())
+

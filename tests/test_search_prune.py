@@ -60,7 +60,7 @@ def _outputs(env, contracts, options):
     for j in range(env.n):
         devs = ct.enumerate_private(env, j) if private else ct.enumerate_gstar(env, j)
         space[j] = devs + [contracts[j]]
-    out.append(repr(_attempt(eq.check_robust, env, base, space, options, options.tol)))
+    out.append(repr(_attempt(eq.check_robust, env, base, space, options)))
     if private:
         for j, devs in space.items():
             for dev in devs:

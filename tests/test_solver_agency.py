@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -76,19 +77,19 @@ class TestBestResponse:
         )
 
     def test_decoupled_reduces_to_single(self, worked):
-        x, _ = sa.best_response(worked, 0, 0.0)
+        x = sa.best_response(worked, 0, 0.0)
         assert x == pytest.approx(1.3193, abs=1e-3)
 
     def test_numeric_matches_closed_form(self, worked):
         for xo in (0.0, 1.0, 2.0, 3.0):
-            x, _ = sa.best_response(worked, 0, xo)
+            x = sa.best_response(worked, 0, xo)
             assert x == pytest.approx(
                 sa.worked_family_best_response(BETA, xo), abs=1e-3
             )
 
     def test_half_grid_matches_closed_form(self, worked):
         for xo in np.arange(0.0, 3.01, 0.5):
-            x, _ = sa.best_response(worked, 0, float(xo), fast=True)
+            x = sa.best_response(worked, 0, float(xo))
             assert x == pytest.approx(
                 sa.worked_family_best_response(BETA, float(xo)), abs=1e-3
             )
@@ -105,10 +106,10 @@ class TestBatchedBestResponse:
     @settings(max_examples=6, deadline=None)
     def test_batch_equals_per_offer_calls(self, beta, offers):
         problem = _worked_family(beta)
-        batch, _ = sa.best_response(problem, 0, offers, fast=True)
+        batch = sa.best_response(problem, 0, offers)
         assert batch.shape == (len(offers),)
         for xo, got in zip(offers, batch):
-            assert got == sa.best_response(problem, 0, xo, fast=True)[0]
+            assert got == sa.best_response(problem, 0, xo)
 
     def test_rival_without_finite_value_stops_alone(self):
         # v is nan for rival offers below 1, so those rivals stop at stage 1
@@ -118,11 +119,11 @@ class TestBatchedBestResponse:
             principal_payoffs=("sqrt(x_other - 1)*y*theta - x^2",) * 2,
         )
         offers = [0.0, 2.0, 0.5, 3.0]
-        batch = ss.zoom_solve(sa.bilateral_reduce(problem, 0, offers, fast=True), 4, 48)
+        batch = ss.zoom_solve(sa.bilateral_reduce(problem, 0, offers, fast=True))
         assert list(np.isfinite(batch[0])) == [False, True, False, True]
         for k, xo in enumerate(offers):
-            alone = ss.zoom_solve(sa.bilateral_reduce(problem, 0, xo, fast=True), 4, 48)
-            assert [part[k] for part in batch] == list(alone)
+            alone = ss.zoom_solve(sa.bilateral_reduce(problem, 0, xo, fast=True))
+            assert [part[k] for part in batch] == [part[0] for part in alone]
 
     def test_slice_records_rival_count(self, worked):
         assert sa.bilateral_reduce(worked, 0, 1.0).rivals is None
@@ -130,13 +131,7 @@ class TestBatchedBestResponse:
         assert sa.bilateral_reduce(worked, 0, np.array([0.0, 1.0, 2.0])).rivals == 3
 
     def test_scalar_call_answers_with_floats(self, worked):
-        value, x, y = ss.zoom_solve(sa.bilateral_reduce(worked, 0, 1.0, fast=True))
-        assert all(type(part) is float for part in (value, x, y))
-        assert type(sa.best_response(worked, 0, 1.0, fast=True)[0]) is float
-
-    def test_array_without_fast_is_rejected(self, worked):
-        with pytest.raises(ValueError, match="fast=True"):
-            sa.best_response(worked, 0, [0.0, 1.0])
+        assert type(sa.best_response(worked, 0, 1.0)) is float
 
     def test_chunks_inside_a_rival_mesh_do_not_change_grid(self, worked):
         # full panels evaluate blocks of 2,000,000 // 257 // 256 = 30 x-rows;
@@ -163,9 +158,9 @@ def fixture_run():
         seen["inner_rows"] += 1
         return inner_rows(*args, **kwargs)
 
-    def recorded(problem, j, x_other, fast=False):
-        answer = best_response(problem, j, x_other, fast)
-        seen["best_response"].append((j, x_other, answer[0]))
+    def recorded(problem, j, x_other):
+        answer = best_response(problem, j, x_other)
+        seen["best_response"].append((j, x_other, answer))
         return answer
 
     path = resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json"
@@ -208,7 +203,7 @@ class TestFixedPoint:
         assert equilibrium.residual <= worked.fp_tol
         # re-evaluating the best response at the fixed point reproduces it
         for j in (0, 1):
-            br, _ = sa.best_response(worked, j, equilibrium.x[1 - j])
+            br = sa.best_response(worked, j, equilibrium.x[1 - j])
             assert br == pytest.approx(equilibrium.x[j], abs=1e-3)
 
     def test_beta_zero_decouples(self):
@@ -228,7 +223,7 @@ class TestFixedPoint:
 
     def test_nonconvergence_reports_trajectory(self, worked):
         with pytest.raises(RuntimeError, match="did not converge"):
-            sa.fixed_point(worked, max_iter=2)
+            sa.fixed_point(dataclasses.replace(worked, max_iter=2))
 
     def test_fixture_converges_in_few_iterations(self, equilibrium):
         assert equilibrium.iterations <= 8

@@ -196,7 +196,7 @@ class TestSolve:
         assert labor_solution.value >= float(np.max(grid)) - 1e-9
 
     def test_zoom_agrees_with_solve(self, labor, labor_solution):
-        value, x, y = ss.zoom_solve(labor)
+        (value,), (x,), (y,) = ss.zoom_solve(labor)
         assert value == pytest.approx(labor_solution.value, abs=1e-6)
         assert x == pytest.approx(labor_solution.x, abs=1e-3)
 
