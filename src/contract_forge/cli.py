@@ -692,16 +692,15 @@ def _run_robust(sc, report, opts, tol, require_private=False):
     env, assessment = sc.blocks["environment"], sc.blocks["assessment"]
     if require_private and env.observability != "private":
         raise ScenarioError("schema error at $.environment.observability: private-check requires 'private'")
-    base = eq.check_continuation(env, assessment, tol)
-    if not base.passed:
-        report.payload = {"base": _equilibrium_payload(base), "findings": []}
-        report.exit_code = 1
-        report.warnings.append("assessment fails continuation checks")
-        return
     space = None if opts.deviations is None else {
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
     }
     rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search(tol))
+    if not rep.base.passed:
+        report.payload = {"base": _equilibrium_payload(rep.base), "findings": []}
+        report.exit_code = 1
+        report.warnings.append("assessment fails continuation checks")
+        return
     report.payload = {
         "passed": rep.passed,
         "base": _equilibrium_payload(rep.base),

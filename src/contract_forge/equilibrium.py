@@ -3,11 +3,14 @@
 Works on finite environments with an installed contract profile (one
 mechanism per principal). Two observability modes:
 
-* public: principals observe the full message profile; continuation
-  strategies and beliefs are keyed by message profiles;
-* private: each principal observes only the message sent to him;
-  continuation strategies are keyed by own messages and beliefs are
-  joint weights over (type, other principals' messages).
+* public: principals observe the full message profile;
+* private: each principal observes only the message sent to him.
+
+Both are one rule: principal j observes ``_Game.seen(j, profile)``, and
+continuation play is keyed by observations. Internally every belief is a
+map from (type, message profile) to weight at one observation; the
+:class:`BeliefSystem` labels turn it into a weight vector over types
+(public) or weights over (type, other principals' messages) (private).
 
 A continuation equilibrium requires Bayes-consistent beliefs, agent
 optimality with interim participation (the agent's payoff must weakly
@@ -164,7 +167,7 @@ class _Game:
                 raise ValueError(f"contract at slot {j} is for principal {c.principal}")
         self.env = env
         self.contracts = tuple(contracts)
-        self.mode = env.observability
+        self.public = env.observability == "public"
         self.t_labels = env.types.labels
         self.t_values = env.types.values
         self.mu = env.types.weights
@@ -179,6 +182,17 @@ class _Game:
         ]
         self.sizes = [len(c.messages) for c in contracts]
         self.profiles = list(itertools.product(*[range(s) for s in self.sizes]))
+        # per principal: observation -> its message profiles, in profile order
+        self.cells = [{} for _ in range(self.n)]
+        for prof in self.profiles:
+            for j in range(self.n):
+                self.cells[j].setdefault(self.seen(j, prof), []).append(prof)
+        # (principal, observation) in report order: profile-major when public,
+        # principal-major when private
+        if self.public:
+            self.sites = [(j, prof) for prof in self.profiles for j in range(self.n)]
+        else:
+            self.sites = [(j, obs) for j in range(self.n) for obs in self.cells[j]]
         # first message of each contract carrying a given action
         self.selector = []
         for j in range(self.n):
@@ -193,16 +207,35 @@ class _Game:
         # best-reply sets of this game's search (_nash_set, _best_replies)
         self.memo: dict[tuple, tuple] = {}
 
+    def seen(self, j: int, prof: tuple[int, ...]):
+        """Principal j's observation of a message profile: the profile when
+        public, its own message index when private."""
+        return prof if self.public else prof[j]
+
+    def place(self, j: int, obs, prof: tuple[int, ...]) -> tuple[int, ...]:
+        """``prof`` with what principal j observes replaced by ``obs``."""
+        return obs if self.public else prof[:j] + (obs,) + prof[j + 1 :]
+
+    def label(self, j: int, obs):
+        """The label of an observation: message labels, or one label."""
+        return self.profile_labels(obs) if self.public else self.msg_labels[j][obs]
+
+    def select(self, j: int, actions: Sequence[str]):
+        """Principal j's observation of the profile of first messages
+        carrying ``actions``, one contractible action per principal."""
+        return self.seen(j, tuple(self.selector[k][a] for k, a in enumerate(actions)))
+
     def profile_labels(self, prof: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.msg_labels[j][m] for j, m in enumerate(prof))
 
     def profile_from_labels(self, labels: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.msg_labels[j].index(lab) for j, lab in enumerate(labels))
 
+    def actions(self, prof: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(self.msg_action[j][m] for j, m in enumerate(prof))
+
     def action_key(self, prof: tuple[int, ...], ys: tuple[str, ...]) -> ProfileKey:
-        return tuple(
-            (self.msg_action[j][prof[j]], ys[j]) for j in range(self.n)
-        )
+        return tuple(zip(self.actions(prof), ys))
 
     def payoffs(self, prof: tuple[int, ...], ys: tuple[str, ...]):
         """(agent payoff vector over types, principal payoff matrix n x T)."""
@@ -218,10 +251,6 @@ class _Game:
 
     def others(self, j: int) -> list[int]:
         return [k for k in range(self.n) if k != j]
-
-    @staticmethod
-    def merge(j: int, mj: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-        return rest[:j] + (mj,) + rest[j:]
 
 
 def _normalize_strategy(game: _Game, strategy: StrategyMap):
@@ -249,16 +278,31 @@ def _normalize_strategy(game: _Game, strategy: StrategyMap):
 # ---------------------------------------------------------------------------
 
 
-def _joint(game: _Game, q) -> dict[tuple[int, ...], np.ndarray]:
-    """Joint mass over (type, message profile); opt-out mass is dropped."""
-    joint: dict[tuple[int, ...], np.ndarray] = {}
+def _joint(game: _Game, q, j: int):
+    """Principal j's joint mass at each observation, in first-use order:
+    (observation -> weights over (type, profile), observation -> total).
+    Opt-out mass is dropped."""
+    weights: dict = {}
+    mass: dict = {}
     for t, dist in q.items():
         for prof, prob in dist:
             if prof is None or prob == 0.0:
                 continue
-            vec = joint.setdefault(prof, np.zeros(game.T))
-            vec[t] += game.mu[t] * prob
-    return joint
+            obs, w = game.seen(j, prof), game.mu[t] * prob
+            acc = weights.setdefault(obs, {})
+            acc[(t, prof)] = acc.get((t, prof), 0.0) + w
+            mass[obs] = mass.get(obs, 0.0) + w
+    return weights, mass
+
+
+def _posteriors(game: _Game, q, j: int) -> dict:
+    """Bayes' rule at every observation of principal j with positive mass."""
+    weights, mass = _joint(game, q, j)
+    return {
+        obs: {k: w / mass[obs] for k, w in acc.items()}
+        for obs, acc in weights.items()
+        if mass[obs] > 0.0
+    }
 
 
 def _policy_type_vector(game: _Game, policy: str) -> np.ndarray:
@@ -274,123 +318,89 @@ def _policy_type_vector(game: _Game, policy: str) -> np.ndarray:
     return game.mu / total
 
 
-def _public_beliefs(game: _Game, q, policy: str):
-    """Belief vector over types for every message profile."""
-    joint = _joint(game, q)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    onpath: dict[tuple[int, ...], np.ndarray] = {}
-    for prof, vec in joint.items():
-        mass = float(vec.sum())
-        if mass > 0.0:
-            onpath[prof] = vec / mass
-    fallback = _policy_type_vector(game, policy)
-    for prof in game.profiles:
-        if prof in onpath:
-            out[prof] = onpath[prof]
-        elif policy == "selector":
-            ref = tuple(
-                game.selector[j][game.msg_action[j][prof[j]]] for j in range(game.n)
-            )
-            out[prof] = onpath.get(ref, game.mu / float(game.mu.sum()))
-        else:
-            out[prof] = fallback
-    return out
+def _beliefs(game: _Game, q, j: int, policy: str) -> dict:
+    """Principal j's belief at every observation, as weights over (type,
+    profile), in observation order.
 
-
-def _participation_rest(game: _Game, q, j: int):
-    """Per type: conditional distribution over others' messages given participation."""
-    out = []
-    default_rest = (0,) * (game.n - 1)
-    for t in range(game.T):
-        acc: dict[tuple[int, ...], float] = {}
-        total = 0.0
-        for prof, prob in q[t]:
-            if prof is None or prob == 0.0:
-                continue
-            rest = tuple(prof[k] for k in game.others(j))
-            acc[rest] = acc.get(rest, 0.0) + prob
-            total += prob
-        if total > 0.0:
-            out.append({r: p / total for r, p in acc.items()})
-        else:
-            out.append({default_rest: 1.0})
-    return out
-
-
-def _private_beliefs(game: _Game, q, j: int, policy: str):
-    """Belief over (type, others' messages) for every own message of principal j."""
-    onpath: dict[int, dict[tuple[int, tuple[int, ...]], float]] = {}
-    mass: dict[int, float] = {}
-    for t, dist in q.items():
-        for prof, prob in dist:
-            if prof is None or prob == 0.0:
-                continue
-            mj = prof[j]
-            rest = tuple(prof[k] for k in game.others(j))
-            w = game.mu[t] * prob
-            onpath.setdefault(mj, {})
-            onpath[mj][(t, rest)] = onpath[mj].get((t, rest), 0.0) + w
-            mass[mj] = mass.get(mj, 0.0) + w
-    beliefs: dict[int, dict[tuple[int, tuple[int, ...]], float]] = {}
-    for mj, acc in onpath.items():
-        m = mass[mj]
-        beliefs[mj] = {k: w / m for k, w in acc.items()}
-
-    rest_given_part = _participation_rest(game, q, j)
+    An observation with positive mass follows Bayes' rule. Any other one
+    gives each type the policy's weight, spread over the messages j does
+    not see by the type's participation-conditional distribution (the
+    first messages when the type never participates). Under "selector" it
+    instead takes the on-path belief at the selector observation, moved
+    here; the prior applies when that one is off path too."""
+    onpath = _posteriors(game, q, j)
     tvec = _policy_type_vector(game, policy)
-
-    def offpath_for(mj: int):
-        if policy == "selector":
-            ref = game.selector[j].get(game.msg_action[j][mj])
-            if ref is not None and ref in beliefs:
-                return dict(beliefs[ref])
-        out: dict[tuple[int, tuple[int, ...]], float] = {}
-        for t in range(game.T):
-            if tvec[t] == 0.0:
-                continue
-            for rest, p in rest_given_part[t].items():
-                out[(t, rest)] = out.get((t, rest), 0.0) + tvec[t] * p
-        return out
-
-    for mj in range(game.sizes[j]):
-        if mj not in beliefs:
-            beliefs[mj] = offpath_for(mj)
-    return beliefs
-
-
-def _raw_beliefs(game: _Game, q, policy: str):
-    """Index-keyed beliefs: public, profile -> type vector (shared by every
-    principal); private, per principal, own message -> weights over (type,
-    others' messages)."""
-    if game.mode == "public":
-        return _public_beliefs(game, q, policy)
-    return [_private_beliefs(game, q, j, policy) for j in range(game.n)]
+    out: dict = {}
+    for obs, cell in game.cells[j].items():
+        ref = game.select(j, game.actions(cell[0])) if policy == "selector" else None
+        if obs in onpath:
+            out[obs] = onpath[obs]
+        elif ref in onpath:
+            out[obs] = {(t, game.place(j, obs, prof)): w for (t, prof), w in onpath[ref].items()}
+        else:
+            out[obs] = belief = {}
+            for t in range(game.T):
+                if tvec[t] == 0.0:
+                    continue
+                acc: dict[tuple[int, ...], float] = {}
+                total = 0.0
+                for prof, prob in q[t]:
+                    if prof is None or prob == 0.0:
+                        continue
+                    key = game.place(j, obs, prof)
+                    acc[key] = acc.get(key, 0.0) + prob
+                    total += prob
+                rest = {k: p / total for k, p in acc.items()} if total > 0.0 else {cell[0]: 1.0}
+                for prof, p in rest.items():
+                    belief[(t, prof)] = tvec[t] * p
+    return out
 
 
-def _belief_system(game: _Game, raw, policy: str) -> BeliefSystem:
-    """Label-keyed :class:`BeliefSystem` of :func:`_raw_beliefs` output."""
-    if game.mode == "public":
-        shared = {
-            game.profile_labels(prof): tuple(float(x) for x in vec)
-            for prof, vec in raw.items()
-        }
-        return BeliefSystem(
-            mode="public", public={j: dict(shared) for j in range(game.n)}, offpath=policy
-        )
-    priv = {}
-    for j in range(game.n):
-        others = game.others(j)
-        priv[j] = {
-            game.msg_labels[j][i]: {
-                (
-                    game.t_labels[t],
-                    tuple(game.msg_labels[k][r] for k, r in zip(others, rest)),
-                ): float(w)
-                for (t, rest), w in raw[j][i].items()
+def _belief_system(game: _Game, beliefs, policy: str) -> BeliefSystem:
+    """Label-keyed :class:`BeliefSystem` of per-principal beliefs in
+    :func:`_beliefs`'s form."""
+    if game.public:
+        public = {
+            j: {
+                game.label(j, obs): tuple(float(b.get((t, obs), 0.0)) for t in range(game.T))
+                for obs, b in beliefs[j].items()
             }
-            for i in range(game.sizes[j])
+            for j in range(game.n)
         }
-    return BeliefSystem(mode="private", private=priv, offpath=policy)
+        return BeliefSystem(mode="public", public=public, offpath=policy)
+    private = {
+        j: {
+            game.label(j, obs): {
+                (game.t_labels[t], tuple(game.msg_labels[k][prof[k]] for k in game.others(j))): float(w)
+                for (t, prof), w in b.items()
+            }
+            for obs, b in beliefs[j].items()
+        }
+        for j in range(game.n)
+    }
+    return BeliefSystem(mode="private", private=private, offpath=policy)
+
+
+def _declared_beliefs(game: _Game, assessment: Assessment) -> list[dict]:
+    """An assessment's beliefs in :func:`_beliefs`'s form, per principal."""
+    out = []
+    for j in range(game.n):
+        if game.public:
+            table = assessment.beliefs.public[j]
+            out.append({
+                prof: {(t, prof): float(w) for t, w in enumerate(table[game.label(j, prof)])}
+                for prof in game.cells[j]
+            })
+            continue
+        table = assessment.beliefs.private[j]
+        beliefs: dict = {}
+        for i in game.cells[j]:
+            beliefs[i] = {}
+            for (t_lab, rest_labs), w in table[game.label(j, i)].items():
+                rest = tuple(game.msg_labels[k].index(lab) for k, lab in zip(game.others(j), rest_labs))
+                beliefs[i][(game.t_labels.index(t_lab), rest[:j] + (i,) + rest[j:])] = float(w)
+        out.append(beliefs)
+    return out
 
 
 def bayes_update(
@@ -401,14 +411,15 @@ def bayes_update(
 ) -> BeliefSystem:
     """Posterior system from a messaging strategy.
 
-    On-path entries follow Bayes' rule; off-path entries come from the
-    named policy ("prior", "lowest-type", "highest-type", "selector").
+    Observations that carry positive probability mass follow Bayes' rule;
+    every other one comes from the named policy ("prior", "lowest-type",
+    "highest-type", "selector").
     """
     if offpath not in OFFPATH_POLICIES:
         raise ValueError(f"unknown off-path policy {offpath!r}")
     game = _Game(game_env, contracts)
     q = _normalize_strategy(game, strategy)
-    return _belief_system(game, _raw_beliefs(game, q, offpath), offpath)
+    return _belief_system(game, [_beliefs(game, q, j, offpath) for j in range(game.n)], offpath)
 
 
 def build_assessment(
@@ -417,7 +428,6 @@ def build_assessment(
     strategy: StrategyMap,
     continuation: str | Mapping[int, Mapping] = "recommendation",
     offpath: str = "prior",
-    beliefs: BeliefSystem | None = None,
 ) -> Assessment:
     """Assemble an assessment, filling continuation play and beliefs.
 
@@ -429,28 +439,21 @@ def build_assessment(
     if isinstance(continuation, str):
         if continuation != "recommendation":
             raise ValueError(f"unknown continuation rule {continuation!r}")
-        cont: dict[int, dict] = {}
         for j in range(game.n):
-            recs = game.msg_rec[j]
-            if any(r is None for r in recs):
+            if any(r is None for r in game.msg_rec[j]):
                 raise ValueError(
                     f"contract of principal {j} has messages without recommendations"
                 )
-            if game.mode == "private":
-                cont[j] = {game.msg_labels[j][i]: recs[i] for i in range(game.sizes[j])}
-            else:
-                cont[j] = {
-                    game.profile_labels(prof): recs[prof[j]] for prof in game.profiles
-                }
+        cont: dict[int, dict] = {j: {} for j in range(game.n)}
+        for j, obs in game.sites:
+            cont[j][game.label(j, obs)] = game.msg_rec[j][game.cells[j][obs][0][j]]
     else:
         cont = {j: dict(m) for j, m in continuation.items()}
-    if beliefs is None:
-        beliefs = bayes_update(env, contracts, strategy, offpath)
     return Assessment(
         contracts=tuple(contracts),
         strategy={k: tuple(v) for k, v in strategy.items()},
         continuation=cont,
-        beliefs=beliefs,
+        beliefs=bayes_update(env, contracts, strategy, offpath),
     )
 
 
@@ -460,63 +463,18 @@ def build_assessment(
 
 
 def _continuation_arrays(game: _Game, assessment: Assessment):
-    """Continuation as index arrays: public profile->ys tuple, private per-j."""
-    if game.mode == "public":
-        gamma: dict[tuple[int, ...], tuple[str, ...]] = {}
-        for prof in game.profiles:
-            labs = game.profile_labels(prof)
-            ys = []
-            for j in range(game.n):
-                try:
-                    ys.append(assessment.continuation[j][labs])
-                except KeyError:
-                    raise ValueError(
-                        f"continuation of principal {j} missing profile {labs!r}"
-                    ) from None
-            gamma[prof] = tuple(ys)
-        return gamma
-    per_msg: list[dict[int, str]] = []
-    for j in range(game.n):
-        table = assessment.continuation[j]
-        col = {}
-        for i, lab in enumerate(game.msg_labels[j]):
-            if lab not in table:
-                raise ValueError(f"continuation of principal {j} missing message {lab!r}")
-            col[i] = table[lab]
-        per_msg.append(col)
-    gamma = {
-        prof: tuple(per_msg[j][prof[j]] for j in range(game.n))
-        for prof in game.profiles
-    }
-    return gamma
-
-
-def _belief_vectors(game: _Game, assessment: Assessment):
-    """Public belief vectors per (j, profile); private dicts per (j, message)."""
-    if game.mode == "public":
-        out: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        for j in range(game.n):
-            table = assessment.beliefs.public[j]
-            for prof in game.profiles:
-                labs = game.profile_labels(prof)
-                vec = np.array(table[labs])
-                out[(j, prof)] = vec
-        return out
-    out_p: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], float]] = {}
-    for j in range(game.n):
-        table = assessment.beliefs.private[j]
-        others = game.others(j)
-        for i, lab in enumerate(game.msg_labels[j]):
-            raw = table[lab]
-            conv: dict[tuple[int, tuple[int, ...]], float] = {}
-            for (t_lab, rest_labs), w in raw.items():
-                t = game.t_labels.index(t_lab)
-                rest = tuple(
-                    game.msg_labels[k].index(rl) for k, rl in zip(others, rest_labs)
-                )
-                conv[(t, rest)] = float(w)
-            out_p[(j, i)] = conv
-    return out_p
+    """Continuation as a map message profile -> y-profile."""
+    ys: dict[tuple[int, ...], list] = {prof: [None] * game.n for prof in game.profiles}
+    for j, obs in game.sites:
+        try:
+            y = assessment.continuation[j][game.label(j, obs)]
+        except KeyError:
+            raise ValueError(
+                f"continuation of principal {j} has no action at {game.label(j, obs)!r}"
+            ) from None
+        for prof in game.cells[j][obs]:
+            ys[prof][j] = y
+    return {prof: tuple(y) for prof, y in ys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -569,24 +527,15 @@ def _agent_gap(game: _Game, pay: np.ndarray, outcomes) -> tuple[float, int | Non
     return float(gaps[t]), t, profs[int(table[:, t].argmax())]
 
 
-def _public_value(game: _Game, j: int, prof: tuple[int, ...], belief, y_j: str, ys) -> float:
-    """Principal j's expected payoff from y_j at message profile ``prof``
-    under a type belief, the others playing ``ys``."""
-    _, v = game.payoffs(prof, ys[:j] + (y_j,) + ys[j + 1 :])
-    return float(belief @ v[j])
-
-
-def _private_value(game: _Game, j: int, i: int, belief, y_j: str, cont) -> float:
-    """Principal j's expected payoff from y_j after own message i under a
-    belief over (type, others' messages), each other principal k playing
-    ``cont[k][message]``."""
+def _value(game: _Game, j: int, belief, y_j: str, gamma) -> float:
+    """Principal j's expected payoff from y_j under a belief over (type,
+    message profile), the others playing ``gamma`` (profile -> y-profile)."""
     total = 0.0
-    for (t, rest), w in belief.items():
+    for (t, prof), w in belief.items():
         if w == 0.0:
             continue
-        prof = _Game.merge(j, i, rest)
-        ys = tuple(y_j if k == j else cont[k][prof[k]] for k in range(game.n))
-        _, v = game.payoffs(prof, ys)
+        ys = gamma[prof]
+        _, v = game.payoffs(prof, ys[:j] + (y_j,) + ys[j + 1 :])
         total += w * float(v[j][t])
     return total
 
@@ -635,42 +584,19 @@ def check_continuation(
                     f"continuation action {ys[j]!r} infeasible for principal {j} "
                     f"at profile {game.profile_labels(prof)!r}"
                 )
-    beliefs = _belief_vectors(game, assessment)
-    joint = _joint(game, q)
+    beliefs = _declared_beliefs(game, assessment)
 
-    # (i) Bayes consistency: prior-weighted posterior mass equals joint mass.
-    bayes_gap = 0.0
-    if game.mode == "public":
-        for prof, vec in joint.items():
-            mass = float(vec.sum())
-            if mass <= 0.0:
-                continue
-            for j in range(game.n):
-                p = beliefs[(j, prof)]
-                bayes_gap = max(bayes_gap, float(np.max(np.abs(p * mass - vec))))
-                bayes_gap = max(bayes_gap, abs(float(p.sum()) - 1.0))
-    else:
-        for j in range(game.n):
-            mass_j: dict[int, float] = {}
-            joint_j: dict[tuple[int, int, tuple[int, ...]], float] = {}
-            for prof, vec in joint.items():
-                mj = prof[j]
-                rest = tuple(prof[k] for k in game.others(j))
-                mass_j[mj] = mass_j.get(mj, 0.0) + float(vec.sum())
-                for t in range(game.T):
-                    if vec[t] != 0.0:
-                        key = (t, mj, rest)
-                        joint_j[key] = joint_j.get(key, 0.0) + float(vec[t])
-            for mj, m in mass_j.items():
-                p = beliefs[(j, mj)]
-                bayes_gap = max(bayes_gap, abs(sum(p.values()) - 1.0))
-                keys = set(p) | {
-                    (t, rest) for (t, mjj, rest) in joint_j if mjj == mj
-                }
-                for t, rest in keys:
-                    lhs = p.get((t, rest), 0.0) * m
-                    rhs = joint_j.get((t, mj, rest), 0.0)
-                    bayes_gap = max(bayes_gap, abs(lhs - rhs))
+    # (i) Bayes consistency at every observation with positive mass: the
+    # belief times the mass equals the joint mass. A NaN gap fails.
+    gaps = [0.0]
+    for j in range(game.n):
+        weights, mass = _joint(game, q, j)
+        for obs, m in mass.items():
+            if m > 0.0:
+                p, joint = beliefs[j][obs], weights[obs]
+                gaps.append(abs(sum(p.values()) - 1.0))
+                gaps += [abs(p.get(k, 0.0) * m - joint.get(k, 0.0)) for k in p.keys() | joint.keys()]
+    bayes_gap = float(np.max(gaps))
 
     # (ii) agent optimality with interim participation.
     agent_gap, t, where = _agent_gap(game, _agent_payoff(game, q, gamma), gamma.items())
@@ -679,36 +605,16 @@ def check_continuation(
         where_labels = OPT_OUT if where is None else game.profile_labels(where)
         agent_worst = (game.t_labels[t], where_labels, agent_gap)
 
-    # (iii) principal optimality after every message (profile). A site is
-    # (principal, where, equilibrium y, feasible ys, value of a y there).
-    if game.mode == "public":
-        sites = [
-            (
-                j, game.profile_labels(prof), gamma[prof][j], game.feas[j][prof[j]],
-                partial(_public_value, game, j, prof, beliefs[(j, prof)], ys=gamma[prof]),
-            )
-            for prof in game.profiles
-            for j in range(game.n)
-        ]
-    else:
-        cont = [
-            {i: assessment.continuation[j][lab] for i, lab in enumerate(game.msg_labels[j])}
-            for j in range(game.n)
-        ]
-        sites = [
-            (
-                j, game.msg_labels[j][i], cont[j][i], game.feas[j][i],
-                partial(_private_value, game, j, i, beliefs[(j, i)], cont=cont),
-            )
-            for j in range(game.n)
-            for i in range(game.sizes[j])
-        ]
+    # (iii) principal optimality at every observation.
     principal_worst = None
     principal_gap = 0.0
     ties: list[tuple] = []
-    for j, where, y_eq, feasible, value in sites:
+    for j, obs in game.sites:
+        prof = game.cells[j][obs][0]
+        value = partial(_value, game, j, beliefs[j][obs], gamma=gamma)
+        y_eq, where = gamma[prof][j], game.label(j, obs)
         lhs = value(y_eq)
-        for y_dev in feasible:
+        for y_dev in game.feas[j][prof[j]]:
             if y_dev == y_eq:
                 continue
             gap = value(y_dev) - lhs
@@ -819,10 +725,11 @@ def _best_of(value, feasible, tol: float) -> tuple[str, ...]:
     return tuple(y for y, v in zip(feasible, vals) if not _beats(top, v, tol))
 
 
-def _nash_set(game: _Game, prof: tuple[int, ...], belief: np.ndarray, tol: float):
+def _nash_set(game: _Game, prof: tuple[int, ...], belief, tol: float):
     """The y-profiles at ``prof`` where every principal best-replies under a
-    type belief; memoized on (profile, belief bytes), which fix it."""
-    key = (prof, belief.tobytes())
+    public belief; memoized on the profile and the belief's items in order
+    (which fix the summation)."""
+    key = (prof, tuple(belief.items()))
     hit = game.memo.get(key)
     if hit is None:
         feas_sets = [game.feas[j][prof[j]] for j in range(game.n)]
@@ -831,7 +738,7 @@ def _nash_set(game: _Game, prof: tuple[int, ...], belief: np.ndarray, tol: float
             for ys in itertools.product(*feas_sets)
             if all(
                 ys[j]
-                in _best_of(partial(_public_value, game, j, prof, belief, ys=ys), feas_sets[j], tol)
+                in _best_of(partial(_value, game, j, belief, gamma={prof: ys}), feas_sets[j], tol)
                 for j in range(game.n)
             )
         )
@@ -840,14 +747,19 @@ def _nash_set(game: _Game, prof: tuple[int, ...], belief: np.ndarray, tol: float
 
 def _best_replies(game: _Game, j: int, i: int, belief, cont, tol: float) -> tuple[str, ...]:
     """Principal j's best replies after own message i under a private
-    belief, the others playing ``cont``; memoized on the belief's items in
-    order (which fix the summation) and the others' continuation."""
+    belief, each other principal k playing ``cont[k][message]``; memoized on
+    the belief's items in order (which fix the summation) and the others'
+    continuation."""
     others = tuple(tuple(cont[k][m] for m in range(game.sizes[k])) for k in game.others(j))
     key = (j, i, tuple(belief.items()), others)
     hit = game.memo.get(key)
     if hit is None:
-        value = partial(_private_value, game, j, i, belief, cont=cont)
-        hit = game.memo[key] = _best_of(value, game.feas[j][i], tol)
+        # j's own entry is replaced by each y that _value tries
+        gamma = {
+            prof: tuple(None if k == j else cont[k][prof[k]] for k in range(game.n))
+            for prof in game.cells[j][i]
+        }
+        hit = game.memo[key] = _best_of(partial(_value, game, j, belief, gamma=gamma), game.feas[j][i], tol)
     return hit
 
 
@@ -887,8 +799,8 @@ def _completions(game: _Game, q, onpath, offpath, sets, gamma_of, tol: float):
 def _public_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
     """All (gamma, beliefs) completions of one agent strategy, public mode."""
     tol = options.tol
-    beliefs_pub = _public_beliefs(game, q, policy)
-    ne = {prof: _nash_set(game, prof, beliefs_pub[prof], tol) for prof in game.profiles}
+    beliefs = _beliefs(game, q, 0, policy)  # every principal holds the public belief
+    ne = {prof: _nash_set(game, prof, beliefs[prof], tol) for prof in game.profiles}
     if any(not v for v in ne.values()):
         return
     onpath = _onpath(q)
@@ -897,13 +809,13 @@ def _public_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions
     if combos > options.cap:
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
     for gamma in _completions(game, q, onpath, offpath, ne, dict, tol):
-        yield gamma, beliefs_pub
+        yield gamma, [beliefs] * game.n
 
 
 def _private_equilibria_for_q(game: _Game, q, policy: str, options: SearchOptions):
     """All continuation completions of one agent strategy, private mode."""
     tol = options.tol
-    beliefs = _raw_beliefs(game, q, policy)
+    beliefs = [_beliefs(game, q, j, policy) for j in range(game.n)]
     slots = [(j, i) for j in range(game.n) for i in range(game.sizes[j])]
     for flat in itertools.product(*[game.feas[j][i] for j, i in slots]):
         cont: dict[int, dict[int, str]] = {}
@@ -919,7 +831,7 @@ def _private_equilibria_for_q(game: _Game, q, policy: str, options: SearchOption
             yield gamma, beliefs
 
 
-def _assessment_from(game: _Game, q, gamma, beliefs_raw, policy: str) -> Assessment:
+def _assessment_from(game: _Game, q, gamma, beliefs, policy: str) -> Assessment:
     strategy = {
         lab: tuple(
             (OPT_OUT if prof is None else game.profile_labels(prof), prob)
@@ -927,19 +839,12 @@ def _assessment_from(game: _Game, q, gamma, beliefs_raw, policy: str) -> Assessm
         )
         for t, lab in enumerate(game.t_labels)
     }
-    public = game.mode == "public"
-    cont = {
-        j: {
-            (game.profile_labels(p) if public else game.msg_labels[j][p[j]]): ys[j]
-            for p, ys in gamma.items()
-        }
-        for j in range(game.n)
-    }
+    cont = {j: {game.label(j, game.seen(j, p)): ys[j] for p, ys in gamma.items()} for j in range(game.n)}
     return Assessment(
         contracts=game.contracts,
         strategy=strategy,
         continuation=cont,
-        beliefs=_belief_system(game, beliefs_raw, policy),
+        beliefs=_belief_system(game, beliefs, policy),
     )
 
 
@@ -950,23 +855,23 @@ def _equilibria(game: _Game, options: SearchOptions):
     keep = _agent_prune(game, ys_at.get, options.tol)
     # a pruned strategy could meet the public continuation cap: then prune none
     most_onpath = min(len(ys_at), game.T * (1 if options.mixing == "pure" else 2))
-    if game.mode == "public" and max(map(len, ys_at.values())) ** most_onpath > options.cap:
+    if game.public and max(map(len, ys_at.values())) ** most_onpath > options.cap:
         keep = lambda t, dist: True  # noqa: E731
     candidates = list(_strategy_candidates(game, options, keep))
-    search = _public_equilibria_for_q if game.mode == "public" else _private_equilibria_for_q
+    search = _public_equilibria_for_q if game.public else _private_equilibria_for_q
     combos = math.prod(len(f) for feas in game.feas for f in feas)
-    if game.mode == "private" and options.policies and combos > options.cap:  # for every strategy
+    if not game.public and options.policies and combos > options.cap:  # for every strategy
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
     seen: set[tuple] = set()
     for policy in options.policies:
         for qlist in candidates:
             q = dict(enumerate(qlist))
-            for gamma, beliefs_raw in search(game, q, policy, options):
+            for gamma, beliefs in search(game, q, policy, options):
                 alloc = _allocation(game, q, gamma)
                 key = alloc.key()
                 if key not in seen:
                     seen.add(key)
-                    yield key, alloc, policy, q, gamma, beliefs_raw
+                    yield key, alloc, policy, q, gamma, beliefs
 
 
 def enumerate_equilibria(
@@ -1039,7 +944,7 @@ def private_post_deviation_values(
     for policy in options.policies:
         for qlist in _strategy_candidates(game, options, keep):
             q = dict(enumerate(qlist))
-            p_j = _private_beliefs(game, q, j, policy)
+            p_j = _beliefs(game, q, j, policy)
             br = [_best_replies(game, j, i, p_j[i], frozen, tol) for i in range(game.sizes[j])]
             onpath_own = _onpath(q, own=j)
             offpath_own = [i for i in range(game.sizes[j]) if i not in onpath_own]
@@ -1058,21 +963,22 @@ def check_robust(
 ) -> RobustReport:
     """No-safe-deviation audit of a continuation equilibrium.
 
-    The base assessment is checked, and the post-deviation continuation
-    equilibria of each principal's deviation contracts are searched (full
-    re-solve in public mode; non-deviators frozen in private mode), at
-    ``options.tol``. A deviation is safe-profitable only if every found
-    continuation gives the deviator strictly more than the equilibrium
-    value plus that tolerance. Deviating to the installed contract itself
-    is seeded with the original outcome and is therefore never
-    safe-profitable. Both searches drop agent strategies that hold no
-    equilibrium (see enumerate_equilibria); the public audit reads values
-    without building assessments."""
+    The base assessment is checked first; when it fails, the report has
+    ``passed=False``, that base report and no findings. Otherwise the
+    post-deviation continuation equilibria of each principal's deviation
+    contracts are searched (full re-solve in public mode; non-deviators
+    frozen in private mode), at ``options.tol``. A deviation is
+    safe-profitable only if every found continuation gives the deviator
+    strictly more than the equilibrium value plus that tolerance.
+    Deviating to the installed contract itself is seeded with the original
+    outcome and is therefore never safe-profitable. Both searches drop
+    agent strategies that hold no equilibrium (see enumerate_equilibria);
+    the public audit reads values without building assessments."""
     options = options or SearchOptions()
     tol = options.tol
     base = check_continuation(env, assessment, tol)
     if not base.passed:
-        raise ValueError("assessment fails continuation checks; robustness undefined")
+        return RobustReport(passed=False, base=base, findings=())
     findings: list[DeviationFinding] = []
     private = env.observability == "private"
 
@@ -1148,94 +1054,35 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
     ngame = _Game(env, new_contracts)
     nq = _normalize_strategy(ngame, strategy)
     offpath = assessment.beliefs.offpath
+    old = _declared_beliefs(game, assessment)
+    moved = {prof: ngame.profile_from_labels(recode(prof)) for prof in game.profiles}
 
-    # Fill continuation and beliefs for every new profile: on the recoded
-    # image use the recommendations and the preimage's beliefs; elsewhere
-    # copy from the selector message carrying the same contractible action.
-    image_map: dict[tuple[str, ...], tuple[int, ...]] = {}
-    for prof in game.profiles:
-        image_map.setdefault(recode(prof), prof)
-
-    def original_ref(labs: tuple[str, ...]) -> tuple[int, ...]:
-        if labs in image_map:
-            return image_map[labs]
-        return tuple(
-            game.selector[j][labs[j].split("|", 1)[0]] for j in range(game.n)
-        )
-
-    if game.mode == "public":
-        joint_new = _joint(ngame, nq)
-        onpath = {}
-        for prof, vec in joint_new.items():
-            mass = float(vec.sum())
-            if mass > 0:
-                onpath[prof] = vec / mass
-        old_beliefs = _belief_vectors(game, assessment)
-        cont: dict[int, dict] = {j: {} for j in range(game.n)}
-        pub: dict[int, dict] = {j: {} for j in range(game.n)}
-        for nprof in ngame.profiles:
-            labs = ngame.profile_labels(nprof)
-            if nprof in onpath or labs in image_map:
-                ys = tuple(lab.split("|", 1)[1] for lab in labs)
-            else:
-                ref = original_ref(labs)
-                ys = gamma[ref]
-            for j in range(game.n):
-                cont[j][labs] = ys[j]
-                if nprof in onpath:
-                    pub[j][labs] = tuple(float(x) for x in onpath[nprof])
-                else:
-                    ref = original_ref(labs)
-                    pub[j][labs] = tuple(float(x) for x in old_beliefs[(j, ref)])
-        bel = BeliefSystem(mode="public", public=pub, offpath=offpath)
-        return Assessment(new_contracts, strategy, cont, bel)
-
-    # private: recode each principal's own message independently; on-path
-    # own messages take the Bayes beliefs of the recoded strategy
-    bayes = _belief_system(ngame, _raw_beliefs(ngame, nq, offpath), offpath).private
-    own_recode = [
-        {
-            i: f"{game.msg_action[j][i]}|{assessment.continuation[j][game.msg_labels[j][i]]}"
-            for i in range(game.sizes[j])
-        }
-        for j in range(game.n)
-    ]
-    cont = {j: {} for j in range(game.n)}
-    priv: dict[int, dict] = {j: {} for j in range(game.n)}
+    # A new observation that recodes old ones plays its recommendation and,
+    # off path, keeps the belief at the first of them; any other copies the
+    # continuation and belief at the old selector observation of its
+    # actions. On-path observations take the Bayes beliefs of the recoded
+    # strategy. A copied belief is moved to the new observation, with the
+    # messages it does not observe recoded.
+    first = [{} for _ in range(game.n)]
     for j in range(game.n):
-        onpath_own = set(_onpath(nq, own=j))
-        for i, lab in enumerate(ngame.msg_labels[j]):
-            x_lab, y_lab = lab.split("|", 1)
-            recoded_from = [
-                oi for oi in range(game.sizes[j]) if own_recode[j][oi] == lab
-            ]
-            if i in onpath_own:
-                cont[j][lab] = y_lab
-                priv[j][lab] = bayes[j][lab]
-            elif recoded_from:
-                cont[j][lab] = y_lab
-                priv[j][lab] = _recode_private_belief(
-                    game, assessment, j, recoded_from[0], own_recode
-                )
-            else:
-                oi = game.selector[j][x_lab]
-                cont[j][lab] = assessment.continuation[j][game.msg_labels[j][oi]]
-                priv[j][lab] = _recode_private_belief(
-                    game, assessment, j, oi, own_recode
-                )
-    bel = BeliefSystem(mode="private", private=priv, offpath=offpath)
-    return Assessment(new_contracts, strategy, cont, bel)
-
-
-def _recode_private_belief(game, assessment, j, old_own_index, own_recode):
-    """Push an old private belief through the other principals' recodings."""
-    old = assessment.beliefs.private[j][game.msg_labels[j][old_own_index]]
-    out: dict = {}
-    for (t_lab, rest_labs), w in old.items():
-        new_rest = []
-        for k, rl in zip(game.others(j), rest_labs):
-            oi = game.msg_labels[k].index(rl)
-            new_rest.append(own_recode[k][oi])
-        key = (t_lab, tuple(new_rest))
-        out[key] = out.get(key, 0.0) + float(w)
-    return out
+        for obs, cell in game.cells[j].items():
+            first[j].setdefault(ngame.seen(j, moved[cell[0]]), obs)
+    onpath = [_posteriors(ngame, nq, j) for j in range(game.n)]
+    cont: dict[int, dict] = {j: {} for j in range(game.n)}
+    beliefs: list[dict] = [{} for _ in range(game.n)]
+    for j, nobs in ngame.sites:
+        nprof = ngame.cells[j][nobs][0]
+        if nobs in first[j]:
+            obs, y = first[j][nobs], ngame.msg_rec[j][nprof[j]]
+        else:
+            obs = game.select(j, ngame.actions(nprof))
+            y = gamma[game.cells[j][obs][0]][j]
+        cont[j][ngame.label(j, nobs)] = y
+        if nobs in onpath[j]:
+            beliefs[j][nobs] = onpath[j][nobs]
+            continue
+        copied = beliefs[j][nobs] = {}
+        for (t, prof), w in old[j][obs].items():
+            key = (t, ngame.place(j, nobs, moved[prof]))
+            copied[key] = copied.get(key, 0.0) + w
+    return Assessment(new_contracts, strategy, cont, _belief_system(ngame, beliefs, offpath))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -193,10 +194,10 @@ class TestRunAndReports:
 
 
 class TestEngineScenarios:
-    def _check_equilibrium_scenario(self, tmp_path, strategy_rows):
+    def _check_equilibrium_scenario(self, tmp_path, strategy_rows, command="check-equilibrium"):
         raw = {
             "schema": 1,
-            "command": "check-equilibrium",
+            "command": command,
             "environment": {
                 "types": {
                     "kind": "finite",
@@ -262,6 +263,19 @@ class TestEngineScenarios:
         )
         # pooling on y0: principal deviation to y1 pays 1.5 > 0 at the prior
         assert pooled.exit_code == 1
+
+    def test_robust_check_failing_base(self, tmp_path):
+        # pooling on y0 fails the principal check (see above); the audit
+        # checks the base once and the report reads its result
+        rows = {"t0": [{"profile": ["x|y0"], "prob": 1.0}], "t1": [{"profile": ["x|y0"], "prob": 1.0}]}
+        with mock.patch.object(cli.eq, "check_continuation", wraps=cli.eq.check_continuation) as check, \
+                mock.patch.object(cli.eq, "check_robust", wraps=cli.eq.check_robust) as robust:
+            report = self._check_equilibrium_scenario(tmp_path, rows, command="robust-check")
+        assert check.call_count == 1 and robust.call_count == 1
+        assert report.exit_code == 1
+        assert report.warnings == ["assessment fails continuation checks"]
+        assert report.payload["results"]["findings"] == []
+        assert report.payload["results"]["base"]["passed"] is False
 
     def test_robust_check_scenario(self, tmp_path):
         raw = json.loads(fixture_path("necessity_env.json").read_text())

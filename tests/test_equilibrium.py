@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,93 @@ class TestBayesUpdate:
             assert bel.public[0][("x|yb",)] == pytest.approx(expected)
 
 
+def _abc_d_env(types, ys, observability):
+    """Principal 0 offers a, b or c, each with y = w; principal 1 offers d
+    with any y in ``ys``; every payoff is 0. ``types``: (label, value, weight)."""
+    spec0 = ec.PrincipalSpec(
+        contractible=(ec.ActionValue("a"), ec.ActionValue("b"), ec.ActionValue("c")),
+        noncontractible=(ec.ActionValue("w"),),
+        feasible={"a": ("w",), "b": ("w",), "c": ("w",)},
+    )
+    spec1 = ec.PrincipalSpec(
+        contractible=(ec.ActionValue("d"),),
+        noncontractible=tuple(ec.ActionValue(y) for y in ys),
+        feasible={"d": tuple(ys)},
+    )
+    return ec.Environment(
+        types=ec.TypeSpace.from_finite(types),
+        principals=(spec0, spec1),
+        payoffs=ec.PayoffModel.from_expressions("0", ["0", "0"]),
+        observability=observability,
+    )
+
+
+class TestPrivateOffpathBeliefs:
+    """Two principals, private observability, mu = (0.5, 0.3, 0.2):
+    t0 sends (a|w, d|e) or (b|w, d|f) with probability 1/2 each, t1 sends
+    (a|w, d|e) and t2 never participates. Off path are principal 0's c|w,
+    whose selector message is itself, and principal 1's d|g, whose selector
+    message d|e is on path."""
+
+    def _belief(self, policy):
+        types = [("t0", 1.0, 0.5), ("t1", 2.0, 0.3), ("t2", 3.0, 0.2)]
+        env = _abc_d_env(types, ("e", "f", "g"), "private")
+        contracts = (ct.menu_rec(env, 0, ["a", "b", "c"]), ct.menu_rec(env, 1, ["d"]))
+        strategy = {
+            "t0": ((("a|w", "d|e"), 0.5), (("b|w", "d|f"), 0.5)),
+            "t1": ((("a|w", "d|e"), 1.0),),
+            "t2": ((ec.OPT_OUT, 1.0),),
+        }
+        bel = eq.bayes_update(env, contracts, strategy, offpath=policy).private
+        return bel[0]["c|w"], bel[1]["d|g"]
+
+    # t2 never participates, so its weight goes to the first messages
+    PRIOR_C = {("t0", ("d|e",)): 0.25, ("t0", ("d|f",)): 0.25,
+               ("t1", ("d|e",)): 0.3, ("t2", ("d|e",)): 0.2}
+    PRIOR_G = {("t0", ("a|w",)): 0.25, ("t0", ("b|w",)): 0.25,
+               ("t1", ("a|w",)): 0.3, ("t2", ("a|w",)): 0.2}
+
+    def test_prior(self):
+        c, g = self._belief("prior")
+        assert c == pytest.approx(self.PRIOR_C) and g == pytest.approx(self.PRIOR_G)
+
+    def test_lowest_type(self):
+        c, g = self._belief("lowest-type")
+        assert c == pytest.approx({("t0", ("d|e",)): 0.5, ("t0", ("d|f",)): 0.5})
+        assert g == pytest.approx({("t0", ("a|w",)): 0.5, ("t0", ("b|w",)): 0.5})
+
+    def test_highest_type_never_participates(self):
+        c, g = self._belief("highest-type")
+        assert c == pytest.approx({("t2", ("d|e",)): 1.0})
+        assert g == pytest.approx({("t2", ("a|w",)): 1.0})
+
+    def test_selector(self):
+        c, g = self._belief("selector")
+        # c|w selects itself, off path: the prior
+        assert c == pytest.approx(self.PRIOR_C)
+        # d|g selects d|e, reached by t0 (mass 0.25) and t1 (mass 0.3)
+        assert g == pytest.approx({("t0", ("a|w",)): 0.25 / 0.55, ("t1", ("a|w",)): 0.3 / 0.55})
+
+
+class TestZeroPriorMessage:
+    """t0 has weight 1 and t1 weight 0; only t1 sends b|w."""
+
+    def _run(self, observability):
+        env = _abc_d_env([("t0", 1.0, 1.0), ("t1", 2.0, 0.0)], ("e", "f"), observability)
+        contracts = (ct.menu_rec(env, 0, ["a", "b"]), ct.menu_rec(env, 1, ["d"]))
+        strategy = {"t0": ((("a|w", "d|e"), 1.0),), "t1": ((("b|w", "d|e"), 1.0),)}
+        a = eq.build_assessment(env, contracts, strategy)
+        return a.beliefs, eq.check_continuation(env, a)
+
+    def test_message_of_zero_prior_types_is_off_path(self):
+        public, _ = self._run("public")
+        private, rep = self._run("private")
+        # both modes give b|w the prior-policy belief: all weight on t0
+        assert public.public[0][("b|w", "d|e")] == (1.0, 0.0)
+        assert private.private[0]["b|w"] == {("t0", ("d|e",)): 1.0}
+        assert rep.bayes_gap == 0.0
+
+
 class TestCheckContinuation:
     def test_singleton_trivial_pass(self):
         env = _table_single_env(
@@ -177,6 +266,23 @@ class TestCheckContinuation:
         assert not rep.bayes_ok
         # joint mass is 0.5 per type; the point-mass belief misstates both by 0.5
         assert rep.bayes_gap == pytest.approx(0.5)
+
+    def test_non_finite_belief_fails_bayes_check(self):
+        env = _table_single_env(
+            {("t0", "y_good"): (1.0, 1.0), ("t0", "y_bad"): (0.0, 0.0),
+             ("t1", "y_good"): (1.0, 1.0), ("t1", "y_bad"): (0.0, 0.0)}
+        )
+        mech = ct.menu_rec(env, 0, ["x"])
+        strategy = {"t0": ((("x|y_good",), 1.0),), "t1": ((("x|y_good",), 1.0),)}
+        a = eq.build_assessment(env, (mech,), strategy)
+        public = {0: dict(a.beliefs.public[0])}
+        public[0][("x|y_good",)] = (float("nan"), 0.5)
+        bad = eq.Assessment(
+            a.contracts, a.strategy, a.continuation, eq.BeliefSystem(mode="public", public=public)
+        )
+        rep = eq.check_continuation(env, bad)
+        assert not rep.bayes_ok and not rep.passed
+        assert math.isnan(rep.bayes_gap)
 
 
 class TestInducedAllocationAndValues:
@@ -468,6 +574,8 @@ class TestNoPostDeviationEquilibrium:
         bad = eq.build_assessment(
             env, contracts, {"t0": ((("xm|a", "x0|a"), 1.0),)}
         )
-        with pytest.raises(ValueError, match="fails continuation checks"):
-            eq.check_robust(env, bad, options=eq.SearchOptions())
+        rep = eq.check_robust(env, bad, options=eq.SearchOptions())
+        base = eq.check_continuation(env, bad)
+        assert not base.passed
+        assert rep == eq.RobustReport(passed=False, base=base, findings=())
 
