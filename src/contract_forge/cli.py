@@ -731,22 +731,10 @@ def _run_necessity(sc, report, opts, tol):
     menu = list(opts.menu)
     env, ref_alloc, phi = ct.necessity_environment(skeleton, j, menu)
     validation = ec.validate(env)
-    contracts = []
-    for k in range(env.n):
-        contracts.append(
-            ct.menu_rec(env, k, menu if k == j else [env.principals[k].x_labels[0]])
-        )
-    strategy = {}
-    for lab in env.types.labels:
-        prof = []
-        for k in range(env.n):
-            if k == j:
-                x = phi[lab]
-            else:
-                x = env.principals[k].x_labels[0]
-            y = env.principals[k].feasible[x][0]
-            prof.append(f"{x}|{y}")
-        strategy[lab] = ((tuple(prof), 1.0),)
+    # each type sends the messages of its reference profile, under menus of the actions used
+    profiles = {lab: dist[0][0] for lab, dist in ref_alloc.entries.items()}
+    contracts = [ct.menu_rec(env, k, [prof[k][0] for prof in profiles.values()]) for k in range(env.n)]
+    strategy = {lab: ((tuple(f"{x}|{y}" for x, y in prof), 1.0),) for lab, prof in profiles.items()}
     assessment = eq.build_assessment(env, contracts, strategy)
     rep = eq.check_continuation(env, assessment, tol)
     found = eq.enumerate_equilibria(env, contracts, opts.search(tol))

@@ -150,16 +150,12 @@ def _nonempty_subsets(items: Sequence) -> Iterable[tuple]:
 def enumerate_gstar(env: Environment, j: int) -> list[Mechanism]:
     """All menus with recommendations for principal ``j`` (2^|X_j| - 1)."""
     spec = env.principals[j]
-    if not spec.is_finite:
-        raise ValueError("contractible set is not finite")
     return [menu_rec(env, j, menu) for menu in _nonempty_subsets(spec.x_labels)]
 
 
 def enumerate_gsharp(env: Environment, j: int) -> list[Mechanism]:
     """All nonempty submenus of feasible pairs for principal ``j`` (2^|Z_j| - 1)."""
     spec = env.principals[j]
-    if not spec.is_finite:
-        raise ValueError("contractible set is not finite")
     return [submenu(env, j, pairs) for pairs in _nonempty_subsets(spec.feasible_pairs())]
 
 
@@ -179,8 +175,6 @@ def enumerate_private(env: Environment, j: int) -> list[Mechanism]:
     not duplicated.
     """
     spec = env.principals[j]
-    if not spec.is_finite:
-        raise ValueError("contractible set is not finite")
     rich = set(x_hat(env, j))
     out = enumerate_gstar(env, j)
     for menu in _nonempty_subsets(spec.x_labels):

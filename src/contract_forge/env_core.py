@@ -25,7 +25,6 @@ __all__ = [
     "TypeSpace",
     "Belief",
     "ActionValue",
-    "Interval",
     "PrincipalSpec",
     "PayoffModel",
     "Environment",
@@ -213,49 +212,34 @@ class ActionValue:
 
 
 @dataclass(frozen=True, slots=True)
-class Interval:
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True, slots=True)
 class PrincipalSpec:
     """One principal's action structure.
 
-    ``contractible``/``noncontractible`` are finite label lists or plain
-    intervals. ``feasible`` maps each contractible label to the labels of
-    the discretionary actions available after it; in interval mode the
-    whole discretionary interval is feasible and ``feasible`` is empty.
+    ``contractible``/``noncontractible`` are finite label lists.
+    ``feasible`` maps each contractible label to the labels of the
+    discretionary actions available after it.
     """
 
-    contractible: tuple[ActionValue, ...] | Interval
-    noncontractible: tuple[ActionValue, ...] | Interval
+    contractible: tuple[ActionValue, ...]
+    noncontractible: tuple[ActionValue, ...]
     feasible: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
-    def is_finite(self) -> bool:
-        return not isinstance(self.contractible, Interval)
-
-    @property
     def x_labels(self) -> tuple[str, ...]:
-        if not self.is_finite:
-            raise ValueError("contractible set is an interval, not a finite list")
-        return tuple(a.label for a in self.contractible)  # type: ignore[union-attr]
+        return tuple(a.label for a in self.contractible)
 
     @property
     def y_labels(self) -> tuple[str, ...]:
-        if isinstance(self.noncontractible, Interval):
-            raise ValueError("noncontractible set is an interval, not a finite list")
         return tuple(a.label for a in self.noncontractible)
 
     def x_value(self, label: str) -> float | None:
-        for a in self.contractible:  # type: ignore[union-attr]
+        for a in self.contractible:
             if a.label == label:
                 return a.value
         raise KeyError(label)
 
     def y_value(self, label: str) -> float | None:
-        for a in self.noncontractible:  # type: ignore[union-attr]
+        for a in self.noncontractible:
             if a.label == label:
                 return a.value
         raise KeyError(label)
@@ -462,9 +446,10 @@ def validate(env: Environment) -> ValidationReport:
     """Structural audit of an environment.
 
     Checks prior weights, density normalization, nonempty feasibility,
-    the two-feasible-pairs floor per principal, and (for finite
-    environments) that every payoff evaluation over the feasible-pair
-    sweep is defined and finite.
+    the two-feasible-pairs floor per principal, and (for finite type
+    spaces) that :func:`payoff_tables` can be built: every payoff over the
+    feasible-pair sweep and the outside option at every type is defined
+    and finite.
     """
     violations: list[str] = []
 
@@ -508,11 +493,6 @@ def validate(env: Environment) -> ValidationReport:
                 violations.append(str(e))
 
     for j, spec in enumerate(env.principals, start=1):
-        if not spec.is_finite:
-            ci = spec.contractible
-            if isinstance(ci, Interval) and not ci.lo < ci.hi:
-                violations.append(f"principal {j}: empty contractible interval")
-            continue
         pair_count = 0
         for x in spec.x_labels:
             ys = spec.feasible.get(x, ())
@@ -530,51 +510,50 @@ def validate(env: Environment) -> ValidationReport:
                 f"principal {j}: fewer than two feasible pairs (non-triviality floor)"
             )
 
-    finite_env = env.types.kind == "finite" and all(s.is_finite for s in env.principals)
-    if finite_env and not violations:
-        profiles, tables = _profile_sweep(env), payoff_tables(env)
-        for i, t in enumerate(env.types.finite):
-            for prof in profiles:
-                try:  # left out of the tables: the scalar path up to this type names the error
-                    u, v = tables.get(prof) or _scalar_payoffs(env, prof, env.types.values[: i + 1])
-                except EvalError as e:
-                    violations.append(f"payoff evaluation failed: {e}")
-                    break
-                if not all(math.isfinite(x) for x in [u[i], *v[:, i]]):
-                    violations.append(
-                        f"non-finite payoff at type {t.label!r}, profile {prof!r}"
-                    )
-                    break
-            else:
-                continue
-            break
+    if env.types.kind == "finite" and not violations:
+        try:
+            payoff_tables(env)
+        except EvalError as e:
+            violations.append(f"payoff evaluation failed: {e}")
+        except ValueError as e:
+            violations.append(str(e))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
-def _scalar_payoffs(env: Environment, prof: ProfileKey, values) -> tuple[np.ndarray, np.ndarray]:
-    """(agent payoffs over ``values``, principal payoffs n x len(values)) at one profile."""
-    u = np.array([payoff_u(env, prof, tv) for tv in values])
-    return u, np.array([[payoff_v(env, j, prof, tv) for tv in values] for j in range(env.n)])
-
-
-def payoff_tables(env: Environment) -> dict[ProfileKey, tuple[np.ndarray, np.ndarray]]:
-    """(agent payoffs over types, principal payoffs n x T) per profile of the sweep.
+def payoff_tables(env: Environment) -> dict[ProfileKey | str, tuple[np.ndarray, np.ndarray]]:
+    """(agent payoffs over types, principal payoffs n x T) per profile of the
+    sweep, and at :data:`OPT_OUT` (the outside option, 0 for each principal).
 
     Filled once per environment by the scalar path and kept on it,
-    read-only. A profile whose evaluation raises is left out, so the build
-    never fails: only a caller that reaches that profile gets the scalar
-    path's error, which names the failing subexpression.
+    read-only: every profile at the first type, then at the next, and the
+    outside option after the sweep. The first evaluation that raises is
+    re-raised (an :class:`EvalError` names the failing subexpression), and
+    a non-finite payoff or outside option raises ValueError, so a table
+    that exists is complete and finite.
     """
     if env._tables is None:
-        tables = {}
-        for prof in _profile_sweep(env):
-            try:
-                u, v = _scalar_payoffs(env, prof, env.types.values)
-            except EvalError:
-                continue
-            u.flags.writeable = v.flags.writeable = False
-            tables[prof] = (u, v)
+        profiles = _profile_sweep(env)
+        u: dict[ProfileKey, list] = {prof: [] for prof in profiles}
+        v: dict[ProfileKey, list] = {prof: [[] for _ in range(env.n)] for prof in profiles}
+        for t in env.types.finite:
+            for prof in profiles:
+                row = [payoff_u(env, prof, t.value)]
+                row += [payoff_v(env, j, prof, t.value) for j in range(env.n)]
+                if not all(math.isfinite(x) for x in row):
+                    raise ValueError(f"non-finite payoff at type {t.label!r}, profile {prof!r}")
+                u[prof].append(row[0])
+                for j in range(env.n):
+                    v[prof][j].append(row[j + 1])
+        outside = []
+        for t in env.types.finite:
+            outside.append(env.outside_option(t.value))
+            if not math.isfinite(outside[-1]):
+                raise ValueError(f"non-finite outside option at type {t.label!r}")
+        tables = {prof: (np.array(u[prof]), np.array(v[prof])) for prof in profiles}
+        tables[OPT_OUT] = (np.array(outside), np.zeros((env.n, len(outside))))
+        for u_t, v_t in tables.values():
+            u_t.flags.writeable = v_t.flags.writeable = False
         object.__setattr__(env, "_tables", tables)
     return env._tables
 

@@ -42,7 +42,6 @@ from .env_core import (
     Allocation,
     Environment,
     ProfileKey,
-    _scalar_payoffs,
     payoff_tables,
 )
 
@@ -200,7 +199,8 @@ class _Game:
             for i, a in enumerate(self.msg_action[j]):
                 sel.setdefault(a, i)
             self.selector.append(sel)
-        self.U = np.array([env.outside_option(v) for v in self.t_values])
+        self.tables = payoff_tables(env)
+        self.U = self.tables[OPT_OUT][0]
         # the agent's payoff floor: the outside option when exit is allowed
         self.floor = self.U if env.optout else np.full(self.T, -np.inf)
         self._pay: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -241,12 +241,8 @@ class _Game:
         """(agent payoff vector over types, principal payoff matrix n x T)."""
         key = (prof, ys)
         hit = self._pay.get(key)
-        if hit is not None:
-            return hit
-        pk = self.action_key(prof, ys)
-        # a profile left out of the tables: the scalar path raises its error
-        hit = payoff_tables(self.env).get(pk) or _scalar_payoffs(self.env, pk, self.t_values)
-        self._pay[key] = hit
+        if hit is None:
+            hit = self._pay[key] = self.tables[self.action_key(prof, ys)]
         return hit
 
     def others(self, j: int) -> list[int]:
@@ -607,7 +603,7 @@ def check_continuation(
 
     # (iii) principal optimality at every observation.
     principal_worst = None
-    principal_gap = 0.0
+    principal_gap = 0.0  # a non-finite gap (a NaN or infinite belief) ranks as inf
     ties: list[tuple] = []
     for j, obs in game.sites:
         prof = game.cells[j][obs][0]
@@ -620,8 +616,9 @@ def check_continuation(
             gap = value(y_dev) - lhs
             if abs(gap) <= tol:
                 ties.append((j, where, y_dev))
-            if gap > principal_gap:
-                principal_gap = gap
+            rank = gap if math.isfinite(gap) else math.inf
+            if rank > principal_gap:
+                principal_gap = rank
                 principal_worst = (j, where, y_dev, float(gap))
 
     return EquilibriumReport(

@@ -64,22 +64,6 @@ class ConcavityError(ValueError):
     """The receiver payoff failed the strict-concavity audit."""
 
 
-def _subst_z(expr: exprlang.Expr, replacement: exprlang.Expr) -> exprlang.Expr:
-    """Replace the variable ``z`` by ``replacement`` throughout ``expr``."""
-    match expr:
-        case exprlang.Num():
-            return expr
-        case exprlang.Var(name):
-            return replacement if name == "z" else expr
-        case exprlang.Neg(arg):
-            return exprlang.Neg(_subst_z(arg, replacement))
-        case exprlang.Bin(op, left, right):
-            return exprlang.Bin(op, _subst_z(left, replacement), _subst_z(right, replacement))
-        case exprlang.Call(fn, args):
-            return exprlang.Call(fn, tuple(_subst_z(a, replacement) for a in args))
-    raise TypeError(expr)
-
-
 @dataclass(frozen=True, slots=True)
 class RevisableModel:
     """Revision mode, payoffs over (z, theta), and the type space.
@@ -149,7 +133,7 @@ def audit_concavity(
         thetas = [float(pts[i]) for i in idx]
     zs = np.linspace(lo, hi, grid)
     for th in thetas:
-        vals = np.asarray(model.receiver_fn(zs, float(th)), dtype=float)
+        vals = np.broadcast_to(model.receiver_fn(zs, float(th)), zs.shape)
         second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         if not np.all(second < 0.0):
             raise ConcavityError(
@@ -157,14 +141,21 @@ def audit_concavity(
             )
 
 
-def posterior_ideal(
-    model: RevisableModel, belief: Belief, audit: bool = True, tol: float = 1e-10
-) -> float:
+def _ideal_tol(model: RevisableModel) -> float:
+    """Resolution of the posterior ideal: sqrt(eps) times the width of
+    ``z_range``. Near its maximum the expected receiver payoff is flat to
+    rounding within about that distance, so the search stops there and a
+    target that close to the ideal is a tie."""
+    return math.sqrt(np.finfo(float).eps) * (model.z_range[1] - model.z_range[0])
+
+
+def posterior_ideal(model: RevisableModel, belief: Belief, audit: bool = True) -> float:
     """The receiver's uniquely optimal final action under ``belief``.
 
     Uses the declared closed form when present, otherwise a coarse scan of
-    the working range followed by golden-section refinement. Raises if the
-    scan cannot bracket an interior maximizer.
+    the working range followed by golden-section refinement to
+    :func:`_ideal_tol`. Raises if the scan cannot bracket an interior
+    maximizer.
     """
     if audit:
         span = max(belief.points) - min(belief.points)
@@ -179,7 +170,7 @@ def posterior_ideal(
     w = np.array(belief.weights)
 
     def value(z: float) -> float:
-        return float(np.asarray(fn(z, pts), dtype=float) @ w)
+        return float(np.broadcast_to(fn(z, pts), pts.shape) @ w)
 
     zs = np.linspace(model.z_range[0], model.z_range[1], 201)
     vals = np.array([value(z) for z in zs])
@@ -188,6 +179,7 @@ def posterior_ideal(
         raise ValueError(
             "posterior ideal search found no interior bracket; widen z_range"
         )
+    tol = _ideal_tol(model)
     z_star = golden_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], tol)[0]
     return float(z_star)
 
@@ -216,9 +208,11 @@ def endpoint_baseline(
 
     A target below the posterior ideal (z < r - tol) sits at the upper
     endpoint of the feasible interval; above it (z > r + tol), at the
-    lower endpoint; otherwise, a tie, in the middle. Returns (baseline,
-    revision); the revision is the additive step or the proportional
-    factor, and baseline (+ or *) revision equals the target.
+    lower endpoint; otherwise, a tie, in the middle. The default ``tol``
+    suits an exact ideal; placements pass the ideal's resolution,
+    :func:`_ideal_tol`. Returns (baseline, revision); the revision is the
+    additive step or the proportional factor, and baseline (+ or *)
+    revision equals the target.
     """
     below, above = z_target < r - tol, z_target > r + tol
     if model.mode == "additive":
@@ -250,7 +244,7 @@ def _placement(
     the feasible interval around the baseline, under the belief.
     """
     r = posterior_ideal(model, belief, audit=False)
-    x_hat, rev = endpoint_baseline(model, z, r)
+    x_hat, rev = endpoint_baseline(model, z, r, _ideal_tol(model))
     lo, hi = feasible_final_interval(model, x_hat)
     scan = np.linspace(lo, hi, 101)
     pts = np.array(belief.points)
@@ -279,6 +273,9 @@ class GridGame:
     env: Environment
     x_values: tuple[float, ...]
     rev_values: tuple[float, ...]
+    # sender and receiver payoffs over z_values x types, |Z| x T
+    u_tab: np.ndarray = field(repr=False, compare=False)
+    v_tab: np.ndarray = field(repr=False, compare=False)
 
     def x_label(self, value: float) -> str:
         for i, v in enumerate(self.x_values):
@@ -328,17 +325,26 @@ def build_grid_game(
         for i in range(len(xs))
     }
     spec = PrincipalSpec(contractible=x_actions, noncontractible=y_actions, feasible=feasible)
-    u_expr = _subst_z(model.sender, exprlang.Bin("+", exprlang.Var("x"), exprlang.Var("y")))
-    v_expr = _subst_z(model.receiver, exprlang.Bin("+", exprlang.Var("x"), exprlang.Var("y")))
+    grid, thetas = np.array(z)[:, None], model.types.values[None, :]
+    shape = (len(z), thetas.size)
+    u_tab = np.broadcast_to(exprlang.compile_fn(model.sender, ["z", "theta"])(grid, thetas), shape)
+    v_tab = np.broadcast_to(model.receiver_fn(grid, thetas), shape)
+    entries = {}
+    for i, x in enumerate(feasible):
+        for y in feasible[x]:
+            zi = i + int(y[1:]) - 2 * m  # (b_i, r_k) pays at its final action z_{i+k-2m}
+            for c, t in enumerate(model.types.finite):
+                entries[(t.label, ((x, y),))] = (float(u_tab[zi, c]), (float(v_tab[zi, c]),))
     env = Environment(
         types=model.types,
         principals=(spec,),
-        payoffs=PayoffModel.from_expressions(u_expr, [v_expr]),
+        payoffs=PayoffModel.from_table(entries, n_principals=1),
         observability="public",
         optout=False,  # the sender always messages in this model
     )
     return GridGame(
-        model=model, z_values=z, alpha_steps=m, env=env, x_values=xs, rev_values=revs
+        model=model, z_values=z, alpha_steps=m, env=env, x_values=xs, rev_values=revs,
+        u_tab=u_tab, v_tab=v_tab,
     )
 
 
@@ -530,14 +536,9 @@ def enumerate_final_allocations(
     """
     env = game.env
     labels = env.types.labels
-    thetas = env.types.values
     mu = env.types.weights
     T = len(labels)
     Z = np.array(game.z_values)
-    u_fn = exprlang.compile_fn(game.model.sender, ["z", "theta"])
-    v_fn = game.model.receiver_fn
-    u_tab = np.asarray(u_fn(Z[:, None], thetas[None, :]), dtype=float)  # |Z| x T
-    v_tab = np.asarray(v_fn(Z[:, None], thetas[None, :]), dtype=float)
 
     # the final actions baseline b_i reaches: z_{i+k-2m} for revisions r_0..r_2m
     m = game.alpha_steps
@@ -552,7 +553,7 @@ def enumerate_final_allocations(
         for block in part:
             w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
             w = w / w.sum()
-            vbar = v_tab @ w  # value of each z under the block posterior
+            vbar = game.v_tab @ w  # value of each z under the block posterior
             opts = []
             for xi, win in enumerate(windows):
                 if not win:
@@ -578,8 +579,8 @@ def enumerate_final_allocations(
             distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
             # agent optimality: each type's assigned z beats every used z
             zs = combos[..., 1]
-            own = u_tab[zs[:, block_of], np.arange(T)]
-            keep = distinct & ~np.any(own < u_tab[zs].max(axis=1) - tol, axis=1)
+            own = game.u_tab[zs[:, block_of], np.arange(T)]
+            keep = distinct & ~np.any(own < game.u_tab[zs].max(axis=1) - tol, axis=1)
             for combo in combos[keep].tolist():
                 z_of_type = [combo[b][1] for b in block_of.tolist()]
                 fa = FinalAllocation(

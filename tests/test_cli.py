@@ -328,16 +328,17 @@ class TestScenarioErrors:
 
     VALID = [{"kind": "menu_rec", "menu": ["a"]}, {"kind": "menu_rec", "menu": ["d"]}]
 
-    def _check_necessity_env(self, tmp_path, contracts, t0_weight=None):
+    def _check_necessity_env(self, tmp_path, contracts, t0_weight=None, outside=None, row=None):
         raw = json.loads(fixture_path("necessity_env.json").read_text())
         raw["command"] = "check-equilibrium"
         if t0_weight is not None:
             raw["environment"]["types"]["items"][0]["weight"] = t0_weight
+        if outside is not None:
+            raw["environment"]["payoffs"]["outside"] = outside
+        row = row or {"profile": ["a|w", "d|e"], "prob": 1.0}
         raw["assessment"] = {
             "contracts": contracts,
-            "strategy": {
-                lab: [{"profile": ["a|w", "d|e"], "prob": 1.0}] for lab in ("t0", "t1", "t2")
-            },
+            "strategy": {lab: [row] for lab in ("t0", "t1", "t2")},
         }
         raw["options"] = {}
         path = tmp_path / "scenario.json"
@@ -365,6 +366,23 @@ class TestScenarioErrors:
         assert isinstance(res.exception, SystemExit)
         assert "$.environment" in res.output
         assert "prior weights sum to" in res.output
+
+    @pytest.mark.parametrize(
+        "outside, opt_out, message",
+        [
+            ("log(theta - 1)", False,
+             "payoff evaluation failed: log of nonpositive value in log((theta-1))"),
+            ("exp(1000*theta)", True, "non-finite outside option at type 't0'"),
+            ("exp(1000*theta)", False, "non-finite outside option at type 't0'"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_outside_option_is_validated_at_each_type(self, tmp_path, outside, opt_out, message):
+        row = {"opt_out": True, "prob": 1.0} if opt_out else None
+        res = self._check_necessity_env(tmp_path, self.VALID, outside=outside, row=row)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"invalid environment at $.environment: {message}" in res.output
 
     def _invoke_with(self, tmp_path, fixture, block, keys, value):
         raw = json.loads(fixture_path(fixture).read_text())

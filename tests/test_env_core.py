@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -190,30 +191,18 @@ def test_validate_rejects_undeclared_expression_variable():
     assert any("undeclared variable 'shock'" in v for v in report.violations)
 
 
-def test_interval_contractible_set_blocks_enumeration():
-    from contract_forge import contracts as ct
-
-    spec = ec.PrincipalSpec(
-        contractible=ec.Interval(0.0, 5.0),
-        noncontractible=ec.Interval(0.0, 5.0),
-    )
-    env = ec.Environment(
-        types=ec.TypeSpace.interval(3.0, 4.0),
-        principals=(spec,),
-        payoffs=ec.PayoffModel.from_expressions("0", ["0"]),
-    )
-    assert ec.validate(env).passed
-    with pytest.raises(ValueError, match="not finite"):
-        ct.enumerate_gstar(env, 0)
-
-
-_EXPRESSIONS = ("x1*theta - y1^2", "log(theta) + x1", "sqrt(theta)*y1", "y1/(theta - 1)", "theta")
+_EXPRESSIONS = (
+    "x1*theta - y1^2", "log(theta) + x1", "sqrt(theta)*y1", "y1/(theta - 1)", "theta",
+    "exp(1000*theta) - x1",
+)
+_OUTSIDE = ("0", "theta", "log(theta)", "exp(1000*theta)")
 
 
 @st.composite
 def _random_env(draw):
     """One or two principals with random feasibility, expression or table
-    payoffs; some expressions raise at one type (log or division at 0 or 1)."""
+    payoffs and an outside option; some expressions raise at one type (log
+    or division at 0 or 1) or overflow to inf (exp at 1 and 2)."""
     n = draw(st.integers(1, 2))
     values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3, unique=True))
     num = st.floats(-2.0, 2.0, allow_nan=False)
@@ -228,10 +217,11 @@ def _random_env(draw):
         }
         specs.append(ec.PrincipalSpec(contractible=xs, noncontractible=ys, feasible=feasible))
     exprs = [draw(st.sampled_from(_EXPRESSIONS)) for _ in range(n + 1)]
+    outside = draw(st.sampled_from(_OUTSIDE))
     env = ec.Environment(
         types=ec.TypeSpace.uniform_finite(values),
         principals=tuple(specs),
-        payoffs=ec.PayoffModel.from_expressions(exprs[0], exprs[1:]),
+        payoffs=ec.PayoffModel.from_expressions(exprs[0], exprs[1:], outside),
     )
     if draw(st.booleans()):
         return env
@@ -240,28 +230,56 @@ def _random_env(draw):
         for t in env.types.labels
         for prof in ec._profile_sweep(env)
     }
-    return replace(env, payoffs=ec.PayoffModel.from_table(entries, n))
+    return replace(env, payoffs=ec.PayoffModel.from_table(entries, n, outside))
+
+
+def _scalar_tables(env):
+    """The scalar path in the tables' order: every profile at the first
+    type, then at the next, and the outside option after the sweep."""
+    profiles = ec._profile_sweep(env)
+    rows = {prof: [] for prof in profiles}
+    for t in env.types.finite:
+        for prof in profiles:
+            row = [ec.payoff_u(env, prof, t.value)]
+            row += [ec.payoff_v(env, j, prof, t.value) for j in range(env.n)]
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"non-finite payoff at type {t.label!r}, profile {prof!r}")
+            rows[prof].append(row)
+    outside = []
+    for t in env.types.finite:
+        outside.append(env.outside_option(t.value))
+        if not math.isfinite(outside[-1]):
+            raise ValueError(f"non-finite outside option at type {t.label!r}")
+    return {
+        prof: (np.array([r[0] for r in rs]), np.array([[r[j + 1] for r in rs] for j in range(env.n)]))
+        for prof, rs in rows.items()
+    }, outside
 
 
 @given(env=_random_env())
 @settings(max_examples=60, deadline=None)
 def test_payoff_tables_equal_scalar_path(env):
+    """The tables equal the scalar path when every evaluation succeeds and
+    is finite; otherwise they raise the scalar path's first failure."""
+    try:
+        expected, outside = _scalar_tables(env)
+    except ValueError as e:  # EvalError included
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            ec.payoff_tables(env)
+        assert env._tables is None
+        return
     tables = ec.payoff_tables(env)
     assert ec.payoff_tables(env) is tables  # built once per environment
-    for prof in ec._profile_sweep(env):
-        try:
-            u = np.array([ec.payoff_u(env, prof, tv) for tv in env.types.values])
-            v = np.array(
-                [[ec.payoff_v(env, j, prof, tv) for tv in env.types.values] for j in range(env.n)]
-            )
-        except ec.EvalError:
-            assert prof not in tables
-            continue
+    assert set(tables) == set(expected) | {ec.OPT_OUT}
+    for prof, (u, v) in expected.items():
         assert tables[prof][0].dtype == u.dtype and tables[prof][1].dtype == v.dtype
         assert np.array_equal(tables[prof][0], u) and np.array_equal(tables[prof][1], v)
+        assert not tables[prof][0].flags.writeable
+    assert np.array_equal(tables[ec.OPT_OUT][0], outside)
+    assert np.array_equal(tables[ec.OPT_OUT][1], np.zeros((env.n, len(outside))))
 
 
-def test_profile_raising_at_one_type_is_left_out():
+def test_profile_raising_at_one_type_raises_at_build():
     from contract_forge import contracts as ct
     from contract_forge import equilibrium as eq
 
@@ -276,11 +294,14 @@ def test_profile_raising_at_one_type_is_left_out():
         payoffs=ec.PayoffModel.from_expressions("y*log(theta + 1 - y)", ["y*theta"]),
     )
     # the log's argument is 0 at the type at 0 after "hi" only
-    assert set(ec.payoff_tables(env)) == {(("a", "lo"),)}
+    message = r"^log of nonpositive value in log\(\(\(theta\+1\)-y\)\)$"
+    with pytest.raises(ec.EvalError, match=message):
+        ec.payoff_tables(env)
     assert ec.validate(env).violations == (
         "payoff evaluation failed: log of nonpositive value in log(((theta+1)-y))",
     )
     mech = ct.menu_rec(env, 0, ["a"])
     strategy = {"t0": ((("a|hi",), 1.0),), "t1": ((("a|lo",), 1.0),)}
-    with pytest.raises(ec.EvalError, match=r"^log of nonpositive value in log\(\(\(theta\+1\)-y\)\)$"):
-        eq.check_continuation(env, eq.build_assessment(env, (mech,), strategy))
+    # the game reads the tables when it is built, so building the assessment raises
+    with pytest.raises(ec.EvalError, match=message):
+        eq.build_assessment(env, (mech,), strategy)

@@ -284,6 +284,26 @@ class TestCheckContinuation:
         assert not rep.bayes_ok and not rep.passed
         assert math.isnan(rep.bayes_gap)
 
+    def test_non_finite_principal_gap_fails(self):
+        env = _table_single_env(
+            {("t0", "y_good"): (1.0, 1.0), ("t0", "y_bad"): (0.0, 0.0),
+             ("t1", "y_good"): (1.0, 1.0), ("t1", "y_bad"): (0.0, 0.0)}
+        )
+        mech = ct.menu_rec(env, 0, ["x"])
+        strategy = {"t0": ((("x|y_good",), 1.0),), "t1": ((("x|y_good",), 1.0),)}
+        a = eq.build_assessment(env, (mech,), strategy)
+        assert a.continuation[0][("x|y_bad",)] == "y_bad"  # dominated, played off path
+        public = {0: dict(a.beliefs.public[0])}
+        public[0][("x|y_bad",)] = (float("nan"), float("nan"))
+        bad = eq.Assessment(
+            a.contracts, a.strategy, a.continuation, eq.BeliefSystem(mode="public", public=public)
+        )
+        rep = eq.check_continuation(env, bad)
+        assert rep.bayes_ok and rep.agent_ok  # the belief is off path
+        assert not rep.principal_ok and not rep.passed
+        j, where, y_dev, gap = rep.principal_worst
+        assert (j, where, y_dev) == (0, ("x|y_bad",), "y_good") and math.isnan(gap)
+
 
 class TestInducedAllocationAndValues:
     def test_pure_separating_and_mixed_value(self):

@@ -5,6 +5,8 @@ in turn by each of eight values of the wrong type or size. Every mutant
 must exit 0, 1 or 2 without a traceback, name a JSON path (``$``) in its
 exit-2 message, and finish within a few seconds. The fast scenarios run
 through the CLI; the two long fixtures are checked at parse level only.
+Their payoff expressions are also replaced by valid expressions that
+ignore a variable, overflow or leave the domain, under the same contract.
 """
 
 import copy
@@ -55,18 +57,23 @@ def positions(node, path=()):
         yield from positions(child, path + (key,))
 
 
+def replaced(raw: dict, pos, value) -> dict:
+    """A copy of ``raw`` with ``value`` at path ``pos``."""
+    mutant = copy.deepcopy(raw)
+    target = mutant
+    for key in pos[:-1]:
+        target = target[key]
+    target[pos[-1]] = copy.deepcopy(value)
+    return mutant
+
+
 def mutants(raw: dict, blocks=None):
     """(label, scenario) for each position (under ``blocks`` when given) and replacement."""
     for pos in positions(raw):
         if blocks is not None and pos[0] not in blocks:
             continue
         for value in REPLACEMENTS:
-            mutant = copy.deepcopy(raw)
-            target = mutant
-            for key in pos[:-1]:
-                target = target[key]
-            target[pos[-1]] = copy.deepcopy(value)
-            yield f"{'.'.join(map(str, pos))} = {json.dumps(value)}", mutant
+            yield f"{'.'.join(map(str, pos))} = {json.dumps(value)}", replaced(raw, pos, value)
 
 
 # the environment of the check-equilibrium scenario is necessity_env's,
@@ -80,13 +87,13 @@ CLI_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_mutants_keep_exit_code_contract(name, tmp_path):
-    make, blocks, expected = CLI_CASES[name]
+def broken_runs(cases, tmp_path) -> tuple[list[str], int]:
+    """The (label, scenario) cases that break the exit-code contract through
+    the CLI, and the number of cases run."""
     runner = CliRunner()
     scenario, out = tmp_path / "scenario.json", str(tmp_path / "out")
     broken, count = [], 0
-    for label, raw in mutants(make(), blocks):
+    for label, raw in cases:
         count += 1
         scenario.write_text(json.dumps(raw))
         start = time.perf_counter()
@@ -100,7 +107,47 @@ def test_cli_mutants_keep_exit_code_contract(name, tmp_path):
             broken.append(f"{label}: no JSON path in {res.output.strip()!r}")
         elif seconds > SECONDS_PER_RUN:
             broken.append(f"{label}: {seconds:.1f} s")
+    return broken, count
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_mutants_keep_exit_code_contract(name, tmp_path):
+    make, blocks, expected = CLI_CASES[name]
+    broken, count = broken_runs(mutants(make(), blocks), tmp_path)
     assert count == expected
+    assert not broken, "\n".join(broken[:20])
+
+
+# valid payoff expressions that ignore a variable, overflow or leave the domain
+EXPRESSIONS = ("0", "z", "theta", "-(z - 0.5)^2", "exp(1000*theta)", "log(theta - 1)")
+
+
+def expression_mutants():
+    """(label, scenario) for each payoff expression of the fast scenarios,
+    and the outside option that no fixture declares, replaced in turn by
+    each of EXPRESSIONS; each revisable receiver runs with and without its
+    ideal_form."""
+    grid = fixture("revisable_grid")
+    free = copy.deepcopy(grid)
+    del free["revisable"]["ideal_form"]
+    pay = ("environment", "payoffs")
+    env_fields = [pay + ("agent",), pay + ("outside",), pay + ("principals", 0), pay + ("principals", 1)]
+    cases = (
+        ("example4_enumerate", fixture("example4_enumerate"), env_fields),
+        ("necessity_env", fixture("necessity_env"), env_fields),
+        ("check_equilibrium", check_equilibrium_scenario(), env_fields),
+        ("revisable_grid", grid, [("revisable", "sender"), ("revisable", "receiver")]),
+        ("revisable_grid without ideal_form", free, [("revisable", "receiver")]),
+    )
+    for name, raw, fields in cases:
+        for pos in fields:
+            for expr in EXPRESSIONS:
+                yield f"{name}: {'.'.join(map(str, pos))} = {expr}", replaced(raw, pos, expr)
+
+
+def test_expression_mutants_keep_exit_code_contract(tmp_path):
+    broken, count = broken_runs(expression_mutants(), tmp_path)
+    assert count == 90
     assert not broken, "\n".join(broken[:20])
 
 

@@ -57,6 +57,18 @@ class TestPosteriorIdeal:
             rv.posterior_ideal(generic, belief), abs=1e-8
         )
 
+    def test_searched_ideal_ties_within_its_resolution(self):
+        """The search finds this belief's ideal 0.505 only to within about
+        1e-9, where the expected payoff is flat to rounding; a target at the
+        true ideal is a tie, placed in the middle of its window."""
+        model = rv.RevisableModel.additive(
+            "-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2", TypeSpace.uniform_finite([0.0, 0.5, 1.0]),
+            alpha=0.25, z_range=(-1.0, 2.0),
+        )
+        belief = Belief((0.0, 0.5, 1.0), (0.2, 0.3, 0.5))
+        assert rv.posterior_ideal(model, belief) == pytest.approx(0.505, abs=rv._ideal_tol(model))
+        assert rv._placement(model, 0.505, belief)[:3] == (0.505, 0.0, 0.505)
+
     def test_concavity_audit_rejects_convex(self):
         model = rv.RevisableModel.additive(
             "-(z - theta)^2",
@@ -178,6 +190,50 @@ class TestTransforms:
                 break
         else:
             pytest.fail("expected the ideal-point allocation in the enumeration")
+
+
+class TestPayoffsIgnoringAVariable:
+    """Grid games read sender and receiver payoffs as |Z| x T tables, so
+    either may ignore z or theta."""
+
+    Z = tuple(np.linspace(0.0, 1.0, 5))
+
+    def _model(self, sender="-(z - theta)^2", receiver="-(z - 0.05 - 0.7*theta)^2"):
+        types = TypeSpace.uniform_finite([0.0, 0.5, 1.0])
+        return rv.RevisableModel.additive(sender, receiver, types, alpha=0.0, z_range=(-1.0, 2.0))
+
+    def test_grid_environment_reads_the_final_action_row(self):
+        from contract_forge.env_core import payoff_tables
+
+        game = rv.build_grid_game(self._model(), self.Z, 1)
+        assert game.u_tab.shape == game.v_tab.shape == (5, 3)
+        tables = payoff_tables(game.env)
+        for x, ys in game.env.principals[0].feasible.items():
+            for y in ys:
+                zi = int(x[1:]) + int(y[1:]) - 2  # b_i + r_k lands on z_(i+k-2m)
+                assert game.final_of(x, y) == pytest.approx(self.Z[zi], abs=1e-12)
+                u, v = tables[((x, y),)]
+                assert np.array_equal(u, game.u_tab[zi]) and np.array_equal(v[0], game.v_tab[zi])
+
+    @pytest.mark.parametrize("sender, n", [("-(z - 0.5)^2", 17), ("z", 5), ("0", 125)])
+    def test_theta_free_sender(self, sender, n):
+        rep = rv.check_gamma_equal(self._model(sender=sender), self.Z, 1)
+        assert rep.equal and rep.transforms_ok and rep.n_limited == rep.n_full == n
+
+    def test_theta_free_receiver(self):
+        model = self._model(receiver="-(z - 0.3)^2")
+        belief = Belief((0.0, 1.0), (0.5, 0.5))
+        assert rv.posterior_ideal(model, belief) == pytest.approx(0.3, abs=rv._ideal_tol(model))
+        rep = rv.check_gamma_equal(model, self.Z, 1)
+        assert rep.equal and rep.transforms_ok and rep.n_full == 25
+
+    @pytest.mark.parametrize("receiver", ["0", "theta"])
+    def test_z_free_receiver_fails_the_concavity_audit(self, receiver):
+        model = self._model(receiver=receiver)
+        with pytest.raises(rv.ConcavityError):
+            rv.audit_concavity(model)
+        rep = rv.check_gamma_equal(model, self.Z, 1)
+        assert rep.equal and rep.lift_failures == rep.n_full == 25 and rep.collapse_failures == 0
 
 
 class TestMenuAssessment:
