@@ -134,7 +134,6 @@ def _box(value, path: str, bound: float = math.inf) -> tuple[float, float]:
 class ScenarioFile:
     command: str
     raw: Mapping
-    path: str
     # built and checked blocks by name ("environment", "assessment",
     # "problem", "agency", "revisable", "options"); handlers read only
     # these, and ``raw`` serves the config hash
@@ -182,7 +181,7 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
     for block in _COMMAND_SPECS[command][0]:
         if block not in raw:
             raise ScenarioError(f"schema error at $: command {command!r} needs {block!r}")
-    return ScenarioFile(command=command, raw=raw, path=str(path), blocks=_build_blocks(raw, command))
+    return ScenarioFile(command=command, raw=raw, blocks=_build_blocks(raw, command))
 
 
 def _build_blocks(raw: Mapping, command: str) -> dict:
@@ -366,15 +365,18 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
     ideal = obj.get("ideal_form")
     types = _typespace_from(obj["types"], f"{path}.types", ("finite",))
-    model = rv.RevisableModel.additive(
-        _parse_expr(obj["sender"], f"{path}.sender", ("z", "theta")),
-        _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta")),
-        types,
-        alpha=0.0,
-        # the grid's bound: beyond it the concavity audit overflows
-        z_range=_box(obj["z_range"], f"{path}.z_range", 1e6) if "z_range" in obj else (lo - 1.0, hi + 1.0),
-        ideal_form=None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2)),
-    )
+    values = np.sort(types.values)  # the grid game's table payoffs are looked up by type value
+    if np.any(np.diff(values) <= ec.WEIGHT_TOL * np.maximum(1.0, np.abs(values[1:]))):
+        raise ScenarioError(f"invalid revisable at {path}.types: table payoffs need distinct type values")
+    sender = _parse_expr(obj["sender"], f"{path}.sender", ("z", "theta"))
+    receiver = _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta"))
+    # the grid's bound: beyond it the concavity audit overflows
+    z_range = _box(obj["z_range"], f"{path}.z_range", 1e6) if "z_range" in obj else (lo - 1.0, hi + 1.0)
+    ideal = None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2))
+    try:
+        model = rv.RevisableModel.additive(sender, receiver, types, 0.0, z_range, ideal)
+    except rv.ConcavityError as e:
+        raise ScenarioError(f"invalid revisable at {path}.receiver: {e}") from None
     if ideal is not None:
         # the declared ideal k + a*theta must beat both neighbours h away at every type
         _, k, a = model.ideal_form
@@ -384,8 +386,7 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
         if not np.all((v[:, 0] < v[:, 1]) & (v[:, 2] < v[:, 1])):
             raise ScenarioError(f"schema error at {path}.ideal_form: k + a*theta is not the receiver's ideal at each type")
     z = np.linspace(lo, hi, points)
-    sender_fn = exprlang.compile_fn(model.sender, ["z", "theta"])
-    for name, fn in (("sender", sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
+    for name, fn in (("sender", model.sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
         if not np.all(np.isfinite(fn(z[:, None], types.values))):
             raise ScenarioError(f"invalid revisable at {path}.{name}: not finite at every grid point and type")
     return model, tuple(z), alpha_steps

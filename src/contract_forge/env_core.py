@@ -85,11 +85,9 @@ class TypeSpace:
         return TypeSpace(kind="finite", finite=tuple(FiniteType(*it) for it in items))
 
     @staticmethod
-    def uniform_finite(values: Sequence[float], prefix: str = "t") -> "TypeSpace":
+    def uniform_finite(values: Sequence[float]) -> "TypeSpace":
         n = len(values)
-        return TypeSpace.from_finite(
-            [(f"{prefix}{i}", float(v), 1.0 / n) for i, v in enumerate(values)]
-        )
+        return TypeSpace.from_finite([(f"t{i}", float(v), 1.0 / n) for i, v in enumerate(values)])
 
     @staticmethod
     def interval(
@@ -157,11 +155,10 @@ class TypeSpace:
 
 @dataclass(frozen=True, slots=True)
 class Belief:
-    """Finitely supported weights over type values (labels optional)."""
+    """Finitely supported weights over type values."""
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -175,34 +172,17 @@ class Belief:
     @staticmethod
     def from_typespace(ts: TypeSpace) -> "Belief":
         pts, w = ts.grid()
-        labels = ts.labels if ts.kind == "finite" else ()
-        return Belief(tuple(float(p) for p in pts), tuple(float(x) for x in w), labels)
+        return Belief(tuple(float(p) for p in pts), tuple(float(x) for x in w))
 
     @staticmethod
     def point_mass(theta: float) -> "Belief":
         return Belief((float(theta),), (1.0,))
 
 
-def expect(f: Callable[[float], float] | np.ndarray, belief: Belief) -> float:
-    """Weighted expectation of ``f`` under ``belief``.
-
-    ``f`` may be a callable of theta or a precomputed array of values over
-    the belief's support points.
-    """
-    w = np.array(belief.weights)
-    if callable(f):
-        pts = np.array(belief.points)
-        try:
-            vals = np.asarray(f(pts), dtype=float)
-            if vals.shape != pts.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([float(f(p)) for p in belief.points])
-    else:
-        vals = np.asarray(f, dtype=float)
-        if vals.shape != w.shape:
-            raise ValueError("value array does not match belief support")
-    return float(vals @ w)
+def expect(f: Callable[[np.ndarray], np.ndarray], belief: Belief) -> float:
+    """Weighted expectation of ``f`` under ``belief``; ``f`` maps the array
+    of support points to the array of their values."""
+    return float(np.asarray(f(np.array(belief.points)), dtype=float) @ np.array(belief.weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,10 +334,15 @@ class Environment:
         return exprlang.evaluate(self.payoffs.outside, {"theta": float(theta)})
 
     def type_label_for(self, theta: float) -> str:
-        for t in self.types.finite:
-            if abs(t.value - theta) <= WEIGHT_TOL * max(1.0, abs(t.value)):
-                return t.label
-        raise EvalError(f"no type with value {theta!r} in the finite type space")
+        """The one type whose value is ``theta``; table payoffs are keyed by it."""
+        hits = [t.label for t in self.types.finite if abs(t.value - theta) <= WEIGHT_TOL * max(1.0, abs(t.value))]
+        if len(hits) > 1:
+            raise EvalError(
+                f"types {hits[0]!r} and {hits[1]!r} share the value {theta!r}; table payoffs need distinct values"
+            )
+        if not hits:
+            raise EvalError(f"no type with value {theta!r} in the finite type space")
+        return hits[0]
 
 
 def payoff_u(env: Environment, profile: ProfileKey, theta: float) -> float:
@@ -420,19 +405,19 @@ class Allocation:
         return tuple(out)
 
 
-def check_allocation(env: Environment, alloc: Allocation, tol: float = 1e-12) -> None:
+def check_allocation(env: Environment, alloc: Allocation) -> None:
     """Validate feasibility and per-type mass of an allocation."""
     for label, dist in alloc.entries.items():
         if label not in env.types.labels:
             raise ValueError(f"unknown type label {label!r}")
         total = 0.0
         for outcome, p in dist:
-            if p < -tol:
+            if p < -WEIGHT_TOL:
                 raise ValueError("negative probability in allocation")
             total += p
             if outcome != OPT_OUT:
                 env.check_feasible(outcome)  # type: ignore[arg-type]
-        if abs(total - 1.0) > max(tol, 1e-12):
+        if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"allocation for type {label!r} has mass {total!r}")
 
 

@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 OFFPATH_POLICIES = ("prior", "lowest-type", "highest-type", "selector")
+# two-point mixtures put weight k/8 and 1 - k/8 on their outcomes, k = 1..7
+_MIX_STEPS = 8
 
 StrategyMap = Mapping[str, tuple[tuple[tuple[str, ...] | str, float], ...]]
 
@@ -124,7 +126,6 @@ class SearchOptions:
     tol: float = DEFAULT_TOL
     policies: tuple[str, ...] = ("prior",)
     mixing: str = "pure"  # "pure" | "two-point"
-    mix_step: float = 0.125
     cap: int = 5_000_000
 
 
@@ -675,9 +676,8 @@ def _strategy_candidates(game: _Game, options: SearchOptions, keep):
         outcomes.append(None)
     dists = [((o, 1.0),) for o in outcomes]
     if options.mixing == "two-point":
-        k = round(1.0 / options.mix_step)
-        for (a, b), step in itertools.product(itertools.combinations(outcomes, 2), range(1, k)):
-            dists.append(((a, step / k), (b, 1.0 - step / k)))
+        for (a, b), step in itertools.product(itertools.combinations(outcomes, 2), range(1, _MIX_STEPS)):
+            dists.append(((a, step / _MIX_STEPS), (b, 1.0 - step / _MIX_STEPS)))
     elif options.mixing != "pure":
         raise ValueError(f"unknown mixing mode {options.mixing!r}")
     total = len(dists) ** game.T

@@ -15,6 +15,11 @@ Grammar, lowest to highest precedence::
 
 Functions: sqrt, exp, log, abs (one argument); min, max (exactly two).
 Variable names match ``[a-z][a-z0-9_]*``. Whitespace is insignificant.
+An expression nests at most :data:`MAX_DEPTH` levels: each operator,
+unary minus, function call and parenthesized group is one level, counted
+along the deepest path, so ``1+1+1`` has three and ``(x)`` two. Past
+that the parser raises :class:`ParseError`, which keeps every recursive
+walk of a parsed tree well inside Python's recursion limit.
 Numbers are decimal literals with an optional exponent. There are no
 conditionals; piecewise payoffs belong in tabulated scenario payoffs.
 """
@@ -45,6 +50,8 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2}
+# the parser spends up to six Python frames per level, a tree walk two
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -119,6 +126,13 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.open = 0  # unary() calls on the stack: a lower bound of the depth
+
+    def level(self, node: Expr, depth: int, offset: int) -> tuple[Expr, int]:
+        """``node`` with its depth, if within :data:`MAX_DEPTH`."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+        return node, depth
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -136,63 +150,75 @@ class _Parser:
         raise ParseError(f"expected {text!r}, found {value or 'end of input'!r}", offset)
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    # each method returns (node, depth)
+
+    def expr(self) -> tuple[Expr, int]:
+        left, d = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.i += 1
-                left = Bin(value, left, self.term())
+                right, dr = self.term()
+                left, d = self.level(Bin(value, left, right), max(d, dr) + 1, offset)
             else:
-                return left
+                return left, d
 
-    def term(self) -> Expr:
-        left = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        left, d = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.i += 1
-                left = Bin(value, left, self.unary())
+                right, dr = self.unary()
+                left, d = self.level(Bin(value, left, right), max(d, dr) + 1, offset)
             else:
-                return left
+                return left, d
 
-    def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+    def unary(self) -> tuple[Expr, int]:
+        kind, value, offset = self.peek()
+        self.open += 1
+        if self.open > MAX_DEPTH:  # before recursing further
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
         if kind == "op" and value == "-":
             self.i += 1
-            return Neg(self.unary())
-        return self.power()
+            arg, d = self.unary()
+            out = self.level(Neg(arg), d + 1, offset)
+        else:
+            out = self.power()
+        self.open -= 1
+        return out
 
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
+    def power(self) -> tuple[Expr, int]:
+        base, d = self.atom()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.i += 1
-            return Bin("^", base, self.unary())  # right associative
-        return base
+            exponent, de = self.unary()  # right associative
+            return self.level(Bin("^", base, exponent), max(d, de) + 1, offset)
+        return base, d
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, value, offset = self.next()
         if kind == "number":
-            return Num(float(value))
+            return Num(float(value)), 1
         if kind == "name":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
                 return self.call(value, offset)
-            return Var(value)
+            return Var(value), 1
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner, d = self.expr()
             self.expect(")")
-            return inner
+            return self.level(inner, d + 1, offset)
         raise ParseError(f"expected a value, found {value or 'end of input'!r}", offset)
 
-    def call(self, name: str, offset: int) -> Expr:
+    def call(self, name: str, offset: int) -> tuple[Expr, int]:
         if name not in _FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", offset)
         self.expect("(")
@@ -211,7 +237,7 @@ class _Parser:
                 f"{name} takes exactly {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
                 offset,
             )
-        return Call(name, tuple(args))
+        return self.level(Call(name, tuple(a for a, _ in args)), max(d for _, d in args) + 1, offset)
 
 
 def parse(source: str) -> Expr:
@@ -239,7 +265,8 @@ def free_vars(expr: Expr) -> frozenset[str]:
 
 
 def to_source(expr: Expr) -> str:
-    """Render ``expr`` as parseable text (fully parenthesized)."""
+    """Render ``expr`` as text, fully parenthesized: parseable while its
+    groups keep it within :data:`MAX_DEPTH`."""
     match expr:
         case Num(value):
             if value == int(value) and abs(value) < 1e16:
@@ -267,8 +294,8 @@ def _apply_bin(op: str, a: float, b: float, node: Bin) -> float:
         if b == 0.0:
             raise EvalError(f"division by zero in {to_source(node)}")
         return a / b
-    # power
-    if a < 0.0 and b != int(b):
+    # power; a non-finite exponent is not an integer
+    if a < 0.0 and not float(b).is_integer():
         raise EvalError(f"negative base with non-integer exponent in {to_source(node)}")
     if a == 0.0 and b < 0.0:
         raise EvalError(f"zero base with negative exponent in {to_source(node)}")

@@ -83,19 +83,23 @@ class RevisableModel:
     eta_hi: float = 1.0
     z_range: tuple[float, float] = (-10.0, 10.0)
     ideal_form: tuple | None = None  # ("affine", k, a)
-    # the receiver payoff compiled over (z, theta), once per model
+    # both payoffs compiled over (z, theta), once per model
+    sender_fn: Callable = field(init=False, repr=False, compare=False)
     receiver_fn: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check the revision bounds, compile both payoffs and audit the
+        receiver's strict concavity (:func:`audit_concavity`), so that every
+        consumer of a model can trust it; ``dataclasses.replace`` re-runs it."""
         if self.mode not in ("additive", "proportional"):
             raise ValueError(f"unknown revision mode {self.mode!r}")
         if self.mode == "additive" and self.alpha < 0.0:
             raise ValueError("additive revision bound must be nonnegative")
         if self.mode == "proportional" and not 0.0 < self.eta_lo <= self.eta_hi:
             raise ValueError("proportional bounds must satisfy 0 < lo <= hi")
-        object.__setattr__(
-            self, "receiver_fn", exprlang.compile_fn(self.receiver, ["z", "theta"])
-        )
+        for name, expr in (("sender_fn", self.sender), ("receiver_fn", self.receiver)):
+            object.__setattr__(self, name, exprlang.compile_fn(expr, ["z", "theta"]))
+        audit_concavity(self)
 
     @staticmethod
     def additive(
@@ -113,28 +117,22 @@ class RevisableModel:
         )
 
 
-def audit_concavity(
-    model: RevisableModel,
-    z_lo: float | None = None,
-    z_hi: float | None = None,
-    thetas: Sequence[float] | None = None,
-    grid: int = 101,
-) -> None:
+def audit_concavity(model: RevisableModel) -> None:
     """Reject receiver payoffs whose second differences are not negative.
 
-    Checks ``grid`` points on the working z-range for each sampled theta;
-    raises :class:`ConcavityError` on the first violation.
+    Checks 101 points of ``z_range`` at up to 7 types spread over the type
+    grid; raises :class:`ConcavityError` on the first type whose payoff is
+    not finite or not strictly concave there.
     """
-    lo = model.z_range[0] if z_lo is None else z_lo
-    hi = model.z_range[1] if z_hi is None else z_hi
-    if thetas is None:
-        pts, _ = model.types.grid()
-        idx = np.linspace(0, len(pts) - 1, min(7, len(pts))).astype(int)
-        thetas = [float(pts[i]) for i in idx]
-    zs = np.linspace(lo, hi, grid)
-    for th in thetas:
-        vals = np.broadcast_to(model.receiver_fn(zs, float(th)), zs.shape)
-        second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+    pts, _ = model.types.grid()
+    idx = np.linspace(0, len(pts) - 1, min(7, len(pts))).astype(int)
+    zs = np.linspace(model.z_range[0], model.z_range[1], 101)
+    for th in (float(pts[i]) for i in idx):
+        vals = np.broadcast_to(model.receiver_fn(zs, th), zs.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ConcavityError(f"receiver payoff is not finite on z_range at theta={th!r}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         if not np.all(second < 0.0):
             raise ConcavityError(
                 f"receiver payoff is not strictly concave in z at theta={th!r}"
@@ -149,7 +147,7 @@ def _ideal_tol(model: RevisableModel) -> float:
     return math.sqrt(np.finfo(float).eps) * (model.z_range[1] - model.z_range[0])
 
 
-def posterior_ideal(model: RevisableModel, belief: Belief, audit: bool = True) -> float:
+def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     """The receiver's uniquely optimal final action under ``belief``.
 
     Uses the declared closed form when present, otherwise a coarse scan of
@@ -157,11 +155,6 @@ def posterior_ideal(model: RevisableModel, belief: Belief, audit: bool = True) -
     :func:`_ideal_tol`. Raises if the scan cannot bracket an interior
     maximizer.
     """
-    if audit:
-        span = max(belief.points) - min(belief.points)
-        lo = min(model.z_range[0], min(belief.points) - span)
-        hi = max(model.z_range[1], max(belief.points) + span)
-        audit_concavity(model, lo, hi, thetas=_sample(belief.points))
     if model.ideal_form is not None and model.ideal_form[0] == "affine":
         _, k, a = model.ideal_form
         return float(k) + float(a) * expect(lambda th: th, belief)
@@ -184,14 +177,6 @@ def posterior_ideal(model: RevisableModel, belief: Belief, audit: bool = True) -
     return float(z_star)
 
 
-def _sample(points: Sequence[float], k: int = 7) -> list[float]:
-    pts = sorted(set(float(p) for p in points))
-    if len(pts) <= k:
-        return pts
-    idx = np.linspace(0, len(pts) - 1, k).astype(int)
-    return [pts[i] for i in idx]
-
-
 def feasible_final_interval(model: RevisableModel, x: float) -> tuple[float, float]:
     """Final actions reachable from baseline ``x`` under the revision bound."""
     if model.mode == "additive":
@@ -201,19 +186,17 @@ def feasible_final_interval(model: RevisableModel, x: float) -> tuple[float, flo
     return (model.eta_lo * x, model.eta_hi * x)
 
 
-def endpoint_baseline(
-    model: RevisableModel, z_target: float, r: float, tol: float = 1e-12
-) -> tuple[float, float]:
+def endpoint_baseline(model: RevisableModel, z_target: float, r: float) -> tuple[float, float]:
     """Baseline and revision placing ``z_target`` at the receiver's optimum.
 
     A target below the posterior ideal (z < r - tol) sits at the upper
     endpoint of the feasible interval; above it (z > r + tol), at the
-    lower endpoint; otherwise, a tie, in the middle. The default ``tol``
-    suits an exact ideal; placements pass the ideal's resolution,
-    :func:`_ideal_tol`. Returns (baseline, revision); the revision is the
-    additive step or the proportional factor, and baseline (+ or *)
-    revision equals the target.
+    lower endpoint; otherwise, a tie, in the middle. ``tol`` is the
+    ideal's resolution, :func:`_ideal_tol`. Returns (baseline, revision);
+    the revision is the additive step or the proportional factor, and
+    baseline (+ or *) revision equals the target.
     """
+    tol = _ideal_tol(model)
     below, above = z_target < r - tol, z_target > r + tol
     if model.mode == "additive":
         if below:
@@ -243,8 +226,7 @@ def _placement(
     optimum is the receiver's best of 101 evenly spaced final actions of
     the feasible interval around the baseline, under the belief.
     """
-    r = posterior_ideal(model, belief, audit=False)
-    x_hat, rev = endpoint_baseline(model, z, r, _ideal_tol(model))
+    x_hat, rev = endpoint_baseline(model, z, posterior_ideal(model, belief))
     lo, hi = feasible_final_interval(model, x_hat)
     scan = np.linspace(lo, hi, 101)
     pts = np.array(belief.points)
@@ -327,7 +309,7 @@ def build_grid_game(
     spec = PrincipalSpec(contractible=x_actions, noncontractible=y_actions, feasible=feasible)
     grid, thetas = np.array(z)[:, None], model.types.values[None, :]
     shape = (len(z), thetas.size)
-    u_tab = np.broadcast_to(exprlang.compile_fn(model.sender, ["z", "theta"])(grid, thetas), shape)
+    u_tab = np.broadcast_to(model.sender_fn(grid, thetas), shape)
     v_tab = np.broadcast_to(model.receiver_fn(grid, thetas), shape)
     entries = {}
     for i, x in enumerate(feasible):
@@ -354,15 +336,11 @@ class FinalAllocation:
 
     entries: Mapping[str, tuple[tuple[float, float], ...]]  # type -> ((z, prob), ...)
 
-    def key(self, digits: int = 10) -> tuple:
+    def key(self) -> tuple:
         out = []
         for label in sorted(self.entries):
             dist = tuple(
-                sorted(
-                    (round(z, digits), round(p, digits))
-                    for z, p in self.entries[label]
-                    if round(p, digits) != 0.0
-                )
+                sorted((round(z, 10), round(p, 10)) for z, p in self.entries[label] if round(p, 10) != 0.0)
             )
             out.append((label, dist))
         return tuple(out)
@@ -475,7 +453,6 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
     and belief of the first placed message, in message order, with its
     baseline.
     """
-    audit_concavity(game0.model)
     types = game0.env.types
     old_beliefs = assessment.beliefs.public[0]
     recode: dict[str, str] = {}
@@ -483,9 +460,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
     for msg in assessment.contracts[0].messages:
         z = game0.x_values[int(msg.action[1:])]
         bel_vec = old_beliefs[(msg.label,)]
-        belief = Belief(
-            tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec), types.labels
-        )
+        belief = Belief(tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec))
         x_hat, rev, z_best, step = _placement(game_a.model, z, belief)
         if abs(z_best - z) > step + 1e-9:
             raise ValueError(
@@ -516,10 +491,12 @@ def _partitions(items: Sequence[int]):
 
 # candidates per vectorized filter pass: bounds the memory of the rows x blocks x types gather
 _FILTER_BLOCK = 1024
+# block-assignment candidates one enumeration may visit
+_ENUMERATION_CAP = 5_000_000
 
 
 def enumerate_final_allocations(
-    game: GridGame, tol: float = DEFAULT_TOL, validate: bool = True, cap: int = 5_000_000
+    game: GridGame, tol: float = DEFAULT_TOL
 ) -> dict[tuple, tuple[FinalAllocation, Assessment]]:
     """All pure continuation-equilibrium final allocations of the grid game.
 
@@ -530,9 +507,9 @@ def enumerate_final_allocations(
     and every off-path message copies the revision and belief of the
     first on-path message, in message order, with its baseline, so a
     deviation only reaches on-path final actions. Every found equilibrium
-    is re-validated by the generic continuation checker when ``validate``
-    is set. Raises when the grid implies more block-assignment candidates
-    than ``cap``.
+    is re-validated by the generic continuation checker. Raises when the
+    grid implies more block-assignment candidates than
+    ``_ENUMERATION_CAP``.
     """
     env = game.env
     labels = env.types.labels
@@ -566,9 +543,9 @@ def enumerate_final_allocations(
         shape = tuple(len(o) for o in options)
         size = math.prod(shape)
         candidates += size
-        if candidates > cap:
+        if candidates > _ENUMERATION_CAP:
             raise ValueError(
-                f"grid caps exceeded: more than {cap} block-assignment candidates"
+                f"grid caps exceeded: more than {_ENUMERATION_CAP} block-assignment candidates"
             )
         pairs = [np.array(o, dtype=int).reshape(-1, 2) for o in options]
         for start in range(0, size, _FILTER_BLOCK):
@@ -590,13 +567,12 @@ def enumerate_final_allocations(
                 if key in found:
                     continue
                 assessment = _assessment_from_blocks(game, part, combo)
-                if validate:
-                    report = check_continuation(env, assessment, tol)
-                    if not report.passed:
-                        raise AssertionError(
-                            "partition enumeration produced an invalid equilibrium; "
-                            f"worst violations: {report.agent_worst} {report.principal_worst}"
-                        )
+                report = check_continuation(env, assessment, tol)
+                if not report.passed:
+                    raise AssertionError(
+                        "partition enumeration produced an invalid equilibrium; "
+                        f"worst violations: {report.agent_worst} {report.principal_worst}"
+                    )
                 found[key] = (fa, assessment)
     return found
 
@@ -657,7 +633,7 @@ def check_gamma_equal(
                 rep = check_continuation(target.env, transform(source, assessment, target), tol)
                 if not rep.passed or final_allocation_of(target, rep.allocation).key() != key:
                     failed += 1
-            except ValueError:  # ConcavityError included
+            except ValueError:  # no interior ideal, or a failed placement
                 failed += 1
         failures.append(failed)
     lift_failures, collapse_failures = failures

@@ -43,6 +43,11 @@ _ITER_PANELS = 96
 # sits at the participation kink, and 1e-12 keeps the reported cutoff
 # within 1e-11 of the lowest type on the worked family.
 _KINK_TOL = 1e-12
+# A menu is flagged when its bound beats the equilibrium value by more than
+# this: the two come from separate inner searches, each resolving y only to
+# a tolerance, so a menu holding the equilibrium offer must not be flagged
+# by their difference.
+_SAFE_TOL = 1e-6
 
 
 @dataclass
@@ -278,7 +283,6 @@ def robustness_check(
     problem: AgencyProblem,
     equilibrium: AgencyEquilibrium,
     deviation_menus: Mapping[int, Sequence[Sequence[float]]],
-    tol: float = 1e-6,
 ) -> tuple[bool, tuple[RobustnessFinding, ...]]:
     """Certify a simple-offer equilibrium against menu deviations.
 
@@ -287,7 +291,7 @@ def robustness_check(
     payoff frozen), reduces the deviation to the bilateral single-offer
     problem, and bounds the menu's best atomic continuation value by the
     best single offer it contains. A menu is flagged only if that bound
-    strictly exceeds the equilibrium value plus ``tol``.
+    strictly exceeds the equilibrium value plus ``_SAFE_TOL``.
     """
     findings: list[RobustnessFinding] = []
     for j, menus in deviation_menus.items():
@@ -295,7 +299,7 @@ def robustness_check(
         for menu in menus:
             offers = tuple(float(x) for x in menu)
             bx, bv = _best_offer_value(problem, j, x_other, offers)
-            safe = bv > equilibrium.values[j] + tol
+            safe = bv > equilibrium.values[j] + _SAFE_TOL
             findings.append(
                 RobustnessFinding(
                     principal=j,

@@ -384,6 +384,74 @@ class TestScenarioErrors:
         assert isinstance(res.exception, SystemExit)
         assert f"invalid environment at $.environment: {message}" in res.output
 
+    @pytest.mark.parametrize(
+        "agent",
+        # an OverflowError traceback, and a bare "cannot convert float NaN to integer"
+        ["(0-1)^exp(1000*theta)", "(0-1)^(exp(1000*theta)-exp(1000*theta))"],
+    )
+    def test_non_finite_exponent_of_a_negative_base_names_the_subexpression(self, tmp_path, agent):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["environment"]["payoffs"]["agent"] = agent
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert (
+            "invalid environment at $.environment: payoff evaluation failed: "
+            "negative base with non-integer exponent in ((0-1)^"
+        ) in res.output
+
+    def test_table_payoffs_need_distinct_type_values(self, tmp_path):
+        """Type 'hi' read the rows of 'lo', its equal in value: the principal's
+        value was reported as 0 where hi's rows pay 10."""
+        entries = [
+            {"state": state, "pairs": [["x", y]], "agent": 0.0, "principals": [pay]}
+            for state, pay in (("lo", 0.0), ("hi", 10.0))
+            for y in ("y0", "y1")
+        ]
+        raw = {
+            "schema": 1,
+            "command": "check-equilibrium",
+            "environment": {
+                "types": {
+                    "kind": "finite",
+                    "items": [{"label": lab, "value": 1.0, "weight": 0.5} for lab in ("lo", "hi")],
+                },
+                "principals": [
+                    {
+                        "contractible": [{"label": "x"}],
+                        "noncontractible": [{"label": "y0"}, {"label": "y1"}],
+                        "feasible": {"x": ["y0", "y1"]},
+                    }
+                ],
+                "payoffs": {"mode": "table", "entries": entries},
+            },
+            "assessment": {
+                "contracts": [{"kind": "menu_rec", "menu": ["x"]}],
+                "strategy": {lab: [{"profile": ["x|y0"], "prob": 1.0}] for lab in ("lo", "hi")},
+            },
+            "options": {},
+        }
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert (
+            "invalid environment at $.environment: payoff evaluation failed: "
+            "types 'lo' and 'hi' share the value 1.0"
+        ) in res.output
+
+    @pytest.mark.parametrize(
+        "agent", ["(" * 200 + "theta" + ")" * 200, "+".join(["1"] * 1000)], ids=["200 groups", "1000 terms"]
+    )
+    def test_expression_past_the_depth_bound_is_a_parse_error(self, tmp_path, agent):
+        """Exited 2 with "maximum recursion depth exceeded" and no JSON path."""
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["environment"]["payoffs"]["agent"] = agent
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "$.environment.payoffs.agent" in res.output
+        assert "expression nests deeper than 100 levels" in res.output
+
     def _invoke_with(self, tmp_path, fixture, block, keys, value):
         raw = json.loads(fixture_path(fixture).read_text())
         target = raw[block]
@@ -656,6 +724,33 @@ class TestRevisableCheck:
         res = _invoke_raw(tmp_path, raw)
         assert res.exit_code == 2
         assert where in res.output
+
+    @pytest.mark.parametrize("receiver", ["0", "theta", "(z - theta)^2"])
+    def test_receiver_failing_the_concavity_audit_is_a_scenario_error(self, tmp_path, receiver):
+        """Exited 1 with every lift failing before the model audited itself."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        del raw["revisable"]["ideal_form"]
+        raw["revisable"]["receiver"] = receiver
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "invalid revisable at $.revisable.receiver: receiver payoff is not strictly concave" in res.output
+
+    def test_types_need_distinct_values(self, tmp_path):
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        raw["revisable"]["types"]["items"][1]["value"] = 0.0
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "invalid revisable at $.revisable.types: table payoffs need distinct type values" in res.output
+
+    def test_concavity_is_audited_at_most_twice_per_check(self, monkeypatch):
+        """Once for the parsed model and once for the limited grid game's copy,
+        not once per lifted equilibrium."""
+        calls = []
+        audit = cli.rv.audit_concavity
+        monkeypatch.setattr(cli.rv, "audit_concavity", lambda model: calls.append(model) or audit(model))
+        report = cli.run(cli.parse_scenario(fixture_path("revisable_grid.json")))
+        assert report.exit_code == 0 and report.payload["results"]["n_full"] > 2
+        assert 1 <= len(calls) <= 2
 
     def _run_with(self, monkeypatch, **fields):
         gamma = cli.rv.check_gamma_equal

@@ -36,6 +36,35 @@ def test_intensity_at_optimal_offer():
     assert el.evaluate(el.parse("sqrt(3*1.3193)"), {}) == pytest.approx(1.98947, abs=1e-4)
 
 
+@pytest.mark.parametrize("exponent", ["exp(1000*x)", "(exp(1000*x)-exp(1000*x))", "(0-exp(1000*x))"])
+def test_non_finite_exponent_of_a_negative_base_is_an_eval_error(exponent):
+    """int(b) raised OverflowError or ValueError on an infinite or nan exponent."""
+    source = f"(0-2)^{exponent}"
+    with pytest.raises(el.EvalError, match=r"negative base with non-integer exponent in \(\(0-2\)\^"):
+        el.evaluate(el.parse(source), {"x": 1.0})
+
+
+def test_depth_bound():
+    """Every operator, unary minus, call and parenthesized group is a level."""
+    deepest = [
+        "(" * 99 + "x" + ")" * 99,
+        "-" * 99 + "x",
+        "+".join(["x"] * 100),
+        "2^" * 99 + "x",
+        "sqrt(" * 99 + "x" + ")" * 99,
+    ]
+    for source in deepest:
+        e = el.parse(source)
+        assert el.to_source(e)  # fully parenthesized, so it may nest deeper than the bound
+        assert el.evaluate(e, {"x": 0.25}) == pytest.approx(float(el.compile_fn(e, ["x"])(0.25)))
+        assert el.free_vars(e) == {"x"}
+        with pytest.raises(el.ParseError, match="nests deeper than 100 levels"):
+            el.parse(f"({source})")
+    with pytest.raises(el.ParseError, match="nests deeper than 100 levels") as err:
+        el.parse("(" * 5000 + "x" + ")" * 5000)
+    assert err.value.offset == 100
+
+
 def test_free_vars():
     assert el.free_vars(el.parse("x*theta")) == {"x", "theta"}
     assert el.free_vars(el.parse("1+2")) == frozenset()

@@ -130,7 +130,6 @@ def finite_cases(draw):
         tol=draw(st.sampled_from((1e-9, 0.0, 1.0))),
         policies=tuple(draw(st.lists(st.sampled_from(eq.OFFPATH_POLICIES), min_size=1, max_size=2, unique=True))),
         mixing=mixing,
-        mix_step=0.5,
         cap=draw(st.sampled_from((5_000_000, 16, 8))),
     )
     return env, contracts, options
@@ -151,7 +150,8 @@ BOUNDARY = _game(
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_pruned_memoized_search_equals_unpruned(case):
     env, contracts, options = case
-    assert _outputs(env, contracts, options) == _unpruned(_outputs, env, contracts, options)
+    with mock.patch.object(eq, "_MIX_STEPS", 2):  # two-point mixtures of weights 1/2
+        assert _outputs(env, contracts, options) == _unpruned(_outputs, env, contracts, options)
 
 
 def test_boundary_strategy_is_kept():
