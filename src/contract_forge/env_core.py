@@ -131,24 +131,27 @@ class TypeSpace:
         mass = cdf(self.hi) - cdf(self.lo)
         return phi / (self.sd * mass)
 
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+    def grid(self, points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic weighted grid: (points, normalized weights).
 
-        Simpson coefficients times the density; the grid point count must
-        be odd so the panel count is even.
+        Simpson coefficients times the density on ``points`` nodes
+        (``grid_points`` by default; the solvers check their quadrature
+        with their panel count plus one). The count must be odd so the
+        panel count is even, and the weights must sum to 1 within
+        ``DENSITY_TOL``.
         """
         if self.kind == "finite":
             return self.values, self.weights
-        n = self.grid_points
+        n = self.grid_points if points is None else points
         if n < 3 or n % 2 == 0:
             raise ValueError("interval grids need an odd point count >= 3")
         pts = np.linspace(self.lo, self.hi, n)
         h = (self.hi - self.lo) / (n - 1)
         w = simpson_coefficients(n) * (h / 3.0) * self.density_at(pts)
         total = float(w.sum())
-        if abs(total - 1.0) > DENSITY_TOL:
+        if not abs(total - 1.0) <= DENSITY_TOL:  # NaN fails too
             raise ValueError(
-                f"density integrates to {total!r}, not 1 within {DENSITY_TOL}"
+                f"density integrates to {total!r} at {n - 1} panels, not 1 within {DENSITY_TOL}"
             )
         return pts, w / total
 

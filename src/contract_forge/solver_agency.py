@@ -13,7 +13,7 @@ single offer it contains against the frozen rival offer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,10 +39,8 @@ _ANDERSON_DEPTH = 2
 # quadrature panels.
 _ITER_Y_GRID = 64
 _ITER_PANELS = 96
-# Golden-section tolerance in y for the reported pairs: the inner optimum
-# sits at the participation kink, and 1e-12 keeps the reported cutoff
-# within 1e-11 of the lowest type on the worked family.
-_KINK_TOL = 1e-12
+# Quadrature panels of the slices a run integrates: full resolution, coarse.
+SLICE_PANELS = (SingleProblem.panels, _ITER_PANELS)
 # A menu is flagged when its bound beats the equilibrium value by more than
 # this: the two come from separate inner searches, each resolving y only to
 # a tolerance, so a menu holding the equilibrium offer must not be flagged
@@ -185,7 +183,8 @@ def fixed_point(
     the coarse slice (see :func:`best_response`); the reported
     y, cutoff and value of each principal come from one full-resolution
     inner solve at the reported own offer against the rival's, shared when
-    the problem is symmetric and the offers are equal.
+    the problem is symmetric and the offers are equal. At a kink optimum
+    that y is the kink's root, so the lowest type stays (cutoff exactly lo).
     """
     lam, tol, max_iter = problem.damping, problem.fp_tol, problem.max_iter
     x = np.array([float(start[0]), float(start[1])])
@@ -230,7 +229,7 @@ def fixed_point(
     ys, cuts, vals = [0.0, 0.0], [None, None], [0.0, 0.0]
     same = symmetric and x[0] == x[1]  # then principal 2's pair is principal 1's
     for j in range(1 if same else 2):
-        single = replace(bilateral_reduce(problem, j, x[1 - j]), opt_tol=_KINK_TOL)
+        single = bilateral_reduce(problem, j, x[1 - j])
         value, y = _inner_solve(single, x[j])
         if value > 0.0:  # otherwise no trade: y 0, no cutoff, value 0
             cut = _point(single, x[j], y)[2]  # the lowest type when all stay

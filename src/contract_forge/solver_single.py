@@ -8,12 +8,12 @@ adds nothing, so the optimum solves
 
     max over x of  max over y of  E[ 1{u(x,y,theta) >= 0} * v(x,y,theta) ]
 
-evaluated here by a kink-safe grid-then-golden-section search in each
-variable. One vectorized kernel (``_profit``) gives the value, the stay
-probability and the participation cutoff of many (x, y) pairs at once:
-the cutoff by a bracketed Chandrupatla root finder on the rows where it
-is interior, the expectation by composite Simpson quadrature split
-exactly at the cutoff.
+evaluated here by a kink-safe search in each variable: grid, then the
+participation kink as a root, then golden section. One vectorized kernel
+(``_profit``) gives the value, the stay probability and the participation
+cutoff of many (x, y) pairs at once: the cutoff by the bracketed root
+finder on the rows where it is interior, the expectation by composite
+Simpson quadrature split exactly at the cutoff.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import numpy as np
 
 from . import exprlang
 from .env_core import Belief, TypeSpace, simpson_coefficients
-from .optimize import golden_rows
+from .optimize import golden_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
-_ROOT_MAX_STEPS = 100  # a safeguard: smooth rows close in 4-6 steps, a kink at the root in 13-48
-_ROOT_TOL = 4e-15  # cutoff bracket width: about 48 halvings of a unit type span
+_ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -95,6 +94,8 @@ class SingleProblem:
             raise ValueError("empty search box")
         if self.panels % 2 != 0:
             raise ValueError("Simpson quadrature needs an even panel count")
+        if self.types.kind == "interval":  # the kernel's quadrature must give the density mass 1
+            self.types.grid(self.panels + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,64 +145,6 @@ def _rows(values, shape: tuple[int, ...]) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _cutoff_root(u, a, b, ua, ub, tol: float) -> np.ndarray:
-    """Participation cutoffs of rows with u(a) < 0 <= u(b), by vectorized
-    Chandrupatla steps (Chandrupatla 1997, Adv. Eng. Softw. 28(3)).
-
-    ``u(rows, theta)`` evaluates the agent utility of the listed rows.
-    Each row keeps a bracket [x1, x2] (x1 the newest probe) and the point
-    x3 it last discarded. The next probe is the inverse quadratic
-    interpolant through the three where Chandrupatla's test finds it well
-    placed and the midpoint otherwise, kept tol/2 inside the bracket so
-    the bracket closes. A row ends when its bracket is narrower than
-    ``tol`` or its newest probe is an exact zero; it returns the
-    bracket's staying end, so indifferent types stay.
-    """
-    out = np.empty_like(a)
-    rows = np.arange(a.size)
-    x1, f1, x2, f2 = a, ua, b, ub
-    x3 = f3 = np.full_like(a, np.nan)  # no discarded point yet: bisect first
-    for _ in range(_ROOT_MAX_STEPS):
-        width = np.abs(x2 - x1)
-        done = (f1 == 0.0) | (width < tol)
-        if done.any():
-            out[rows[done]] = np.where(f1[done] >= 0.0, x1[done], x2[done])
-            keep = ~done
-            rows, x1, f1, x2, f2, x3, f3, width = (
-                rows[keep], x1[keep], f1[keep], x2[keep], f2[keep], x3[keep], f3[keep], width[keep]
-            )
-            if rows.size == 0:
-                return out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            t = np.where(
-                (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
-                f1 / (f2 - f1) * f3 / (f2 - f3)
-                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
-                0.5,
-            )
-        t_min = 0.5 * tol / width
-        xt = x1 + np.clip(t, t_min, 1.0 - t_min) * (x2 - x1)
-        ft = u(rows, xt)
-        same = (ft >= 0.0) == (f1 >= 0.0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
-    out[rows] = np.where(f1 >= 0.0, x1, x2)
-    return out
-
-
-_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _simpson_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    hit = _SIMPSON_CACHE.get(n)
-    if hit is None:
-        hit = _SIMPSON_CACHE[n] = (np.linspace(0.0, 1.0, n + 1), simpson_coefficients(n + 1))
-    return hit
-
-
 def _at(r, rows):
     """The rival indices of ``rows``; None for a problem without rivals."""
     return None if r is None else r[rows]
@@ -216,7 +159,7 @@ def _profit(
     points with the audit, the two ends without); rows whose highest type
     refuses retain no one (profit 0, cutoff nan), rows whose lowest type
     accepts retain everyone (cutoff lo), and the rest get their cutoff
-    from :func:`_cutoff_root`, bracketed by the sweep. Interval types
+    from :func:`optimize.root_rows`, bracketed by the sweep. Interval types
     integrate v and the density by Simpson's rule from the cutoff up;
     finite types sum over the stayers. With ``audit``, entries failing
     the strict-increase audit are -inf unless the sweep certifies that
@@ -245,12 +188,9 @@ def _profit(
     inner = np.flatnonzero(valid & ~none & (sweep[:, 0] < 0.0))
     if inner.size:
         k = np.argmax(sweep[inner] >= 0.0, axis=1)  # first staying grid point
-        cut[inner] = _cutoff_root(
+        cut[inner] = root_rows(
             lambda rows, th: pay(problem.u_fn, inner[rows], th[:, None])[:, 0],
-            grid[k - 1],
-            grid[k],
-            sweep[inner, k - 1],
-            sweep[inner, k],
+            grid[k - 1], grid[k], sweep[inner, k - 1], sweep[inner, k],
             _ROOT_TOL + 4.0 * _EPS * max(abs(lo), abs(hi)),
         )
 
@@ -264,7 +204,7 @@ def _profit(
             value[live] = np.sum(w * pay(problem.v_fn, live, th) * stays, axis=1)
             stay[live] = np.sum(w * stays, axis=1)
         else:
-            frac, coef = _simpson_nodes(problem.panels)
+            frac, coef = np.linspace(0.0, 1.0, problem.panels + 1), simpson_coefficients(problem.panels + 1)
             span = hi - cut[live]
             nodes = cut[live, None] + span[:, None] * frac[None, :]
             vv = pay(problem.v_fn, live, nodes)
@@ -338,11 +278,20 @@ def _inner_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (value, y) per contractible offer, vectorized across offers.
 
-    A y-grid scan brackets the per-row optimum; golden section refines
-    each bracket simultaneously, one group per rival, and the refined
-    value honors the audit. Grid ties break toward the lowest index and
-    the refinement is kept only when it improves on the grid value.
-    ``r`` gives each offer its rival index (see :func:`_profit`).
+    A y-grid scan brackets each row's optimum in [a, b], the grid
+    neighbours of its best point (ties break toward the lowest index).
+    Where u(x, ., lo) changes sign on [a, b], :func:`optimize.root_rows`
+    finds the kink y_k at which the lowest type is just indifferent (and
+    stays), and one unaudited kernel pass evaluates y_k and y_k -/+
+    ``opt_tol``, clipped to the bracket. Golden section assumes the
+    objective unimodal on the bracket; so does this rule: if f(y_k) is at
+    least both neighbours, y_k is the bracket's maximizer. Otherwise golden
+    section runs on the rising side, [a, y_k] or [y_k, b], toward the
+    larger neighbour; rows without a sign change run it on [a, b]. It
+    refines its rows at once, one group per rival (a taken y_k is a
+    zero-width bracket, not evaluated). The refined value honors the audit
+    and is kept only when it beats the grid value. ``r`` gives each offer
+    its rival index (see :func:`_profit`).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
@@ -351,14 +300,30 @@ def _inner_rows(
     value, y = grid[np.arange(len(xs)), idx], ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
-        X, rr = xs[rows], _at(r, rows)
-        yr = golden_rows(
-            lambda k, yk: _profit(problem, X[k], yk, audit=False, r=_at(rr, k))[0],
-            ys[np.maximum(idx[rows] - 1, 0)],
-            ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)],
-            problem.opt_tol,
-            rr,
-        )
+        X, rr, tol, lo = xs[rows], _at(r, rows), problem.opt_tol, _theta_span(problem.types)[0]
+        a = ys[np.maximum(idx[rows] - 1, 0)]
+        b = ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)]
+
+        def u_lo(k, yk):  # the lowest type's utility at rows k
+            return _rows(problem.u_fn(X[k], yk, lo, *(() if rr is None else (rr[k],))), (k.size,))
+
+        def f(k, yk):
+            return _profit(problem, X[k], yk, audit=False, r=_at(rr, k))[0]
+
+        ua, ub = u_lo(np.arange(rows.size), a), u_lo(np.arange(rows.size), b)
+        kink = np.flatnonzero((ua >= 0.0) != (ub >= 0.0))
+        if kink.size:
+            ak, bk, ymax = a[kink], b[kink], max(abs(problem.y_box[0]), abs(problem.y_box[1]))
+            yk = root_rows(
+                lambda k, yk: u_lo(kink[k], yk), ak, bk, ua[kink], ub[kink], _ROOT_TOL + 4.0 * _EPS * ymax
+            )
+            probes = np.clip(yk + np.array([[0.0], [-tol], [tol]]), ak, bk)
+            fk, fm, fp = f(np.tile(kink, 3), probes.ravel()).reshape(3, kink.size)
+            peak, left = (fk >= fm) & (fk >= fp), fm > fp  # left: rising toward a
+            a[kink] = np.where(left & ~peak, ak, yk)  # a peak's bracket is [y_k, y_k]
+            b[kink] = np.where(left | peak, yk, bk)
+        group = (b > a) + (0 if rr is None else 2 * rr)
+        yr = golden_rows(f, a, b, tol, group)
         vr = _profit(problem, X, yr, r=rr)[0]
         better = vr > value[rows]
         value[rows[better]] = vr[better]
@@ -375,11 +340,12 @@ def _inner_solve(problem: SingleProblem, x: float) -> tuple[float, float]:
 def solve(problem: SingleProblem) -> SolveResult:
     """Two-step optimum: outer search over x, inner search over y.
 
-    Both loops scan an even grid and refine around the best bracket by
-    golden section; the objective has kinks where the participation
-    cutoff meets the type-space boundary, so derivative-free search is
-    used throughout. Offers retaining no type score zero; when nothing
-    beats zero the result is the no-trade outcome.
+    Both loops scan an even grid and refine around the best bracket, the
+    inner one by kink root or golden section (:func:`_inner_rows`), the
+    outer one by golden section: the objective has kinks where the
+    participation cutoff meets the type-space boundary, so derivative-free
+    search is used throughout. Offers retaining no type score zero; when
+    nothing beats zero the result is the no-trade outcome.
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], problem.x_grid)
     values, inner_y = _inner_rows(problem, xs)
@@ -409,14 +375,13 @@ def zoom_solve(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Fast (x, y) optimizer for iterative callers (best-response dynamics).
 
     Each of ``_ZOOM_STAGES`` stages scans an x-grid of ``_ZOOM_GRID``
-    points with the vectorized inner-row search (the inner optimum often
-    sits at a participation kink, which the per-row golden refinement
-    resolves exactly), then zooms the x-box around the incumbent row.
-    Same unimodality assumption as the full solve. Every row is refined,
-    not only the incumbent and its neighbours: on the worked agency
-    family (beta in linspace(0.3, 0.9, 13) and 17/21, fixed point and
-    curve), 632 of 828 stages refined a winner more than one row away
-    from the grid argmax.
+    points with the vectorized inner-row search (grid, kink root, golden
+    fallback; see :func:`_inner_rows`), then zooms the x-box around the
+    incumbent row. Same unimodality assumption as the full solve. Every
+    row is refined, not only the incumbent and its neighbours: on the
+    worked agency family (beta in linspace(0.3, 0.9, 13) and 17/21, fixed
+    point and curve), 632 of 828 stages refined a winner more than one row
+    away from the grid argmax.
 
     Returns arrays (value, x, y) with one entry per rival offer the
     problem binds (one entry without ``rivals``). One pass per stage

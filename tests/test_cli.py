@@ -385,6 +385,36 @@ class TestScenarioErrors:
         assert f"invalid environment at $.environment: {message}" in res.output
 
     @pytest.mark.parametrize(
+        "name, block, mean, sd, message",
+        [
+            # exited 0 with stay_prob 1.18082981337
+            ("labor_single", "problem", 3.5, 0.002, "density integrates to 0.828462937177"),
+            ("agency_beta17_21", "agency", 3.5, 0.002, "density integrates to 0.828462937177"),
+            # integrated to 1 within 6e-15 at full resolution, not on the coarse slice
+            ("agency_beta17_21", "agency", 3.5, 0.02, "density integrates to 0.999999991617"),
+            # no mass on [3, 4] in floating point: exited 0 with no_trade
+            ("labor_single", "problem", 100.0, 1.0, "density integrates to nan"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_density_the_kernel_cannot_integrate_is_a_scenario_error(self, tmp_path, name, block, mean, sd, message):
+        raw = json.loads(fixture_path(f"{name}.json").read_text())
+        raw[block]["types"] = {"kind": "interval", "lo": 3, "hi": 4, "density": "normal", "mean": mean, "sd": sd}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"invalid types at $.{block}.types: {message}" in res.output
+        assert "panels, not 1 within 1e-09" in res.output
+
+    def test_density_the_kernel_integrates_is_solved(self, tmp_path):
+        raw = json.loads(fixture_path("labor_single.json").read_text())
+        raw["problem"]["types"] = {"kind": "interval", "lo": 3, "hi": 4, "density": "normal", "mean": 3.5, "sd": 0.05}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert 0.0 < results["stay_prob"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
         "agent",
         # an OverflowError traceback, and a bare "cannot convert float NaN to integer"
         ["(0-1)^exp(1000*theta)", "(0-1)^(exp(1000*theta)-exp(1000*theta))"],

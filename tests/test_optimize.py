@@ -1,3 +1,4 @@
+import math
 from importlib import resources
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from contract_forge import cli
 from contract_forge import solver_single as ss
-from contract_forge.optimize import golden_rows
+from contract_forge.optimize import golden_rows, root_rows
 
 _coord = st.floats(-10.0, 10.0)
 
@@ -56,6 +57,75 @@ def test_bracket_narrower_than_tol_returns_its_midpoint():
     x = golden_rows(f, [1.0, -2.0], [1.0 + 1e-9, -2.0 + 5e-9], 1e-8)
     assert np.array_equal(x, [0.5 * (1.0 + (1.0 + 1e-9)), 0.5 * (-2.0 + (-2.0 + 5e-9))])
     assert calls == []
+
+
+def _lines(roots, slope):
+    """g(rows, x) = slope * (x - root) per row; counts the calls."""
+    calls = []
+
+    def g(rows, x):
+        calls.append(rows.size)
+        return slope * (x - roots[rows])
+
+    return g, calls
+
+
+def _ends(g, roots, lo=-3.0, hi=4.0):
+    a, b = np.full(roots.size, lo), np.full(roots.size, hi)
+    every = np.arange(roots.size)
+    return a, b, g(every, a), g(every, b)
+
+
+@pytest.mark.parametrize("slope", [1.0, -2.5])
+def test_roots_of_increasing_and_decreasing_rows(slope):
+    roots = np.array([-2.9, -1.0 / 3.0, 0.1, math.pi, 3.999])
+    g, _ = _lines(roots, slope)
+    x = root_rows(g, *_ends(g, roots), 1e-12)
+    assert np.all(np.abs(x - roots) <= 1e-12)
+    assert np.all(g(np.arange(roots.size), x) >= 0.0)  # the end where g >= 0
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_step_rows_return_the_end_where_g_is_nonnegative(slope):
+    roots = np.array([-1.7, 0.3, 2.2])
+
+    def g(rows, x):  # no zero to land on: only the sign of g is informative
+        return np.where(slope * (x - roots[rows]) >= 0.0, 1.0, -1.0)
+
+    x = root_rows(g, *_ends(g, roots), 1e-10)
+    assert np.all(np.abs(x - roots) <= 1e-10)
+    assert np.all(g(np.arange(roots.size), x) == 1.0)
+
+
+def test_exact_zero_at_a_probe_ends_the_row():
+    g, calls = _lines(np.array([0.5]), 1.0)
+    x = root_rows(g, np.array([-1.0]), np.array([2.0]), np.array([-1.5]), np.array([1.5]), 1e-12)
+    assert x[0] == 0.5  # the first probe bisects the bracket and hits the root
+    assert calls == [1]
+
+
+def test_bracket_narrower_than_tol_takes_no_step():
+    g, calls = _lines(np.array([1.0, 1.0]), 1.0)
+    a, b = np.array([1.0 - 1e-13, 1.0 + 2e-13]), np.array([1.0 + 1e-13, 1.0 - 1e-13])
+    x = root_rows(g, a, b, g(np.arange(2), a), g(np.arange(2), b), 1e-12)
+    assert np.array_equal(x, [1.0 + 1e-13, 1.0 + 2e-13])
+    assert calls == [2, 2]  # the two end evaluations above
+
+
+def test_rows_equal_their_own_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    roots = rng.uniform(-2.9, 3.9, 9)
+
+    def g(rows, x):  # curved rows, some rising, some falling
+        sign = np.where(rows % 2 == 0, 1.0, -1.0)
+        return sign * (np.exp(x) - np.exp(roots[rows]))
+
+    batch = root_rows(g, *_ends(g, roots), 1e-13)
+    for i in range(roots.size):
+        def alone(rows, x, i=i):
+            return g(np.full(rows.size, i), x)
+
+        assert root_rows(alone, *_ends(alone, roots[i : i + 1]), 1e-13)[0] == batch[i]
 
 
 def test_solve_kernel_pass_count(monkeypatch):

@@ -150,13 +150,18 @@ class TestBatchedBestResponse:
 @pytest.fixture(scope="module")
 def fixture_run():
     """One ``cli.run`` of the bundled agency fixture, counting kernel passes
-    (``_inner_rows`` calls) and recording every best-response call."""
-    seen = {"inner_rows": 0, "best_response": []}
-    inner_rows, best_response = ss._inner_rows, sa.best_response
+    (``_inner_rows`` calls) and ``_profit`` kernel calls and recording every
+    best-response call."""
+    seen = {"inner_rows": 0, "profit": 0, "best_response": []}
+    inner_rows, profit, best_response = ss._inner_rows, ss._profit, sa.best_response
 
     def counted(*args, **kwargs):
         seen["inner_rows"] += 1
         return inner_rows(*args, **kwargs)
+
+    def counted_profit(*args, **kwargs):
+        seen["profit"] += 1
+        return profit(*args, **kwargs)
 
     def recorded(problem, j, x_other):
         answer = best_response(problem, j, x_other)
@@ -167,6 +172,7 @@ def fixture_run():
     with pytest.MonkeyPatch.context() as mp:
         for module in (ss, sa):
             mp.setattr(module, "_inner_rows", counted)
+        mp.setattr(ss, "_profit", counted_profit)
         mp.setattr(sa, "best_response", recorded)
         report = cli.run(cli.parse_scenario(str(path)))
     return report, seen
@@ -178,6 +184,9 @@ class TestAgencyRun:
         # stages each, one reported pair (symmetric, x1 == x2), one menu
         _, seen = fixture_run
         assert seen["inner_rows"] == 30
+        # most inner optima sit on the participation kink, found as a root
+        # of the lowest type's utility instead of by about 36 golden steps
+        assert seen["profit"] <= 500
 
     def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run):
         report, seen = fixture_run

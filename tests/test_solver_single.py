@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contract_forge import contracts as ct
 from contract_forge import env_core as ec
 from contract_forge import equilibrium as eq
+from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
+from contract_forge.optimize import golden_rows
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +187,11 @@ class TestSolve:
         assert r.value == 0.0
         assert r.x is None
 
+    def test_density_the_kernel_cannot_integrate_is_rejected(self):
+        narrow = ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.002)
+        with pytest.raises(ValueError, match="density integrates to 0.828462937177.* at 256 panels"):
+            ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", types=narrow)
+
     def test_scaled_family_matches_base(self, labor_solution):
         p = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="1*y*theta - x^2")
         r = ss.solve(p)
@@ -199,6 +207,71 @@ class TestSolve:
         (value,), (x,), (y,) = ss.zoom_solve(labor)
         assert value == pytest.approx(labor_solution.value, abs=1e-6)
         assert x == pytest.approx(labor_solution.x, abs=1e-3)
+
+
+def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float]:
+    """The y-grid's bracket [a, b] around its best point, and that point's value."""
+    ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
+    grid = ss._profit_grid(problem, np.array([x]), ys)[0]
+    i = int(np.argmax(grid))
+    return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(grid[i])
+
+
+def _golden_inner(problem: ss.SingleProblem, x: float) -> float:
+    """The inner value by golden section on the grid bracket alone, with
+    the audited re-evaluation kept only when it beats the grid value: the
+    search ``_inner_rows`` ran before it solved for the participation kink."""
+    a, b, grid_value = _grid_bracket(problem, x)
+    y = golden_rows(
+        lambda _, yk: ss._profit(problem, np.full(yk.size, x), yk, audit=False)[0], a, b, problem.opt_tol
+    )
+    return max(float(ss._profit(problem, [x], y)[0][0]), grid_value)
+
+
+def _dense_bracket(problem: ss.SingleProblem, x: float, n: int = 4001) -> tuple[float, float]:
+    """The best audited value on an n-point grid over the grid bracket,
+    and a bound on how far the bracket's supremum can lie from it: twice
+    the largest step between neighbouring grid values."""
+    a, b, _ = _grid_bracket(problem, x)
+    f = ss._profit(problem, np.full(n, x), np.linspace(a, b, n))[0]
+    return float(np.max(f)), 2.0 * float(np.max(np.abs(np.diff(f))))
+
+
+class TestInnerRows:
+    @given(
+        agency=st.booleans(),
+        x=st.floats(0.2, 3.5),
+        rival=st.floats(0.0, 4.0),
+        beta=st.floats(0.3, 0.9),
+        y_lo=st.floats(0.0, 2.0),
+        width=st.floats(2.0, 5.0),
+        y_grid=st.integers(8, 64),
+    )
+    # an interior optimum a grid step past the kink, where y_k is not the peak
+    @example(agency=False, x=3.1127109921462273, rival=0.0, beta=0.5,
+             y_lo=1.0640221437690411, width=3.089129954713441, y_grid=9)
+    @example(agency=True, x=3.4952443391506236, rival=0.3916822445845134, beta=0.5983404905276557,
+             y_lo=1.0264751101374088, width=4.373023572076404, y_grid=20)
+    @settings(max_examples=40, deadline=None)
+    def test_kink_rule_never_loses_to_golden_section(self, agency, x, rival, beta, y_lo, width, y_grid):
+        # the worked labor and agency families; the y-box and grid size set
+        # the bracket that the kink rule and golden section refine
+        box = {"y_box": (y_lo, y_lo + width), "y_grid": y_grid}
+        if agency:
+            family = sa.AgencyProblem(
+                beta=beta,
+                agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
+                principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
+            )
+            problem = dataclasses.replace(sa.bilateral_reduce(family, 0, rival), **box)
+        else:
+            problem = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", **box)
+        (value,), _ = ss._inner_rows(problem, np.array([x]))
+        golden = _golden_inner(problem, x)
+        assert value >= golden - 1e-12 * max(1.0, abs(golden))
+        best, slack = _dense_bracket(problem, x)
+        for found in (value, golden):
+            assert best - slack <= found <= best + slack
 
 
 class TestLaborProfile:
