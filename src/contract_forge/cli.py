@@ -210,11 +210,7 @@ def _build_blocks(raw: Mapping, command: str) -> dict:
     return blocks
 
 
-def _typespace_from(
-    obj, path: str, kinds: Sequence[str] = ("finite", "interval"), panels: Sequence[int] = ()
-) -> ec.TypeSpace:
-    """The type space at ``path``; an interval density must have mass 1
-    under the solver kernel's quadrature at each of ``panels``."""
+def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval")) -> ec.TypeSpace:
     _check_keys(obj, ("kind", "items", "lo", "hi", "density", "mean", "sd", "grid"), ("kind",), path)
     if _choice(obj["kind"], f"{path}.kind", kinds) == "finite":
         _check_keys(obj, ("kind", "items"), ("items",), path)
@@ -227,7 +223,7 @@ def _typespace_from(
         return ec.TypeSpace.from_finite(rows)
     _check_keys(obj, ("kind", "lo", "hi", "density", "mean", "sd", "grid"), ("lo", "hi"), path)
     lo = float(_number(obj["lo"], f"{path}.lo"))
-    types = ec.TypeSpace.interval(
+    return ec.TypeSpace.interval(
         lo,
         float(_number(obj["hi"], f"{path}.hi", lambda v: lo < v < math.inf, "a finite number above lo")),
         density=_choice(obj.get("density", "uniform"), f"{path}.density", ("uniform", "normal")),
@@ -235,12 +231,6 @@ def _typespace_from(
         sd=float(_number(obj.get("sd", 1.0), f"{path}.sd", lambda v: 0.0 < v < math.inf, "a finite number > 0")),
         grid_points=_integer(obj.get("grid", 1025), f"{path}.grid", 3, 100_001, parity=1),
     )
-    for n in panels:
-        try:
-            types.grid(n + 1)
-        except ValueError as e:
-            raise ScenarioError(f"invalid types at {path}: {e}") from None
-    return types
 
 
 def _actions_from(items, path: str) -> tuple[ec.ActionValue, ...]:
@@ -308,19 +298,29 @@ def _environment_from(obj, path: str) -> ec.Environment:
     return env
 
 
+def _solver_problem(cls, path: str, **fields):
+    """``cls(**fields)``; a density that the solver kernel's quadrature
+    does not integrate to 1 is an error at the block's ``types``."""
+    try:
+        return cls(**fields)
+    except ec.DensityError as e:
+        raise ScenarioError(f"invalid types at {path}.types: {e}") from None
+
+
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
     required = ("agent", "principal", "types")
     _check_keys(obj, required + ("x_box", "y_box", "x_grid", "y_grid", "panels"), required, path)
-    panels = _integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, parity=0)
-    return ss.SingleProblem(
+    return _solver_problem(
+        ss.SingleProblem,
+        path,
         u=_parse_expr(obj["agent"], f"{path}.agent"),
         v=_parse_expr(obj["principal"], f"{path}.principal"),
-        types=_typespace_from(obj["types"], f"{path}.types", panels=(panels,)),
+        types=_typespace_from(obj["types"], f"{path}.types"),
         x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
         y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
         x_grid=_integer(obj.get("x_grid", 256), f"{path}.x_grid", 1, 100_000),
         y_grid=_integer(obj.get("y_grid", 256), f"{path}.y_grid", 1, 100_000),
-        panels=panels,
+        panels=_integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, parity=0),
     )
 
 
@@ -332,11 +332,13 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         key: tuple(_parse_expr(e, f"{path}.{key}[{i}]") for i, e in enumerate(_list(obj[key], f"{path}.{key}", 2)))
         for key in ("agent_utilities", "principal_payoffs")
     }
-    problem = sa.AgencyProblem(
+    problem = _solver_problem(
+        sa.AgencyProblem,
+        path,
         beta=float(_number(obj["beta"], f"{path}.beta")),
         agent_utilities=exprs["agent_utilities"],
         principal_payoffs=exprs["principal_payoffs"],
-        types=_typespace_from(obj["types"], f"{path}.types", panels=sa.SLICE_PANELS),
+        types=_typespace_from(obj["types"], f"{path}.types"),
         x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
         y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
         damping=float(

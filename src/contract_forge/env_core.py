@@ -23,6 +23,7 @@ from .exprlang import EvalError, Expr
 __all__ = [
     "FiniteType",
     "TypeSpace",
+    "DensityError",
     "Belief",
     "ActionValue",
     "PrincipalSpec",
@@ -60,6 +61,10 @@ class FiniteType:
     label: str
     value: float
     weight: float
+
+
+class DensityError(ValueError):
+    """An interval density whose Simpson weights do not sum to 1 within DENSITY_TOL."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +155,7 @@ class TypeSpace:
         w = simpson_coefficients(n) * (h / 3.0) * self.density_at(pts)
         total = float(w.sum())
         if not abs(total - 1.0) <= DENSITY_TOL:  # NaN fails too
-            raise ValueError(
+            raise DensityError(
                 f"density integrates to {total!r} at {n - 1} panels, not 1 within {DENSITY_TOL}"
             )
         return pts, w / total

@@ -39,8 +39,6 @@ _ANDERSON_DEPTH = 2
 # quadrature panels.
 _ITER_Y_GRID = 64
 _ITER_PANELS = 96
-# Quadrature panels of the slices a run integrates: full resolution, coarse.
-SLICE_PANELS = (SingleProblem.panels, _ITER_PANELS)
 # A menu is flagged when its bound beats the equilibrium value by more than
 # this: the two come from separate inner searches, each resolving y only to
 # a tolerance, so a menu holding the equilibrium offer must not be flagged
@@ -76,6 +74,7 @@ class AgencyProblem:
             _as_fn(v, ["x", "y", "x_other", "theta", "beta"])
             for v in self.principal_payoffs
         )
+        bilateral_reduce(self, 0, 0.0)  # a slice's kernel must integrate the type density
 
     @property
     def symmetric(self) -> bool:
@@ -132,16 +131,19 @@ def bilateral_reduce(
     def v(x, y, theta, r=0):
         return v_fn(x, y, xo[r], theta, beta)
 
-    coarse = {"y_grid": _ITER_Y_GRID, "panels": _ITER_PANELS} if fast else {}
-    return SingleProblem(
+    single = SingleProblem(
         u=u,
         v=v,
         types=problem.types,
         x_box=problem.x_box,
         y_box=problem.y_box,
         rivals=xo.size if np.ndim(x_other) else None,
-        **coarse,
     )
+    # set after construction, so the density is checked at full resolution
+    # only: the coarse slice steers the search, reported values never use it
+    if fast:
+        single.y_grid, single.panels = _ITER_Y_GRID, _ITER_PANELS
+    return single
 
 
 def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray:

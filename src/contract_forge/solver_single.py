@@ -8,12 +8,13 @@ adds nothing, so the optimum solves
 
     max over x of  max over y of  E[ 1{u(x,y,theta) >= 0} * v(x,y,theta) ]
 
-evaluated here by a kink-safe search in each variable: grid, then the
-participation kink as a root, then golden section. One vectorized kernel
-(``_profit``) gives the value, the stay probability and the participation
-cutoff of many (x, y) pairs at once: the cutoff by the bracketed root
-finder on the rows where it is interior, the expectation by composite
-Simpson quadrature split exactly at the cutoff.
+evaluated here by a kink-safe search in each variable: grid, then (y
+with interval types) the participation kink as a root, then golden
+section. One vectorized kernel (``_profit``) gives the value, the stay
+probability and the participation cutoff of many (x, y) pairs at once:
+the cutoff by the bracketed root finder on the rows where it is
+interior, the expectation by composite Simpson quadrature split exactly
+at the cutoff.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def _profit(
             value[live] = np.sum(w * pay(problem.v_fn, live, th) * stays, axis=1)
             stay[live] = np.sum(w * stays, axis=1)
         else:
-            frac, coef = np.linspace(0.0, 1.0, problem.panels + 1), simpson_coefficients(problem.panels + 1)
+            frac = np.linspace(0.0, 1.0, problem.panels + 1)
+            coef = simpson_coefficients(problem.panels + 1)
             span = hi - cut[live]
             nodes = cut[live, None] + span[:, None] * frac[None, :]
             vv = pay(problem.v_fn, live, nodes)
@@ -280,14 +282,16 @@ def _inner_rows(
 
     A y-grid scan brackets each row's optimum in [a, b], the grid
     neighbours of its best point (ties break toward the lowest index).
-    Where u(x, ., lo) changes sign on [a, b], :func:`optimize.root_rows`
-    finds the kink y_k at which the lowest type is just indifferent (and
-    stays), and one unaudited kernel pass evaluates y_k and y_k -/+
-    ``opt_tol``, clipped to the bracket. Golden section assumes the
-    objective unimodal on the bracket; so does this rule: if f(y_k) is at
-    least both neighbours, y_k is the bracket's maximizer. Otherwise golden
-    section runs on the rising side, [a, y_k] or [y_k, b], toward the
-    larger neighbour; rows without a sign change run it on [a, b]. It
+    With interval types, where u(x, ., lo) changes sign on [a, b],
+    :func:`optimize.root_rows` finds the kink y_k at which the lowest type
+    is just indifferent (and stays), and one unaudited kernel pass
+    evaluates y_k and y_k -/+ ``opt_tol``, clipped to the bracket. Golden
+    section assumes the objective unimodal on the bracket; so does this
+    rule: if f(y_k) is at least both neighbours, y_k is the bracket's
+    maximizer. Otherwise golden section runs on the rising side, [a, y_k]
+    or [y_k, b], toward the larger neighbour. Other rows run it on [a, b],
+    finite types always: their f drops at every type's indifference y, so
+    another type's drop in the bracket can beat y_k. Golden section
     refines its rows at once, one group per rival (a taken y_k is a
     zero-width bracket, not evaluated). The refined value honors the audit
     and is kept only when it beats the grid value. ``r`` gives each offer
@@ -300,22 +304,26 @@ def _inner_rows(
     value, y = grid[np.arange(len(xs)), idx], ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
-        X, rr, tol, lo = xs[rows], _at(r, rows), problem.opt_tol, _theta_span(problem.types)[0]
+        X, rr, tol = xs[rows], _at(r, rows), problem.opt_tol
+        lo = _theta_span(problem.types)[0]
         a = ys[np.maximum(idx[rows] - 1, 0)]
         b = ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)]
 
         def u_lo(k, yk):  # the lowest type's utility at rows k
-            return _rows(problem.u_fn(X[k], yk, lo, *(() if rr is None else (rr[k],))), (k.size,))
+            args = (X[k], yk, lo) + (() if rr is None else (rr[k],))
+            return _rows(problem.u_fn(*args), (k.size,))
 
         def f(k, yk):
             return _profit(problem, X[k], yk, audit=False, r=_at(rr, k))[0]
 
         ua, ub = u_lo(np.arange(rows.size), a), u_lo(np.arange(rows.size), b)
-        kink = np.flatnonzero((ua >= 0.0) != (ub >= 0.0))
+        kink = np.flatnonzero(((ua >= 0.0) != (ub >= 0.0)) & (problem.types.kind == "interval"))
         if kink.size:
             ak, bk, ymax = a[kink], b[kink], max(abs(problem.y_box[0]), abs(problem.y_box[1]))
             yk = root_rows(
-                lambda k, yk: u_lo(kink[k], yk), ak, bk, ua[kink], ub[kink], _ROOT_TOL + 4.0 * _EPS * ymax
+                lambda k, yk: u_lo(kink[k], yk),
+                ak, bk, ua[kink], ub[kink],
+                _ROOT_TOL + 4.0 * _EPS * ymax,
             )
             probes = np.clip(yk + np.array([[0.0], [-tol], [tol]]), ak, bk)
             fk, fm, fp = f(np.tile(kink, 3), probes.ravel()).reshape(3, kink.size)

@@ -390,8 +390,6 @@ class TestScenarioErrors:
             # exited 0 with stay_prob 1.18082981337
             ("labor_single", "problem", 3.5, 0.002, "density integrates to 0.828462937177"),
             ("agency_beta17_21", "agency", 3.5, 0.002, "density integrates to 0.828462937177"),
-            # integrated to 1 within 6e-15 at full resolution, not on the coarse slice
-            ("agency_beta17_21", "agency", 3.5, 0.02, "density integrates to 0.999999991617"),
             # no mass on [3, 4] in floating point: exited 0 with no_trade
             ("labor_single", "problem", 100.0, 1.0, "density integrates to nan"),
         ],
@@ -404,7 +402,7 @@ class TestScenarioErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert f"invalid types at $.{block}.types: {message}" in res.output
-        assert "panels, not 1 within 1e-09" in res.output
+        assert "at 256 panels, not 1 within 1e-09" in res.output
 
     def test_density_the_kernel_integrates_is_solved(self, tmp_path):
         raw = json.loads(fixture_path("labor_single.json").read_text())
@@ -413,6 +411,17 @@ class TestScenarioErrors:
         assert res.exit_code == 0
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
         assert 0.0 < results["stay_prob"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("mean, sd", [(3.5, 0.4), (0.0, 1.0)])
+    def test_agency_density_is_checked_at_full_resolution(self, tmp_path, mean, sd):
+        # 256 panels integrate both within 7e-11; the 96-panel coarse slice that
+        # only steers the best responses misses by 2.1e-9 and 3.6e-9
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        raw["agency"]["types"] = {"kind": "interval", "lo": 3, "hi": 4, "density": "normal", "mean": mean, "sd": sd}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert results["converged"]
 
     @pytest.mark.parametrize(
         "agent",

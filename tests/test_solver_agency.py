@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contract_forge import cli
+from contract_forge import env_core as ec
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
 
@@ -61,6 +62,17 @@ class TestBilateralReduce:
         plain = ss.expected_profit(base, x, y)
         # v = A*y*theta - x^2: lifted = A*(plain + x^2) - x^2 on the all-stay branch
         assert lifted == pytest.approx(A * (plain + x * x) - x * x, abs=1e-9)
+
+    def test_density_is_checked_at_full_resolution(self):
+        normal = ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.4)
+        problem = dataclasses.replace(_worked_family(BETA), types=normal)
+        # 96 panels integrate it to 1 + 2.1e-9, outside the 1e-9 of the
+        # check, but the coarse slice only steers the best responses
+        coarse = sa.bilateral_reduce(problem, 0, 3.0, fast=True)
+        assert (coarse.panels, coarse.y_grid) == (96, 64)
+        narrow = ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.002)
+        with pytest.raises(ec.DensityError, match="0.828462937177.* at 256 panels"):
+            dataclasses.replace(problem, types=narrow)
 
     def test_zero_rival_offer_neutral(self, worked):
         s = sa.bilateral_reduce(worked, 1, 0.0)
