@@ -34,21 +34,6 @@ from . import solver_single as ss
 from .reportio import write_report_files
 
 SCHEMA_VERSION = 1
-_SEARCH = ("tol", "policies", "mixing", "cap")
-# per command: the blocks it needs and the options it reads (any other
-# option is an unknown field)
-_COMMAND_SPECS = {
-    "solve-single": (("problem",), ()),
-    "solve-agency": (("agency",), ()),
-    "revisable-check": (("revisable",), ("tol",)),
-    "enumerate-canonical": (("environment",), ("principal", "space")),
-    "check-equilibrium": (("environment", "assessment"), ("tol",)),
-    "robust-check": (("environment", "assessment"), _SEARCH + ("deviations",)),
-    "private-check": (("environment", "assessment"), _SEARCH + ("deviations",)),
-    "necessity-env": (("environment",), _SEARCH + ("principal", "menu")),
-    "plain-menu-demo": ((), _SEARCH + ("aux_states",)),
-}
-COMMANDS = tuple(_COMMAND_SPECS)
 
 
 class ScenarioError(ValueError):
@@ -211,7 +196,7 @@ def _build_blocks(raw: Mapping, command: str) -> dict:
 
 
 def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval")) -> ec.TypeSpace:
-    _check_keys(obj, ("kind", "items", "lo", "hi", "density", "mean", "sd", "grid"), ("kind",), path)
+    _check_keys(obj, ("kind", "items", "lo", "hi", "density", "mean", "sd"), ("kind",), path)
     if _choice(obj["kind"], f"{path}.kind", kinds) == "finite":
         _check_keys(obj, ("kind", "items"), ("items",), path)
         rows = []
@@ -221,7 +206,7 @@ def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval"
             value, weight = (float(_number(it[k], f"{ipath}.{k}")) for k in ("value", "weight"))
             rows.append((_text(it["label"], f"{ipath}.label"), value, weight))
         return ec.TypeSpace.from_finite(rows)
-    _check_keys(obj, ("kind", "lo", "hi", "density", "mean", "sd", "grid"), ("lo", "hi"), path)
+    _check_keys(obj, ("kind", "lo", "hi", "density", "mean", "sd"), ("lo", "hi"), path)
     lo = float(_number(obj["lo"], f"{path}.lo"))
     return ec.TypeSpace.interval(
         lo,
@@ -229,7 +214,6 @@ def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval"
         density=_choice(obj.get("density", "uniform"), f"{path}.density", ("uniform", "normal")),
         mean=float(_number(obj.get("mean", 0.0), f"{path}.mean")),
         sd=float(_number(obj.get("sd", 1.0), f"{path}.sd", lambda v: 0.0 < v < math.inf, "a finite number > 0")),
-        grid_points=_integer(obj.get("grid", 1025), f"{path}.grid", 3, 100_001, parity=1),
     )
 
 
@@ -376,7 +360,6 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     points = _integer(zg["points"], f"{zpath}.points", 2, 1000)
     # points - 1 steps already let every baseline reach every final action
     alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
-    ideal = obj.get("ideal_form")
     types = _typespace_from(obj["types"], f"{path}.types", ("finite",))
     values = np.sort(types.values)  # the grid game's table payoffs are looked up by type value
     if np.any(np.diff(values) <= ec.WEIGHT_TOL * np.maximum(1.0, np.abs(values[1:]))):
@@ -385,19 +368,13 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     receiver = _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta"))
     # the grid's bound: beyond it the concavity audit overflows
     z_range = _box(obj["z_range"], f"{path}.z_range", 1e6) if "z_range" in obj else (lo - 1.0, hi + 1.0)
-    ideal = None if ideal is None else ("affine", *_numbers(ideal, f"{path}.ideal_form", 2))
+    ideal = ("affine", *_numbers(obj["ideal_form"], f"{path}.ideal_form", 2)) if "ideal_form" in obj else None
     try:
         model = rv.RevisableModel.additive(sender, receiver, types, 0.0, z_range, ideal)
     except rv.ConcavityError as e:
         raise ScenarioError(f"invalid revisable at {path}.receiver: {e}") from None
-    if ideal is not None:
-        # the declared ideal k + a*theta must beat both neighbours h away at every type
-        _, k, a = model.ideal_form
-        theta = types.values[:, None]
-        h = 1e-6 * (model.z_range[1] - model.z_range[0])
-        v = np.broadcast_to(model.receiver_fn(k + a * theta + np.array([-h, 0.0, h]), theta), (len(theta), 3))
-        if not np.all((v[:, 0] < v[:, 1]) & (v[:, 2] < v[:, 1])):
-            raise ScenarioError(f"schema error at {path}.ideal_form: k + a*theta is not the receiver's ideal at each type")
+    except rv.IdealFormError as e:
+        raise ScenarioError(f"schema error at {path}.ideal_form: {e}") from None
     z = np.linspace(lo, hi, points)
     for name, fn in (("sender", model.sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
         if not np.all(np.isfinite(fn(z[:, None], types.values))):
@@ -576,7 +553,7 @@ def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
     start = time.perf_counter()
     tol = sc.blocks["options"].tol if tol is None else _OPTION_READERS["tol"](tol, "--tol", None)
     report = RunReport(command=sc.command, config_hash=_config_hash(sc.raw), payload={})
-    _HANDLERS[sc.command](sc, report, sc.blocks["options"], tol)
+    _COMMAND_SPECS[sc.command][2](sc, report, sc.blocks["options"], tol)
     report.payload = {
         "command": sc.command,
         "config_hash": report.config_hash,
@@ -702,9 +679,9 @@ def _run_check_equilibrium(sc, report, opts, tol):
         report.warnings.append("assessment fails continuation checks")
 
 
-def _run_robust(sc, report, opts, tol, require_private=False):
+def _run_robust(sc, report, opts, tol):
     env, assessment = sc.blocks["environment"], sc.blocks["assessment"]
-    if require_private and env.observability != "private":
+    if sc.command == "private-check" and env.observability != "private":
         raise ScenarioError("schema error at $.environment.observability: private-check requires 'private'")
     space = None if opts.deviations is None else {
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
@@ -809,17 +786,21 @@ def _run_plain_menu_demo(sc, report, opts, tol):
                 )
 
 
-_HANDLERS = {
-    "solve-single": _run_solve_single,
-    "solve-agency": _run_solve_agency,
-    "revisable-check": _run_revisable_check,
-    "enumerate-canonical": _run_enumerate,
-    "check-equilibrium": _run_check_equilibrium,
-    "robust-check": lambda sc, r, o, t: _run_robust(sc, r, o, t, False),
-    "private-check": lambda sc, r, o, t: _run_robust(sc, r, o, t, True),
-    "necessity-env": _run_necessity,
-    "plain-menu-demo": _run_plain_menu_demo,
+_SEARCH = ("tol", "policies", "mixing", "cap")
+# per command: the blocks it needs, the options it reads (any other
+# option is an unknown field) and its handler
+_COMMAND_SPECS = {
+    "solve-single": (("problem",), (), _run_solve_single),
+    "solve-agency": (("agency",), (), _run_solve_agency),
+    "revisable-check": (("revisable",), ("tol",), _run_revisable_check),
+    "enumerate-canonical": (("environment",), ("principal", "space"), _run_enumerate),
+    "check-equilibrium": (("environment", "assessment"), ("tol",), _run_check_equilibrium),
+    "robust-check": (("environment", "assessment"), _SEARCH + ("deviations",), _run_robust),
+    "private-check": (("environment", "assessment"), _SEARCH + ("deviations",), _run_robust),
+    "necessity-env": (("environment",), _SEARCH + ("principal", "menu"), _run_necessity),
+    "plain-menu-demo": ((), _SEARCH + ("aux_states",), _run_plain_menu_demo),
 }
+COMMANDS = tuple(_COMMAND_SPECS)
 
 
 def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:

@@ -336,8 +336,8 @@ def plain_menu_scenario(
         theta2:  (xj,y1) x {b1: (2,2), b2: (0,0)};  (xj,y2) x {b1: (0,0), b2: (2,1)}
 
     Returns (environment, separating assessment, plain-menu deviation,
-    metadata). The assessment type lives in the equilibrium module; it is
-    returned opaquely here to keep this module free of that dependency.
+    metadata). The assessment is built by the equilibrium module, imported
+    when this function runs: that module imports this one at load time.
     """
     from . import equilibrium as eq
 

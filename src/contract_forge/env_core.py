@@ -355,30 +355,27 @@ class Environment:
 
 def payoff_u(env: Environment, profile: ProfileKey, theta: float) -> float:
     """Agent utility at a feasible action-pair profile and type value."""
-    env.check_feasible(profile)
-    if env.payoffs.mode == "table":
-        key = (env.type_label_for(theta), tuple(profile))
-        try:
-            return env.payoffs.table[key][0]
-        except KeyError:
-            raise EvalError(f"payoff table has no entry for {key!r}") from None
-    ctx = env.action_context(profile)
-    ctx["theta"] = float(theta)
-    return exprlang.evaluate(env.payoffs.agent, ctx)
+    return _payoff(env, None, profile, theta)
 
 
 def payoff_v(env: Environment, j: int, profile: ProfileKey, theta: float) -> float:
     """Principal ``j``'s (0-based) utility at a feasible profile and type value."""
+    return _payoff(env, j, profile, theta)
+
+
+def _payoff(env: Environment, j: int | None, profile: ProfileKey, theta: float) -> float:
+    """The agent's utility (``j`` None) or principal ``j``'s."""
     env.check_feasible(profile)
     if env.payoffs.mode == "table":
         key = (env.type_label_for(theta), tuple(profile))
         try:
-            return env.payoffs.table[key][1][j]
+            agent, principals = env.payoffs.table[key]
         except KeyError:
             raise EvalError(f"payoff table has no entry for {key!r}") from None
+        return agent if j is None else principals[j]
     ctx = env.action_context(profile)
     ctx["theta"] = float(theta)
-    return exprlang.evaluate(env.payoffs.principals[j], ctx)
+    return exprlang.evaluate(env.payoffs.agent if j is None else env.payoffs.principals[j], ctx)
 
 
 @dataclass(frozen=True, slots=True)

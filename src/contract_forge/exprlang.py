@@ -20,7 +20,8 @@ unary minus, function call and parenthesized group is one level, counted
 along the deepest path, so ``1+1+1`` has three and ``(x)`` two. Past
 that the parser raises :class:`ParseError`, which keeps every recursive
 walk of a parsed tree well inside Python's recursion limit.
-Numbers are decimal literals with an optional exponent. There are no
+Numbers are decimal literals with an optional exponent that fit a finite
+double (``1e999`` is a :class:`ParseError`). There are no
 conditionals; piecewise payoffs belong in tabulated scenario payoffs.
 """
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2}
-# the parser spends up to six Python frames per level, a tree walk two
+# the parser spends up to eight Python frames per level, a tree walk two
 MAX_DEPTH = 100
 
 
@@ -158,27 +159,19 @@ class _Parser:
 
     # each method returns (node, depth)
 
-    def expr(self) -> tuple[Expr, int]:
-        left, d = self.term()
+    def chain(self, ops: str, operand: Callable[[], tuple[Expr, int]]) -> tuple[Expr, int]:
+        """``operand (op operand)*`` for the operators in ``ops``, left associative."""
+        left, d = operand()
         while True:
             kind, value, offset = self.peek()
-            if kind == "op" and value in "+-":
-                self.i += 1
-                right, dr = self.term()
-                left, d = self.level(Bin(value, left, right), max(d, dr) + 1, offset)
-            else:
+            if kind != "op" or value not in ops:
                 return left, d
+            self.i += 1
+            right, dr = operand()
+            left, d = self.level(Bin(value, left, right), max(d, dr) + 1, offset)
 
-    def term(self) -> tuple[Expr, int]:
-        left, d = self.unary()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "*/":
-                self.i += 1
-                right, dr = self.unary()
-                left, d = self.level(Bin(value, left, right), max(d, dr) + 1, offset)
-            else:
-                return left, d
+    def expr(self) -> tuple[Expr, int]:
+        return self.chain("+-", lambda: self.chain("*/", self.unary))
 
     def unary(self) -> tuple[Expr, int]:
         kind, value, offset = self.peek()
@@ -206,6 +199,8 @@ class _Parser:
     def atom(self) -> tuple[Expr, int]:
         kind, value, offset = self.next()
         if kind == "number":
+            if not math.isfinite(float(value)):
+                raise ParseError(f"number {value} is not a finite double", offset)
             return Num(float(value)), 1
         if kind == "name":
             nkind, nvalue, _ = self.peek()
@@ -223,13 +218,9 @@ class _Parser:
             raise ParseError(f"unknown function {name!r}", offset)
         self.expect("(")
         args = [self.expr()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.i += 1
-                args.append(self.expr())
-            else:
-                break
+        while self.peek()[:2] == ("op", ","):
+            self.i += 1
+            args.append(self.expr())
         self.expect(")")
         arity = _FUNCTIONS[name]
         if len(args) != arity:

@@ -29,7 +29,9 @@ def golden_rows(
     without ``group``) take the step count of their widest bracket, or
     the bracket midpoints when it is within ``tol``; rows with equal
     counts share each call of ``f``, so a row's result does not depend on
-    the other groups in the call.
+    the other groups in the call. A tie steps right, except a tie at 0:
+    both probes then sit on a participation objective's no-trade plateau,
+    which lies past its bump (no type stays at larger y), so it steps left.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     group = np.zeros(a.size, dtype=int) if group is None else np.asarray(group)
@@ -46,7 +48,7 @@ def golden_rows(
         d = lo + _INV_PHI * dist
         fc, fd = f(rows, c), f(rows, d)
         for _ in range(n - 1):
-            left = fc > fd  # maximum bracketed in [lo, d] where true, [c, hi] where false
+            left = (fc > fd) | ((fc == 0.0) & (fd == 0.0))  # maximum in [lo, d] where true, else [c, hi]
             hi = np.where(left, d, hi)
             lo = np.where(left, lo, c)
             dist = dist * _INV_PHI
@@ -54,7 +56,7 @@ def golden_rows(
             d = lo + _INV_PHI * dist
             fp = f(rows, np.where(left, c, d))
             fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-        x[rows] = np.where(fc > fd, 0.5 * (lo + d), 0.5 * (c + hi))
+        x[rows] = np.where((fc > fd) | ((fc == 0.0) & (fd == 0.0)), 0.5 * (lo + d), 0.5 * (c + hi))
     return x
 
 

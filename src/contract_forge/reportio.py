@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,6 +19,8 @@ import numpy as np
 
 __all__ = ["format_number", "dumps", "write_report_files"]
 
+INDENT = 2  # spaces per nesting level of report.json
+
 
 def format_number(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -25,52 +28,30 @@ def format_number(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     v = float(x)
-    if math.isnan(v) or math.isinf(v):
+    if not math.isfinite(v):
         raise ValueError(f"non-finite number in report: {v!r}")
-    s = f"{v:.12g}"
-    return s
+    return f"{v:.12g}"
 
 
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to JSON with 12-significant-digit numbers."""
+def dumps(obj) -> str:
+    """Serialize to JSON with 12-significant-digit numbers, indented by
+    :data:`INDENT` spaces per level; strings are escaped by :mod:`json`
+    and keep their non-ASCII characters."""
 
     def render(o, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = " " * (INDENT * depth)
+        pad_in = " " * (INDENT * (depth + 1))
         if o is None:
             return "null"
-        if isinstance(o, (bool, np.bool_)):
-            return "true" if o else "false"
-        if isinstance(o, (int, float, np.integer, np.floating)):
+        if isinstance(o, (int, float, np.integer, np.floating, np.bool_)):  # bool is an int
             return format_number(o)
         if isinstance(o, str):
-            return _escape(o)
+            return json.dumps(o, ensure_ascii=False)
         if isinstance(o, Mapping):
             if not o:
                 return "{}"
             parts = [
-                f"{pad_in}{_escape(str(k))}: {render(v, depth + 1)}"
+                f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {render(v, depth + 1)}"
                 for k, v in o.items()
             ]
             return "{\n" + ",\n".join(parts) + "\n" + pad + "}"

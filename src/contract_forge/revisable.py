@@ -43,6 +43,8 @@ __all__ = [
     "FinalAllocation",
     "ConcavityError",
     "audit_concavity",
+    "IdealFormError",
+    "audit_ideal_form",
     "posterior_ideal",
     "feasible_final_interval",
     "endpoint_baseline",
@@ -64,14 +66,18 @@ class ConcavityError(ValueError):
     """The receiver payoff failed the strict-concavity audit."""
 
 
+class IdealFormError(ValueError):
+    """A declared ``ideal_form`` is not the receiver's ideal under every belief."""
+
+
 @dataclass(frozen=True, slots=True)
 class RevisableModel:
     """Revision mode, payoffs over (z, theta), and the type space.
 
     ``ideal_form`` may declare the closed-form posterior ideal for the
     quadratic receiver family: ("affine", k, a) means the ideal point is
-    k + a * E[theta]. Without it the ideal is located by a bracketed
-    golden-section search over ``z_range``.
+    k + a * E[theta] (checked by :func:`audit_ideal_form`). Without it the
+    ideal is located by a bracketed golden-section search over ``z_range``.
     """
 
     mode: str  # "additive" | "proportional"
@@ -89,8 +95,9 @@ class RevisableModel:
 
     def __post_init__(self):
         """Check the revision bounds, compile both payoffs and audit the
-        receiver's strict concavity (:func:`audit_concavity`), so that every
-        consumer of a model can trust it; ``dataclasses.replace`` re-runs it."""
+        receiver's strict concavity (:func:`audit_concavity`) and a declared
+        ideal (:func:`audit_ideal_form`), so that every consumer of a model
+        can trust it; ``dataclasses.replace`` re-runs it."""
         if self.mode not in ("additive", "proportional"):
             raise ValueError(f"unknown revision mode {self.mode!r}")
         if self.mode == "additive" and self.alpha < 0.0:
@@ -100,6 +107,8 @@ class RevisableModel:
         for name, expr in (("sender_fn", self.sender), ("receiver_fn", self.receiver)):
             object.__setattr__(self, name, exprlang.compile_fn(expr, ["z", "theta"]))
         audit_concavity(self)
+        if self.ideal_form is not None:
+            audit_ideal_form(self)
 
     @staticmethod
     def additive(
@@ -139,6 +148,30 @@ def audit_concavity(model: RevisableModel) -> None:
             )
 
 
+def audit_ideal_form(model: RevisableModel) -> None:
+    """Reject a declared ideal ("affine", k, a) that is not the receiver's.
+
+    k + a*E[theta] is the posterior ideal under every belief only for a
+    receiver quadratic in z with one curvature: its second differences
+    over 101 points of ``z_range`` must agree to a relative 1e-6 at every
+    type of the grid, and k + a*theta must beat both neighbours 1e-6 of
+    the range's width away at each type. Raises :class:`IdealFormError`.
+    """
+    kind, k, a = model.ideal_form
+    if kind != "affine":
+        raise IdealFormError(f"unknown ideal form {kind!r}")
+    theta, _ = model.types.grid()
+    zs = np.linspace(model.z_range[0], model.z_range[1], 101)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        second = np.diff(np.broadcast_to(model.receiver_fn(zs, theta), (zs.size, theta.size)), 2, axis=0)
+        if not np.ptp(second) <= 1e-6 * np.max(np.abs(second)):  # NaN fails too
+            raise IdealFormError("the receiver is not quadratic in z with one curvature across z_range and the types")
+    h = 1e-6 * (model.z_range[1] - model.z_range[0])
+    v = np.broadcast_to(model.receiver_fn(k + a * theta + np.array([[-h], [0.0], [h]]), theta), (3, theta.size))
+    if not np.all((v[0] < v[1]) & (v[2] < v[1])):
+        raise IdealFormError("k + a*theta is not the receiver's ideal at each type")
+
+
 def _ideal_tol(model: RevisableModel) -> float:
     """Resolution of the posterior ideal: sqrt(eps) times the width of
     ``z_range``. Near its maximum the expected receiver payoff is flat to
@@ -155,7 +188,7 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     :func:`_ideal_tol`. Raises if the scan cannot bracket an interior
     maximizer.
     """
-    if model.ideal_form is not None and model.ideal_form[0] == "affine":
+    if model.ideal_form is not None:
         _, k, a = model.ideal_form
         return float(k) + float(a) * expect(lambda th: th, belief)
     fn = model.receiver_fn
@@ -166,7 +199,7 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
         return float(np.broadcast_to(fn(z, pts), pts.shape) @ w)
 
     zs = np.linspace(model.z_range[0], model.z_range[1], 201)
-    vals = np.array([value(z) for z in zs])
+    vals = np.broadcast_to(fn(zs[:, None], pts[None, :]), (zs.size, pts.size)) @ w
     i = int(np.argmax(vals))
     if i in (0, len(zs) - 1):
         raise ValueError(
@@ -679,13 +712,13 @@ def ms_allocation(k: float, a: float, theta: float) -> float:
     return min(max(theta, theta1), theta2)
 
 
-def ms_model(k: float, a: float, grid_points: int = 1025) -> RevisableModel:
-    """Quadratic delegation model on uniform [0, 1] types."""
+def ms_model(k: float, a: float) -> RevisableModel:
+    """Quadratic delegation model on uniform [0, 1] types, on the default 1025-point grid."""
     sender = "-(z-theta)^2"
     receiver = f"-(z-({k!r})-({a!r})*theta)^2"
     return RevisableModel.additive(
         sender, receiver,
-        TypeSpace.interval(0.0, 1.0, grid_points=grid_points),
+        TypeSpace.interval(0.0, 1.0),
         alpha=0.0,
         z_range=(-2.0, 3.0),
         ideal_form=("affine", float(k), float(a)),

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace
-from .solver_single import SingleProblem, _as_fn, _inner_rows, _inner_solve, _point, zoom_solve
+from .solver_single import SingleProblem, _as_fn, _inner_rows, _point, zoom_solve
 
 __all__ = [
     "AgencyProblem",
@@ -232,7 +232,7 @@ def fixed_point(
     same = symmetric and x[0] == x[1]  # then principal 2's pair is principal 1's
     for j in range(1 if same else 2):
         single = bilateral_reduce(problem, j, x[1 - j])
-        value, y = _inner_solve(single, x[j])
+        value, y = (float(v[0]) for v in _inner_rows(single, np.array([x[j]])))
         if value > 0.0:  # otherwise no trade: y 0, no cutoff, value 0
             cut = _point(single, x[j], y)[2]  # the lowest type when all stay
             ys[j], cuts[j], vals[j] = y, (None if math.isnan(cut) else cut), value

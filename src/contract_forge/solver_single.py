@@ -31,6 +31,9 @@ from .optimize import golden_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
+OPT_TOL = 1e-8  # golden-section bracket width of both searches, and the kink's probe step
+_MASS_TOL = 1e-9  # ``rent_probe``: the stay set's mass may move this much
+_CROSSING_TOL = 1e-12  # ``single_crossing_audit``: zero band, relative to max(1, max |d|)
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -85,7 +88,6 @@ class SingleProblem:
     x_grid: int = 256
     y_grid: int = 256
     panels: int = 256
-    opt_tol: float = 1e-8
     rivals: int | None = None
 
     def __post_init__(self):
@@ -285,7 +287,7 @@ def _inner_rows(
     With interval types, where u(x, ., lo) changes sign on [a, b],
     :func:`optimize.root_rows` finds the kink y_k at which the lowest type
     is just indifferent (and stays), and one unaudited kernel pass
-    evaluates y_k and y_k -/+ ``opt_tol``, clipped to the bracket. Golden
+    evaluates y_k and y_k -/+ :data:`OPT_TOL`, clipped to the bracket. Golden
     section assumes the objective unimodal on the bracket; so does this
     rule: if f(y_k) is at least both neighbours, y_k is the bracket's
     maximizer. Otherwise golden section runs on the rising side, [a, y_k]
@@ -304,7 +306,7 @@ def _inner_rows(
     value, y = grid[np.arange(len(xs)), idx], ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
-        X, rr, tol = xs[rows], _at(r, rows), problem.opt_tol
+        X, rr, tol = xs[rows], _at(r, rows), OPT_TOL
         lo = _theta_span(problem.types)[0]
         a = ys[np.maximum(idx[rows] - 1, 0)]
         b = ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)]
@@ -339,12 +341,6 @@ def _inner_rows(
     return value, y
 
 
-def _inner_solve(problem: SingleProblem, x: float) -> tuple[float, float]:
-    """Best (value, y) for one fixed contractible offer."""
-    v, y = _inner_rows(problem, np.array([float(x)]))
-    return float(v[0]), float(y[0])
-
-
 def solve(problem: SingleProblem) -> SolveResult:
     """Two-step optimum: outer search over x, inner search over y.
 
@@ -364,8 +360,8 @@ def solve(problem: SingleProblem) -> SolveResult:
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, problem.x_grid - 1)])
-    x_ref = float(golden_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, problem.opt_tol)[0])
-    v_ref, y_ref = _inner_solve(problem, x_ref)
+    x_ref = float(golden_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, OPT_TOL)[0])
+    v_ref, y_ref = (float(v[0]) for v in _inner_rows(problem, np.array([x_ref])))
     if v_ref >= values[i]:
         x_star, value, y_star = x_ref, v_ref, y_ref
     else:
@@ -441,7 +437,6 @@ def rent_probe(
     y: float,
     belief: Belief,
     steps: Sequence[float] = (0.025, 0.05, 0.1, 0.2, 0.4),
-    mass_tol: float = 1e-9,
 ) -> RentProbeResult:
     """Extract rent from common slack by nudging the discretionary action.
 
@@ -476,7 +471,7 @@ def rent_probe(
     for t in sorted(steps):
         u_t = np.asarray(problem.u_fn(x, y + t, th), dtype=float)
         stay_t = u_t >= 0.0
-        if abs(float(np.sum(w[stay_t])) - stay_mass) > mass_tol:
+        if abs(float(np.sum(w[stay_t])) - stay_mass) > _MASS_TOL:
             continue
         v_t = np.asarray(problem.v_fn(x, y + t, th), dtype=float)
         value_t = float(np.sum(w * v_t * stay_t))
@@ -490,7 +485,6 @@ def single_crossing_audit(
     a: tuple[float, float],
     b: tuple[float, float],
     theta_grid: np.ndarray | Sequence[float],
-    tol: float = 1e-12,
 ) -> AuditReport:
     """Sign-scan of u(a, theta) - u(b, theta) over a type grid.
 
@@ -504,17 +498,11 @@ def single_crossing_audit(
         fn(b[0], b[1], th), dtype=float
     )
     scale = max(1.0, float(np.max(np.abs(d))))
-    signs = np.where(d > tol * scale, 1, np.where(d < -tol * scale, -1, 0))
+    signs = np.where(d > _CROSSING_TOL * scale, 1, np.where(d < -_CROSSING_TOL * scale, -1, 0))
     nonzero = signs[signs != 0]
     sign_changes = int(np.sum(nonzero[1:] != nonzero[:-1])) if nonzero.size else 0
-    zero_runs = 0
-    in_run = False
-    for s in signs:
-        if s == 0 and not in_run:
-            zero_runs += 1
-            in_run = True
-        elif s != 0:
-            in_run = False
+    zero = np.r_[False, signs == 0]
+    zero_runs = int(np.sum(zero[1:] & ~zero[:-1]))  # the starts of zero runs
     degenerate = bool(np.all(signs == 0))
     passed = degenerate or (sign_changes <= 1 and zero_runs <= 1)
     return AuditReport(passed, sign_changes, zero_runs, degenerate)

@@ -171,6 +171,15 @@ class TestRunAndReports:
         text = dumps({"v": 2.0 / 3.0})
         assert "0.666666666667" in text
 
+    def test_strings_are_escaped_as_json_does(self):
+        from contract_forge.reportio import dumps
+
+        label = 'a"b\\c\nd\re\tf\bg\fh\x01i\x7fj\u00e9k\u2028'
+        escaped = '"a\\"b\\\\c\\nd\\re\\tf\\bg\\fh\\u0001i\x7fj\u00e9k\u2028"'  # U+0008 and U+000C as \b and \f
+        text = dumps({label: [label]})
+        assert text == "{\n  " + escaped + ": [\n    " + escaped + "\n  ]\n}\n"
+        assert json.loads(text) == {label: [label]}
+
     def test_private_check_requires_private_env(self, tmp_path):
         raw = json.loads(fixture_path("necessity_env.json").read_text())
         raw["command"] = "private-check"
@@ -491,6 +500,28 @@ class TestScenarioErrors:
         assert "$.environment.payoffs.agent" in res.output
         assert "expression nests deeper than 100 levels" in res.output
 
+    @pytest.mark.parametrize(
+        "agent", ["(0-1)^1e999", "sqrt(0-1e999)", "log(0-1e999)", "(0-2)^(0-1e999)", "theta^(0-1e999)"]
+    )
+    def test_literal_past_the_largest_double_is_a_parse_error(self, tmp_path, agent):
+        """Exited 1 with an OverflowError traceback from to_source(inf)."""
+        raw = json.loads(fixture_path("example4_enumerate.json").read_text())
+        raw["environment"]["payoffs"]["agent"] = agent
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "$.environment.payoffs.agent" in res.output
+        assert "is not a finite double" in res.output
+
+    def test_type_space_has_no_grid_field(self, tmp_path):
+        raw = json.loads(fixture_path("labor_single.json").read_text())
+        raw["problem"]["types"] = {"kind": "interval", "lo": 3, "hi": 4, "grid": 1025}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "unknown field 'grid'" in res.output
+        assert "$.problem.types" in res.output
+
     def _invoke_with(self, tmp_path, fixture, block, keys, value):
         raw = json.loads(fixture_path(fixture).read_text())
         target = raw[block]
@@ -747,6 +778,19 @@ class TestRevisableCheck:
         res = _invoke_raw(tmp_path, raw)
         assert res.exit_code == 2
         assert "$.revisable.ideal_form" in res.output
+
+    def test_ideal_form_needs_one_curvature(self, tmp_path):
+        """Passed the per-type check and exited 1 with every lift failing: with
+        a curvature that varies with theta, 0.05 + 0.7 E[theta] is not the
+        posterior ideal."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        raw["revisable"]["receiver"] = "-(z - 0.05 - 0.7*theta)^2*(1+theta)"
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "schema error at $.revisable.ideal_form: the receiver is not quadratic in z" in res.output
+        del raw["revisable"]["ideal_form"]
+        assert _invoke_raw(tmp_path, raw).exit_code == 0
 
     @pytest.mark.parametrize(
         "field, value, where",

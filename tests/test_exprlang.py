@@ -87,6 +87,23 @@ def test_parse_errors_carry_offsets():
         el.parse("min(1, 2, 3)")
 
 
+@pytest.mark.parametrize(
+    "source, offset",
+    [("1e999", 0), ("(0-1)^1e999", 6), ("sqrt(0-1e999)", 7), ("log(0-1e999)", 6),
+     ("(0-2)^(0-1e999)", 9), ("theta^(0-1e999)", 9), ("x + " + "9" * 400, 4)],
+)
+def test_literal_that_is_not_a_finite_double_is_a_parse_error(source, offset):
+    """1e999 parsed to inf, and to_source then raised OverflowError on int(inf)."""
+    with pytest.raises(el.ParseError, match="is not a finite double") as err:
+        el.parse(source)
+    assert err.value.offset == offset
+
+
+def test_largest_and_smallest_literals_parse():
+    assert el.evaluate(el.parse("1.7976931348623157e308"), {}) == 1.7976931348623157e308
+    assert el.evaluate(el.parse("1e-999"), {}) == 0.0
+
+
 def test_eval_errors_name_offenders():
     with pytest.raises(el.EvalError, match="unbound variable 'z'"):
         el.evaluate(el.parse("z+1"), {})

@@ -6,7 +6,8 @@ must exit 0, 1 or 2 without a traceback, name a JSON path (``$``) in its
 exit-2 message, and finish within a few seconds. The fast scenarios run
 through the CLI; the two long fixtures are checked at parse level only.
 Their payoff expressions are also replaced by valid expressions that
-ignore a variable, overflow or leave the domain, under the same contract.
+ignore a variable, overflow or leave the domain, and by literals past the
+largest double, under the same contract.
 """
 
 import copy
@@ -118,8 +119,9 @@ def test_cli_mutants_keep_exit_code_contract(name, tmp_path):
     assert not broken, "\n".join(broken[:20])
 
 
-# valid payoff expressions that ignore a variable, overflow or leave the domain
-EXPRESSIONS = ("0", "z", "theta", "-(z - 0.5)^2", "exp(1000*theta)", "log(theta - 1)")
+# valid payoff expressions that ignore a variable, overflow or leave the
+# domain, and literals past the largest double
+EXPRESSIONS = ("0", "z", "theta", "-(z - 0.5)^2", "exp(1000*theta)", "log(theta - 1)", "(0-1)^1e999", "log(0-1e999)")
 
 
 def expression_mutants():
@@ -147,7 +149,7 @@ def expression_mutants():
 
 def test_expression_mutants_keep_exit_code_contract(tmp_path):
     broken, count = broken_runs(expression_mutants(), tmp_path)
-    assert count == 90
+    assert count == 120
     assert not broken, "\n".join(broken[:20])
 
 

@@ -38,6 +38,15 @@ def test_concave_rows_land_within_tol_of_clamped_peak(rows, tol):
     assert np.all(np.abs(x - np.clip(peaks, a, b)) <= tol)
 
 
+def test_tie_at_zero_steps_left_toward_the_bump():
+    """A bump at 0.2 and a zero plateau from 0.3: both first probes sit on
+    the plateau. Stepping right on that tie returned a point near 1."""
+    bump = lambda rows, x: np.maximum(0.0, 1.0 - ((x - 0.2) / 0.1) ** 2)
+    assert golden_rows(bump, [0.0], [1.0], 1e-9)[0] == pytest.approx(0.2, abs=1e-8)
+    # any other tie still steps right: a flat row returns a point in the right part
+    assert golden_rows(lambda rows, x: np.ones_like(x), [0.0], [1.0], 1e-3)[0] > 0.99
+
+
 def test_groups_equal_their_own_calls_bit_for_bit():
     rng = np.random.default_rng(3)
     a = rng.uniform(-5.0, 0.0, 12)

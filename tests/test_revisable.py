@@ -7,6 +7,7 @@ import pytest
 from contract_forge import revisable as rv
 from contract_forge.env_core import Belief, TypeSpace
 from contract_forge.equilibrium import check_continuation
+from contract_forge.optimize import golden_rows
 
 
 def quadratic_model(k=0.05, a=0.7, types=None, alpha=0.0):
@@ -56,6 +57,20 @@ class TestPosteriorIdeal:
             rv.posterior_ideal(generic, belief), abs=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "receiver", ["-(z - 0.05 - 0.7*theta)^2", "-(z - 0.05 - 0.7*theta)^2*(1+theta)", "-exp(z - theta) + z"]
+    )
+    def test_scan_equals_the_scalar_scan(self, receiver):
+        """The one-call scan of ``z_range`` finds the ideal the 201 scalar
+        evaluations it replaced found, bit for bit."""
+        model = rv.RevisableModel.additive("z", receiver, TypeSpace.uniform_finite([0.0, 0.5, 1.0]), 0.0, (-1.0, 2.0))
+        pts, w = np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.3, 0.5])
+        value = lambda z: float(np.broadcast_to(model.receiver_fn(z, pts), pts.shape) @ w)
+        zs = np.linspace(-1.0, 2.0, 201)
+        i = int(np.argmax([value(z) for z in zs]))
+        ref = golden_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], rv._ideal_tol(model))[0]
+        assert rv.posterior_ideal(model, Belief(tuple(pts), tuple(w))) == float(ref)
+
     def test_searched_ideal_ties_within_its_resolution(self):
         """The search finds this belief's ideal 0.505 only to within about
         1e-9, where the expected payoff is flat to rounding; a target at the
@@ -71,6 +86,24 @@ class TestPosteriorIdeal:
     def test_concavity_audit_rejects_convex(self):
         with pytest.raises(rv.ConcavityError, match="not strictly concave"):
             rv.RevisableModel.additive("-(z - theta)^2", "(z - theta)^2", TypeSpace.interval(0.0, 1.0), alpha=0.0)
+
+    @pytest.mark.parametrize(
+        "receiver, ideal, message",
+        [
+            # each type's ideal is 0.05 + 0.7 theta, but a belief weights the types by 1 + theta
+            ("-(z - 0.05 - 0.7*theta)^2*(1+theta)", ("affine", 0.05, 0.7), "not quadratic in z with one curvature"),
+            ("-(z - 0.05 - 0.7*theta)^4", ("affine", 0.05, 0.7), "not quadratic in z with one curvature"),
+            ("-(z - 0.05 - 0.7*theta)^2", ("affine", 0.6, 0.7), "not the receiver's ideal at each type"),
+            ("-(z - 0.05 - 0.7*theta)^2", ("quadratic", 0.05, 0.7), "unknown ideal form 'quadratic'"),
+        ],
+    )
+    def test_declared_ideal_must_hold_under_every_belief(self, receiver, ideal, message):
+        types = TypeSpace.uniform_finite([0.0, 0.5, 1.0])
+        with pytest.raises(rv.IdealFormError, match=message):
+            rv.RevisableModel.additive("-(z - theta)^2", receiver, types, 0.0, (-1.0, 2.0), ideal)
+        rv.RevisableModel.additive("-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2*2", types, 0.0, (-1.0, 2.0),
+                                   ("affine", 0.05, 0.7))
+        assert rv.ms_model(0.1, 0.6).ideal_form == ("affine", 0.1, 0.6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("receiver, value", [("-(z - 0.7*theta)^2", 1e308), ("log(theta - 1) - z^2", 0.5)])

@@ -322,7 +322,7 @@ class TestRobustnessCheck:
         menu = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         _, findings = sa.robustness_check(worked, equilibrium, {1: [menu]})
         single = sa.bilateral_reduce(worked, 1, equilibrium.x[0])
-        per_offer = [max(ss._inner_solve(single, x)[0], 0.0) for x in menu]
+        per_offer = [max(float(ss._inner_rows(single, np.array([x]))[0][0]), 0.0) for x in menu]
         assert findings[0].deviation_value == pytest.approx(max(per_offer), abs=1e-9)
         assert findings[0].best_offer == menu[int(np.argmax(per_offer))]
 

@@ -223,7 +223,7 @@ def _golden_inner(problem: ss.SingleProblem, x: float) -> float:
     search ``_inner_rows`` ran before it solved for the participation kink."""
     a, b, grid_value = _grid_bracket(problem, x)
     y = golden_rows(
-        lambda _, yk: ss._profit(problem, np.full(yk.size, x), yk, audit=False)[0], a, b, problem.opt_tol
+        lambda _, yk: ss._profit(problem, np.full(yk.size, x), yk, audit=False)[0], a, b, ss.OPT_TOL
     )
     return max(float(ss._profit(problem, [x], y)[0][0]), grid_value)
 
@@ -258,6 +258,10 @@ class TestInnerRows:
     # kink's bracket beats the kink (4.16 against 4.01)
     @example(family="finite", x=1.8921037867648574, rival=0.0, beta=0.5, gap=0.18469760083775,
              low_weight=0.018225955882921106, y_lo=0.03198345904714395, width=4.273853007069285, y_grid=37)
+    # no type stays on the right of the bracket: golden section stepped right
+    # on the tie at 0 of its first probes and lost the bump on the left
+    @example(family="labor", x=3.34375, rival=0.0, beta=0.5, gap=0.25, low_weight=0.25,
+             y_lo=0.0, width=4.453125, y_grid=8)
     @settings(max_examples=60, deadline=None)
     def test_kink_rule_never_loses_to_golden_section(self, family, x, rival, beta, gap, low_weight, y_lo, width, y_grid):
         # the worked labor and agency families, and the labor payoffs over
@@ -380,6 +384,18 @@ class TestSingleCrossingAudit:
             np.linspace(3.0, 4.0, 65),
         )
         assert not rep.passed
+
+    @given(signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_runs_equal_the_loop_count(self, signs):
+        """The zero runs of the difference, against the loop that counted them."""
+        d = np.array(signs)
+        runs, in_run = 0, False
+        for s in d:
+            runs += s == 0 and not in_run
+            in_run = s == 0
+        rep = ss.single_crossing_audit(lambda x, y, th: x * d, (1.0, 0.0), (0.0, 0.0), np.zeros(d.size))
+        assert rep.zero_runs == runs
 
 
 class TestMenuDominance:
