@@ -71,8 +71,6 @@ from .revisable import (
     endpoint_baseline,
     feasible_final_interval,
     lift_to_limited,
-    ms_allocation,
-    ms_thresholds,
     posterior_ideal,
 )
 from .solver_single import (
@@ -80,9 +78,6 @@ from .solver_single import (
     SolveResult,
     cutoff,
     expected_profit,
-    labor_profile,
-    rent_probe,
-    single_crossing_audit,
     solve,
 )
 from .solver_agency import (
@@ -90,10 +85,8 @@ from .solver_agency import (
     AgencyProblem,
     best_response,
     bilateral_reduce,
-    cutoff_value_shape,
     fixed_point,
     robustness_check,
-    worked_family_best_response,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,8 @@ with 0 < eta_lo <= eta <= eta_hi and positive baselines).
 The module provides the receiver's posterior ideal point, the endpoint
 placement that makes a target final action the receiver's constrained
 optimum, conversions between the full-commitment (alpha = 0) and limited
-models, an exhaustive desk-scale check that the two models induce the
-same set of final-action allocations, and the quadratic-delegation
-closed forms (ceiling/floor thresholds of the sender-optimal rule).
+models, and an exhaustive desk-scale check that the two models induce the
+same set of final-action allocations.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .env_core import (
     PrincipalSpec,
     TypeSpace,
     expect,
-    simpson_coefficients,
 )
 from .equilibrium import Assessment, BeliefSystem, check_continuation
 from .optimize import golden_rows
@@ -56,9 +54,6 @@ __all__ = [
     "enumerate_final_allocations",
     "check_gamma_equal",
     "GammaReport",
-    "ms_thresholds",
-    "ms_allocation",
-    "ms_lift_check",
 ]
 
 
@@ -683,80 +678,3 @@ def check_gamma_equal(
         limited=tuple(fa for fa, _ in lim.values()),
         full=tuple(fa for fa, _ in full.values()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-delegation closed forms
-# ---------------------------------------------------------------------------
-
-
-def ms_thresholds(k: float, a: float) -> tuple[float, float, bool]:
-    """Ceiling/floor thresholds of the sender-optimal quadratic rule.
-
-    Sender wants z = theta on [0, 1]; receiver wants z = k + a*theta with
-    a in (0, 1). Returns (theta1, theta2, valid) where ``valid`` records
-    the bias condition k in (-a/2, 1 - a/2) under which the rule below is
-    the sender-optimal one.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError("slope parameter must lie in (0, 1)")
-    theta1 = max(0.0, 2.0 * k / (2.0 - a))
-    theta2 = min((2.0 * k + a) / (2.0 - a), 1.0)
-    valid = -a / 2.0 < k < 1.0 - a / 2.0
-    return theta1, theta2, valid
-
-
-def ms_allocation(k: float, a: float, theta: float) -> float:
-    """Sender-optimal final action: the type clamped to the threshold band."""
-    theta1, theta2, _ = ms_thresholds(k, a)
-    return min(max(theta, theta1), theta2)
-
-
-def ms_model(k: float, a: float) -> RevisableModel:
-    """Quadratic delegation model on uniform [0, 1] types, on the default 1025-point grid."""
-    sender = "-(z-theta)^2"
-    receiver = f"-(z-({k!r})-({a!r})*theta)^2"
-    return RevisableModel.additive(
-        sender, receiver,
-        TypeSpace.interval(0.0, 1.0),
-        alpha=0.0,
-        z_range=(-2.0, 3.0),
-        ideal_form=("affine", float(k), float(a)),
-    )
-
-
-def ms_lift_check(
-    k: float, a: float, alpha: float, theta_grid: int = 101
-) -> dict[str, float]:
-    """Endpoint-placement audit of the quadratic sender-optimal rule.
-
-    For each grid type, lifts the target final action with revision bound
-    ``alpha`` at the belief its message carries (point mass on the
-    separating band, the pooled interval at the edges) and verifies that
-    the constrained receiver optimum over the feasible interval recovers
-    the target within the 101-point scan resolution. Returns the worst
-    absolute deviation and the scan step.
-    """
-    theta1, theta2, valid = ms_thresholds(k, a)
-    if not valid:
-        raise ValueError("bias outside the validity band of the closed form")
-    model = replace(ms_model(k, a), alpha=alpha)
-
-    def pooled_belief(lo: float, hi: float) -> Belief:
-        pts = np.linspace(lo, hi, 201)
-        h = (hi - lo) / 200.0
-        w = simpson_coefficients(201) * h / 3.0
-        return Belief(tuple(map(float, pts)), tuple(map(float, w / w.sum())))
-
-    worst = 0.0
-    for theta in np.linspace(0.0, 1.0, theta_grid):
-        z = ms_allocation(k, a, float(theta))
-        if theta < theta1 and theta1 > 0.0:
-            belief = pooled_belief(0.0, theta1)
-        elif theta > theta2 and theta2 < 1.0:
-            belief = pooled_belief(theta2, 1.0)
-        else:
-            belief = Belief.point_mass(float(theta))
-        _x, _rev, z_best, _step = _placement(model, z, belief)
-        worst = max(worst, abs(z_best - z))
-    return {"worst_deviation": worst, "scan_step": (2.0 * alpha) / 100.0}

@@ -27,9 +27,7 @@ __all__ = [
     "RobustnessFinding",
     "bilateral_reduce",
     "best_response",
-    "worked_family_best_response",
     "fixed_point",
-    "cutoff_value_shape",
     "robustness_check",
 ]
 
@@ -159,16 +157,6 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
     return x if np.ndim(x_other) else float(x[0])
 
 
-def worked_family_best_response(beta: float, x_other: float) -> float:
-    """Closed-form best response of the worked employment family.
-
-    BR(x_other) = ((1 + beta * x_other) * 7 * sqrt(3) / 8) ** (2/3):
-    the rival's support scales the match surplus by 1 + beta * x_other and
-    the optimal cutoff stays at the lowest type.
-    """
-    return float(((1.0 + beta * x_other) * 7.0 * math.sqrt(3.0) / 8.0) ** (2.0 / 3.0))
-
-
 def fixed_point(
     problem: AgencyProblem, start: tuple[float, float] = (0.0, 0.0)
 ) -> AgencyEquilibrium:
@@ -248,21 +236,6 @@ def fixed_point(
         converged=converged,
         trajectory=tuple(trajectory),
     )
-
-
-def cutoff_value_shape(t: float) -> tuple[float, float]:
-    """Cutoff-dependence of the bilateral value and its log-derivative numerator.
-
-    Returns ((4 - t) t^(2/3) (t + 4)^(4/3), 32 + 4t - 9t^2) for t in
-    [3, 4). The numerator is negative on the whole band, so the value
-    factor is maximized at the lowest cutoff t = 3.
-    """
-    if not 3.0 <= t < 4.0:
-        raise ValueError("cutoff out of range [3, 4)")
-    factor = (4.0 - t) * t ** (2.0 / 3.0) * (t + 4.0) ** (4.0 / 3.0)
-    numerator = 32.0 + 4.0 * t - 9.0 * t * t
-    assert numerator < 0.0
-    return factor, numerator
 
 
 def _best_offer_value(

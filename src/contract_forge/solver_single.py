@@ -2,19 +2,20 @@
 
 The principal commits to one contractible action x, later chooses a
 discretionary action y, and the agent walks away (both sides get zero
-from the relationship) whenever her utility at (x, y) is negative. Under
-the monotonicity and single-crossing audits below, richer communication
-adds nothing, so the optimum solves
+from the relationship) whenever her utility at (x, y) is negative. When
+u is strictly increasing in theta (the kernel's audit) and single
+crossing holds, richer communication adds nothing, so the optimum solves
 
     max over x of  max over y of  E[ 1{u(x,y,theta) >= 0} * v(x,y,theta) ]
 
-evaluated here by a kink-safe search in each variable: grid, then (y
-with interval types) the participation kink as a root, then golden
-section. One vectorized kernel (``_profit``) gives the value, the stay
-probability and the participation cutoff of many (x, y) pairs at once:
-the cutoff by the bracketed root finder on the rows where it is
-interior, the expectation by composite Simpson quadrature split exactly
-at the cutoff.
+evaluated here by a kink-safe search in each variable: grid (strided in
+y with interval types: every (y_grid // 16)-th point, then every point
+within that stride of the best), then (y with interval types) the
+participation kink as a root, then golden section. One vectorized kernel
+(``_profit``) gives the value, the stay probability and the
+participation cutoff of many (x, y) pairs at once: the cutoff by the
+bracketed root finder on the rows where it is interior, the expectation
+by composite Simpson quadrature split exactly at the cutoff.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprlang
-from .env_core import Belief, TypeSpace, simpson_coefficients
+from .env_core import TypeSpace, simpson_coefficients
 from .optimize import golden_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 OPT_TOL = 1e-8  # golden-section bracket width of both searches, and the kink's probe step
-_MASS_TOL = 1e-9  # ``rent_probe``: the stay set's mass may move this much
-_CROSSING_TOL = 1e-12  # ``single_crossing_audit``: zero band, relative to max(1, max |d|)
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -42,16 +41,11 @@ __all__ = [
     "SingleProblem",
     "SolveResult",
     "CutoffResult",
-    "RentProbeResult",
     "MonotonicityError",
     "cutoff",
     "expected_profit",
     "solve",
     "zoom_solve",
-    "labor_profile",
-    "rent_probe",
-    "single_crossing_audit",
-    "AuditReport",
 ]
 
 
@@ -116,22 +110,6 @@ class SolveResult:
     stay_prob: float
     no_trade: bool
     x_trace: tuple[tuple[float, float], ...]  # (x, best inner value)
-
-
-@dataclass(frozen=True, slots=True)
-class RentProbeResult:
-    success: bool
-    kappa: float
-    step: float | None
-    improvement: float | None
-
-
-@dataclass(frozen=True, slots=True)
-class AuditReport:
-    passed: bool
-    sign_changes: int
-    zero_runs: int
-    degenerate_equal: bool
 
 
 def _theta_span(types: TypeSpace) -> tuple[float, float]:
@@ -259,22 +237,47 @@ def expected_profit(problem: SingleProblem, x: float, y: float) -> float:
 
 
 def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None) -> np.ndarray:
-    """Expected profit on the full (x, y) mesh; invalid cells are -inf.
+    """Expected profit on an (x, y) mesh, ``ys`` one vector or a row per x; -inf if invalid.
 
     ``r`` gives each x its rival index. Evaluated in blocks of whole
     x-rows, at most one rival's, so the quadrature workspace stays
     cache-sized and no mesh-sized copy of the offers is made.
     """
-    block = max(1, 2_000_000 // max(problem.panels + 1, 1) // len(ys))
+    m = np.shape(ys)[-1]
+    ys = np.broadcast_to(ys, (len(xs), m))
+    block = max(1, 2_000_000 // max(problem.panels + 1, 1) // m)
     if r is not None:
         block = min(block, int(np.bincount(r).max()))
-    out = np.empty((len(xs), len(ys)))
+    out = np.empty((len(xs), m))
     for i in range(0, len(xs), block):
         rows = np.arange(i, min(i + block, len(xs)))
-        X, Y = np.repeat(xs[rows], len(ys)), np.tile(ys, rows.size)
-        values = _profit(problem, X, Y, r=_at(r, np.repeat(rows, len(ys))))[0]
-        out[rows] = values.reshape(rows.size, len(ys))
+        values = _profit(problem, np.repeat(xs[rows], m), ys[rows], r=_at(r, np.repeat(rows, m)))[0]
+        out[rows] = values.reshape(rows.size, m)
     return out
+
+
+def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None):
+    """Each row's best (index, value) on the y-grid ``ys``, lowest index on ties.
+
+    With interval types every s-th point, s = max(1, len(ys) // 16), and the
+    last are scanned, then [c - s, c + s] (shifted inside the grid) around
+    each coarse best c: rows are assumed unimodal at spacing s, as golden
+    section assumes on its bracket. Rows whose coarse samples all fail the
+    audit, finite types and s = 1 get the full grid."""
+    m = ys.size
+    def scan(rows, cols):  # each row's best (grid index, value) over its columns
+        grid = _profit_grid(problem, xs[rows], ys[cols], _at(r, rows))
+        k = (np.arange(rows.size), np.argmax(grid, axis=1))
+        return np.broadcast_to(cols, grid.shape)[k], grid[k]
+    s = max(1, m // 16) if problem.types.kind == "interval" else 1
+    idx, value = scan(np.arange(len(xs)), np.unique(np.r_[0:m:s, m - 1]))
+    if s > 1:
+        full = value == -np.inf  # every coarse sample failed the audit
+        win = np.clip(idx - s, 0, m - 2 * s - 1)[:, None] + np.arange(2 * s + 1)
+        for rows, cols in ((np.flatnonzero(~full), win[~full]), (np.flatnonzero(full), np.arange(m))):
+            if rows.size:
+                idx[rows], value[rows] = scan(rows, cols)
+    return idx, value
 
 
 def _inner_rows(
@@ -282,8 +285,8 @@ def _inner_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (value, y) per contractible offer, vectorized across offers.
 
-    A y-grid scan brackets each row's optimum in [a, b], the grid
-    neighbours of its best point (ties break toward the lowest index).
+    A y-grid scan (:func:`_y_scan`) brackets each row's optimum in [a, b],
+    the grid neighbours of its best point.
     With interval types, where u(x, ., lo) changes sign on [a, b],
     :func:`optimize.root_rows` finds the kink y_k at which the lowest type
     is just indifferent (and stays), and one unaudited kernel pass
@@ -301,9 +304,8 @@ def _inner_rows(
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
-    grid = _profit_grid(problem, xs, ys, r)
-    idx = np.argmax(grid, axis=1)
-    value, y = grid[np.arange(len(xs)), idx], ys[idx]
+    idx, value = _y_scan(problem, xs, ys, r)
+    y = ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
         X, rr, tol = xs[rows], _at(r, rows), OPT_TOL
@@ -414,95 +416,3 @@ def zoom_solve(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if not todo.size:
             break
     return value, x, y
-
-
-def labor_profile(t: float) -> tuple[float, float, float]:
-    """Closed-form profile of the worked employment example by cutoff type.
-
-    For a cutoff t in [3, 4): the conditional-productivity factor
-    K(t) = sqrt(t)(t+4)/2, the profit-maximizing offer x*(t) = (K(t)/4)^(2/3),
-    and the resulting expected profit (4-t)(K(t) sqrt(x*) - x*^2).
-    """
-    if not 3.0 <= t < 4.0:
-        raise ValueError("cutoff out of range [3, 4)")
-    K = math.sqrt(t) * (t + 4.0) / 2.0
-    x = (K / 4.0) ** (2.0 / 3.0)
-    value = (4.0 - t) * (K * math.sqrt(x) - x * x)
-    return K, x, value
-
-
-def rent_probe(
-    problem: SingleProblem,
-    x: float,
-    y: float,
-    belief: Belief,
-    steps: Sequence[float] = (0.025, 0.05, 0.1, 0.2, 0.4),
-) -> RentProbeResult:
-    """Extract rent from common slack by nudging the discretionary action.
-
-    Requires every staying type's utility to sit strictly above zero
-    (common slack kappa > 0) and opposite monotonicity in y (agent down,
-    principal up). Scans increasing steps and succeeds at the first one
-    keeping the stay set's mass unchanged while strictly raising the
-    posterior expected principal payoff.
-    """
-    th = np.array(belief.points)
-    w = np.array(belief.weights)
-    uv = np.asarray(problem.u_fn(x, y, th), dtype=float)
-    stay = uv >= 0.0
-    stay_mass = float(np.sum(w[stay]))
-    if stay_mass <= 0.0:
-        raise ValueError("stay set has no belief mass")
-    kappa = float(np.min(uv[stay & (w > 0)]))
-    if kappa <= 1e-12:
-        raise ValueError("no common slack: the cutoff type is binding")
-
-    probe = min(steps)
-    u_probe = np.asarray(problem.u_fn(x, y + probe, th), dtype=float)
-    v_now = np.asarray(problem.v_fn(x, y, th), dtype=float)
-    v_probe = np.asarray(problem.v_fn(x, y + probe, th), dtype=float)
-    mask = w > 0
-    if np.any(u_probe[mask] > uv[mask]) or np.any(v_probe[mask] <= v_now[mask]):
-        raise MonotonicityError(
-            "opposite-monotonicity audit failed: need u decreasing and v increasing in y"
-        )
-
-    base_value = float(np.sum(w * v_now * stay))
-    for t in sorted(steps):
-        u_t = np.asarray(problem.u_fn(x, y + t, th), dtype=float)
-        stay_t = u_t >= 0.0
-        if abs(float(np.sum(w[stay_t])) - stay_mass) > _MASS_TOL:
-            continue
-        v_t = np.asarray(problem.v_fn(x, y + t, th), dtype=float)
-        value_t = float(np.sum(w * v_t * stay_t))
-        if value_t > base_value:
-            return RentProbeResult(True, kappa, float(t), value_t - base_value)
-    return RentProbeResult(False, kappa, None, None)
-
-
-def single_crossing_audit(
-    u: object,
-    a: tuple[float, float],
-    b: tuple[float, float],
-    theta_grid: np.ndarray | Sequence[float],
-) -> AuditReport:
-    """Sign-scan of u(a, theta) - u(b, theta) over a type grid.
-
-    Passes when the difference changes sign at most once and has at most
-    one (grid-tolerance) zero run; an identically zero difference is
-    flagged as degenerate-equal.
-    """
-    fn = _as_fn(u)
-    th = np.asarray(theta_grid, dtype=float)
-    d = np.asarray(fn(a[0], a[1], th), dtype=float) - np.asarray(
-        fn(b[0], b[1], th), dtype=float
-    )
-    scale = max(1.0, float(np.max(np.abs(d))))
-    signs = np.where(d > _CROSSING_TOL * scale, 1, np.where(d < -_CROSSING_TOL * scale, -1, 0))
-    nonzero = signs[signs != 0]
-    sign_changes = int(np.sum(nonzero[1:] != nonzero[:-1])) if nonzero.size else 0
-    zero = np.r_[False, signs == 0]
-    zero_runs = int(np.sum(zero[1:] & ~zero[:-1]))  # the starts of zero runs
-    degenerate = bool(np.all(signs == 0))
-    passed = degenerate or (sign_changes <= 1 and zero_runs <= 1)
-    return AuditReport(passed, sign_changes, zero_runs, degenerate)

@@ -16,6 +16,8 @@ from contract_forge import equilibrium as eq
 from contract_forge import revisable as rv
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
+
+import closed_forms as cf
 from oracle_bruteforce import (
     engine_allocation_keys,
     oracle_allocations,
@@ -71,14 +73,14 @@ def test_criterion_2_common_agency():
         agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
         principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
     )
-    closed = sa.worked_family_best_response(BETA, 3.0)
+    closed = cf.worked_family_best_response(BETA, 3.0)
     t0 = time.perf_counter()
     eqm = sa.fixed_point(problem, start=(0.0, 0.0))
     elapsed = time.perf_counter() - t0
     br_errors = []
     for xo in (0.0, 1.0, 2.0, 3.0):
         numeric = sa.best_response(problem, 0, xo)
-        br_errors.append(abs(numeric - sa.worked_family_best_response(BETA, xo)))
+        br_errors.append(abs(numeric - cf.worked_family_best_response(BETA, xo)))
     ok = (
         abs(closed - 3.0) <= 1e-9
         and abs(eqm.x[0] - 3.0) <= 1e-3
@@ -134,8 +136,8 @@ def test_criterion_4_revisable_equivalence():
 
 
 def test_criterion_5_quadratic_delegation():
-    t1, t2, valid = rv.ms_thresholds(0.2, 0.5)
-    lift = rv.ms_lift_check(0.2, 0.5, 0.3, theta_grid=101)
+    t1, t2, valid = cf.ms_thresholds(0.2, 0.5)
+    lift = cf.ms_lift_check(0.2, 0.5, 0.3, theta_grid=101)
     ok = (
         abs(t1 - 0.26667) <= 1e-5
         and abs(t2 - 0.6) <= 1e-6
@@ -153,7 +155,7 @@ def test_criterion_5_quadratic_delegation():
 def test_criterion_6_rent_extraction_probe():
     problem = ss.SingleProblem(u="x*theta - y^2", v="y*theta")
     belief = ec.Belief.from_typespace(ec.TypeSpace.interval(3.0, 4.0))
-    res = ss.rent_probe(problem, 1.0, 1.5, belief, steps=(0.1, 0.2))
+    res = cf.rent_probe(problem, 1.0, 1.5, belief, steps=(0.1, 0.2))
     fixture_ok = (
         res.success
         and abs(res.kappa - 0.75) <= 1e-9
@@ -174,7 +176,7 @@ def test_criterion_6_rent_extraction_probe():
         bel = ec.Belief.from_typespace(
             ec.TypeSpace.interval(lo, lo + width, grid_points=65)
         )
-        out = ss.rent_probe(
+        out = cf.rent_probe(
             problem, x, y, bel, steps=tuple(0.1 * 0.5**k for k in range(12))
         )
         if not (out.success and out.improvement > 0.0 and out.kappa >= 0.1):
@@ -312,7 +314,7 @@ def test_criterion_10_cutoff_sign_condition():
     factors = np.empty(len(ts))
     worst_numerator = -np.inf
     for i, t in enumerate(ts):
-        factor, numerator = sa.cutoff_value_shape(float(t))
+        factor, numerator = cf.cutoff_value_shape(float(t))
         factors[i] = factor
         worst_numerator = max(worst_numerator, numerator)
     argmax = int(np.argmax(factors))

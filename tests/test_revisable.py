@@ -9,6 +9,8 @@ from contract_forge.env_core import Belief, TypeSpace
 from contract_forge.equilibrium import check_continuation
 from contract_forge.optimize import golden_rows
 
+import closed_forms as cf
+
 
 def quadratic_model(k=0.05, a=0.7, types=None, alpha=0.0):
     types = types or TypeSpace.uniform_finite([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -103,7 +105,7 @@ class TestPosteriorIdeal:
             rv.RevisableModel.additive("-(z - theta)^2", receiver, types, 0.0, (-1.0, 2.0), ideal)
         rv.RevisableModel.additive("-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2*2", types, 0.0, (-1.0, 2.0),
                                    ("affine", 0.05, 0.7))
-        assert rv.ms_model(0.1, 0.6).ideal_form == ("affine", 0.1, 0.6)
+        assert cf.ms_model(0.1, 0.6).ideal_form == ("affine", 0.1, 0.6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("receiver, value", [("-(z - 0.7*theta)^2", 1e308), ("log(theta - 1) - z^2", 0.5)])
@@ -352,36 +354,36 @@ class TestGammaEquality:
 
 class TestClosedForms:
     def test_thresholds_at_zero_bias(self):
-        t1, t2, valid = rv.ms_thresholds(0.0, 0.5)
+        t1, t2, valid = cf.ms_thresholds(0.0, 0.5)
         assert (t1, t2) == (0.0, pytest.approx(1.0 / 3.0))
         assert valid
-        assert rv.ms_allocation(0.0, 0.5, 0.5) == pytest.approx(1.0 / 3.0)
+        assert cf.ms_allocation(0.0, 0.5, 0.5) == pytest.approx(1.0 / 3.0)
 
     def test_thresholds_spec_point(self):
-        t1, t2, valid = rv.ms_thresholds(0.2, 0.5)
+        t1, t2, valid = cf.ms_thresholds(0.2, 0.5)
         assert t1 == pytest.approx(0.26667, abs=1e-5)
         assert t2 == pytest.approx(0.6, abs=1e-12)
         assert valid
 
     def test_interior_band_is_identity(self):
-        t1, t2, _ = rv.ms_thresholds(0.2, 0.5)
+        t1, t2, _ = cf.ms_thresholds(0.2, 0.5)
         for theta in np.linspace(t1, t2, 7):
-            assert rv.ms_allocation(0.2, 0.5, float(theta)) == pytest.approx(theta)
+            assert cf.ms_allocation(0.2, 0.5, float(theta)) == pytest.approx(theta)
 
     def test_allocation_monotone_and_clamped(self):
         thetas = np.linspace(0.0, 1.0, 101)
-        zs = [rv.ms_allocation(0.2, 0.5, float(t)) for t in thetas]
+        zs = [cf.ms_allocation(0.2, 0.5, float(t)) for t in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(zs, zs[1:]))
-        t1, t2, _ = rv.ms_thresholds(0.2, 0.5)
+        t1, t2, _ = cf.ms_thresholds(0.2, 0.5)
         assert zs[0] == pytest.approx(t1)
         assert zs[-1] == pytest.approx(t2)
 
     def test_slope_domain(self):
         with pytest.raises(ValueError):
-            rv.ms_thresholds(0.0, 1.5)
+            cf.ms_thresholds(0.0, 1.5)
 
     def test_lift_check_passes(self):
-        out = rv.ms_lift_check(0.2, 0.5, 0.3, theta_grid=21)
+        out = cf.ms_lift_check(0.2, 0.5, 0.3, theta_grid=21)
         assert out["worst_deviation"] <= out["scan_step"] + 1e-9
 
 

@@ -12,6 +12,8 @@ from contract_forge import env_core as ec
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
 
+import closed_forms as cf
+
 BETA = 17.0 / 21.0
 
 
@@ -84,7 +86,7 @@ class TestBilateralReduce:
 
 class TestBestResponse:
     def test_closed_form_fixed_point_exact(self):
-        assert sa.worked_family_best_response(BETA, 3.0) == pytest.approx(
+        assert cf.worked_family_best_response(BETA, 3.0) == pytest.approx(
             3.0, abs=1e-9
         )
 
@@ -96,14 +98,14 @@ class TestBestResponse:
         for xo in (0.0, 1.0, 2.0, 3.0):
             x = sa.best_response(worked, 0, xo)
             assert x == pytest.approx(
-                sa.worked_family_best_response(BETA, xo), abs=1e-3
+                cf.worked_family_best_response(BETA, xo), abs=1e-3
             )
 
     def test_half_grid_matches_closed_form(self, worked):
         for xo in np.arange(0.0, 3.01, 0.5):
             x = sa.best_response(worked, 0, float(xo))
             assert x == pytest.approx(
-                sa.worked_family_best_response(BETA, float(xo)), abs=1e-3
+                cf.worked_family_best_response(BETA, float(xo)), abs=1e-3
             )
 
 
@@ -162,10 +164,12 @@ class TestBatchedBestResponse:
 @pytest.fixture(scope="module")
 def fixture_run():
     """One ``cli.run`` of the bundled agency fixture, counting kernel passes
-    (``_inner_rows`` calls) and ``_profit`` kernel calls and recording every
-    best-response call."""
-    seen = {"inner_rows": 0, "profit": 0, "best_response": []}
+    (``_inner_rows`` calls), ``_profit`` kernel calls and the (x, y) mesh
+    cells the y-grid scans evaluate, and recording every best-response
+    call."""
+    seen = {"inner_rows": 0, "profit": 0, "cells": 0, "best_response": []}
     inner_rows, profit, best_response = ss._inner_rows, ss._profit, sa.best_response
+    profit_grid = ss._profit_grid
 
     def counted(*args, **kwargs):
         seen["inner_rows"] += 1
@@ -174,6 +178,10 @@ def fixture_run():
     def counted_profit(*args, **kwargs):
         seen["profit"] += 1
         return profit(*args, **kwargs)
+
+    def counted_cells(problem, xs, ys, r=None):
+        seen["cells"] += len(xs) * np.shape(ys)[-1]
+        return profit_grid(problem, xs, ys, r)
 
     def recorded(problem, j, x_other):
         answer = best_response(problem, j, x_other)
@@ -185,6 +193,7 @@ def fixture_run():
         for module in (ss, sa):
             mp.setattr(module, "_inner_rows", counted)
         mp.setattr(ss, "_profit", counted_profit)
+        mp.setattr(ss, "_profit_grid", counted_cells)
         mp.setattr(sa, "best_response", recorded)
         report = cli.run(cli.parse_scenario(str(path)))
     return report, seen
@@ -198,7 +207,14 @@ class TestAgencyRun:
         assert seen["inner_rows"] == 30
         # most inner optima sit on the participation kink, found as a root
         # of the lowest type's utility instead of by about 36 golden steps
-        assert seen["profit"] <= 500
+        assert seen["profit"] <= 328
+
+    def test_mesh_cells(self, fixture_run):
+        # the strided y-scan: 2,880 coarse-slice rows at 17 + 9 of 64 points
+        # and 7 full-resolution rows at 17 + 33 of 256, against 186,112
+        # cells for the full grid
+        _, seen = fixture_run
+        assert seen["cells"] <= 80_000
 
     def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run):
         report, seen = fixture_run
@@ -271,7 +287,7 @@ def _closed_form_root(beta: float) -> float:
     lo, hi = 0.0, 20.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sa.worked_family_best_response(beta, mid) > mid:
+        if cf.worked_family_best_response(beta, mid) > mid:
             lo = mid
         else:
             hi = mid
@@ -280,21 +296,21 @@ def _closed_form_root(beta: float) -> float:
 
 class TestCutoffValueShape:
     def test_numerator_at_three(self):
-        factor, num = sa.cutoff_value_shape(3.0)
+        factor, num = cf.cutoff_value_shape(3.0)
         assert num == pytest.approx(-37.0)
         assert factor == pytest.approx(1.0 * 3 ** (2 / 3) * 7 ** (4 / 3))
 
     def test_factor_vanishes_at_four(self):
-        factor, _ = sa.cutoff_value_shape(3.9999999)
+        factor, _ = cf.cutoff_value_shape(3.9999999)
         assert factor == pytest.approx(0.0, abs=1e-4)
         with pytest.raises(ValueError):
-            sa.cutoff_value_shape(4.0)
+            cf.cutoff_value_shape(4.0)
 
     def test_negative_numerator_and_argmax_on_grid(self):
         ts = np.linspace(3.0, 4.0, 1002)[:-1]
         factors = []
         for t in ts:
-            factor, num = sa.cutoff_value_shape(float(t))
+            factor, num = cf.cutoff_value_shape(float(t))
             assert num < 0.0
             factors.append(factor)
         assert int(np.argmax(factors)) == 0
@@ -336,7 +352,7 @@ class TestRobustnessCheck:
         menu = list(np.linspace(0.0, 5.0, 11))
         ok, findings = sa.robustness_check(problem, eqm, {0: [menu]})
         assert ok
-        _, _, single_value = ss.labor_profile(3.0)
+        _, _, single_value = cf.labor_profile(3.0)
         assert findings[0].deviation_value <= single_value + 1e-3
 
 

@@ -13,6 +13,8 @@ from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
 from contract_forge.optimize import golden_rows
 
+import closed_forms as cf
+
 
 @pytest.fixture(scope="module")
 def labor() -> ss.SingleProblem:
@@ -157,7 +159,7 @@ class TestExpectedProfit:
         assert ss.expected_profit(labor, 0.0, 1.0) == 0.0
 
     def test_profit_at_optimum(self, labor):
-        _, x_star, _ = ss.labor_profile(3.0)
+        _, x_star, _ = cf.labor_profile(3.0)
         v = ss.expected_profit(labor, x_star, math.sqrt(3.0 * x_star))
         assert v == pytest.approx(5.2225, abs=1e-3)
 
@@ -237,6 +239,14 @@ def _dense_bracket(problem: ss.SingleProblem, x: float, n: int = 4001) -> tuple[
     return float(np.max(f)), 2.0 * float(np.max(np.abs(np.diff(f))))
 
 
+def _agency_family(beta: float) -> sa.AgencyProblem:
+    return sa.AgencyProblem(
+        beta=beta,
+        agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
+        principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
+    )
+
+
 class TestInnerRows:
     @given(
         family=st.sampled_from(["labor", "agency", "finite"]),
@@ -269,12 +279,7 @@ class TestInnerRows:
         # kink rule and golden section refine
         box = {"y_box": (y_lo, y_lo + width), "y_grid": y_grid}
         if family == "agency":
-            family = sa.AgencyProblem(
-                beta=beta,
-                agent_utilities=("(x*theta - y^2)/sqrt(theta)",) * 2,
-                principal_payoffs=("(1 + beta*x_other)*y*theta - x^2",) * 2,
-            )
-            problem = dataclasses.replace(sa.bilateral_reduce(family, 0, rival), **box)
+            problem = dataclasses.replace(sa.bilateral_reduce(_agency_family(beta), 0, rival), **box)
         else:
             types = {}
             if family == "finite":
@@ -288,23 +293,70 @@ class TestInnerRows:
             for found in (value, golden):
                 assert best - slack <= found <= best + slack
 
+    @given(
+        family=st.sampled_from(["labor", "agency"]),
+        xs=st.lists(st.floats(0.2, 3.5), min_size=1, max_size=4),
+        rival=st.floats(0.0, 4.0),
+        beta=st.floats(0.3, 0.9),
+        y_lo=st.floats(0.0, 2.0),
+        width=st.floats(2.0, 5.0),
+        y_grid=st.integers(8, 300),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_strided_scan_finds_the_full_scan_argmax(self, family, xs, rival, beta, y_lo, width, y_grid):
+        box = {"y_box": (y_lo, y_lo + width), "y_grid": y_grid}
+        if family == "agency":
+            problem = dataclasses.replace(sa.bilateral_reduce(_agency_family(beta), 0, rival), **box)
+        else:
+            problem = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", **box)
+        xs, ys = np.array(xs), np.linspace(y_lo, y_lo + width, y_grid)
+        idx, value = ss._y_scan(problem, xs, ys)
+        full = ss._profit_grid(problem, xs, ys)
+        assert np.array_equal(idx, np.argmax(full, axis=1))
+        assert np.array_equal(value, np.max(full, axis=1))
+
+    def test_bump_narrower_than_the_stride_is_missed(self):
+        # everyone stays and f(y) = max(0, 0.05 - |y - 2.03|): only the grid
+        # point 2.063 sees the bump, and the coarse samples (stride 4 of 64,
+        # 0.317 apart) all read 0, so the window around y = 0 keeps 0
+        problem = ss.SingleProblem(u="theta", v="max(0, 0.05 - abs(y - 2.03))", y_grid=64)
+        ys = np.linspace(0.0, 5.0, 64)
+        full = ss._profit_grid(problem, np.array([1.0]), ys)[0]
+        assert int(np.argmax(full)) == 26 and full[26] > 0.016
+        idx, value = ss._y_scan(problem, np.array([1.0]), ys)
+        assert (idx[0], value[0]) == (0, 0.0)
+
+    def test_row_failing_the_audit_at_every_coarse_sample_is_scanned_in_full(self):
+        # u rises in theta only for |y - 2.03| < 0.1, narrower than the
+        # stride; elsewhere it falls in theta and is positive, so the audit
+        # fails there. The band holds the grid points 1.984 and 2.063.
+        problem = ss.SingleProblem(u="theta*(0.01 - (y-2.03)^2) + 30", v="y", y_grid=64)
+        xs, ys = np.array([1.0]), np.linspace(0.0, 5.0, 64)
+        assert np.all(ss._profit_grid(problem, xs, ys[np.r_[0:64:4, 63]]) == -np.inf)
+        full = ss._profit_grid(problem, xs, ys)[0]
+        assert list(np.flatnonzero(np.isfinite(full))) == [25, 26]
+        idx, value = ss._y_scan(problem, xs, ys)
+        assert (idx[0], value[0]) == (26, full[26])
+        (inner,), (y,) = ss._inner_rows(problem, xs)
+        assert inner >= full[26] and 1.93 < y < 2.13
+
 
 class TestLaborProfile:
     def test_point_values(self):
-        K, x, value = ss.labor_profile(3.0)
+        K, x, value = cf.labor_profile(3.0)
         assert K == pytest.approx(math.sqrt(3.0) * 7.0 / 2.0, abs=1e-12)
         assert x == pytest.approx((K / 4.0) ** (2.0 / 3.0), abs=1e-12)
         assert value == pytest.approx(5.2225, abs=1e-3)
 
     def test_boundary_factor_vanishes(self):
-        K, x, value = ss.labor_profile(3.999999)
+        K, x, value = cf.labor_profile(3.999999)
         assert value == pytest.approx(0.0, abs=1e-4)
         with pytest.raises(ValueError):
-            ss.labor_profile(4.0)
+            cf.labor_profile(4.0)
 
     def test_cutoff_three_is_best(self):
         ts = np.linspace(3.0, 4.0, 200, endpoint=False)
-        values = [ss.labor_profile(float(t))[2] for t in ts]
+        values = [cf.labor_profile(float(t))[2] for t in ts]
         assert int(np.argmax(values)) == 0
 
 
@@ -315,7 +367,7 @@ class TestRentProbe:
 
     def test_fixture_values(self, probe_problem):
         belief = ec.Belief.from_typespace(ec.TypeSpace.interval(3.0, 4.0))
-        res = ss.rent_probe(probe_problem, 1.0, 1.5, belief, steps=(0.1, 0.2))
+        res = cf.rent_probe(probe_problem, 1.0, 1.5, belief, steps=(0.1, 0.2))
         assert res.success
         assert res.kappa == pytest.approx(0.75, abs=1e-9)
         assert res.step == pytest.approx(0.1)
@@ -325,13 +377,13 @@ class TestRentProbe:
         belief = ec.Belief.from_typespace(ec.TypeSpace.interval(3.0, 4.0))
         # y^2 = 3x makes the lowest type exactly indifferent: kappa = 0
         with pytest.raises(ValueError, match="common slack"):
-            ss.rent_probe(probe_problem, 1.0, math.sqrt(3.0), belief)
+            cf.rent_probe(probe_problem, 1.0, math.sqrt(3.0), belief)
 
     def test_wrong_monotonicity_rejected(self):
         p = ss.SingleProblem(u="x*theta - y^2", v="0 - y*theta")
         belief = ec.Belief.from_typespace(ec.TypeSpace.interval(3.0, 4.0))
         with pytest.raises(ss.MonotonicityError):
-            ss.rent_probe(p, 1.0, 1.5, belief)
+            cf.rent_probe(p, 1.0, 1.5, belief)
 
     @given(
         x=st.floats(0.8, 2.5),
@@ -349,7 +401,7 @@ class TestRentProbe:
         kappa = x * lo - y * y
         if kappa < 0.1:
             return
-        res = ss.rent_probe(
+        res = cf.rent_probe(
             p, x, y, belief, steps=tuple(0.1 * 0.5**k for k in range(12))
         )
         assert res.success
@@ -358,7 +410,7 @@ class TestRentProbe:
 
 class TestSingleCrossingAudit:
     def test_labor_family_passes(self):
-        rep = ss.single_crossing_audit(
+        rep = cf.single_crossing_audit(
             "(x*theta - y^2)/sqrt(theta)",
             (1.0, 1.0),
             (2.0, 2.0),
@@ -367,7 +419,7 @@ class TestSingleCrossingAudit:
         assert rep.passed
 
     def test_equal_pairs_degenerate(self):
-        rep = ss.single_crossing_audit(
+        rep = cf.single_crossing_audit(
             "(x*theta - y^2)/sqrt(theta)",
             (1.0, 1.0),
             (1.0, 1.0),
@@ -377,7 +429,7 @@ class TestSingleCrossingAudit:
 
     def test_double_crossing_fails(self):
         # difference sin-like in theta: two sign changes on the grid
-        rep = ss.single_crossing_audit(
+        rep = cf.single_crossing_audit(
             lambda x, y, th: x * (th - 3.2) * (th - 3.8),
             (1.0, 0.0),
             (0.0, 0.0),
@@ -394,7 +446,7 @@ class TestSingleCrossingAudit:
         for s in d:
             runs += s == 0 and not in_run
             in_run = s == 0
-        rep = ss.single_crossing_audit(lambda x, y, th: x * d, (1.0, 0.0), (0.0, 0.0), np.zeros(d.size))
+        rep = cf.single_crossing_audit(lambda x, y, th: x * d, (1.0, 0.0), (0.0, 0.0), np.zeros(d.size))
         assert rep.zero_runs == runs
 
 
