@@ -45,7 +45,7 @@ def _check_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str], p
         raise ScenarioError(f"schema error at {path}: expected an object")
     for key in obj:
         if key not in allowed:
-            raise ScenarioError(f"schema error at {path}: unknown field {key!r}")
+            raise ScenarioError(f"schema error at {path}.{key}: unknown field")
     for key in required:
         if key not in obj:
             raise ScenarioError(f"schema error at {path}: missing field {key!r}")
@@ -72,11 +72,9 @@ def _number(value, path: str, ok=math.isfinite, expect: str = "a finite number")
     return value
 
 
-def _integer(value, path: str, lo: int, hi: int, parity: int | None = None) -> int:
-    """A JSON integer in [lo, hi], even (``parity`` 0) or odd (1) when set."""
-    ok = lambda v: isinstance(v, int) and lo <= v <= hi and parity in (None, v % 2)
-    kind = {None: "an integer", 0: "an even integer", 1: "an odd integer"}[parity]
-    return _number(value, path, ok, f"{kind} in [{lo}, {hi}]")
+def _integer(value, path: str, lo: int, hi: int) -> int:
+    """A JSON integer in [lo, hi]."""
+    return _number(value, path, lambda v: isinstance(v, int) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
 
 
 def _text(value, path: str) -> str:
@@ -205,7 +203,11 @@ def _typespace_from(obj, path: str, kinds: Sequence[str] = ("finite", "interval"
             _check_keys(it, ("label", "value", "weight"), ("label", "value", "weight"), ipath)
             value, weight = (float(_number(it[k], f"{ipath}.{k}")) for k in ("value", "weight"))
             rows.append((_text(it["label"], f"{ipath}.label"), value, weight))
-        return ec.TypeSpace.from_finite(rows)
+        types = ec.TypeSpace.from_finite(rows)
+        for i, key, message in ec.finite_type_violations(types.finite):
+            where = f"{path}.items" if i is None else f"{path}.items[{i}].{key}"
+            raise ScenarioError(f"invalid types at {where}: {message}")
+        return types
     _check_keys(obj, ("kind", "lo", "hi", "density", "mean", "sd"), ("lo", "hi"), path)
     lo = float(_number(obj["lo"], f"{path}.lo"))
     return ec.TypeSpace.interval(
@@ -293,7 +295,7 @@ def _solver_problem(cls, path: str, **fields):
 
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
     required = ("agent", "principal", "types")
-    _check_keys(obj, required + ("x_box", "y_box", "x_grid", "y_grid", "panels"), required, path)
+    _check_keys(obj, required + ("x_box", "y_box"), required, path)
     return _solver_problem(
         ss.SingleProblem,
         path,
@@ -302,15 +304,12 @@ def _single_problem_from(obj, path: str) -> ss.SingleProblem:
         types=_typespace_from(obj["types"], f"{path}.types"),
         x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
         y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
-        x_grid=_integer(obj.get("x_grid", 256), f"{path}.x_grid", 1, 100_000),
-        y_grid=_integer(obj.get("y_grid", 256), f"{path}.y_grid", 1, 100_000),
-        panels=_integer(obj.get("panels", 256), f"{path}.panels", 2, 100_000, parity=0),
     )
 
 
 def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
     required = ("beta", "agent_utilities", "principal_payoffs", "types")
-    optional = ("x_box", "y_box", "start", "damping", "fp_tol", "max_iter", "deviation_menus")
+    optional = ("x_box", "y_box", "start", "deviation_menus")
     _check_keys(obj, required + optional, required, path)
     exprs = {
         key: tuple(_parse_expr(e, f"{path}.{key}[{i}]") for i, e in enumerate(_list(obj[key], f"{path}.{key}", 2)))
@@ -325,13 +324,6 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         types=_typespace_from(obj["types"], f"{path}.types"),
         x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
         y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
-        damping=float(
-            _number(obj.get("damping", 0.5), f"{path}.damping", lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-        ),
-        fp_tol=float(
-            _number(obj.get("fp_tol", 2e-4), f"{path}.fp_tol", lambda v: 0.0 < v < math.inf, "a finite number > 0")
-        ),
-        max_iter=_integer(obj.get("max_iter", 200), f"{path}.max_iter", 1, 10_000),
     )
     mpath = f"{path}.deviation_menus"
     raw_menus = obj.get("deviation_menus", {})
@@ -354,7 +346,7 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     _choice(obj["mode"], f"{path}.mode", ("additive",))  # grid checks support additive revision only
     zg, zpath = obj["z_grid"], f"{path}.z_grid"
     _check_keys(zg, ("lo", "hi", "points"), ("lo", "hi", "points"), zpath)
-    # within 1e6 of zero the grid's rounding stays below the 1e-9 at which grid games match actions
+    # within 1e6 of zero the grid's rounding stays below rv.GRID_TOL, at which grid games match actions
     lo = float(_number(zg["lo"], f"{zpath}.lo", lambda v: abs(v) <= 1e6, "a number in [-1e6, 1e6]"))
     hi = float(_number(zg["hi"], f"{zpath}.hi", lambda v: lo < v <= 1e6, "a number in (lo, 1e6]"))
     points = _integer(zg["points"], f"{zpath}.points", 2, 1000)
@@ -396,8 +388,8 @@ class Options:
     mixing: str = "pure"
     cap: int = 5_000_000
 
-    def search(self, tol: float) -> eq.SearchOptions:
-        return eq.SearchOptions(tol=tol, policies=self.policies, mixing=self.mixing, cap=self.cap)
+    def search(self) -> eq.SearchOptions:
+        return eq.SearchOptions(tol=self.tol, policies=self.policies, mixing=self.mixing, cap=self.cap)
 
 
 # option -> reader(value, path, environment); ``_options_from`` reads ``menu``
@@ -544,16 +536,15 @@ def _mechanism_payload(mech: ct.Mechanism) -> list:
     ]
 
 
-def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
+def run(sc: ScenarioFile) -> RunReport:
     """Execute a parsed scenario and assemble its report.
 
-    The tolerance is ``tol`` when given, else the scenario's
-    ``options.tol``, else ``DEFAULT_TOL``; every checking command uses it.
+    Every checking command uses the scenario's ``options.tol``, else
+    ``DEFAULT_TOL``.
     """
     start = time.perf_counter()
-    tol = sc.blocks["options"].tol if tol is None else _OPTION_READERS["tol"](tol, "--tol", None)
     report = RunReport(command=sc.command, config_hash=_config_hash(sc.raw), payload={})
-    _COMMAND_SPECS[sc.command][2](sc, report, sc.blocks["options"], tol)
+    _COMMAND_SPECS[sc.command][2](sc, report, sc.blocks["options"])
     report.payload = {
         "command": sc.command,
         "config_hash": report.config_hash,
@@ -564,7 +555,7 @@ def run(sc: ScenarioFile, tol: float | None = None) -> RunReport:
     return report
 
 
-def _run_solve_single(sc, report, opts, tol):
+def _run_solve_single(sc, report, opts):
     result = ss.solve(sc.blocks["problem"])
     report.payload = {
         "x": result.x,
@@ -581,7 +572,7 @@ def _run_solve_single(sc, report, opts, tol):
     )
 
 
-def _run_solve_agency(sc, report, opts, tol):
+def _run_solve_agency(sc, report, opts):
     problem, extras = sc.blocks["agency"]
     eqm = sa.fixed_point(problem, start=extras["start"])
     report.payload = {
@@ -622,9 +613,9 @@ def _run_solve_agency(sc, report, opts, tol):
             report.warnings.append("safe-profitable deviation found")
 
 
-def _run_revisable_check(sc, report, opts, tol):
+def _run_revisable_check(sc, report, opts):
     model, z, steps = sc.blocks["revisable"]
-    gamma = rv.check_gamma_equal(model, z, steps, tol=tol)
+    gamma = rv.check_gamma_equal(model, z, steps, tol=opts.tol)
     report.payload = {
         "equal": gamma.equal,
         "n_limited": gamma.n_limited,
@@ -661,7 +652,7 @@ def _run_revisable_check(sc, report, opts, tol):
         report.warnings.append(f"lift or collapse fails: {gamma.lift_failures} lift, {gamma.collapse_failures} collapse")
 
 
-def _run_enumerate(sc, report, opts, tol):
+def _run_enumerate(sc, report, opts):
     mechs = getattr(ct, f"enumerate_{opts.space}")(sc.blocks["environment"], opts.principal)
     report.payload = {
         "principal": opts.principal + 1,
@@ -671,22 +662,22 @@ def _run_enumerate(sc, report, opts, tol):
     }
 
 
-def _run_check_equilibrium(sc, report, opts, tol):
-    rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], tol)
+def _run_check_equilibrium(sc, report, opts):
+    rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], opts.tol)
     report.payload = _equilibrium_payload(rep)
     if not rep.passed:
         report.exit_code = 1
         report.warnings.append("assessment fails continuation checks")
 
 
-def _run_robust(sc, report, opts, tol):
+def _run_robust(sc, report, opts):
     env, assessment = sc.blocks["environment"], sc.blocks["assessment"]
     if sc.command == "private-check" and env.observability != "private":
         raise ScenarioError("schema error at $.environment.observability: private-check requires 'private'")
     space = None if opts.deviations is None else {
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
     }
-    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search(tol))
+    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search())
     if not rep.base.passed:
         report.payload = {"base": _equilibrium_payload(rep.base), "findings": []}
         report.exit_code = 1
@@ -717,7 +708,7 @@ def _run_robust(sc, report, opts, tol):
                 )
 
 
-def _run_necessity(sc, report, opts, tol):
+def _run_necessity(sc, report, opts):
     skeleton, j = sc.blocks["environment"], opts.principal
     menu = list(opts.menu)
     env, ref_alloc, phi = ct.necessity_environment(skeleton, j, menu)
@@ -727,8 +718,8 @@ def _run_necessity(sc, report, opts, tol):
     contracts = [ct.menu_rec(env, k, [prof[k][0] for prof in profiles.values()]) for k in range(env.n)]
     strategy = {lab: ((tuple(f"{x}|{y}" for x, y in prof), 1.0),) for lab, prof in profiles.items()}
     assessment = eq.build_assessment(env, contracts, strategy)
-    rep = eq.check_continuation(env, assessment, tol)
-    found = eq.enumerate_equilibria(env, contracts, opts.search(tol))
+    rep = eq.check_continuation(env, assessment, opts.tol)
+    found = eq.enumerate_equilibria(env, contracts, opts.search())
     used = set()
     for fe in found:
         for dist in fe.allocation.entries.values():
@@ -752,9 +743,9 @@ def _run_necessity(sc, report, opts, tol):
         report.warnings.append("necessity construction failed a check")
 
 
-def _run_plain_menu_demo(sc, report, opts, tol):
+def _run_plain_menu_demo(sc, report, opts):
     env, assessment, deviation, meta = ct.plain_menu_scenario(n_aux=opts.aux_states)
-    options = opts.search(tol)
+    options = opts.search()
     state_values = eq.principal_state_values(env, assessment, meta["deviator"])
     rep = eq.check_robust(env, assessment, options=options)
     post = eq.private_post_deviation_values(
@@ -811,13 +802,12 @@ def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 @click.command(name="contract-forge")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(), help="Scenario JSON file.")
 @click.option("--out", "out_dir", default=None, help="Output directory (default: $CONTRACT_FORGE_OUT or ./reports).")
-@click.option("--tol", default=None, type=float, help="Override the scenario tolerance.")
-def main(scenario_path, out_dir, tol):
+def main(scenario_path, out_dir):
     """Run a scenario and write its report."""
     out = out_dir or os.environ.get("CONTRACT_FORGE_OUT") or "reports"
     try:
         sc = parse_scenario(scenario_path)
-        report = run(sc, tol=tol)
+        report = run(sc)
         files = write_report(report, out)
     except (ValueError, RuntimeError, OSError) as e:
         click.echo(f"error: {e}", err=True)

@@ -30,6 +30,7 @@ from .env_core import (
     PrincipalSpec,
     ProfileKey,
     TypeSpace,
+    _profile_sweep,
 )
 
 __all__ = [
@@ -248,17 +249,9 @@ def _table_env(
 ) -> Environment:
     """Build a table-mode environment from a payoff rule over (type, profile)."""
     entries = {}
-    probe = Environment(
-        types=types,
-        principals=tuple(principals),
-        payoffs=PayoffModel.from_table({}, n_principals=len(principals)),
-        observability=observability,
-        optout=optout,
-    )
-    from .env_core import _profile_sweep
-
+    profiles = _profile_sweep(principals)
     for t in types.finite:
-        for prof in _profile_sweep(probe):
+        for prof in profiles:
             u, vs = payoff(t.label, prof)
             entries[(t.label, prof)] = (float(u), tuple(float(v) for v in vs))
     return Environment(

@@ -42,6 +42,7 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 DENSITY_TOL = 1e-9
+GRID_POINTS = 1025  # nodes of an interval type space's weighted grid
 DEFAULT_TOL = 1e-9  # payoff-gap tolerance of the equilibrium checks and searches
 
 #: Sentinel outcome for a type that takes the outside option.
@@ -83,7 +84,6 @@ class TypeSpace:
     density: str = "uniform"  # "uniform" | "normal"
     mean: float = 0.0
     sd: float = 1.0
-    grid_points: int = 1025
 
     @staticmethod
     def from_finite(items: Sequence[tuple[str, float, float]]) -> "TypeSpace":
@@ -96,17 +96,9 @@ class TypeSpace:
 
     @staticmethod
     def interval(
-        lo: float,
-        hi: float,
-        density: str = "uniform",
-        mean: float = 0.0,
-        sd: float = 1.0,
-        grid_points: int = 1025,
+        lo: float, hi: float, density: str = "uniform", mean: float = 0.0, sd: float = 1.0
     ) -> "TypeSpace":
-        return TypeSpace(
-            kind="interval", lo=lo, hi=hi, density=density, mean=mean, sd=sd,
-            grid_points=grid_points,
-        )
+        return TypeSpace(kind="interval", lo=lo, hi=hi, density=density, mean=mean, sd=sd)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -140,14 +132,14 @@ class TypeSpace:
         """Deterministic weighted grid: (points, normalized weights).
 
         Simpson coefficients times the density on ``points`` nodes
-        (``grid_points`` by default; the solvers check their quadrature
+        (:data:`GRID_POINTS` by default; the solvers check their quadrature
         with their panel count plus one). The count must be odd so the
         panel count is even, and the weights must sum to 1 within
         ``DENSITY_TOL``.
         """
         if self.kind == "finite":
             return self.values, self.weights
-        n = self.grid_points if points is None else points
+        n = GRID_POINTS if points is None else points
         if n < 3 or n % 2 == 0:
             raise ValueError("interval grids need an odd point count >= 3")
         pts = np.linspace(self.lo, self.hi, n)
@@ -159,6 +151,24 @@ class TypeSpace:
                 f"density integrates to {total!r} at {n - 1} panels, not 1 within {DENSITY_TOL}"
             )
         return pts, w / total
+
+
+def finite_type_violations(finite: Sequence[FiniteType]) -> list[tuple[int | None, str, str]]:
+    """The broken rules of a finite type list, as (item index, field, message).
+
+    Labels are distinct, weights nonnegative, and the weights sum to 1
+    within ``WEIGHT_TOL``; a broken sum has index None and field "weight".
+    """
+    out: list[tuple[int | None, str, str]] = []
+    for i, t in enumerate(finite):
+        if any(u.label == t.label for u in finite[:i]):
+            out.append((i, "label", f"duplicate type label {t.label!r}"))
+        if not t.weight >= 0.0:
+            out.append((i, "weight", f"negative prior weight {t.weight!r}"))
+    total = float(np.sum([t.weight for t in finite]))
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        out.append((None, "weight", f"prior weights sum to {total!r}, not 1"))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +316,7 @@ class Environment:
         return len(self.principals)
 
     def action_context(self, profile: ProfileKey) -> dict[str, float]:
-        """Numeric binding for an expression payoff: x1,y1,... plus x_1,y_1 aliases.
+        """Numeric binding for an expression payoff: x1, y1, x2, ... (x, y with one principal).
 
         Actions without a numeric value are simply absent; evaluation then
         fails (naming the variable) only when an expression references them.
@@ -316,9 +326,9 @@ class Environment:
             spec = self.principals[j - 1]
             xv, yv = spec.x_value(x_lab), spec.y_value(y_lab)
             if xv is not None:
-                ctx[f"x{j}"] = ctx[f"x_{j}"] = xv
+                ctx[f"x{j}"] = xv
             if yv is not None:
-                ctx[f"y{j}"] = ctx[f"y_{j}"] = yv
+                ctx[f"y{j}"] = yv
         if self.n == 1:
             if "x1" in ctx:
                 ctx["x"] = ctx["x1"]
@@ -446,7 +456,7 @@ def validate(env: Environment) -> ValidationReport:
     if env.payoffs.mode == "expressions":
         allowed = {"theta"}
         for j in range(1, env.n + 1):
-            allowed.update({f"x{j}", f"y{j}", f"x_{j}", f"y_{j}"})
+            allowed.update({f"x{j}", f"y{j}"})
         if env.n == 1:
             allowed.update({"x", "y"})
         named = [("agent utility", env.payoffs.agent)] + [
@@ -466,13 +476,7 @@ def validate(env: Environment) -> ValidationReport:
             )
 
     if env.types.kind == "finite":
-        w = env.types.weights
-        if np.any(w < -WEIGHT_TOL):
-            violations.append("negative prior weight")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            violations.append(f"prior weights sum to {float(w.sum())!r}, not 1")
-        if len(set(env.types.labels)) != len(env.types.labels):
-            violations.append("duplicate type labels")
+        violations += [message for _, _, message in finite_type_violations(env.types.finite)]
     else:
         if not env.types.lo < env.types.hi:
             violations.append("interval type space requires lo < hi")
@@ -523,7 +527,7 @@ def payoff_tables(env: Environment) -> dict[ProfileKey | str, tuple[np.ndarray, 
     that exists is complete and finite.
     """
     if env._tables is None:
-        profiles = _profile_sweep(env)
+        profiles = _profile_sweep(env.principals)
         u: dict[ProfileKey, list] = {prof: [] for prof in profiles}
         v: dict[ProfileKey, list] = {prof: [[] for _ in range(env.n)] for prof in profiles}
         for t in env.types.finite:
@@ -548,9 +552,9 @@ def payoff_tables(env: Environment) -> dict[ProfileKey | str, tuple[np.ndarray, 
     return env._tables
 
 
-def _profile_sweep(env: Environment):
+def _profile_sweep(principals: Sequence[PrincipalSpec]) -> list[ProfileKey]:
     """Cartesian product of feasible pairs across principals."""
-    pools = [spec.feasible_pairs() for spec in env.principals]
+    pools = [spec.feasible_pairs() for spec in principals]
     out: list[ProfileKey] = [()]
     for pool in pools:
         out = [prof + (pair,) for prof in out for pair in pool]

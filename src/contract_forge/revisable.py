@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 
+# Absolute tolerance at which two grid values are the same: a baseline or
+# revision matched to its grid action, the steps of an evenly spaced grid,
+# the revision bound, and the constrained optimum a lift places.
+GRID_TOL = 1e-9
+
+
 class ConcavityError(ValueError):
     """The receiver payoff failed the strict-concavity audit."""
 
@@ -289,13 +295,13 @@ class GridGame:
 
     def x_label(self, value: float) -> str:
         for i, v in enumerate(self.x_values):
-            if abs(v - value) <= 1e-9:
+            if abs(v - value) <= GRID_TOL:
                 return f"b{i}"
         raise KeyError(f"baseline {value!r} is not on the grid")
 
     def rev_label(self, value: float) -> str:
         for i, v in enumerate(self.rev_values):
-            if abs(v - value) <= 1e-9:
+            if abs(v - value) <= GRID_TOL:
                 return f"r{i}"
         raise KeyError(f"revision {value!r} is not on the grid")
 
@@ -317,13 +323,13 @@ def build_grid_game(
     if len(z) < 2:
         raise ValueError("need at least two final actions")
     h = z[1] - z[0]
-    if not all(abs((z[i + 1] - z[i]) - h) <= 1e-9 for i in range(len(z) - 1)):
+    if not all(abs((z[i + 1] - z[i]) - h) <= GRID_TOL for i in range(len(z) - 1)):
         raise ValueError("final-action grid must be evenly spaced")
     m = int(alpha_steps)
     if m < 0:
         raise ValueError("alpha_steps must be nonnegative")
     alpha = m * h
-    if abs(model.alpha - alpha) > 1e-9:
+    if abs(model.alpha - alpha) > GRID_TOL:
         model = replace(model, alpha=alpha)
     xs = tuple(z[0] + h * k for k in range(-m, len(z) + m))
     revs = tuple(h * k for k in range(-m, m + 1))
@@ -490,7 +496,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
         bel_vec = old_beliefs[(msg.label,)]
         belief = Belief(tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec))
         x_hat, rev, z_best, step = _placement(game_a.model, z, belief)
-        if abs(z_best - z) > step + 1e-9:
+        if abs(z_best - z) > step + GRID_TOL:
             raise ValueError(
                 f"endpoint placement failed: constrained optimum {z_best!r} != {z!r}"
             )

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# The fixed point: the damped step's weight, the residual that ends the
+# iteration, and the most steps taken.
+_DAMPING = 0.5
+_FP_TOL = 2e-4
+_MAX_ITER = 200
 _ANDERSON_DEPTH = 2
 # The coarse slice that best responses search: y-grid points and
 # quadrature panels.
@@ -46,7 +51,7 @@ _SAFE_TOL = 1e-6
 
 @dataclass
 class AgencyProblem:
-    """Bilateral payoffs, interaction strength, and fixed-point settings.
+    """Bilateral payoffs, interaction strength, type space and search boxes.
 
     ``agent_utilities[j]`` is u_j over (x, y, theta); ``principal_payoffs[j]``
     is v_j over (x, y, x_other, theta). Expression text may reference the
@@ -60,9 +65,6 @@ class AgencyProblem:
     types: TypeSpace = field(default_factory=lambda: TypeSpace.interval(3.0, 4.0))
     x_box: tuple[float, float] = (0.0, 5.0)
     y_box: tuple[float, float] = (0.0, 5.0)
-    damping: float = 0.5
-    max_iter: int = 200
-    fp_tol: float = 2e-4
 
     def __post_init__(self):
         self.u_fns = tuple(
@@ -163,12 +165,12 @@ def fixed_point(
     """Accelerated simultaneous best-response iteration to a simple-offer equilibrium.
 
     With residual f(x) = BR(x) - x, the damped step is x + lambda f(x),
-    lambda the problem's ``damping``.
+    lambda = ``_DAMPING``.
     From the second step on, Anderson acceleration (Walker & Ni 2011,
     SIAM J. Numer. Anal. 49(4)) with the last ``_ANDERSON_DEPTH`` iterates
     replaces it, unless the accelerated point leaves ``x_box`` or the
     residual grew since the previous step. Iterates until the residual
-    drops below ``fp_tol``, at most ``max_iter`` steps; raises on
+    drops below ``_FP_TOL``, at most ``_MAX_ITER`` steps; raises on
     non-convergence, attaching the trajectory. The best responses search
     the coarse slice (see :func:`best_response`); the reported
     y, cutoff and value of each principal come from one full-resolution
@@ -176,7 +178,6 @@ def fixed_point(
     the problem is symmetric and the offers are equal. At a kink optimum
     that y is the kink's root, so the lowest type stays (cutoff exactly lo).
     """
-    lam, tol, max_iter = problem.damping, problem.fp_tol, problem.max_iter
     x = np.array([float(start[0]), float(start[1])])
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
     cache: dict[tuple, float] = {}
@@ -192,27 +193,27 @@ def fixed_point(
     history: list[tuple[np.ndarray, np.ndarray]] = []
     residual = prev_residual = math.inf
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         f = np.array([br(0, float(x[1])), br(1, float(x[0]))]) - x
         residual = float(np.max(np.abs(f)))
-        if residual <= tol:
+        if residual <= _FP_TOL:
             break
-        step = x + lam * f
+        step = x + _DAMPING * f
         if history and residual <= prev_residual:
             dX = np.column_stack([x - hx for hx, _ in history])
             dF = np.column_stack([f - hf for _, hf in history])
             gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            accelerated = step - (dX + lam * dF) @ gamma
+            accelerated = step - (dX + _DAMPING * dF) @ gamma
             if np.all((accelerated >= box_lo) & (accelerated <= box_hi)):
                 step = accelerated
         history = (history + [(x, f)])[-_ANDERSON_DEPTH:]
         prev_residual = residual
         x = step
         trajectory.append((float(x[0]), float(x[1])))
-    converged = residual <= tol
+    converged = residual <= _FP_TOL
     if not converged:
         raise RuntimeError(
-            f"best-response iteration did not converge in {max_iter} steps; "
+            f"best-response iteration did not converge in {_MAX_ITER} steps; "
             f"residual {residual!r}, trajectory tail {trajectory[-5:]!r}"
         )
 

@@ -33,6 +33,7 @@ from .optimize import golden_rows, root_rows
 _EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 OPT_TOL = 1e-8  # golden-section bracket width of both searches, and the kink's probe step
+_X_GRID = 256  # x-grid points of ``solve``
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -71,7 +72,9 @@ class SingleProblem:
     ``rivals``, u and v take a fourth argument, each row's index into that
     many rival offers bound by the caller
     (``solver_agency.bilateral_reduce``); ``zoom_solve`` then answers
-    every rival offer in one pass per stage.
+    every rival offer in one pass per stage. ``y_grid`` (y-grid points)
+    and ``panels`` (Simpson panels, even) set the kernel's resolution; the
+    coarse slice that agency best responses search lowers both.
     """
 
     u: object
@@ -79,7 +82,6 @@ class SingleProblem:
     types: TypeSpace = field(default_factory=lambda: TypeSpace.interval(3.0, 4.0))
     x_box: tuple[float, float] = (0.0, 5.0)
     y_box: tuple[float, float] = (0.0, 5.0)
-    x_grid: int = 256
     y_grid: int = 256
     panels: int = 256
     rivals: int | None = None
@@ -353,7 +355,7 @@ def solve(problem: SingleProblem) -> SolveResult:
     search is used throughout. Offers retaining no type score zero; when
     nothing beats zero the result is the no-trade outcome.
     """
-    xs = np.linspace(problem.x_box[0], problem.x_box[1], problem.x_grid)
+    xs = np.linspace(problem.x_box[0], problem.x_box[1], _X_GRID)
     values, inner_y = _inner_rows(problem, xs)
     trace = tuple((float(x), float(v)) for x, v in zip(xs, values))
 
@@ -361,7 +363,7 @@ def solve(problem: SingleProblem) -> SolveResult:
     if not np.isfinite(values[i]):
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, problem.x_grid - 1)])
+    b = float(xs[min(i + 1, _X_GRID - 1)])
     x_ref = float(golden_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, OPT_TOL)[0])
     v_ref, y_ref = (float(v[0]) for v in _inner_rows(problem, np.array([x_ref])))
     if v_ref >= values[i]:

@@ -153,6 +153,12 @@ def ms_lift_check(
 # ---------------------------------------------------------------------------
 
 
+def interval_belief(lo: float, hi: float, points: int) -> Belief:
+    """The uniform belief on [lo, hi], weighted at ``points`` Simpson nodes."""
+    pts, w = TypeSpace.interval(lo, hi).grid(points)
+    return Belief(tuple(float(p) for p in pts), tuple(float(x) for x in w))
+
+
 @dataclass(frozen=True, slots=True)
 class RentProbeResult:
     success: bool

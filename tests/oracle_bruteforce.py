@@ -329,7 +329,7 @@ def random_instance(rng):
 
     entries = {}
     for t in types.finite:
-        for prof in _profile_sweep(probe):
+        for prof in _profile_sweep(principals):
             u = float(rng.integers(-2, 3))
             vs = tuple(float(rng.integers(-2, 3)) for _ in range(n))
             entries[(t.label, prof)] = (u, vs)

@@ -173,9 +173,7 @@ def test_criterion_6_rent_extraction_probe():
         if x * lo - y * y < 0.1:
             continue
         generated += 1
-        bel = ec.Belief.from_typespace(
-            ec.TypeSpace.interval(lo, lo + width, grid_points=65)
-        )
+        bel = cf.interval_belief(lo, lo + width, 65)
         out = cf.rent_probe(
             problem, x, y, bel, steps=tuple(0.1 * 0.5**k for k in range(12))
         )

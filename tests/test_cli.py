@@ -44,7 +44,7 @@ class TestParseScenario:
         raw = json.loads(fixture_path("labor_single.json").read_text())
         raw["foo"] = 1
         bad.write_text(json.dumps(raw))
-        with pytest.raises(cli.ScenarioError, match="unknown field 'foo'"):
+        with pytest.raises(cli.ScenarioError, match=r"\$\.foo: unknown field"):
             cli.parse_scenario(bad)
 
     def test_nested_unknown_field_has_path(self, tmp_path):
@@ -513,14 +513,52 @@ class TestScenarioErrors:
         assert "$.environment.payoffs.agent" in res.output
         assert "is not a finite double" in res.output
 
+    @pytest.mark.parametrize(
+        "fixture, block, items, where, message",
+        [
+            # exited 1 with an AssertionError traceback from the partition enumeration
+            ("revisable_grid", "revisable", [("t0", 0.0, 0.25), ("t0", 0.5, 0.25), ("t2", 1.0, 0.5)],
+             "items[1].label", "duplicate type label 't0'"),
+            # exited 1: "lift or collapse fails: 11 lift"
+            ("revisable_grid", "revisable", [("t0", 0.0, -0.3), ("t1", 0.5, 0.967), ("t2", 1.0, 0.333)],
+             "items[0].weight", "negative prior weight -0.3"),
+            # exited 0 with stay_prob 1.4, and 1.5
+            ("labor_single", "problem", [("lo", 3.0, 0.7), ("hi", 4.0, 0.7)], "items", "prior weights sum to 1.4, not 1"),
+            ("labor_single", "problem", [("lo", 3.0, -0.5), ("hi", 4.0, 1.5)],
+             "items[0].weight", "negative prior weight -0.5"),
+            ("agency_beta17_21", "agency", [("lo", 3.0, 0.7), ("hi", 4.0, 0.7)], "items", "prior weights sum to 1.4, not 1"),
+            ("necessity_env", "environment", [("t0", 1.0, 0.25), ("t1", 2.0, 0.25), ("t1", 3.0, 0.5)],
+             "items[2].label", "duplicate type label 't1'"),
+        ],
+    )
+    def test_finite_type_rules_hold_in_every_block(self, tmp_path, fixture, block, items, where, message):
+        raw = json.loads(fixture_path(f"{fixture}.json").read_text())
+        raw[block]["types"] = {"kind": "finite", "items": [{"label": t, "value": v, "weight": w} for t, v, w in items]}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: invalid types at $.{block}.types.{where}: {message}" in res.output
+
+    @pytest.mark.parametrize(
+        "key, expr, what, variable",
+        [("agent", "x_1*theta", "agent utility", "x_1"), ("principals", ["0", "y_2"], "principal 2 utility", "y_2")],
+    )
+    def test_underscored_action_variables_are_undeclared(self, tmp_path, key, expr, what, variable):
+        """Expressions name the actions x1, y1, x2, ...; x_1 and y_2 are no aliases."""
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["environment"]["payoffs"][key] = expr
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"invalid environment at $.environment: {what} references undeclared variable '{variable}'" in res.output
+
     def test_type_space_has_no_grid_field(self, tmp_path):
         raw = json.loads(fixture_path("labor_single.json").read_text())
         raw["problem"]["types"] = {"kind": "interval", "lo": 3, "hi": 4, "grid": 1025}
         res = _invoke_raw(tmp_path, raw)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
-        assert "unknown field 'grid'" in res.output
-        assert "$.problem.types" in res.output
+        assert "schema error at $.problem.types.grid: unknown field" in res.output
 
     def _invoke_with(self, tmp_path, fixture, block, keys, value):
         raw = json.loads(fixture_path(fixture).read_text())
@@ -548,6 +586,7 @@ class TestScenarioErrors:
             ("beta", None, "$.agency.beta"),
             ("beta", "x", "$.agency.beta"),
             ("beta", float("inf"), "$.agency.beta"),
+            # fixed-point settings are solver constants: any value is an unknown field
             ("max_iter", [], "$.agency.max_iter"),
             ("max_iter", -1, "$.agency.max_iter"),
             ("max_iter", 2.5, "$.agency.max_iter"),
@@ -598,6 +637,7 @@ class TestScenarioErrors:
 
     @pytest.mark.parametrize(
         "key, value",
+        # the grid and quadrature sizes are solver constants: any value is an unknown field
         [("x_grid", 0), ("y_grid", 100_001), ("y_box", [1.0, 1.0]), ("panels", None), ("panels", 3)],
     )
     def test_single_problem_fields_checked(self, tmp_path, key, value):
@@ -605,6 +645,24 @@ class TestScenarioErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert f"$.problem.{key}" in res.output
+
+    @pytest.mark.parametrize(
+        "fixture, block, key, value",
+        [
+            ("agency_beta17_21.json", "agency", "damping", 0.5),
+            ("agency_beta17_21.json", "agency", "fp_tol", 2e-4),
+            ("agency_beta17_21.json", "agency", "max_iter", 200),
+            ("labor_single.json", "problem", "x_grid", 256),
+            ("labor_single.json", "problem", "y_grid", 256),
+            ("labor_single.json", "problem", "panels", 256),
+        ],
+    )
+    def test_solver_settings_are_not_fields(self, tmp_path, fixture, block, key, value):
+        """Each was a field whose one value in use is now the solver's constant."""
+        res = self._invoke_with(tmp_path, fixture, block, [key], value)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: schema error at $.{block}.{key}: unknown field" in res.output
 
 
 class TestSerializationRoundTrip:
@@ -699,7 +757,7 @@ class TestOptions:
         raw = json.loads(fixture_path(name).read_text())
         raw["options"].update(option)
         (key,) = option
-        with pytest.raises(cli.ScenarioError, match=rf"\$\.options: unknown field '{key}'"):
+        with pytest.raises(cli.ScenarioError, match=rf"\$\.options\.{key}: unknown field"):
             cli.parse_scenario(_write(tmp_path, raw))
 
     def test_menu_needs_a_type_per_action(self, tmp_path):
@@ -719,9 +777,9 @@ class TestOptions:
         assert "$.options.aux_states" in res.output
 
     @pytest.mark.parametrize("name", ["revisable_grid.json", "necessity_env.json", "plain_menu_demo.json"])
-    @pytest.mark.parametrize("flags, expected", [((), 1e-6), (("--tol", "0"), 0.0)])
-    def test_tolerance_rule(self, tmp_path, monkeypatch, name, flags, expected):
-        """--tol if given, else options.tol, in every check a command makes."""
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    def test_tolerance_rule(self, tmp_path, monkeypatch, name, tol):
+        """options.tol in every check a command makes; 0 is an exact check."""
         seen = []
         check, search, gamma = cli.eq.check_continuation, cli.eq.enumerate_equilibria, cli.rv.check_gamma_equal
         monkeypatch.setattr(cli.eq, "check_continuation", lambda e, a, tol: seen.append(tol) or check(e, a, tol))
@@ -730,16 +788,26 @@ class TestOptions:
         )
         monkeypatch.setattr(cli.rv, "check_gamma_equal", lambda m, z, s, tol: seen.append(tol) or gamma(m, z, s, tol))
         raw = json.loads(fixture_path(name).read_text())
-        raw["options"]["tol"] = 1e-6
-        res = _invoke_raw(tmp_path, raw, *flags)
+        raw["options"]["tol"] = tol
+        res = _invoke_raw(tmp_path, raw)
         assert res.exit_code in (0, 1)
-        assert seen and all(t == expected for t in seen)
+        assert seen and all(t == tol for t in seen)
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_tol_flag_checked(self, tmp_path, value):
+        """The tolerance is options.tol only: --tol is no option, whatever its value."""
         res = _invoke_raw(tmp_path, json.loads(fixture_path("necessity_env.json").read_text()), "--tol", value)
         assert res.exit_code == 2
-        assert "--tol" in res.output
+        assert "No such option" in res.output and "--tol" in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [-1, "0", float("nan")])
+    def test_tol_option_checked(self, tmp_path, value):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["options"]["tol"] = value
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "schema error at $.options.tol: expected a finite number >= 0" in res.output
 
 
 def _shifted_grid(shift: float) -> dict:

@@ -77,7 +77,7 @@ def test_payoff_v_single_and_two_principal():
         principals=(spec, spec),
         payoffs=ec.PayoffModel.from_expressions(
             "0",
-            [f"(1 + {beta!r}*x_2)*y_1*theta - x_1^2", "0"],
+            [f"(1 + {beta!r}*x2)*y1*theta - x1^2", "0"],
         ),
     )
     v = ec.payoff_v(env2, 0, (("x", "y"), ("x", "y")), 3.0)
@@ -191,6 +191,35 @@ def test_validate_rejects_undeclared_expression_variable():
     assert any("undeclared variable 'shock'" in v for v in report.violations)
 
 
+def test_action_variables_have_one_spelling():
+    spec = ec.PrincipalSpec(
+        contractible=(ec.ActionValue("x", 1.0),),
+        noncontractible=(ec.ActionValue("y", 0.0), ec.ActionValue("yb", 2.0)),
+        feasible={"x": ("y", "yb")},
+    )
+    env = ec.Environment(
+        types=ec.TypeSpace.uniform_finite([1.0]),
+        principals=(spec, spec),
+        payoffs=ec.PayoffModel.from_expressions("x_1*theta", ["y1", "y_2"]),
+    )
+    assert env.action_context((("x", "yb"), ("x", "y"))) == {"x1": 1.0, "y1": 2.0, "x2": 1.0, "y2": 0.0}
+    assert ec.validate(env).violations == (
+        "agent utility references undeclared variable 'x_1'",
+        "principal 2 utility references undeclared variable 'y_2'",
+    )
+
+
+def test_validate_checks_the_finite_type_rules():
+    env = _single_env({"x0": ("y0", "y1")}, n_y=2)
+    types = ec.TypeSpace.from_finite([("a", 1.0, -0.25), ("b", 2.0, 0.5), ("a", 3.0, 0.5)])
+    assert ec.validate(replace(env, types=types)).violations == (
+        "negative prior weight -0.25",
+        "duplicate type label 'a'",
+        "prior weights sum to 0.75, not 1",
+    )
+    assert ec.finite_type_violations(env.types.finite) == []
+
+
 _EXPRESSIONS = (
     "x1*theta - y1^2", "log(theta) + x1", "sqrt(theta)*y1", "y1/(theta - 1)", "theta",
     "exp(1000*theta) - x1",
@@ -228,7 +257,7 @@ def _random_env(draw):
     entries = {
         (t, prof): (draw(st.integers(-3, 3)), tuple(draw(num) for _ in range(n)))
         for t in env.types.labels
-        for prof in ec._profile_sweep(env)
+        for prof in ec._profile_sweep(env.principals)
     }
     return replace(env, payoffs=ec.PayoffModel.from_table(entries, n, outside))
 
@@ -236,7 +265,7 @@ def _random_env(draw):
 def _scalar_tables(env):
     """The scalar path in the tables' order: every profile at the first
     type, then at the next, and the outside option after the sweep."""
-    profiles = ec._profile_sweep(env)
+    profiles = ec._profile_sweep(env.principals)
     rows = {prof: [] for prof in profiles}
     for t in env.types.finite:
         for prof in profiles:

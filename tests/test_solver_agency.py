@@ -237,7 +237,7 @@ class TestFixedPoint:
         assert equilibrium.cutoffs[1] == pytest.approx(3.0, abs=1e-4)
 
     def test_residual_meets_tolerance(self, worked, equilibrium):
-        assert equilibrium.residual <= worked.fp_tol
+        assert equilibrium.residual <= sa._FP_TOL
         # re-evaluating the best response at the fixed point reproduces it
         for j in (0, 1):
             br = sa.best_response(worked, j, equilibrium.x[1 - j])
@@ -256,11 +256,12 @@ class TestFixedPoint:
     def test_start_at_fixed_point_residual_zero(self, worked, equilibrium):
         eqm2 = sa.fixed_point(worked, start=equilibrium.x)
         assert eqm2.iterations == 0
-        assert eqm2.residual <= worked.fp_tol
+        assert eqm2.residual <= sa._FP_TOL
 
-    def test_nonconvergence_reports_trajectory(self, worked):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            sa.fixed_point(dataclasses.replace(worked, max_iter=2))
+    def test_nonconvergence_reports_trajectory(self, worked, monkeypatch):
+        monkeypatch.setattr(sa, "_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match="did not converge in 2 steps.*trajectory tail"):
+            sa.fixed_point(worked)
 
     def test_fixture_converges_in_few_iterations(self, equilibrium):
         assert equilibrium.iterations <= 8

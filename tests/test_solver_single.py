@@ -394,9 +394,7 @@ class TestRentProbe:
     @settings(max_examples=60, deadline=None)
     def test_succeeds_whenever_slack_exceeds_point_one(self, x, y_frac, lo, width):
         p = ss.SingleProblem(u="x*theta - y^2", v="y*theta")
-        belief = ec.Belief.from_typespace(
-            ec.TypeSpace.interval(lo, lo + width, grid_points=65)
-        )
+        belief = cf.interval_belief(lo, lo + width, 65)
         y = y_frac * math.sqrt(x * lo)
         kappa = x * lo - y * y
         if kappa < 0.1:
