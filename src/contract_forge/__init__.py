@@ -62,7 +62,6 @@ from .equilibrium import (
     principal_value,
 )
 from .revisable import (
-    FinalAllocation,
     GridGame,
     RevisableModel,
     build_grid_game,

@@ -293,6 +293,11 @@ def _solver_problem(cls, path: str, **fields):
         raise ScenarioError(f"invalid types at {path}.types: {e}") from None
 
 
+def _boxes(obj, path: str) -> dict:
+    """The ``x_box``/``y_box`` fields a block sets; the problem types declare the defaults."""
+    return {key: _box(obj[key], f"{path}.{key}") for key in ("x_box", "y_box") if key in obj}
+
+
 def _single_problem_from(obj, path: str) -> ss.SingleProblem:
     required = ("agent", "principal", "types")
     _check_keys(obj, required + ("x_box", "y_box"), required, path)
@@ -302,8 +307,7 @@ def _single_problem_from(obj, path: str) -> ss.SingleProblem:
         u=_parse_expr(obj["agent"], f"{path}.agent"),
         v=_parse_expr(obj["principal"], f"{path}.principal"),
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
-        y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
+        **_boxes(obj, path),
     )
 
 
@@ -322,8 +326,7 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         agent_utilities=exprs["agent_utilities"],
         principal_payoffs=exprs["principal_payoffs"],
         types=_typespace_from(obj["types"], f"{path}.types"),
-        x_box=_box(obj.get("x_box", [0.0, 5.0]), f"{path}.x_box"),
-        y_box=_box(obj.get("y_box", [0.0, 5.0]), f"{path}.y_box"),
+        **_boxes(obj, path),
     )
     mpath = f"{path}.deviation_menus"
     raw_menus = obj.get("deviation_menus", {})
@@ -336,8 +339,8 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
         if not isinstance(entries, list):
             raise ScenarioError(f"schema error at {mpath}.{k}: expected a list of menus")
         menus[int(k) - 1] = [list(_numbers(m, f"{mpath}.{k}[{i}]")) for i, m in enumerate(entries)]
-    start = _numbers(obj.get("start", [0.0, 0.0]), f"{path}.start", 2)
-    return problem, {"start": start, "deviation_menus": menus}
+    fixed_point = {"start": _numbers(obj["start"], f"{path}.start", 2)} if "start" in obj else {}
+    return problem, {"fixed_point": fixed_point, "deviation_menus": menus}
 
 
 def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...], int]:
@@ -350,11 +353,16 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     lo = float(_number(zg["lo"], f"{zpath}.lo", lambda v: abs(v) <= 1e6, "a number in [-1e6, 1e6]"))
     hi = float(_number(zg["hi"], f"{zpath}.hi", lambda v: lo < v <= 1e6, "a number in (lo, 1e6]"))
     points = _integer(zg["points"], f"{zpath}.points", 2, 1000)
+    z = np.linspace(lo, hi, points)
+    try:
+        rv.grid_step(z)
+    except ValueError as e:
+        raise ScenarioError(f"invalid revisable at {zpath}: {e}") from None
     # points - 1 steps already let every baseline reach every final action
     alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
     types = _typespace_from(obj["types"], f"{path}.types", ("finite",))
-    values = np.sort(types.values)  # the grid game's table payoffs are looked up by type value
-    if np.any(np.diff(values) <= ec.WEIGHT_TOL * np.maximum(1.0, np.abs(values[1:]))):
+    values = sorted(types.values)  # the grid game's table payoffs are looked up by type value
+    if any(ec.same_value(a, b) for a, b in zip(values, values[1:])):
         raise ScenarioError(f"invalid revisable at {path}.types: table payoffs need distinct type values")
     sender = _parse_expr(obj["sender"], f"{path}.sender", ("z", "theta"))
     receiver = _parse_expr(obj["receiver"], f"{path}.receiver", ("z", "theta"))
@@ -367,7 +375,6 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
         raise ScenarioError(f"invalid revisable at {path}.receiver: {e}") from None
     except rv.IdealFormError as e:
         raise ScenarioError(f"schema error at {path}.ideal_form: {e}") from None
-    z = np.linspace(lo, hi, points)
     for name, fn in (("sender", model.sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
         if not np.all(np.isfinite(fn(z[:, None], types.values))):
             raise ScenarioError(f"invalid revisable at {path}.{name}: not finite at every grid point and type")
@@ -378,18 +385,12 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
 class Options:
     """The options block, with the default of every option it leaves out."""
 
-    tol: float = ec.DEFAULT_TOL
+    search: eq.SearchOptions = field(default_factory=eq.SearchOptions)  # the _SEARCH options
     principal: int = 0  # 0-based
     space: str = "gstar"
     menu: tuple[str, ...] = ()  # necessity-env: all of the principal's contractible actions by default
     deviations: str | None = None  # None: the audit's own space (private or gstar)
     aux_states: int = 0
-    policies: tuple[str, ...] = ("prior",)
-    mixing: str = "pure"
-    cap: int = 5_000_000
-
-    def search(self) -> eq.SearchOptions:
-        return eq.SearchOptions(tol=self.tol, policies=self.policies, mixing=self.mixing, cap=self.cap)
 
 
 # option -> reader(value, path, environment); ``_options_from`` reads ``menu``
@@ -411,7 +412,8 @@ _OPTION_READERS = {
 
 def _options_from(obj, path: str, command: str, env: ec.Environment | None) -> Options:
     _check_keys(obj, _COMMAND_SPECS[command][1], (), path)
-    opts = Options(**{k: _OPTION_READERS[k](v, f"{path}.{k}", env) for k, v in obj.items() if k != "menu"})
+    read = {k: _OPTION_READERS[k](v, f"{path}.{k}", env) for k, v in obj.items() if k != "menu"}
+    opts = Options(eq.SearchOptions(**{k: read.pop(k) for k in _SEARCH if k in read}), **read)
     if "menu" not in _COMMAND_SPECS[command][1]:
         return opts
     menu = labels = env.principals[opts.principal].x_labels
@@ -498,20 +500,11 @@ def _config_hash(raw: Mapping) -> str:
 
 
 def _allocation_payload(alloc: ec.Allocation) -> list:
-    rows = []
-    for t_label in sorted(alloc.entries):
-        for outcome, prob in alloc.entries[t_label]:
-            if outcome == ec.OPT_OUT:
-                rows.append({"type": t_label, "outcome": "opt-out", "prob": prob})
-            else:
-                rows.append(
-                    {
-                        "type": t_label,
-                        "outcome": [[x, y] for x, y in outcome],
-                        "prob": prob,
-                    }
-                )
-    return rows
+    return [
+        {"type": t, "outcome": outcome if outcome == ec.OPT_OUT else [[x, y] for x, y in outcome], "prob": prob}
+        for t in sorted(alloc.entries)
+        for outcome, prob in alloc.entries[t]
+    ]
 
 
 def _equilibrium_payload(rep: eq.EquilibriumReport) -> dict:
@@ -574,7 +567,7 @@ def _run_solve_single(sc, report, opts):
 
 def _run_solve_agency(sc, report, opts):
     problem, extras = sc.blocks["agency"]
-    eqm = sa.fixed_point(problem, start=extras["start"])
+    eqm = sa.fixed_point(problem, **extras["fixed_point"])
     report.payload = {
         "x": list(eqm.x),
         "y": list(eqm.y),
@@ -615,7 +608,7 @@ def _run_solve_agency(sc, report, opts):
 
 def _run_revisable_check(sc, report, opts):
     model, z, steps = sc.blocks["revisable"]
-    gamma = rv.check_gamma_equal(model, z, steps, tol=opts.tol)
+    gamma = rv.check_gamma_equal(model, z, steps, tol=opts.search.tol)
     report.payload = {
         "equal": gamma.equal,
         "n_limited": gamma.n_limited,
@@ -663,7 +656,7 @@ def _run_enumerate(sc, report, opts):
 
 
 def _run_check_equilibrium(sc, report, opts):
-    rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], opts.tol)
+    rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], opts.search.tol)
     report.payload = _equilibrium_payload(rep)
     if not rep.passed:
         report.exit_code = 1
@@ -677,7 +670,7 @@ def _run_robust(sc, report, opts):
     space = None if opts.deviations is None else {
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
     }
-    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search())
+    rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search)
     if not rep.base.passed:
         report.payload = {"base": _equilibrium_payload(rep.base), "findings": []}
         report.exit_code = 1
@@ -718,8 +711,8 @@ def _run_necessity(sc, report, opts):
     contracts = [ct.menu_rec(env, k, [prof[k][0] for prof in profiles.values()]) for k in range(env.n)]
     strategy = {lab: ((tuple(f"{x}|{y}" for x, y in prof), 1.0),) for lab, prof in profiles.items()}
     assessment = eq.build_assessment(env, contracts, strategy)
-    rep = eq.check_continuation(env, assessment, opts.tol)
-    found = eq.enumerate_equilibria(env, contracts, opts.search())
+    rep = eq.check_continuation(env, assessment, opts.search.tol)
+    found = eq.enumerate_equilibria(env, contracts, opts.search)
     used = set()
     for fe in found:
         for dist in fe.allocation.entries.values():
@@ -727,7 +720,7 @@ def _run_necessity(sc, report, opts):
                 if outcome != ec.OPT_OUT and p > 0:
                     used.add(outcome[j][0])
     image_ok = used == set(menu)
-    values_ok = all(abs(v - 1.0) <= 1e-12 for v in rep.values)
+    values_ok = all(abs(v - 1.0) <= 10.0 ** -ec.KEY_DIGITS for v in rep.values)
     report.payload = {
         "menu": menu,
         "phi": {lab: phi[lab] for lab in env.types.labels},
@@ -745,17 +738,14 @@ def _run_necessity(sc, report, opts):
 
 def _run_plain_menu_demo(sc, report, opts):
     env, assessment, deviation, meta = ct.plain_menu_scenario(n_aux=opts.aux_states)
-    options = opts.search()
     state_values = eq.principal_state_values(env, assessment, meta["deviator"])
-    rep = eq.check_robust(env, assessment, options=options)
-    post = eq.private_post_deviation_values(
-        env, assessment, meta["deviator"], deviation, options
-    )
+    rep = eq.check_robust(env, assessment, options=opts.search)
+    post = eq.private_post_deviation_values(env, assessment, meta["deviator"], deviation, opts.search)
     report.payload = {
         "kappa": meta["kappa"],
         "separating": _equilibrium_payload(rep.base),
         "deviator_state_values": {k: state_values[k] for k in sorted(state_values)},
-        "post_deviation_values": sorted(set(round(float(v), 12) for v in post)),
+        "post_deviation_values": sorted(set(round(float(v), ec.KEY_DIGITS) for v in post)),
         "robust_passed": rep.passed,
         "findings": [
             {

@@ -38,12 +38,17 @@ __all__ = [
     "payoff_tables",
     "expect",
     "check_allocation",
+    "probability_violations",
+    "check_probabilities",
+    "beats",
+    "same_value",
 ]
 
-WEIGHT_TOL = 1e-12
+WEIGHT_TOL = 1e-12  # probability vectors sum to 1 within this; type values closer (relatively) are one
 DENSITY_TOL = 1e-9
 GRID_POINTS = 1025  # nodes of an interval type space's weighted grid
 DEFAULT_TOL = 1e-9  # payoff-gap tolerance of the equilibrium checks and searches
+KEY_DIGITS = 12  # decimal digits at which allocation keys and reported values are compared
 
 #: Sentinel outcome for a type that takes the outside option.
 OPT_OUT = "opt-out"
@@ -153,22 +158,51 @@ class TypeSpace:
         return pts, w / total
 
 
-def finite_type_violations(finite: Sequence[FiniteType]) -> list[tuple[int | None, str, str]]:
-    """The broken rules of a finite type list, as (item index, field, message).
-
-    Labels are distinct, weights nonnegative, and the weights sum to 1
-    within ``WEIGHT_TOL``; a broken sum has index None and field "weight".
-    """
-    out: list[tuple[int | None, str, str]] = []
-    for i, t in enumerate(finite):
-        if any(u.label == t.label for u in finite[:i]):
-            out.append((i, "label", f"duplicate type label {t.label!r}"))
-        if not t.weight >= 0.0:
-            out.append((i, "weight", f"negative prior weight {t.weight!r}"))
-    total = float(np.sum([t.weight for t in finite]))
-    if not abs(total - 1.0) <= WEIGHT_TOL:
-        out.append((None, "weight", f"prior weights sum to {total!r}, not 1"))
+def probability_violations(weights: Sequence[float], what: str) -> list[tuple[int | None, str]]:
+    """The broken rules of a probability vector, as (weight index or None
+    for the sum, message naming the weights ``what``). The one rule: every
+    weight is finite and >= 0, and the weights sum to 1 within ``WEIGHT_TOL``."""
+    out: list[tuple[int | None, str]] = [
+        (i, f"{'negative' if w < 0.0 else 'non-finite'} {what} weight {w!r}")
+        for i, w in enumerate(weights)
+        if not 0.0 <= w < math.inf
+    ]
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_TOL:  # NaN fails too
+        out.append((None, f"{what} weights sum to {total!r}, not 1"))
     return out
+
+
+def check_probabilities(weights: Sequence[float], what: str) -> None:
+    """Raise ValueError on the first broken rule of :func:`probability_violations`."""
+    broken = probability_violations(weights, what)
+    if broken:
+        raise ValueError(broken[0][1])
+
+
+def beats(v, ref, tol):
+    """The one payoff-gap boundary: ``v`` beats ``ref`` when it exceeds it
+    by more than ``tol``. Elementwise on arrays."""
+    return v - ref > tol
+
+
+def same_value(theta: float, ref: float) -> bool:
+    """Whether ``theta`` is the type value ``ref``: within ``WEIGHT_TOL``
+    times max(1, |ref|)."""
+    return abs(theta - ref) <= WEIGHT_TOL * max(1.0, abs(ref))
+
+
+def finite_type_violations(finite: Sequence[FiniteType]) -> list[tuple[int | None, str, str]]:
+    """The broken rules of a finite type list, as (item index, field, message):
+    labels are distinct and the weights a probability vector (a broken sum
+    has index None and field "weight")."""
+    out: list[tuple[int | None, str, str]] = [
+        (i, "label", f"duplicate type label {t.label!r}")
+        for i, t in enumerate(finite)
+        if any(u.label == t.label for u in finite[:i])
+    ]
+    out += [(i, "weight", message) for i, message in probability_violations([t.weight for t in finite], "prior")]
+    return sorted(out, key=lambda v: math.inf if v[0] is None else v[0])  # item order, then the sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,11 +215,7 @@ class Belief:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("belief has empty support")
-        w = np.array(self.weights)
-        if np.any(w < -WEIGHT_TOL):
-            raise ValueError("belief weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"belief weights sum to {float(w.sum())!r}, not 1")
+        check_probabilities(self.weights, "belief")
 
     @staticmethod
     def from_typespace(ts: TypeSpace) -> "Belief":
@@ -353,7 +383,7 @@ class Environment:
 
     def type_label_for(self, theta: float) -> str:
         """The one type whose value is ``theta``; table payoffs are keyed by it."""
-        hits = [t.label for t in self.types.finite if abs(t.value - theta) <= WEIGHT_TOL * max(1.0, abs(t.value))]
+        hits = [t.label for t in self.types.finite if same_value(theta, t.value)]
         if len(hits) > 1:
             raise EvalError(
                 f"types {hits[0]!r} and {hits[1]!r} share the value {theta!r}; table payoffs need distinct values"
@@ -392,27 +422,26 @@ def _payoff(env: Environment, j: int | None, profile: ProfileKey, theta: float) 
 class Allocation:
     """Map from type label to a finitely supported outcome distribution.
 
-    Outcomes are feasible action-pair profiles, or :data:`OPT_OUT` for the
-    outside option. Per-type probabilities sum to one.
+    Outcomes are feasible action-pair profiles, :data:`OPT_OUT` for the
+    outside option, or final actions (numbers) of a revisable game. Each
+    type's probabilities are a probability vector.
     """
 
-    entries: Mapping[str, tuple[tuple[ProfileKey | str, float], ...]]
+    entries: Mapping[str, tuple[tuple[ProfileKey | str | float, float], ...]]
 
     def __post_init__(self):
         for label, dist in self.entries.items():
-            total = sum(p for _, p in dist)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"allocation for type {label!r} has mass {total!r}, not 1"
-                )
+            check_probabilities([p for _, p in dist], f"type {label!r} allocation")
 
-    def key(self, digits: int = 12) -> tuple:
-        """Canonical hashable form for set comparison and deduplication."""
+    def key(self, digits: int = KEY_DIGITS) -> tuple:
+        """Canonical hashable form for set comparison and deduplication:
+        probabilities and final actions rounded to ``digits``, zero
+        probabilities dropped."""
         out = []
         for label in sorted(self.entries):
             dist = [
-                (outcome if isinstance(outcome, str) else tuple(map(tuple, outcome)),
-                 round(p, digits))
+                (round(outcome, digits) if isinstance(outcome, (int, float))
+                 else outcome if isinstance(outcome, str) else tuple(map(tuple, outcome)), round(p, digits))
                 for outcome, p in self.entries[label]
                 if round(p, digits) != 0.0
             ]
@@ -421,19 +450,14 @@ class Allocation:
 
 
 def check_allocation(env: Environment, alloc: Allocation) -> None:
-    """Validate feasibility and per-type mass of an allocation."""
+    """Validate an allocation's type labels and the feasibility of its
+    outcomes in ``env``; its probabilities are checked when it is built."""
     for label, dist in alloc.entries.items():
         if label not in env.types.labels:
             raise ValueError(f"unknown type label {label!r}")
-        total = 0.0
-        for outcome, p in dist:
-            if p < -WEIGHT_TOL:
-                raise ValueError("negative probability in allocation")
-            total += p
+        for outcome, _ in dist:
             if outcome != OPT_OUT:
                 env.check_feasible(outcome)  # type: ignore[arg-type]
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"allocation for type {label!r} has mass {total!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,6 +42,8 @@ from .env_core import (
     Allocation,
     Environment,
     ProfileKey,
+    beats,
+    check_probabilities,
     payoff_tables,
 )
 
@@ -256,17 +258,11 @@ def _normalize_strategy(game: _Game, strategy: StrategyMap):
     for t, lab in enumerate(game.t_labels):
         if lab not in strategy:
             raise ValueError(f"strategy missing type {lab!r}")
-        dist = []
-        total = 0.0
-        for outcome, prob in strategy[lab]:
-            total += prob
-            if outcome == OPT_OUT:
-                dist.append((None, float(prob)))
-            else:
-                dist.append((game.profile_from_labels(outcome), float(prob)))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"strategy for type {lab!r} has mass {total!r}")
-        out[t] = dist
+        check_probabilities([prob for _, prob in strategy[lab]], f"type {lab!r} strategy")
+        out[t] = [
+            (None if outcome == OPT_OUT else game.profile_from_labels(outcome), float(prob))
+            for outcome, prob in strategy[lab]
+        ]
     return out
 
 
@@ -686,12 +682,6 @@ def _strategy_candidates(game: _Game, options: SearchOptions, keep):
     yield from itertools.product(*[[d for d in dists if keep(t, d)] for t in range(game.T)])
 
 
-def _beats(v: float, ref: float, tol: float) -> bool:
-    """The one best-reply boundary of the search: ``v`` beats ``ref`` when
-    it exceeds it by more than ``tol`` (the gap test of check_continuation)."""
-    return v - ref > tol
-
-
 def _agent_prune(game: _Game, continuations, tol: float):
     """``keep(t, dist)``: sum(p * best_t(o)) >= max(floor_t, max_o' worst_t(o')) - tol,
     best and worst over the y-profiles ``continuations(o)``. The sum runs in
@@ -710,7 +700,7 @@ def _agent_prune(game: _Game, continuations, tol: float):
         total = 0.0
         for o, p in dist:
             total += p * (game.U[t] if o is None else float(best[o][t]))
-        return not _beats(float(top[t]), total, slack)
+        return not beats(float(top[t]), total, slack)
 
     return keep
 
@@ -719,7 +709,7 @@ def _best_of(value, feasible, tol: float) -> tuple[str, ...]:
     """The feasible ys that no feasible y beats under ``value``."""
     vals = [value(y) for y in feasible]
     top = max(vals)
-    return tuple(y for y, v in zip(feasible, vals) if not _beats(top, v, tol))
+    return tuple(y for y, v in zip(feasible, vals) if not beats(top, v, tol))
 
 
 def _nash_set(game: _Game, prof: tuple[int, ...], belief, tol: float):
@@ -998,17 +988,11 @@ def check_robust(
             if same:
                 vals = list(vals) + [base.values[j]]
             if not vals:
-                findings.append(
-                    DeviationFinding(j, dev, "no-continuation-equilibrium", None, None, None)
-                )
+                findings.append(DeviationFinding(j, dev, "no-continuation-equilibrium", None, None, None))
                 continue
             worst, best = min(vals), max(vals)
-            if worst > base.values[j] + tol:
-                findings.append(
-                    DeviationFinding(
-                        j, dev, "safe-profitable", worst, best, worst - base.values[j]
-                    )
-                )
+            if beats(worst, base.values[j], tol):
+                findings.append(DeviationFinding(j, dev, "safe-profitable", worst, best, worst - base.values[j]))
             else:
                 findings.append(DeviationFinding(j, dev, "deterred", worst, best, None))
     passed = not any(f.outcome == "safe-profitable" for f in findings)

@@ -24,6 +24,7 @@ from . import exprlang
 from .contracts import menu_rec
 from .env_core import (
     DEFAULT_TOL,
+    OPT_OUT,
     ActionValue,
     Allocation,
     Belief,
@@ -31,6 +32,7 @@ from .env_core import (
     PayoffModel,
     PrincipalSpec,
     TypeSpace,
+    beats,
     expect,
 )
 from .equilibrium import Assessment, BeliefSystem, check_continuation
@@ -38,7 +40,6 @@ from .optimize import golden_rows
 
 __all__ = [
     "RevisableModel",
-    "FinalAllocation",
     "ConcavityError",
     "audit_concavity",
     "IdealFormError",
@@ -47,6 +48,7 @@ __all__ = [
     "feasible_final_interval",
     "endpoint_baseline",
     "GridGame",
+    "grid_step",
     "build_grid_game",
     "final_allocation_of",
     "collapse_to_full",
@@ -59,7 +61,8 @@ __all__ = [
 
 # Absolute tolerance at which two grid values are the same: a baseline or
 # revision matched to its grid action, the steps of an evenly spaced grid,
-# the revision bound, and the constrained optimum a lift places.
+# the revision bound, and the constrained optimum a lift places. A grid
+# step must exceed twice it, so a value matches at most one grid action.
 GRID_TOL = 1e-9
 
 
@@ -223,15 +226,15 @@ def feasible_final_interval(model: RevisableModel, x: float) -> tuple[float, flo
 def endpoint_baseline(model: RevisableModel, z_target: float, r: float) -> tuple[float, float]:
     """Baseline and revision placing ``z_target`` at the receiver's optimum.
 
-    A target below the posterior ideal (z < r - tol) sits at the upper
-    endpoint of the feasible interval; above it (z > r + tol), at the
-    lower endpoint; otherwise, a tie, in the middle. ``tol`` is the
-    ideal's resolution, :func:`_ideal_tol`. Returns (baseline, revision);
-    the revision is the additive step or the proportional factor, and
-    baseline (+ or *) revision equals the target.
+    A target more than tol below the posterior ideal r (:func:`beats`)
+    sits at the upper endpoint of the feasible interval; more than tol
+    above it, at the lower endpoint; otherwise, a tie, in the middle.
+    ``tol`` is the ideal's resolution, :func:`_ideal_tol`. Returns
+    (baseline, revision); the revision is the additive step or the
+    proportional factor, and baseline (+ or *) revision equals the target.
     """
     tol = _ideal_tol(model)
-    below, above = z_target < r - tol, z_target > r + tol
+    below, above = beats(r, z_target, tol), beats(z_target, r, tol)
     if model.mode == "additive":
         if below:
             return (z_target - model.alpha, model.alpha)
@@ -306,9 +309,25 @@ class GridGame:
         raise KeyError(f"revision {value!r} is not on the grid")
 
     def final_of(self, x_label: str, rev_label: str) -> float:
-        x = self.x_values[int(x_label[1:])]
-        r = self.rev_values[int(rev_label[1:])]
-        return x + r
+        """The final action of a feasible pair, read off the grid: b_i + r_k
+        lands on z_(i+k-2m)."""
+        zi = int(x_label[1:]) + int(rev_label[1:]) - 2 * self.alpha_steps
+        if not 0 <= zi < len(self.z_values):
+            raise KeyError(f"{x_label} + {rev_label} leaves the final-action grid")
+        return self.z_values[zi]
+
+
+def grid_step(z: Sequence[float]) -> float:
+    """The step of an evenly spaced grid of two or more final actions; raises
+    ValueError unless every step is the first within ``GRID_TOL`` and it exceeds twice that."""
+    if len(z) < 2:
+        raise ValueError("need at least two final actions")
+    h = float(z[1] - z[0])
+    if not all(abs((z[i + 1] - z[i]) - h) <= GRID_TOL for i in range(len(z) - 1)):
+        raise ValueError("final-action grid must be evenly spaced")
+    if not h > 2 * GRID_TOL:
+        raise ValueError(f"final-action grid step {h!r} is not above 2 * GRID_TOL = {2 * GRID_TOL!r}")
+    return h
 
 
 def build_grid_game(
@@ -320,11 +339,7 @@ def build_grid_game(
     if model.types.kind != "finite":
         raise ValueError("grid games need a finite type space")
     z = tuple(float(v) for v in z_values)
-    if len(z) < 2:
-        raise ValueError("need at least two final actions")
-    h = z[1] - z[0]
-    if not all(abs((z[i + 1] - z[i]) - h) <= GRID_TOL for i in range(len(z) - 1)):
-        raise ValueError("final-action grid must be evenly spaced")
+    h = grid_step(z)
     m = int(alpha_steps)
     if m < 0:
         raise ValueError("alpha_steps must be nonnegative")
@@ -364,35 +379,19 @@ def build_grid_game(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class FinalAllocation:
-    """Per-type finitely supported distribution over final actions."""
-
-    entries: Mapping[str, tuple[tuple[float, float], ...]]  # type -> ((z, prob), ...)
-
-    def key(self) -> tuple:
-        out = []
-        for label in sorted(self.entries):
-            dist = tuple(
-                sorted((round(z, 10), round(p, 10)) for z, p in self.entries[label] if round(p, 10) != 0.0)
-            )
-            out.append((label, dist))
-        return tuple(out)
-
-
-def final_allocation_of(game: GridGame, alloc: Allocation) -> FinalAllocation:
+def final_allocation_of(game: GridGame, alloc: Allocation) -> Allocation:
     """Collapse an action-pair allocation to final actions z = x + revision."""
     entries = {}
     for label, dist in alloc.entries.items():
         acc: dict[float, float] = {}
         for outcome, p in dist:
-            if outcome == "opt-out":
+            if outcome == OPT_OUT:
                 raise ValueError("revisable games have no outside option")
             (x_lab, y_lab), = outcome  # single receiver
-            zv = round(game.final_of(x_lab, y_lab), 12)
+            zv = game.final_of(x_lab, y_lab)
             acc[zv] = acc.get(zv, 0.0) + p
         entries[label] = tuple(sorted(acc.items()))
-    return FinalAllocation(entries)
+    return Allocation(entries)
 
 
 def _push_forward(strategy, recode: Mapping[str, str]) -> dict:
@@ -496,7 +495,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
         bel_vec = old_beliefs[(msg.label,)]
         belief = Belief(tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec))
         x_hat, rev, z_best, step = _placement(game_a.model, z, belief)
-        if abs(z_best - z) > step + GRID_TOL:
+        if beats(abs(z_best - z), step, GRID_TOL):
             raise ValueError(
                 f"endpoint placement failed: constrained optimum {z_best!r} != {z!r}"
             )
@@ -531,7 +530,7 @@ _ENUMERATION_CAP = 5_000_000
 
 def enumerate_final_allocations(
     game: GridGame, tol: float = DEFAULT_TOL
-) -> dict[tuple, tuple[FinalAllocation, Assessment]]:
+) -> dict[tuple, tuple[Allocation, Assessment]]:
     """All pure continuation-equilibrium final allocations of the grid game.
 
     Enumerates type partitions with one message per block, keeping only
@@ -551,37 +550,35 @@ def enumerate_final_allocations(
     T = len(labels)
     Z = np.array(game.z_values)
 
-    # the final actions baseline b_i reaches: z_{i+k-2m} for revisions r_0..r_2m
+    # the final actions baseline b_i reaches, z_{i+k-2m} for revisions
+    # r_0..r_2m, as a row of z indices; -1 pads off the grid
     m = game.alpha_steps
-    windows = [range(max(0, i - 2 * m), min(len(Z), i + 1)) for i in range(len(game.x_values))]
+    reach = np.arange(len(game.x_values))[:, None] + np.arange(-2 * m, 1)
+    on_grid = (reach >= 0) & (reach < len(Z))
+    reach = np.where(on_grid, reach, -1)
 
-    found: dict[tuple, tuple[FinalAllocation, Assessment]] = {}
+    # keyed by each type's z index until returned: distinct index maps have
+    # distinct keys, as grid steps exceed 2 * GRID_TOL
+    found: dict[tuple, tuple[Allocation, Assessment]] = {}
     candidates = 0
     for part in _partitions(list(range(T))):
         block_of = np.array([next(b for b, blk in enumerate(part) if t in blk) for t in range(T)])
-        # per block: receiver-optimal final actions per baseline
-        options: list[list[tuple[int, int]]] = []  # (x index, z index)
+        # per block: receiver-optimal final actions per baseline, rows of (x index, z index)
+        pairs: list[np.ndarray] = []
         for block in part:
             w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
             w = w / w.sum()
             vbar = game.v_tab @ w  # value of each z under the block posterior
-            opts = []
-            for xi, win in enumerate(windows):
-                if not win:
-                    continue
-                best = max(vbar[zi] for zi in win)
-                for zi in win:
-                    if vbar[zi] >= best - tol:
-                        opts.append((xi, zi))
-            options.append(opts)
-        shape = tuple(len(o) for o in options)
+            vals = np.where(on_grid, vbar[reach], -np.inf)
+            xi, k = np.nonzero(on_grid & ~beats(vals.max(axis=1)[:, None], vals, tol))
+            pairs.append(np.stack([xi, reach[xi, k]], axis=1))
+        shape = tuple(len(p) for p in pairs)
         size = math.prod(shape)
         candidates += size
         if candidates > _ENUMERATION_CAP:
             raise ValueError(
                 f"grid caps exceeded: more than {_ENUMERATION_CAP} block-assignment candidates"
             )
-        pairs = [np.array(o, dtype=int).reshape(-1, 2) for o in options]
         for start in range(0, size, _FILTER_BLOCK):
             # the next candidates in itertools.product order: rows x blocks x (x, z index)
             pick = np.unravel_index(np.arange(start, min(start + _FILTER_BLOCK, size)), shape)
@@ -591,14 +588,10 @@ def enumerate_final_allocations(
             # agent optimality: each type's assigned z beats every used z
             zs = combos[..., 1]
             own = game.u_tab[zs[:, block_of], np.arange(T)]
-            keep = distinct & ~np.any(own < game.u_tab[zs].max(axis=1) - tol, axis=1)
+            keep = distinct & ~np.any(beats(game.u_tab[zs].max(axis=1), own, tol), axis=1)
             for combo in combos[keep].tolist():
-                z_of_type = [combo[b][1] for b in block_of.tolist()]
-                fa = FinalAllocation(
-                    {labels[t]: ((float(Z[z_of_type[t]]), 1.0),) for t in range(T)}
-                )
-                key = fa.key()
-                if key in found:
+                z_of_type = tuple(combo[b][1] for b in block_of.tolist())
+                if z_of_type in found:
                     continue
                 assessment = _assessment_from_blocks(game, part, combo)
                 report = check_continuation(env, assessment, tol)
@@ -607,8 +600,9 @@ def enumerate_final_allocations(
                         "partition enumeration produced an invalid equilibrium; "
                         f"worst violations: {report.agent_worst} {report.principal_worst}"
                     )
-                found[key] = (fa, assessment)
-    return found
+                fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
+                found[z_of_type] = (fa, assessment)
+    return {fa.key(): (fa, assessment) for fa, assessment in found.values()}
 
 
 def _assessment_from_blocks(game: GridGame, part, combo) -> Assessment:
@@ -631,8 +625,8 @@ class GammaReport:
     transforms_ok: bool
     lift_failures: int
     collapse_failures: int
-    limited: tuple[FinalAllocation, ...]
-    full: tuple[FinalAllocation, ...]
+    limited: tuple[Allocation, ...]  # over final actions
+    full: tuple[Allocation, ...]
 
 
 def check_gamma_equal(

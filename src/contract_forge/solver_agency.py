@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .env_core import TypeSpace
+from .env_core import TypeSpace, beats
 from .solver_single import SingleProblem, _as_fn, _inner_rows, _point, zoom_solve
 
 __all__ = [
@@ -274,7 +274,7 @@ def robustness_check(
         for menu in menus:
             offers = tuple(float(x) for x in menu)
             bx, bv = _best_offer_value(problem, j, x_other, offers)
-            safe = bv > equilibrium.values[j] + _SAFE_TOL
+            safe = beats(bv, equilibrium.values[j], _SAFE_TOL)
             findings.append(
                 RobustnessFinding(
                     principal=j,

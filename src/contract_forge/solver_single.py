@@ -114,6 +114,11 @@ class SolveResult:
     x_trace: tuple[tuple[float, float], ...]  # (x, best inner value)
 
 
+def _root_width(scale: float) -> float:
+    """Root-bracket width at roots of magnitude up to ``scale``: ``_ROOT_TOL`` plus four ulps."""
+    return _ROOT_TOL + 4.0 * _EPS * scale
+
+
 def _theta_span(types: TypeSpace) -> tuple[float, float]:
     if types.kind == "interval":
         return types.lo, types.hi
@@ -163,8 +168,9 @@ def _profit(
     grid = np.linspace(lo, hi, 33) if audit else np.array([lo, hi])
     sweep = pay(problem.u_fn, np.arange(n), grid[None, :])
     none = sweep[:, -1] < 0.0
-    if audit:
-        valid = np.all(np.diff(sweep, axis=1) > 0.0, axis=1) | np.all(sweep < 0.0, axis=1)
+    if audit:  # a non-finite sweep (inf - inf) fails the audit
+        with np.errstate(invalid="ignore"):
+            valid = np.all(np.diff(sweep, axis=1) > 0.0, axis=1) | np.all(sweep < 0.0, axis=1)
     else:
         valid = np.ones(n, dtype=bool)
     cut = np.where(none | ~valid, np.nan, lo)
@@ -174,7 +180,7 @@ def _profit(
         cut[inner] = root_rows(
             lambda rows, th: pay(problem.u_fn, inner[rows], th[:, None])[:, 0],
             grid[k - 1], grid[k], sweep[inner, k - 1], sweep[inner, k],
-            _ROOT_TOL + 4.0 * _EPS * max(abs(lo), abs(hi)),
+            _root_width(max(abs(lo), abs(hi))),
         )
 
     value = np.zeros(n)
@@ -325,11 +331,11 @@ def _inner_rows(
         ua, ub = u_lo(np.arange(rows.size), a), u_lo(np.arange(rows.size), b)
         kink = np.flatnonzero(((ua >= 0.0) != (ub >= 0.0)) & (problem.types.kind == "interval"))
         if kink.size:
-            ak, bk, ymax = a[kink], b[kink], max(abs(problem.y_box[0]), abs(problem.y_box[1]))
+            ak, bk = a[kink], b[kink]
             yk = root_rows(
                 lambda k, yk: u_lo(kink[k], yk),
                 ak, bk, ua[kink], ub[kink],
-                _ROOT_TOL + 4.0 * _EPS * ymax,
+                _root_width(max(abs(problem.y_box[0]), abs(problem.y_box[1]))),
             )
             probes = np.clip(yk + np.array([[0.0], [-tol], [tol]]), ak, bk)
             fk, fm, fp = f(np.tile(kink, 3), probes.ravel()).reshape(3, kink.size)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -431,6 +432,24 @@ class TestScenarioErrors:
         assert res.exit_code == 0, res.output
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
         assert results["converged"]
+
+    @pytest.mark.parametrize(
+        "name, block, digest",
+        [
+            ("labor_single", "problem", "d7e3ba07f2a5aba2180e2e66b9cacafeb9f46d2dc850bbac7ae3b88e4f5931c8"),
+            ("agency_beta17_21", "agency", "ce4dc3683931220b9dcba1dc1695705ee4d8e1cb97e8c48a05d50bc466dea63b"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_y_box_raises_no_numpy_warning(self, tmp_path, name, block, digest):
+        """The participation audit took inf - inf on this box and printed a
+        RuntimeWarning, a traceback under warnings as errors. The rows fail
+        the audit either way; the report is unchanged (no trade)."""
+        raw = json.loads(fixture_path(f"{name}.json").read_text())
+        raw[block]["y_box"] = [-1e300, 1e300]
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "agent",
@@ -885,6 +904,22 @@ class TestRevisableCheck:
         res = _invoke_raw(tmp_path, raw)
         assert res.exit_code == 2
         assert "invalid revisable at $.revisable.receiver: receiver payoff is not strictly concave" in res.output
+
+    def test_grid_step_must_exceed_twice_the_grid_tolerance(self, tmp_path):
+        """A step of 1e-9 (at most 2 * GRID_TOL) let neighbouring baselines
+        share a label: a KeyError traceback, exit 1. A step of 2.5e-9 runs."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        del raw["revisable"]["z_range"]
+        raw["revisable"]["z_grid"]["hi"] = 4e-9
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "invalid revisable at $.revisable.z_grid: final-action grid step 1e-09 is not above" in res.output
+        raw["revisable"]["z_grid"]["hi"] = 1e-8
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert (results["n_limited"], results["n_full"], results["equal"]) == (15, 15, True)
 
     def test_types_need_distinct_values(self, tmp_path):
         raw = json.loads(fixture_path("revisable_grid.json").read_text())

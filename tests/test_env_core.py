@@ -170,6 +170,39 @@ def test_allocation_mass_and_feasibility(example4_env):
         ec.Allocation({"t0": (((("x", "y"), ("x", "yp")), 0.7),)})
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1.5, -0.5), "negative belief weight -0.5"),  # sums to 1
+        ((float("nan"), float("nan")), "non-finite belief weight nan"),  # NaN passed the sum test
+        ((-1e-13, 1.0 + 1e-13), "negative belief weight -1e-13"),  # was allowed down to -1e-12
+        ((0.5, 0.5 + 1e-10), "belief weights sum to 1.0000000001, not 1"),  # was allowed within 1e-9
+    ],
+)
+def test_belief_weights_are_a_probability_vector(weights, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ec.Belief((0.0, 1.0), weights)
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (((ec.OPT_OUT, 1.5), ((("x", "y"), ("x", "yp")), -0.5)), "negative type 't0' allocation weight -0.5"),
+        (((ec.OPT_OUT, float("nan")),), "non-finite type 't0' allocation weight nan"),
+        (((ec.OPT_OUT, 1.0 + 1e-10),), "type 't0' allocation weights sum to 1.0000000001, not 1"),
+    ],
+)
+def test_allocation_weights_are_a_probability_vector(dist, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ec.Allocation({"t0": dist})
+
+
+def test_allocation_keys_round_final_actions_and_probabilities():
+    a = ec.Allocation({"t0": ((0.1 + 0.2, 0.5), (1.0, 0.5)), "t1": ((2.0, 1.0), (3.0, 0.0))})
+    assert a.key() == (("t0", ((0.3, 0.5), (1.0, 0.5))), ("t1", ((2.0, 1.0),)))
+    assert a.key() == ec.Allocation({"t1": ((2.0, 1.0),), "t0": ((1.0, 0.5), (0.3, 0.5))}).key()
+
+
 def test_validate_table_payoff_coverage(necessity_skeleton):
     # expression sweep: finite evaluation over all feasible profiles
     assert ec.validate(necessity_skeleton).passed

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +305,53 @@ class TestCheckContinuation:
         assert not rep.principal_ok and not rep.passed
         j, where, y_dev, gap = rep.principal_worst
         assert (j, where, y_dev) == (0, ("x|y_bad",), "y_good") and math.isnan(gap)
+
+
+class TestStrategyWeights:
+    """Two types, x in {a, b} with a:(u, w) and b:(u,); the agent gets 1 at
+    a and 0 at b, the principal 1 at u and 0.5 at w; no exit; u is played
+    at every message of menu_rec(a, b)."""
+
+    def _assessment(self):
+        spec = ec.PrincipalSpec(
+            contractible=(ec.ActionValue("a"), ec.ActionValue("b")),
+            noncontractible=(ec.ActionValue("u"), ec.ActionValue("w")),
+            feasible={"a": ("u", "w"), "b": ("u",)},
+        )
+        entries = {
+            (t, ((x, y),)): (1.0 if x == "a" else 0.0, (1.0 if y == "u" else 0.5,))
+            for t in ("t0", "t1")
+            for x, y in spec.feasible_pairs()
+        }
+        env = ec.Environment(
+            types=ec.TypeSpace.uniform_finite([0.0, 1.0]),
+            principals=(spec,),
+            payoffs=ec.PayoffModel.from_table(entries, n_principals=1),
+            optout=False,
+        )
+        mech = ct.menu_rec(env, 0, ["a", "b"])
+        strategy = {lab: ((("a|u",), 1.0),) for lab in ("t0", "t1")}
+        cont = {0: {(m,): "u" for m in mech.labels}}
+        return env, eq.build_assessment(env, (mech,), strategy, continuation=cont)
+
+    def test_valid_strategy_passes(self):
+        env, a = self._assessment()
+        assert eq.check_continuation(env, a).passed
+
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            # passed, with an allocation holding -0.5
+            (((("a|u",), 1.5), (("b|u",), -0.5)), "negative type 't0' strategy weight -0.5"),
+            # NaN mass skipped its Bayes check (m > 0 is false)
+            (((("a|u",), float("nan")),), "non-finite type 't0' strategy weight nan"),
+        ],
+    )
+    def test_weights_are_a_probability_vector(self, dist, message):
+        env, a = self._assessment()
+        bad = replace(a, strategy={**a.strategy, "t0": dist})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eq.check_continuation(env, bad)
 
 
 class TestInducedAllocationAndValues:

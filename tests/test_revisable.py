@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contract_forge import revisable as rv
-from contract_forge.env_core import Belief, TypeSpace
+from contract_forge.env_core import Allocation, Belief, TypeSpace
 from contract_forge.equilibrium import check_continuation
 from contract_forge.optimize import golden_rows
 
@@ -415,7 +415,7 @@ def _naive_final_allocation_keys(game, tol=1e-9):
             z_of = {t: zi for block, (_, zi) in zip(part, combo) for t in block}
             used = {zi for _, zi in combo}
             if all(u_tab[z_of[t], t] >= max(u_tab[zi, t] for zi in used) - tol for t in range(T)):
-                key = rv.FinalAllocation(
+                key = Allocation(
                     {game.env.types.labels[t]: ((float(Z[z_of[t]]), 1.0),) for t in range(T)}
                 ).key()
                 if key not in keys:
@@ -451,6 +451,31 @@ def test_feasibility_by_index_matches_float_scan(lo, hi, points):
             for i, x in enumerate(game.x_values)
         }
         assert game.env.principals[0].feasible == scan
+
+
+@pytest.mark.parametrize("hi, ok", [(4e-9, False), (2e-9 * 4 + 1e-12, True), (1e-8, True)])
+def test_grid_step_must_exceed_twice_the_grid_tolerance(hi, ok):
+    """At a step of 1e-9 neighbouring baselines matched one label."""
+    model = quadratic_model(types=TypeSpace.uniform_finite([0.0, 1.0]))
+    z = tuple(np.linspace(0.0, hi, 5))
+    if not ok:
+        with pytest.raises(ValueError, match="final-action grid step 1e-09 is not above 2 \\* GRID_TOL"):
+            rv.build_grid_game(model, z, 1)
+        return
+    game = rv.build_grid_game(model, z, 1)
+    assert [game.x_label(x) for x in game.x_values] == [f"b{i}" for i in range(len(game.x_values))]
+
+
+def test_final_of_reads_the_grid():
+    """b_i + r_k is z_(i+k-2m) itself, not a sum that may miss it by an ulp."""
+    model = quadratic_model(types=TypeSpace.uniform_finite([0.0, 1.0]))
+    z = tuple(np.linspace(0.1, 0.7, 7))
+    game = rv.build_grid_game(model, z, 2)
+    for x, ys in game.env.principals[0].feasible.items():
+        for y in ys:
+            assert game.final_of(x, y) in z
+    with pytest.raises(KeyError, match="leaves the final-action grid"):
+        game.final_of("b0", "r0")
 
 
 def test_check_gamma_equal_work_counts(monkeypatch):
