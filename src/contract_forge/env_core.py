@@ -307,12 +307,11 @@ class PayoffModel:
         principals: Sequence[str | Expr],
         outside: str | Expr = "0",
     ) -> "PayoffModel":
-        conv = lambda e: exprlang.parse(e) if isinstance(e, str) else e
         return PayoffModel(
             mode="expressions",
-            agent=conv(agent),
-            principals=tuple(conv(p) for p in principals),
-            outside=conv(outside),
+            agent=exprlang.as_expr(agent),
+            principals=tuple(exprlang.as_expr(p) for p in principals),
+            outside=exprlang.as_expr(outside),
         )
 
     @staticmethod
@@ -321,13 +320,13 @@ class PayoffModel:
         n_principals: int,
         outside: str | Expr = "0",
     ) -> "PayoffModel":
-        conv = exprlang.parse(outside) if isinstance(outside, str) else outside
-        return PayoffModel(
-            mode="table",
-            principals=tuple(exprlang.Num(0.0) for _ in range(n_principals)),
-            outside=conv,
-            table=dict(entries),
-        )
+        """Payoffs read from ``entries``, each holding one payoff per principal."""
+        for key, (_, principals) in entries.items():
+            if len(principals) != n_principals:
+                raise ValueError(
+                    f"payoff entry {key!r} has {len(principals)} principal payoffs, not {n_principals}"
+                )
+        return PayoffModel(mode="table", outside=exprlang.as_expr(outside), table=dict(entries))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,11 @@ mechanism per principal). Two observability modes:
 
 Both are one rule: principal j observes ``_Game.seen(j, profile)``, and
 continuation play is keyed by observations. Internally every belief is a
-map from (type, message profile) to weight at one observation; the
-:class:`BeliefSystem` labels turn it into a weight vector over types
-(public) or weights over (type, other principals' messages) (private).
+map from (type, message profile) to weight at one observation; a
+:class:`BeliefSystem` holds it by labels, as weights over (type, the
+messages j does not observe), an empty tuple of messages when public.
+Declared beliefs are checked once, where they are read: each must be a
+probability vector over known types and messages.
 
 A continuation equilibrium requires Bayes-consistent beliefs, agent
 optimality with interim participation (the agent's payoff must weakly
@@ -81,18 +83,17 @@ class SearchSpaceError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class BeliefSystem:
-    """Posterior beliefs, public or private.
+    """Every principal's belief at every observation.
 
-    ``public`` maps principal index -> message-label profile -> weight
-    vector over types. ``private`` maps principal index -> own message
-    label -> weights over (type label, other principals' message labels).
+    ``weights`` maps principal index j -> observation label (the
+    message-label profile when public, j's own message label when private)
+    -> weights over (type label, labels of the messages j does not
+    observe, in principal order). Public play shows every message, so
+    each key's label tuple is empty. ``offpath`` names the policy of the
+    off-path beliefs.
     """
 
-    mode: str
-    public: Mapping[int, Mapping[tuple[str, ...], tuple[float, ...]]] | None = None
-    private: (
-        Mapping[int, Mapping[str, Mapping[tuple[str, tuple[str, ...]], float]]] | None
-    ) = None
+    weights: Mapping[int, Mapping[tuple[str, ...] | str, Mapping[tuple[str, tuple[str, ...]], float]]]
     offpath: str = "prior"
 
 
@@ -169,7 +170,7 @@ class _Game:
                 raise ValueError(f"contract at slot {j} is for principal {c.principal}")
         self.env = env
         self.contracts = tuple(contracts)
-        self.public = env.observability == "public"
+        self.sees_all = env.observability == "public"  # every principal sees every message
         self.t_labels = env.types.labels
         self.t_values = env.types.values
         self.mu = env.types.weights
@@ -191,7 +192,7 @@ class _Game:
                 self.cells[j].setdefault(self.seen(j, prof), []).append(prof)
         # (principal, observation) in report order: profile-major when public,
         # principal-major when private
-        if self.public:
+        if self.sees_all:
             self.sites = [(j, prof) for prof in self.profiles for j in range(self.n)]
         else:
             self.sites = [(j, obs) for j in range(self.n) for obs in self.cells[j]]
@@ -213,15 +214,29 @@ class _Game:
     def seen(self, j: int, prof: tuple[int, ...]):
         """Principal j's observation of a message profile: the profile when
         public, its own message index when private."""
-        return prof if self.public else prof[j]
+        return prof if self.sees_all else prof[j]
 
     def place(self, j: int, obs, prof: tuple[int, ...]) -> tuple[int, ...]:
         """``prof`` with what principal j observes replaced by ``obs``."""
-        return obs if self.public else prof[:j] + (obs,) + prof[j + 1 :]
+        return obs if self.sees_all else prof[:j] + (obs,) + prof[j + 1 :]
 
     def label(self, j: int, obs):
         """The label of an observation: message labels, or one label."""
-        return self.profile_labels(obs) if self.public else self.msg_labels[j][obs]
+        return self.profile_labels(obs) if self.sees_all else self.msg_labels[j][obs]
+
+    def hidden(self, j: int, prof: tuple[int, ...]) -> tuple[str, ...]:
+        """The labels of the messages of ``prof`` that principal j does not observe."""
+        return () if self.sees_all else tuple(self.msg_labels[k][prof[k]] for k in self.others(j))
+
+    def unhide(self, j: int, obs, hidden: tuple[str, ...]) -> tuple[int, ...]:
+        """The message profile principal j observes as ``obs`` whose unobserved
+        messages carry the labels ``hidden``; ValueError on labels that do not fit."""
+        others = () if self.sees_all else self.others(j)
+        try:  # a length mismatch or an unknown label
+            rest = [self.msg_labels[k].index(lab) for k, lab in zip(others, hidden, strict=True)]
+        except ValueError:
+            raise ValueError(f"{hidden!r} are not the labels of the {len(others)} messages principal {j} does not see") from None
+        return obs if self.sees_all else tuple(rest[:j] + [obs] + rest[j:])
 
     def select(self, j: int, actions: Sequence[str]):
         """Principal j's observation of the profile of first messages
@@ -352,46 +367,39 @@ def _beliefs(game: _Game, q, j: int, policy: str) -> dict:
 def _belief_system(game: _Game, beliefs, policy: str) -> BeliefSystem:
     """Label-keyed :class:`BeliefSystem` of per-principal beliefs in
     :func:`_beliefs`'s form."""
-    if game.public:
-        public = {
+    return BeliefSystem(
+        weights={
             j: {
-                game.label(j, obs): tuple(float(b.get((t, obs), 0.0)) for t in range(game.T))
+                game.label(j, obs): {
+                    (game.t_labels[t], game.hidden(j, prof)): float(w) for (t, prof), w in b.items()
+                }
                 for obs, b in beliefs[j].items()
             }
             for j in range(game.n)
-        }
-        return BeliefSystem(mode="public", public=public, offpath=policy)
-    private = {
-        j: {
-            game.label(j, obs): {
-                (game.t_labels[t], tuple(game.msg_labels[k][prof[k]] for k in game.others(j))): float(w)
-                for (t, prof), w in b.items()
-            }
-            for obs, b in beliefs[j].items()
-        }
-        for j in range(game.n)
-    }
-    return BeliefSystem(mode="private", private=private, offpath=policy)
+        },
+        offpath=policy,
+    )
 
 
 def _declared_beliefs(game: _Game, assessment: Assessment) -> list[dict]:
-    """An assessment's beliefs in :func:`_beliefs`'s form, per principal."""
+    """An assessment's beliefs in :func:`_beliefs`'s form, per principal: the
+    one reader of declared beliefs, and their check (ValueError unless each
+    observation has a probability vector keyed by known labels)."""
     out = []
     for j in range(game.n):
-        if game.public:
-            table = assessment.beliefs.public[j]
-            out.append({
-                prof: {(t, prof): float(w) for t, w in enumerate(table[game.label(j, prof)])}
-                for prof in game.cells[j]
-            })
-            continue
-        table = assessment.beliefs.private[j]
+        table = assessment.beliefs.weights.get(j, {})
         beliefs: dict = {}
-        for i in game.cells[j]:
-            beliefs[i] = {}
-            for (t_lab, rest_labs), w in table[game.label(j, i)].items():
-                rest = tuple(game.msg_labels[k].index(lab) for k, lab in zip(game.others(j), rest_labs))
-                beliefs[i][(game.t_labels.index(t_lab), rest[:j] + (i,) + rest[j:])] = float(w)
+        for obs in game.cells[j]:
+            label = game.label(j, obs)
+            where = f"principal {j} belief at {label!r}"
+            if label not in table:
+                raise ValueError(f"{where} is missing")
+            check_probabilities(list(table[label].values()), where)
+            beliefs[obs] = {}
+            for key, w in table[label].items():
+                if not (isinstance(key, tuple) and len(key) == 2 and key[0] in game.t_labels and isinstance(key[1], tuple)):
+                    raise ValueError(f"{where}: key {key!r} is not (type label, unobserved message labels)")
+                beliefs[obs][(game.t_labels.index(key[0]), game.unhide(j, obs, key[1]))] = float(w)
         out.append(beliefs)
     return out
 
@@ -580,7 +588,7 @@ def check_continuation(
     beliefs = _declared_beliefs(game, assessment)
 
     # (i) Bayes consistency at every observation with positive mass: the
-    # belief times the mass equals the joint mass. A NaN gap fails.
+    # belief times the mass equals the joint mass.
     gaps = [0.0]
     for j in range(game.n):
         weights, mass = _joint(game, q, j)
@@ -589,7 +597,7 @@ def check_continuation(
                 p, joint = beliefs[j][obs], weights[obs]
                 gaps.append(abs(sum(p.values()) - 1.0))
                 gaps += [abs(p.get(k, 0.0) * m - joint.get(k, 0.0)) for k in p.keys() | joint.keys()]
-    bayes_gap = float(np.max(gaps))
+    bayes_gap = max(gaps)
 
     # (ii) agent optimality with interim participation.
     agent_gap, t, where = _agent_gap(game, _agent_payoff(game, q, gamma), gamma.items())
@@ -600,7 +608,7 @@ def check_continuation(
 
     # (iii) principal optimality at every observation.
     principal_worst = None
-    principal_gap = 0.0  # a non-finite gap (a NaN or infinite belief) ranks as inf
+    principal_gap = 0.0
     ties: list[tuple] = []
     for j, obs in game.sites:
         prof = game.cells[j][obs][0]
@@ -613,9 +621,8 @@ def check_continuation(
             gap = value(y_dev) - lhs
             if abs(gap) <= tol:
                 ties.append((j, where, y_dev))
-            rank = gap if math.isfinite(gap) else math.inf
-            if rank > principal_gap:
-                principal_gap = rank
+            if gap > principal_gap:
+                principal_gap = gap
                 principal_worst = (j, where, y_dev, float(gap))
 
     return EquilibriumReport(
@@ -842,12 +849,12 @@ def _equilibria(game: _Game, options: SearchOptions):
     keep = _agent_prune(game, ys_at.get, options.tol)
     # a pruned strategy could meet the public continuation cap: then prune none
     most_onpath = min(len(ys_at), game.T * (1 if options.mixing == "pure" else 2))
-    if game.public and max(map(len, ys_at.values())) ** most_onpath > options.cap:
+    if game.sees_all and max(map(len, ys_at.values())) ** most_onpath > options.cap:
         keep = lambda t, dist: True  # noqa: E731
     candidates = list(_strategy_candidates(game, options, keep))
-    search = _public_equilibria_for_q if game.public else _private_equilibria_for_q
+    search = _public_equilibria_for_q if game.sees_all else _private_equilibria_for_q
     combos = math.prod(len(f) for feas in game.feas for f in feas)
-    if not game.public and options.policies and combos > options.cap:  # for every strategy
+    if not game.sees_all and options.policies and combos > options.cap:  # for every strategy
         raise SearchSpaceError(f"{combos} continuation combinations exceed the cap")
     seen: set[tuple] = set()
     for policy in options.policies:

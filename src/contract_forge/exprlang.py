@@ -44,6 +44,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
+    "as_expr",
     "evaluate",
     "free_vars",
     "to_source",
@@ -234,6 +235,11 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse ``source`` into an AST or raise :class:`ParseError` with an offset."""
     return _Parser(source).parse()
+
+
+def as_expr(source: "str | Expr") -> Expr:
+    """An expression given as text (parsed) or as a parsed :data:`Expr`."""
+    return parse(source) if isinstance(source, str) else source
 
 
 def free_vars(expr: Expr) -> frozenset[str]:

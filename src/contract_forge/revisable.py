@@ -123,9 +123,8 @@ class RevisableModel:
         z_range: tuple[float, float] = (-10.0, 10.0),
         ideal_form: tuple | None = None,
     ) -> "RevisableModel":
-        conv = lambda e: exprlang.parse(e) if isinstance(e, str) else e
         return RevisableModel(
-            mode="additive", sender=conv(sender), receiver=conv(receiver),
+            mode="additive", sender=exprlang.as_expr(sender), receiver=exprlang.as_expr(receiver),
             types=types, alpha=alpha, z_range=z_range, ideal_form=ideal_form,
         )
 
@@ -406,8 +405,10 @@ def _push_forward(strategy, recode: Mapping[str, str]) -> dict:
     return out
 
 
-def _posteriors(game: GridGame, strategy) -> dict[str, tuple[float, ...]]:
-    """Bayes posterior weights of every message ``strategy`` sends."""
+def _posteriors(game: GridGame, strategy) -> dict[str, dict]:
+    """Bayes posterior of every message ``strategy`` sends, as weights over
+    (type label, ()) of the types that send it, the :class:`BeliefSystem`
+    form of public play."""
     labels = game.env.types.labels
     mu = game.env.types.weights
     mass: dict[str, np.ndarray] = {}
@@ -416,18 +417,18 @@ def _posteriors(game: GridGame, strategy) -> dict[str, tuple[float, ...]]:
             if prob > 0.0:
                 vec = mass.setdefault(outcome[0], np.zeros(len(labels)))
                 vec[t] += mu[t] * prob
-    return {m: tuple(float(x) for x in v / v.sum()) for m, v in mass.items()}
+    return {m: {(lab, ()): float(x) for lab, x in zip(labels, v / v.sum()) if x > 0.0} for m, v in mass.items()}
 
 
 def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessment:
     """Menu-with-recommendations assessment of the grid game.
 
-    The menu is the baselines of the messages in ``beliefs`` (weight
-    vectors keyed by message label); every message ``strategy`` sends is
-    one of them. Those messages play their recommendation under their
-    belief. Every other message copies the revision and belief of the
-    first message in ``beliefs``, in message order, with the same
-    baseline.
+    The menu is the baselines of the messages in ``beliefs`` (each a
+    :class:`BeliefSystem` belief, keyed by message label); every message
+    ``strategy`` sends is one of them. Those messages play their
+    recommendation under their belief. Every other message copies the
+    revision and belief of the first message in ``beliefs``, in message
+    order, with the same baseline.
     """
     menu = sorted({m.split("|", 1)[0] for m in beliefs}, key=lambda s: int(s[1:]))
     mech = menu_rec(game.env, 0, menu)
@@ -435,16 +436,16 @@ def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessm
     for m in mech.messages:
         if m.label in beliefs:
             first.setdefault(m.action, m.label)
-    continuation, public = {}, {}
+    continuation, weights = {}, {}
     for m in mech.messages:
         src = m.label if m.label in beliefs else first[m.action]
         continuation[(m.label,)] = src.split("|", 1)[1]
-        public[(m.label,)] = tuple(beliefs[src])
+        weights[(m.label,)] = beliefs[src]
     return Assessment(
         contracts=(mech,),
         strategy=strategy,
         continuation={0: continuation},
-        beliefs=BeliefSystem(mode="public", public={0: public}, offpath=offpath),
+        beliefs=BeliefSystem(weights={0: weights}, offpath=offpath),
     )
 
 
@@ -466,7 +467,7 @@ def collapse_to_full(game: GridGame, assessment: Assessment, game0: GridGame) ->
         for m in assessment.contracts[0].messages
     }
     strategy = _push_forward(assessment.strategy, recode)
-    old_beliefs = assessment.beliefs.public[0]
+    old_beliefs = assessment.beliefs.weights[0]
     beliefs = {}
     for old, new in recode.items():
         beliefs.setdefault(new, old_beliefs[(old,)])
@@ -487,20 +488,20 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
     baseline.
     """
     types = game0.env.types
-    old_beliefs = assessment.beliefs.public[0]
+    old_beliefs = assessment.beliefs.weights[0]
     recode: dict[str, str] = {}
-    beliefs: dict[str, tuple[float, ...]] = {}
+    beliefs: dict[str, dict] = {}
     for msg in assessment.contracts[0].messages:
         z = game0.x_values[int(msg.action[1:])]
-        bel_vec = old_beliefs[(msg.label,)]
-        belief = Belief(tuple(float(v) for v in types.values), tuple(float(w) for w in bel_vec))
+        old = old_beliefs[(msg.label,)]
+        belief = Belief(tuple(float(v) for v in types.values), tuple(old.get((lab, ()), 0.0) for lab in types.labels))
         x_hat, rev, z_best, step = _placement(game_a.model, z, belief)
         if beats(abs(z_best - z), step, GRID_TOL):
             raise ValueError(
                 f"endpoint placement failed: constrained optimum {z_best!r} != {z!r}"
             )
         recode[msg.label] = f"{game_a.x_label(x_hat)}|{game_a.rev_label(rev)}"
-        beliefs[recode[msg.label]] = bel_vec
+        beliefs[recode[msg.label]] = old
     strategy = _push_forward(assessment.strategy, recode)
     return _menu_assessment(game_a, strategy, beliefs, assessment.beliefs.offpath)
 

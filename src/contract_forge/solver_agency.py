@@ -113,10 +113,10 @@ def bilateral_reduce(
 ) -> SingleProblem:
     """Single-principal slice of principal ``j`` at frozen rival offers.
 
-    ``x_other`` is one offer or an array of them. For an array the slice
-    records their count as ``rivals``, and its payoffs take an optional
-    fourth argument, an index into the offers (the first when omitted),
-    which ``zoom_solve`` passes per row to answer every offer at once.
+    ``x_other`` is one offer or an array of them. The slice records their
+    count as ``rivals``, and its payoffs take a fourth argument, each
+    row's index into the offers, so ``zoom_solve`` answers every offer at
+    once.
     ``fast`` gives the coarse slice that best responses search; the
     default is the full-resolution one of the reported pairs and menus.
     """
@@ -125,10 +125,10 @@ def bilateral_reduce(
     v_fn = problem.v_fns[j]
     xo = np.atleast_1d(np.asarray(x_other, dtype=float))
 
-    def u(x, y, theta, r=0):
+    def u(x, y, theta, r):
         return u_fn(x, y, theta, beta)
 
-    def v(x, y, theta, r=0):
+    def v(x, y, theta, r):
         return v_fn(x, y, xo[r], theta, beta)
 
     single = SingleProblem(
@@ -137,7 +137,7 @@ def bilateral_reduce(
         types=problem.types,
         x_box=problem.x_box,
         y_box=problem.y_box,
-        rivals=xo.size if np.ndim(x_other) else None,
+        rivals=xo.size,
     )
     # set after construction, so the density is checked at full resolution
     # only: the coarse slice steers the search, reported values never use it

@@ -55,11 +55,7 @@ class MonotonicityError(ValueError):
 
 
 def _as_fn(expr, names: Sequence[str] = ("x", "y", "theta")) -> Callable:
-    if callable(expr):
-        return expr
-    if isinstance(expr, str):
-        expr = exprlang.parse(expr)
-    return exprlang.compile_fn(expr, list(names))
+    return expr if callable(expr) else exprlang.compile_fn(exprlang.as_expr(expr), list(names))
 
 
 @dataclass
@@ -67,12 +63,11 @@ class SingleProblem:
     """Payoffs, type distribution, and search configuration.
 
     ``u`` and ``v`` may be expression text, parsed expressions, or plain
-    callables of (x, y, theta) accepting numpy broadcasting. The type
-    space is an interval (quadrature) or finite (weighted sum). With
-    ``rivals``, u and v take a fourth argument, each row's index into that
-    many rival offers bound by the caller
-    (``solver_agency.bilateral_reduce``); ``zoom_solve`` then answers
-    every rival offer in one pass per stage. ``y_grid`` (y-grid points)
+    callables of (x, y, theta, r) accepting numpy broadcasting, where r
+    is each row's index into the ``rivals`` rival offers bound by the
+    caller (``solver_agency.bilateral_reduce``; a plain problem has one
+    and its compiled expressions ignore r). ``zoom_solve`` answers every
+    rival offer in one pass per stage. ``y_grid`` (y-grid points)
     and ``panels`` (Simpson panels, even) set the kernel's resolution; the
     coarse slice that agency best responses search lowers both.
     """
@@ -84,7 +79,7 @@ class SingleProblem:
     y_box: tuple[float, float] = (0.0, 5.0)
     y_grid: int = 256
     panels: int = 256
-    rivals: int | None = None
+    rivals: int = 1
 
     def __post_init__(self):
         self.u_fn = _as_fn(self.u)
@@ -133,13 +128,8 @@ def _rows(values, shape: tuple[int, ...]) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _at(r, rows):
-    """The rival indices of ``rows``; None for a problem without rivals."""
-    return None if r is None else r[rows]
-
-
 def _profit(
-    problem: SingleProblem, X, Y, audit: bool = True, r=None
+    problem: SingleProblem, X, Y, r=0, audit: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected profit, stay probability and cutoff for paired (x, y) arrays.
 
@@ -152,18 +142,18 @@ def _profit(
     finite types sum over the stayers. With ``audit``, entries failing
     the strict-increase audit are -inf unless the sweep certifies that
     no type stays; refinement probes inside audited brackets skip it.
-    ``r``, when given, holds each row's index into the rival offers the
-    problem binds, passed to u and v as a fourth argument. A row's
-    results depend on that row alone.
+    ``r`` holds each row's index into the rival offers the problem binds
+    (one index for every row), passed to u and v as their fourth
+    argument. A row's results depend on that row alone.
     """
     X = np.asarray(X, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
     n = X.size
+    R = np.zeros(n, int) + r
     lo, hi = _theta_span(problem.types)
 
     def pay(fn, rows, th):  # fn at the listed rows; th has one row or one per row
-        args = (X[rows, None], Y[rows, None], th) + (() if r is None else (r[rows, None],))
-        return _rows(fn(*args), (rows.size, th.shape[1]))
+        return _rows(fn(X[rows, None], Y[rows, None], th, R[rows, None]), (rows.size, th.shape[1]))
 
     grid = np.linspace(lo, hi, 33) if audit else np.array([lo, hi])
     sweep = pay(problem.u_fn, np.arange(n), grid[None, :])
@@ -244,7 +234,7 @@ def expected_profit(problem: SingleProblem, x: float, y: float) -> float:
     return _point(problem, x, y)[0]
 
 
-def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None) -> np.ndarray:
+def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Expected profit on an (x, y) mesh, ``ys`` one vector or a row per x; -inf if invalid.
 
     ``r`` gives each x its rival index. Evaluated in blocks of whole
@@ -253,18 +243,16 @@ def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None)
     """
     m = np.shape(ys)[-1]
     ys = np.broadcast_to(ys, (len(xs), m))
-    block = max(1, 2_000_000 // max(problem.panels + 1, 1) // m)
-    if r is not None:
-        block = min(block, int(np.bincount(r).max()))
+    block = min(max(1, 2_000_000 // max(problem.panels + 1, 1) // m), int(np.bincount(r).max()))
     out = np.empty((len(xs), m))
     for i in range(0, len(xs), block):
         rows = np.arange(i, min(i + block, len(xs)))
-        values = _profit(problem, np.repeat(xs[rows], m), ys[rows], r=_at(r, np.repeat(rows, m)))[0]
+        values = _profit(problem, np.repeat(xs[rows], m), ys[rows], np.repeat(r[rows], m))[0]
         out[rows] = values.reshape(rows.size, m)
     return out
 
 
-def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None):
+def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarray):
     """Each row's best (index, value) on the y-grid ``ys``, lowest index on ties.
 
     With interval types every s-th point, s = max(1, len(ys) // 16), and the
@@ -274,7 +262,7 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None):
     audit, finite types and s = 1 get the full grid."""
     m = ys.size
     def scan(rows, cols):  # each row's best (grid index, value) over its columns
-        grid = _profit_grid(problem, xs[rows], ys[cols], _at(r, rows))
+        grid = _profit_grid(problem, xs[rows], ys[cols], r[rows])
         k = (np.arange(rows.size), np.argmax(grid, axis=1))
         return np.broadcast_to(cols, grid.shape)[k], grid[k]
     s = max(1, m // 16) if problem.types.kind == "interval" else 1
@@ -289,7 +277,7 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r=None):
 
 
 def _inner_rows(
-    problem: SingleProblem, xs: np.ndarray, r=None
+    problem: SingleProblem, xs: np.ndarray, r=0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (value, y) per contractible offer, vectorized across offers.
 
@@ -311,22 +299,22 @@ def _inner_rows(
     its rival index (see :func:`_profit`).
     """
     xs = np.asarray(xs, dtype=float)
+    r = np.zeros(xs.shape, int) + r
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
     idx, value = _y_scan(problem, xs, ys, r)
     y = ys[idx]
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
-        X, rr, tol = xs[rows], _at(r, rows), OPT_TOL
+        X, rr, tol = xs[rows], r[rows], OPT_TOL
         lo = _theta_span(problem.types)[0]
         a = ys[np.maximum(idx[rows] - 1, 0)]
         b = ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)]
 
         def u_lo(k, yk):  # the lowest type's utility at rows k
-            args = (X[k], yk, lo) + (() if rr is None else (rr[k],))
-            return _rows(problem.u_fn(*args), (k.size,))
+            return _rows(problem.u_fn(X[k], yk, lo, rr[k]), (k.size,))
 
         def f(k, yk):
-            return _profit(problem, X[k], yk, audit=False, r=_at(rr, k))[0]
+            return _profit(problem, X[k], yk, rr[k], audit=False)[0]
 
         ua, ub = u_lo(np.arange(rows.size), a), u_lo(np.arange(rows.size), b)
         kink = np.flatnonzero(((ua >= 0.0) != (ub >= 0.0)) & (problem.types.kind == "interval"))
@@ -342,9 +330,8 @@ def _inner_rows(
             peak, left = (fk >= fm) & (fk >= fp), fm > fp  # left: rising toward a
             a[kink] = np.where(left & ~peak, ak, yk)  # a peak's bracket is [y_k, y_k]
             b[kink] = np.where(left | peak, yk, bk)
-        group = (b > a) + (0 if rr is None else 2 * rr)
-        yr = golden_rows(f, a, b, tol, group)
-        vr = _profit(problem, X, yr, r=rr)[0]
+        yr = golden_rows(f, a, b, tol, (b > a) + 2 * rr)
+        vr = _profit(problem, X, yr, rr)[0]
         better = vr > value[rows]
         value[rows[better]] = vr[better]
         y[rows[better]] = yr[better]
@@ -398,19 +385,16 @@ def zoom_solve(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     away from the grid argmax.
 
     Returns arrays (value, x, y) with one entry per rival offer the
-    problem binds (one entry without ``rivals``). One pass per stage
-    serves every rival, each with its own box and its own stop at a stage
-    without a finite value.
+    problem binds. One pass per stage serves every rival, each with its
+    own box and its own stop at a stage without a finite value.
     """
-    rivals = problem.rivals
-    k = 1 if rivals is None else rivals
+    k = problem.rivals
     xlo, xhi = np.full(k, float(problem.x_box[0])), np.full(k, float(problem.x_box[1]))
     value, x, y = np.full(k, -math.inf), xlo.copy(), np.full(k, float(problem.y_box[0]))
     todo = np.arange(k)
     for _ in range(_ZOOM_STAGES):
         xs = np.array([np.linspace(xlo[j], xhi[j], _ZOOM_GRID) for j in todo])
-        r = None if rivals is None else np.repeat(todo, _ZOOM_GRID)
-        values, inner_y = (v.reshape(xs.shape) for v in _inner_rows(problem, xs.ravel(), r))
+        values, inner_y = (v.reshape(xs.shape) for v in _inner_rows(problem, xs.ravel(), np.repeat(todo, _ZOOM_GRID)))
         i = np.argmax(values, axis=1)
         vi, xi, yi = (v[np.arange(todo.size), i] for v in (values, xs, inner_y))
         stop = ~np.isfinite(vi)

@@ -203,6 +203,15 @@ def test_allocation_keys_round_final_actions_and_probabilities():
     assert a.key() == ec.Allocation({"t1": ((2.0, 1.0),), "t0": ((1.0, 0.5), (0.3, 0.5))}).key()
 
 
+@pytest.mark.parametrize("payoffs", [(), (1.0, 2.0)])
+def test_table_payoffs_hold_one_payoff_per_principal(payoffs):
+    # with () validate raised IndexError from the table lookup
+    key = ("t0", (("x", "y"),))
+    with pytest.raises(ValueError, match=re.escape(f"payoff entry {key!r} has {len(payoffs)} principal payoffs, not 1")):
+        ec.PayoffModel.from_table({key: (1.0, payoffs)}, n_principals=1)
+    assert ec.PayoffModel.from_table({key: (1.0, (2.0,))}, n_principals=1).table[key] == (1.0, (2.0,))
+
+
 def test_validate_table_payoff_coverage(necessity_skeleton):
     # expression sweep: finite evaluation over all feasible profiles
     assert ec.validate(necessity_skeleton).passed

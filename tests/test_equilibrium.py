@@ -1,9 +1,10 @@
-import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contract_forge import contracts as ct
 from contract_forge import env_core as ec
@@ -62,15 +63,15 @@ class TestBayesUpdate:
         mech = ct.menu_rec(env, 0, ["x"])
         strategy = {"t0": ((("x|y",), 1.0),), "t1": ((("x|y",), 1.0),)}
         bel = eq.bayes_update(env, (mech,), strategy)
-        assert bel.public[0][("x|y",)] == pytest.approx((0.5, 0.5))
+        assert bel.weights[0][("x|y",)] == pytest.approx({("t0", ()): 0.5, ("t1", ()): 0.5})
 
     def test_separating_point_masses(self):
         env = self._env2()
         mech = ct.menu_rec(env, 0, ["x"])
         strategy = {"t0": ((("x|y",), 1.0),), "t1": ((("x|yb",), 1.0),)}
         bel = eq.bayes_update(env, (mech,), strategy)
-        assert bel.public[0][("x|y",)] == pytest.approx((1.0, 0.0))
-        assert bel.public[0][("x|yb",)] == pytest.approx((0.0, 1.0))
+        assert bel.weights[0][("x|y",)] == pytest.approx({("t0", ()): 1.0})
+        assert bel.weights[0][("x|yb",)] == pytest.approx({("t1", ()): 1.0})
 
     def test_mixing_arithmetic(self):
         env = self._env2(weights=(0.25, 0.75))
@@ -80,20 +81,20 @@ class TestBayesUpdate:
             "t1": ((("x|y",), 1.0 / 3.0), (("x|yb",), 2.0 / 3.0)),
         }
         bel = eq.bayes_update(env, (mech,), strategy)
-        assert bel.public[0][("x|y",)] == pytest.approx((0.5, 0.5))
+        assert bel.weights[0][("x|y",)] == pytest.approx({("t0", ()): 0.5, ("t1", ()): 0.5})
 
     def test_offpath_policies(self):
         env = self._env2()
         mech = ct.menu_rec(env, 0, ["x"])
         strategy = {"t0": ((("x|y",), 1.0),), "t1": ((("x|y",), 1.0),)}
         for policy, expected in [
-            ("prior", (0.5, 0.5)),
-            ("lowest-type", (1.0, 0.0)),
-            ("highest-type", (0.0, 1.0)),
-            ("selector", (0.5, 0.5)),  # selector copies the on-path x|y posterior
+            ("prior", {("t0", ()): 0.5, ("t1", ()): 0.5}),
+            ("lowest-type", {("t0", ()): 1.0}),
+            ("highest-type", {("t1", ()): 1.0}),
+            ("selector", {("t0", ()): 0.5, ("t1", ()): 0.5}),  # selector copies the on-path x|y posterior
         ]:
             bel = eq.bayes_update(env, (mech,), strategy, offpath=policy)
-            assert bel.public[0][("x|yb",)] == pytest.approx(expected)
+            assert bel.weights[0][("x|yb",)] == pytest.approx(expected)
 
 
 def _abc_d_env(types, ys, observability):
@@ -133,7 +134,7 @@ class TestPrivateOffpathBeliefs:
             "t1": ((("a|w", "d|e"), 1.0),),
             "t2": ((ec.OPT_OUT, 1.0),),
         }
-        bel = eq.bayes_update(env, contracts, strategy, offpath=policy).private
+        bel = eq.bayes_update(env, contracts, strategy, offpath=policy).weights
         return bel[0]["c|w"], bel[1]["d|g"]
 
     # t2 never participates, so its weight goes to the first messages
@@ -178,8 +179,8 @@ class TestZeroPriorMessage:
         public, _ = self._run("public")
         private, rep = self._run("private")
         # both modes give b|w the prior-policy belief: all weight on t0
-        assert public.public[0][("b|w", "d|e")] == (1.0, 0.0)
-        assert private.private[0]["b|w"] == {("t0", ("d|e",)): 1.0}
+        assert public.weights[0][("b|w", "d|e")] == {("t0", ()): 1.0}
+        assert private.weights[0]["b|w"] == {("t0", ("d|e",)): 1.0}
         assert rep.bayes_gap == 0.0
 
 
@@ -258,18 +259,15 @@ class TestCheckContinuation:
             "t1": ((("x|y_good",), 1.0),),
         }
         a = eq.build_assessment(env, (mech,), strategy)
-        bad_public = {0: dict(a.beliefs.public[0])}
-        bad_public[0][("x|y_good",)] = (1.0, 0.0)  # pooling demands (1/2, 1/2)
-        bad = eq.Assessment(
-            a.contracts, a.strategy, a.continuation,
-            eq.BeliefSystem(mode="public", public=bad_public),
-        )
+        weights = {0: dict(a.beliefs.weights[0])}
+        weights[0][("x|y_good",)] = {("t0", ()): 1.0}  # pooling demands (1/2, 1/2)
+        bad = eq.Assessment(a.contracts, a.strategy, a.continuation, eq.BeliefSystem(weights))
         rep = eq.check_continuation(env, bad)
         assert not rep.bayes_ok
         # joint mass is 0.5 per type; the point-mass belief misstates both by 0.5
         assert rep.bayes_gap == pytest.approx(0.5)
 
-    def test_non_finite_belief_fails_bayes_check(self):
+    def test_non_finite_belief_is_an_error(self):
         env = _table_single_env(
             {("t0", "y_good"): (1.0, 1.0), ("t0", "y_bad"): (0.0, 0.0),
              ("t1", "y_good"): (1.0, 1.0), ("t1", "y_bad"): (0.0, 0.0)}
@@ -277,16 +275,13 @@ class TestCheckContinuation:
         mech = ct.menu_rec(env, 0, ["x"])
         strategy = {"t0": ((("x|y_good",), 1.0),), "t1": ((("x|y_good",), 1.0),)}
         a = eq.build_assessment(env, (mech,), strategy)
-        public = {0: dict(a.beliefs.public[0])}
-        public[0][("x|y_good",)] = (float("nan"), 0.5)
-        bad = eq.Assessment(
-            a.contracts, a.strategy, a.continuation, eq.BeliefSystem(mode="public", public=public)
-        )
-        rep = eq.check_continuation(env, bad)
-        assert not rep.bayes_ok and not rep.passed
-        assert math.isnan(rep.bayes_gap)
+        weights = {0: dict(a.beliefs.weights[0])}
+        weights[0][("x|y_good",)] = {("t0", ()): float("nan"), ("t1", ()): 0.5}
+        bad = eq.Assessment(a.contracts, a.strategy, a.continuation, eq.BeliefSystem(weights))
+        with pytest.raises(ValueError, match=re.escape("non-finite principal 0 belief at ('x|y_good',) weight nan")):
+            eq.check_continuation(env, bad)
 
-    def test_non_finite_principal_gap_fails(self):
+    def test_non_finite_offpath_belief_is_an_error(self):
         env = _table_single_env(
             {("t0", "y_good"): (1.0, 1.0), ("t0", "y_bad"): (0.0, 0.0),
              ("t1", "y_good"): (1.0, 1.0), ("t1", "y_bad"): (0.0, 0.0)}
@@ -295,16 +290,148 @@ class TestCheckContinuation:
         strategy = {"t0": ((("x|y_good",), 1.0),), "t1": ((("x|y_good",), 1.0),)}
         a = eq.build_assessment(env, (mech,), strategy)
         assert a.continuation[0][("x|y_bad",)] == "y_bad"  # dominated, played off path
-        public = {0: dict(a.beliefs.public[0])}
-        public[0][("x|y_bad",)] = (float("nan"), float("nan"))
-        bad = eq.Assessment(
-            a.contracts, a.strategy, a.continuation, eq.BeliefSystem(mode="public", public=public)
+        weights = {0: dict(a.beliefs.weights[0])}
+        weights[0][("x|y_bad",)] = {("t0", ()): float("nan"), ("t1", ()): float("nan")}
+        bad = eq.Assessment(a.contracts, a.strategy, a.continuation, eq.BeliefSystem(weights))
+        with pytest.raises(ValueError, match=re.escape("non-finite principal 0 belief at ('x|y_bad',) weight nan")):
+            eq.check_continuation(env, bad)
+
+
+class TestDeclaredBeliefs:
+    """Every declared belief is checked where it is read. Public play: one
+    principal, x and z each followed by g or b, types t0 and t1 of weight
+    1/2; the agent gets 1 at x and 0 at z, the principal 1 at (t0, g) and
+    (t1, b) and 0 otherwise; no exit, plain menu (x, z). Both types send x,
+    and x plays g, z plays b: z is off path."""
+
+    def _public(self):
+        spec = ec.PrincipalSpec(
+            contractible=(ec.ActionValue("x"), ec.ActionValue("z")),
+            noncontractible=(ec.ActionValue("g"), ec.ActionValue("b")),
+            feasible={"x": ("g", "b"), "z": ("g", "b")},
         )
-        rep = eq.check_continuation(env, bad)
-        assert rep.bayes_ok and rep.agent_ok  # the belief is off path
-        assert not rep.principal_ok and not rep.passed
-        j, where, y_dev, gap = rep.principal_worst
-        assert (j, where, y_dev) == (0, ("x|y_bad",), "y_good") and math.isnan(gap)
+        entries = {
+            (t, ((x, y),)): (1.0 if x == "x" else 0.0, (1.0 if (t, y) in (("t0", "g"), ("t1", "b")) else 0.0,))
+            for t in ("t0", "t1")
+            for x, y in spec.feasible_pairs()
+        }
+        env = ec.Environment(
+            types=ec.TypeSpace.uniform_finite([0.0, 1.0]),
+            principals=(spec,),
+            payoffs=ec.PayoffModel.from_table(entries, n_principals=1),
+            optout=False,
+        )
+        mech = ct.plain_menu(env, 0, ["x", "z"])
+        strategy = {lab: ((("x",), 1.0),) for lab in ("t0", "t1")}
+        cont = {0: {("x",): "g", ("z",): "b"}}
+        return env, eq.build_assessment(env, (mech,), strategy, continuation=cont)
+
+    def _with(self, a, j, obs, belief):
+        weights = {k: dict(v) for k, v in a.beliefs.weights.items()}
+        if belief is None:
+            del weights[j][obs]
+        else:
+            weights[j][obs] = belief
+        return replace(a, beliefs=eq.BeliefSystem(weights, a.beliefs.offpath))
+
+    def test_declared_public_beliefs_pass(self):
+        env, a = self._public()
+        assert a.beliefs.weights[0][("z",)] == {("t0", ()): 0.5, ("t1", ()): 0.5}
+        assert eq.check_continuation(env, a).passed
+        tilted = self._with(a, 0, ("z",), {("t0", ()): 0.25, ("t1", ()): 0.75})
+        assert eq.check_continuation(env, tilted).passed  # b is the best reply
+
+    @pytest.mark.parametrize(
+        "belief, message",
+        [
+            # passed at the parent
+            ({("t0", ()): -1.0, ("t1", ()): 2.0}, "negative principal 0 belief at ('z',) weight -1.0"),
+            # principal-optimality findings, not errors
+            ({("t0", ()): 3.0, ("t1", ()): -2.0}, "negative principal 0 belief at ('z',) weight -2.0"),
+            ({("t0", ()): 0.2}, "principal 0 belief at ('z',) weights sum to 0.2, not 1"),
+            ({("t0", ()): float("nan"), ("t1", ()): 1.0}, "non-finite principal 0 belief at ('z',) weight nan"),
+            # a third weight raised IndexError
+            ({("t0", ()): 0.5, ("t1", ()): 0.5, ("t2", ()): 0.0}, "principal 0 belief at ('z',): key ('t2', ()) is not (type label, unobserved message labels)"),
+            ({("t0", ("x",)): 0.5, ("t1", ()): 0.5}, "('x',) are not the labels of the 0 messages principal 0 does not see"),
+            ({"t0": 0.5, ("t1", ()): 0.5}, "principal 0 belief at ('z',): key 't0' is not (type label, unobserved message labels)"),
+            (None, "principal 0 belief at ('z',) is missing"),
+        ],
+    )
+    def test_public_offpath_belief_is_checked(self, belief, message):
+        env, a = self._public()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eq.check_continuation(env, self._with(a, 0, ("z",), belief))
+
+    def _private(self):
+        """TestPrivateOffpathBeliefs' game; c|w is off path for principal 0."""
+        types = [("t0", 1.0, 0.5), ("t1", 2.0, 0.3), ("t2", 3.0, 0.2)]
+        env = _abc_d_env(types, ("e", "f", "g"), "private")
+        contracts = (ct.menu_rec(env, 0, ["a", "b", "c"]), ct.menu_rec(env, 1, ["d"]))
+        strategy = {
+            "t0": ((("a|w", "d|e"), 0.5), (("b|w", "d|f"), 0.5)),
+            "t1": ((("a|w", "d|e"), 1.0),),
+            "t2": ((ec.OPT_OUT, 1.0),),
+        }
+        return env, eq.build_assessment(env, contracts, strategy)
+
+    def test_declared_private_beliefs_pass(self):
+        env, a = self._private()
+        assert eq.check_continuation(env, a).passed
+
+    @pytest.mark.parametrize(
+        "belief, message",
+        [
+            # passed at the parent
+            ({("t0", ("d|e",)): -0.5, ("t1", ("d|e",)): 1.5}, "negative principal 0 belief at 'c|w' weight -0.5"),
+            # KeyError (2,) at the parent
+            ({("t0", ()): 1.0}, "() are not the labels of the 1 messages principal 0 does not see"),
+            (None, "principal 0 belief at 'c|w' is missing"),
+            ({("t0", ("d|h",)): 1.0}, "('d|h',) are not the labels of the 1 messages principal 0 does not see"),
+        ],
+    )
+    def test_private_offpath_belief_is_checked(self, belief, message):
+        env, a = self._private()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eq.check_continuation(env, self._with(a, 0, "c|w", belief))
+
+
+def _offpath_weights(env, a):
+    """(principal, observation label, key) of every positive belief weight
+    at an observation no type reaches; every type has positive weight."""
+    sent = {o for dist in a.strategy.values() for o, p in dist if o != ec.OPT_OUT and p > 0.0}
+    out = []
+    for j, table in a.beliefs.weights.items():
+        reached = sent if env.observability == "public" else {o[j] for o in sent}
+        out += [(j, obs, k) for obs, b in table.items() if obs not in reached for k, w in b.items() if w > 0.0]
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(eq.OFFPATH_POLICIES))
+@example(seed=4, policy="prior")  # public, one message off path
+@example(seed=240, policy="selector")  # private, two principals with two messages each
+@settings(max_examples=40, deadline=None)
+def test_found_beliefs_are_bayes_beliefs_and_checked(seed, policy):
+    """Every equilibrium the search finds holds exactly the beliefs Bayes'
+    rule and its policy give, and negating one positive off-path weight
+    is an error."""
+    env, contracts = random_instance(np.random.default_rng(seed))
+    for fe in eq.enumerate_equilibria(env, contracts, eq.SearchOptions(policies=(policy,))):
+        a = fe.assessment
+        assert eq.bayes_update(env, contracts, a.strategy, policy) == a.beliefs
+        for j, obs, key in _offpath_weights(env, a):
+            weights = {k: dict(v) for k, v in a.beliefs.weights.items()}
+            weights[j][obs] = {**weights[j][obs], key: -weights[j][obs][key]}
+            with pytest.raises(ValueError, match=f"negative principal {j} belief"):
+                eq.check_continuation(env, replace(a, beliefs=eq.BeliefSystem(weights, policy)))
+
+
+def test_both_observabilities_have_offpath_weights():
+    """The examples of the property above reach both branches."""
+    for seed, policy, observability in ((4, "prior", "public"), (240, "selector", "private")):
+        env, contracts = random_instance(np.random.default_rng(seed))
+        assert env.observability == observability
+        found = eq.enumerate_equilibria(env, contracts, eq.SearchOptions(policies=(policy,)))
+        assert any(_offpath_weights(env, fe.assessment) for fe in found)
 
 
 class TestStrategyWeights:

@@ -12,6 +12,13 @@ def test_precedence():
     assert el.evaluate(el.parse("1+2*3"), {}) == 7.0
 
 
+def test_text_and_parsed_expressions_are_one_input():
+    expr = el.parse("x + theta")
+    assert el.as_expr("x + theta") == expr and el.as_expr(expr) is expr
+    with pytest.raises(el.ParseError):
+        el.as_expr("x +")
+
+
 def test_power_right_associative():
     assert el.evaluate(el.parse("2^3^2"), {}) == 512.0
 

@@ -286,7 +286,7 @@ class TestMenuAssessment:
         """Returns whether two sent messages share a baseline."""
         sent = {o[0] for dist in assessment.strategy.values() for o, p in dist if p > 0}
         cont = assessment.continuation[0]
-        beliefs = assessment.beliefs.public[0]
+        beliefs = assessment.beliefs.weights[0]
         messages = assessment.contracts[0].messages
         for msg in messages:
             if msg.label in sent:

@@ -140,7 +140,7 @@ class TestBatchedBestResponse:
             assert [part[k] for part in batch] == [part[0] for part in alone]
 
     def test_slice_records_rival_count(self, worked):
-        assert sa.bilateral_reduce(worked, 0, 1.0).rivals is None
+        assert sa.bilateral_reduce(worked, 0, 1.0).rivals == 1
         assert sa.bilateral_reduce(worked, 0, [1.0]).rivals == 1
         assert sa.bilateral_reduce(worked, 0, np.array([0.0, 1.0, 2.0])).rivals == 3
 
@@ -157,7 +157,7 @@ class TestBatchedBestResponse:
         assert 2_000_000 // (batched.panels + 1) // ys.size < xs.size
         grid = ss._profit_grid(batched, np.tile(xs, 3), ys, np.repeat(np.arange(3), xs.size))
         for k, xo in enumerate(offers):
-            alone = ss._profit_grid(sa.bilateral_reduce(worked, 0, xo), xs, ys)
+            alone = ss._profit_grid(sa.bilateral_reduce(worked, 0, xo), xs, ys, np.zeros(xs.size, int))
             assert np.array_equal(grid[k * xs.size : (k + 1) * xs.size], alone)
 
 

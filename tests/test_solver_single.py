@@ -202,7 +202,7 @@ class TestSolve:
     def test_solver_dominates_audit_grid(self, labor, labor_solution):
         xs = np.linspace(labor.x_box[0], labor.x_box[1], 64)
         ys = np.linspace(labor.y_box[0], labor.y_box[1], 64)
-        grid = ss._profit_grid(labor, xs, ys)
+        grid = ss._profit_grid(labor, xs, ys, np.zeros(xs.size, int))
         assert labor_solution.value >= float(np.max(grid)) - 1e-9
 
     def test_zoom_agrees_with_solve(self, labor, labor_solution):
@@ -214,7 +214,7 @@ class TestSolve:
 def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float]:
     """The y-grid's bracket [a, b] around its best point, and that point's value."""
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
-    grid = ss._profit_grid(problem, np.array([x]), ys)[0]
+    grid = ss._profit_grid(problem, np.array([x]), ys, np.zeros(1, int))[0]
     i = int(np.argmax(grid))
     return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(grid[i])
 
@@ -310,8 +310,9 @@ class TestInnerRows:
         else:
             problem = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", **box)
         xs, ys = np.array(xs), np.linspace(y_lo, y_lo + width, y_grid)
-        idx, value = ss._y_scan(problem, xs, ys)
-        full = ss._profit_grid(problem, xs, ys)
+        r = np.zeros(xs.size, int)
+        idx, value = ss._y_scan(problem, xs, ys, r)
+        full = ss._profit_grid(problem, xs, ys, r)
         assert np.array_equal(idx, np.argmax(full, axis=1))
         assert np.array_equal(value, np.max(full, axis=1))
 
@@ -321,9 +322,10 @@ class TestInnerRows:
         # 0.317 apart) all read 0, so the window around y = 0 keeps 0
         problem = ss.SingleProblem(u="theta", v="max(0, 0.05 - abs(y - 2.03))", y_grid=64)
         ys = np.linspace(0.0, 5.0, 64)
-        full = ss._profit_grid(problem, np.array([1.0]), ys)[0]
+        xs, r = np.array([1.0]), np.zeros(1, int)
+        full = ss._profit_grid(problem, xs, ys, r)[0]
         assert int(np.argmax(full)) == 26 and full[26] > 0.016
-        idx, value = ss._y_scan(problem, np.array([1.0]), ys)
+        idx, value = ss._y_scan(problem, xs, ys, r)
         assert (idx[0], value[0]) == (0, 0.0)
 
     def test_row_failing_the_audit_at_every_coarse_sample_is_scanned_in_full(self):
@@ -331,11 +333,11 @@ class TestInnerRows:
         # stride; elsewhere it falls in theta and is positive, so the audit
         # fails there. The band holds the grid points 1.984 and 2.063.
         problem = ss.SingleProblem(u="theta*(0.01 - (y-2.03)^2) + 30", v="y", y_grid=64)
-        xs, ys = np.array([1.0]), np.linspace(0.0, 5.0, 64)
-        assert np.all(ss._profit_grid(problem, xs, ys[np.r_[0:64:4, 63]]) == -np.inf)
-        full = ss._profit_grid(problem, xs, ys)[0]
+        xs, ys, r = np.array([1.0]), np.linspace(0.0, 5.0, 64), np.zeros(1, int)
+        assert np.all(ss._profit_grid(problem, xs, ys[np.r_[0:64:4, 63]], r) == -np.inf)
+        full = ss._profit_grid(problem, xs, ys, r)[0]
         assert list(np.flatnonzero(np.isfinite(full))) == [25, 26]
-        idx, value = ss._y_scan(problem, xs, ys)
+        idx, value = ss._y_scan(problem, xs, ys, r)
         assert (idx[0], value[0]) == (26, full[26])
         (inner,), (y,) = ss._inner_rows(problem, xs)
         assert inner >= full[26] and 1.93 < y < 2.13
