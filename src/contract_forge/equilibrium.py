@@ -384,7 +384,12 @@ def _belief_system(game: _Game, beliefs, policy: str) -> BeliefSystem:
 def _declared_beliefs(game: _Game, assessment: Assessment) -> list[dict]:
     """An assessment's beliefs in :func:`_beliefs`'s form, per principal: the
     one reader of declared beliefs, and their check (ValueError unless each
-    observation has a probability vector keyed by known labels)."""
+    observation has a probability vector keyed by known labels, and every
+    declared belief is some principal's at an observation it can make)."""
+    for j, table in assessment.beliefs.weights.items():
+        if j not in range(game.n):
+            where = f"principal {j!r} belief" + (f" at {next(iter(table))!r}" if table else "")
+            raise ValueError(f"{where}: the game has no principal {j!r} (principals 0 to {game.n - 1})")
     out = []
     for j in range(game.n):
         table = assessment.beliefs.weights.get(j, {})
@@ -396,10 +401,17 @@ def _declared_beliefs(game: _Game, assessment: Assessment) -> list[dict]:
                 raise ValueError(f"{where} is missing")
             check_probabilities(list(table[label].values()), where)
             beliefs[obs] = {}
+            profiles: dict = {}  # unobserved labels -> message profile, resolved once
             for key, w in table[label].items():
                 if not (isinstance(key, tuple) and len(key) == 2 and key[0] in game.t_labels and isinstance(key[1], tuple)):
                     raise ValueError(f"{where}: key {key!r} is not (type label, unobserved message labels)")
-                beliefs[obs][(game.t_labels.index(key[0]), game.unhide(j, obs, key[1]))] = float(w)
+                if key[1] not in profiles:
+                    profiles[key[1]] = game.unhide(j, obs, key[1])
+                beliefs[obs][(game.t_labels.index(key[0]), profiles[key[1]])] = float(w)
+        if len(table) > len(beliefs):  # a label that is none of j's observations
+            known = {game.label(j, obs) for obs in beliefs}
+            label = next(lab for lab in table if lab not in known)
+            raise ValueError(f"principal {j} belief at {label!r} is not at an observation principal {j} can make")
         out.append(beliefs)
     return out
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,6 +129,13 @@ def _rows(values, shape: tuple[int, ...]) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
+@lru_cache(maxsize=16)
+def _fixed_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, ...]:
+    """The audit's 33 sweep points on [lo, hi], and the Simpson node fractions and coefficients of ``panels`` panels."""
+    nodes = np.linspace(lo, hi, 33), np.linspace(0.0, 1.0, panels + 1), simpson_coefficients(panels + 1)
+    return tuple(np.broadcast_to(v, v.shape) for v in nodes)  # read-only views: every caller shares them
+
+
 def _profit(
     problem: SingleProblem, X, Y, r=0, audit: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,8 +163,8 @@ def _profit(
     def pay(fn, rows, th):  # fn at the listed rows; th has one row or one per row
         return _rows(fn(X[rows, None], Y[rows, None], th, R[rows, None]), (rows.size, th.shape[1]))
 
-    grid = np.linspace(lo, hi, 33) if audit else np.array([lo, hi])
-    sweep = pay(problem.u_fn, np.arange(n), grid[None, :])
+    grid = _fixed_nodes(lo, hi, problem.panels)[0] if audit else np.array([lo, hi])
+    sweep = _rows(problem.u_fn(X[:, None], Y[:, None], grid[None, :], R[:, None]), (n, grid.size))
     none = sweep[:, -1] < 0.0
     if audit:  # a non-finite sweep (inf - inf) fails the audit
         with np.errstate(invalid="ignore"):
@@ -167,8 +175,9 @@ def _profit(
     inner = np.flatnonzero(valid & ~none & (sweep[:, 0] < 0.0))
     if inner.size:
         k = np.argmax(sweep[inner] >= 0.0, axis=1)  # first staying grid point
+        Xi, Yi, Ri = X[inner], Y[inner], R[inner]
         cut[inner] = root_rows(
-            lambda rows, th: pay(problem.u_fn, inner[rows], th[:, None])[:, 0],
+            lambda rows, th: _rows(problem.u_fn(Xi[rows], Yi[rows], th, Ri[rows]), (rows.size,)),
             grid[k - 1], grid[k], sweep[inner, k - 1], sweep[inner, k],
             _root_width(max(abs(lo), abs(hi))),
         )
@@ -183,8 +192,7 @@ def _profit(
             value[live] = np.sum(w * pay(problem.v_fn, live, th) * stays, axis=1)
             stay[live] = np.sum(w * stays, axis=1)
         else:
-            frac = np.linspace(0.0, 1.0, problem.panels + 1)
-            coef = simpson_coefficients(problem.panels + 1)
+            _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
             span = hi - cut[live]
             nodes = cut[live, None] + span[:, None] * frac[None, :]
             vv = pay(problem.v_fn, live, nodes)

@@ -362,6 +362,22 @@ class TestDeclaredBeliefs:
         with pytest.raises(ValueError, match=re.escape(message)):
             eq.check_continuation(env, self._with(a, 0, ("z",), belief))
 
+    @pytest.mark.parametrize(
+        "j, extra, message",
+        [
+            # all three passed at the parent: nothing read these entries
+            (0, {("q",): {("t9", ("zz",)): -5.0}}, "principal 0 belief at ('q',) is not at an observation principal 0 can make"),
+            (3, {}, "principal 3 belief: the game has no principal 3 (principals 0 to 0)"),
+            (1, {("x",): {("t0", ()): 1.0}}, "principal 1 belief at ('x',): the game has no principal 1 (principals 0 to 0)"),
+        ],
+    )
+    def test_belief_beyond_the_game_is_rejected(self, j, extra, message):
+        env, a = self._public()
+        weights = {k: dict(v) for k, v in a.beliefs.weights.items()}
+        weights[j] = {**weights.get(j, {}), **extra}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eq.check_continuation(env, replace(a, beliefs=eq.BeliefSystem(weights, a.beliefs.offpath)))
+
     def _private(self):
         """TestPrivateOffpathBeliefs' game; c|w is off path for principal 0."""
         types = [("t0", 1.0, 0.5), ("t1", 2.0, 0.3), ("t2", 3.0, 0.2)]
