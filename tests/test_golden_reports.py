@@ -1,4 +1,5 @@
-"""Every bundled fixture's report bytes, pinned by sha256.
+"""Every bundled fixture's report bytes, and those of agency scenarios
+built from the agency fixture, pinned by sha256.
 
 Report bytes are deterministic (``reportio``): 12 significant digits,
 insertion-ordered keys, LF line endings. A change that moves any number
@@ -8,6 +9,7 @@ the digest with it.
 """
 
 import hashlib
+import json
 from importlib import resources
 
 import pytest
@@ -72,4 +74,65 @@ def test_report_bytes(name, tmp_path):
     report = cli.run(cli.parse_scenario(str(FIXTURES / name)))
     files = cli.write_report(report, tmp_path)
     assert report.exit_code == code
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == digests
+
+
+# Agency scenarios built from the bundled fixture, each an edit of its
+# "agency" block: name -> (edit, {report file: sha256}). They pin the
+# fixed point, its trajectory and the best-response curve away from the
+# fixture's beta, start and symmetry.
+AGENCY_VARIANTS = {
+    "beta_0.35": (
+        {"beta": 0.35},
+        {
+            "best_response.csv": "cb65ae22104f6ee1cce3120a221e9968e30eb759f8f946595f20f1d0a54edcc5",
+            "report.json": "f04ed9fbca172c9eeea3d0fbac8f6fcf80d95c4638396545a196b210fe1028a9",
+            "trajectory.csv": "ed76ebd2bb8f24f3ae965d3a802cb11a59ce251c030c6a0f57d6f32067ed917b",
+        },
+    ),
+    "beta_0.6": (
+        {"beta": 0.6},
+        {
+            "best_response.csv": "18c5cb61e9e798d363aacae05951d34f47949b13d277ffc606ea40aa80967700",
+            "report.json": "e699f39772d712f74f6e18e5740c14c53ee344706a2ef3cbe175c1ef672672af",
+            "trajectory.csv": "f6558cebab375d78c043a05cb625e8d33605d0a0f2c12ca414d70e47b15ab709",
+        },
+    ),
+    "beta_0.85": (
+        {"beta": 0.85},
+        {
+            "best_response.csv": "3c58016c17d6f71043cc2625686d5f53044a1d78ab00b44cc5e54e22f8941158",
+            "report.json": "0b65e1532587f4dbc23836e43dedef8b3add99099fcd01312a69130d9784a90e",
+            "trajectory.csv": "6367ed1cb0fa36d4900bad1a8ac592c7993363d95366de0306b574c46dc995c6",
+        },
+    ),
+    "start_1_0.5": (
+        {"start": [1.0, 0.5]},
+        {
+            "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
+            "report.json": "df69dece6bd078a4c52d7273126a56f7a96fe5d599d2adb63bd5e759e4920914",
+            "trajectory.csv": "713ec8302bfacdcb293e62ea41d573309a61c4347166ebb0862a59fffde1d3fd",
+        },
+    ),
+    "principal2_cost_1.2": (
+        {"principal_payoffs": ["(1 + beta*x_other)*y*theta - x^2", "(1 + beta*x_other)*y*theta - 1.2*x^2"]},
+        {
+            "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
+            "report.json": "2423ad898a1fe8c5bb270ddf8fc6ab256a4781b3bdf6c79858dceb740ad3f63b",
+            "trajectory.csv": "c7267420cff7c57a5896418a549d50a014fe7a1159ef7192f6e441acbe45eba4",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGENCY_VARIANTS))
+def test_agency_variant_bytes(name, tmp_path):
+    edit, digests = AGENCY_VARIANTS[name]
+    doc = json.loads((FIXTURES / "agency_beta17_21.json").read_text(encoding="utf-8"))
+    doc["agency"].update(edit)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = cli.run(cli.parse_scenario(str(path)))
+    files = cli.write_report(report, tmp_path / "out")
+    assert report.exit_code == 0
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == digests
