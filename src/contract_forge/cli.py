@@ -567,7 +567,9 @@ def _run_solve_single(sc, report, opts):
 
 def _run_solve_agency(sc, report, opts):
     problem, extras = sc.blocks["agency"]
-    eqm = sa.fixed_point(problem, **extras["fixed_point"])
+    offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
+    curve = sa.best_response(problem, 0, offers)  # one batched pass, whose answers the iteration reuses
+    eqm = sa.fixed_point(problem, **extras["fixed_point"], responses=dict(zip(offers.tolist(), curve.tolist())))
     report.payload = {
         "x": list(eqm.x),
         "y": list(eqm.y),
@@ -581,8 +583,6 @@ def _run_solve_agency(sc, report, opts):
         ("iteration", "x1", "x2"),
         [(i, x1, x2) for i, (x1, x2) in enumerate(eqm.trajectory)],
     )
-    offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
-    curve = sa.best_response(problem, 0, offers)  # one batched pass
     report.tables["best_response"] = (
         ("x_other", "best_response"),
         [(float(xo), float(br)) for xo, br in zip(offers, curve)],
@@ -663,6 +663,23 @@ def _run_check_equilibrium(sc, report, opts):
         report.warnings.append("assessment fails continuation checks")
 
 
+def _findings(report, rep, keys=None, plain="plain") -> list[dict]:
+    """The payload of a robustness audit's findings, each with ``keys``
+    only when given. A failed audit exits 1 with one warning per
+    safe-profitable deviation, which names a plain menu ``plain``."""
+    out = []
+    for f in rep.findings:
+        kind = f.deviation.kind
+        row = {"principal": f.principal + 1, "deviation_kind": kind, "deviation": _mechanism_payload(f.deviation),
+               "outcome": f.outcome, "worst_value": f.worst_value, "best_value": f.best_value, "gain": f.gain}
+        out.append({k: row[k] for k in keys or row})
+        if not rep.passed and f.outcome == "safe-profitable":
+            report.warnings.append(f"safe-profitable deviation: {plain if kind == 'plain' else kind} for principal {f.principal + 1}")
+    if not rep.passed:
+        report.exit_code = 1
+    return out
+
+
 def _run_robust(sc, report, opts):
     env, assessment = sc.blocks["environment"], sc.blocks["assessment"]
     if sc.command == "private-check" and env.observability != "private":
@@ -676,29 +693,7 @@ def _run_robust(sc, report, opts):
         report.exit_code = 1
         report.warnings.append("assessment fails continuation checks")
         return
-    report.payload = {
-        "passed": rep.passed,
-        "base": _equilibrium_payload(rep.base),
-        "findings": [
-            {
-                "principal": f.principal + 1,
-                "deviation_kind": f.deviation.kind,
-                "deviation": _mechanism_payload(f.deviation),
-                "outcome": f.outcome,
-                "worst_value": f.worst_value,
-                "best_value": f.best_value,
-                "gain": f.gain,
-            }
-            for f in rep.findings
-        ],
-    }
-    if not rep.passed:
-        report.exit_code = 1
-        for f in rep.findings:
-            if f.outcome == "safe-profitable":
-                report.warnings.append(
-                    f"safe-profitable deviation: {f.deviation.kind} for principal {f.principal + 1}"
-                )
+    report.payload = {"passed": rep.passed, "base": _equilibrium_payload(rep.base), "findings": _findings(report, rep)}
 
 
 def _run_necessity(sc, report, opts):
@@ -747,24 +742,8 @@ def _run_plain_menu_demo(sc, report, opts):
         "deviator_state_values": {k: state_values[k] for k in sorted(state_values)},
         "post_deviation_values": sorted(set(round(float(v), ec.KEY_DIGITS) for v in post)),
         "robust_passed": rep.passed,
-        "findings": [
-            {
-                "principal": f.principal + 1,
-                "deviation_kind": f.deviation.kind,
-                "outcome": f.outcome,
-                "worst_value": f.worst_value,
-            }
-            for f in rep.findings
-        ],
+        "findings": _findings(report, rep, ("principal", "deviation_kind", "outcome", "worst_value"), "PlainMenu"),
     }
-    if not rep.passed:
-        report.exit_code = 1
-        for f in rep.findings:
-            if f.outcome == "safe-profitable":
-                report.warnings.append(
-                    f"safe-profitable deviation: {'PlainMenu' if f.deviation.kind == 'plain' else f.deviation.kind}"
-                    f" for principal {f.principal + 1}"
-                )
 
 
 _SEARCH = ("tol", "policies", "mixing", "cap")

@@ -75,7 +75,8 @@ def root_rows(
     the newest probe) and the point x3 it last discarded. The next probe
     is the inverse quadratic interpolant through the three where
     Chandrupatla's test finds it well placed and the midpoint otherwise,
-    kept tol/2 inside the bracket so the bracket closes. A row leaves at
+    kept tol/2 inside the bracket so the bracket closes; the first step,
+    with no x3 yet, takes the midpoint without the test. A row leaves at
     the step its bracket gets narrower than ``tol`` or its newest probe is
     an exact zero, returning the bracket's end where g >= 0. A row's root
     does not depend on the other rows.
@@ -83,9 +84,9 @@ def root_rows(
     out = np.empty_like(a)
     rows = np.arange(a.size)
     x1, f1, x2, f2 = a, ga, b, gb
-    x3 = f3 = np.full_like(a, np.nan)  # no discarded point yet: bisect first
+    x3 = f3 = np.full_like(a, np.nan)  # set by the first step
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_ROOT_MAX_STEPS):
+        for step in range(_ROOT_MAX_STEPS):
             dx, pos = x2 - x1, f1 >= 0.0
             done = (f1 == 0.0) | (np.abs(dx) < tol)
             if np.count_nonzero(done):
@@ -94,10 +95,12 @@ def root_rows(
                 rows, x1, f1, x2, f2, x3, f3, dx, pos = (v[keep] for v in (rows, x1, f1, x2, f2, x3, f3, dx, pos))
                 if not rows.size:
                     return out
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (df := f3 - f2)
-            iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / dx * f1 / (f3 - f1) * f2 / df
-            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
+            t = 0.5  # the first step bisects: no point discarded yet
+            if step:
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (df := f3 - f2)
+                iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / dx * f1 / (f3 - f1) * f2 / df
+                t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
             t_min = 0.5 * tol / np.abs(dx)
             xt = x1 + np.minimum(np.maximum(t, t_min), 1.0 - t_min) * dx
             ft = g(rows, xt)

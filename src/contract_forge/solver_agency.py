@@ -160,7 +160,9 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
 
 
 def fixed_point(
-    problem: AgencyProblem, start: tuple[float, float] = (0.0, 0.0)
+    problem: AgencyProblem,
+    start: tuple[float, float] = (0.0, 0.0),
+    responses: Mapping[float, float] | None = None,
 ) -> AgencyEquilibrium:
     """Accelerated simultaneous best-response iteration to a simple-offer equilibrium.
 
@@ -172,16 +174,21 @@ def fixed_point(
     residual grew since the previous step. Iterates until the residual
     drops below ``_FP_TOL``, at most ``_MAX_ITER`` steps; raises on
     non-convergence, attaching the trajectory. The best responses search
-    the coarse slice (see :func:`best_response`); the reported
-    y, cutoff and value of each principal come from one full-resolution
-    inner solve at the reported own offer against the rival's, shared when
-    the problem is symmetric and the offers are equal. At a kink optimum
-    that y is the kink's root, so the lowest type stays (cutoff exactly lo).
+    the coarse slice (see :func:`best_response`), each rival offer once.
+    ``responses`` maps rival offers to principal 1's best responses known
+    beforehand (``solve-agency`` passes its batched curve): the iteration
+    reads them instead of solving them again, for both principals when
+    the problem is symmetric, so they must be ``best_response`` answers
+    for the result to equal an unseeded run's. The reported y, cutoff and
+    value of each principal come from one full-resolution inner solve at
+    the reported own offer against the rival's, shared when the problem
+    is symmetric and the offers are equal. At a kink optimum that y is
+    the kink's root, so the lowest type stays (cutoff exactly lo).
     """
     x = np.array([float(start[0]), float(start[1])])
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
-    cache: dict[tuple, float] = {}
     symmetric = problem.symmetric
+    cache = {((xo,) if symmetric else (0, xo)): br for xo, br in (responses or {}).items()}
     box_lo, box_hi = problem.x_box
 
     def br(j: int, xo: float) -> float:

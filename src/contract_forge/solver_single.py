@@ -12,10 +12,10 @@ evaluated here by a kink-safe search in each variable: grid (strided in
 y with interval types: every (y_grid // 16)-th point, then every point
 within that stride of the best), then (y with interval types) the
 participation kink as a root, then golden section. One vectorized kernel
-(``_profit``) gives the value, the stay probability and the
-participation cutoff of many (x, y) pairs at once: the cutoff by the
-bracketed root finder on the rows where it is interior, the expectation
-by composite Simpson quadrature split exactly at the cutoff.
+(``_profit``) gives the value and the participation cutoff of many
+(x, y) pairs at once: the cutoff by the bracketed root finder on the
+rows where it is interior, the expectation by composite Simpson
+quadrature split exactly at the cutoff.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def _fixed_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, ...]:
 
 def _profit(
     problem: SingleProblem, X, Y, r=0, audit: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected profit, stay probability and cutoff for paired (x, y) arrays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected profit and cutoff for paired (x, y) arrays.
 
     The one participation kernel. u is swept over the type span (33
     points with the audit, the two ends without); rows whose highest type
@@ -152,7 +152,9 @@ def _profit(
     no type stays; refinement probes inside audited brackets skip it.
     ``r`` holds each row's index into the rival offers the problem binds
     (one index for every row), passed to u and v as their fourth
-    argument. A row's results depend on that row alone.
+    argument. A row's results depend on that row alone. The stay
+    probability, which only :func:`_point` reports, is :func:`_stay` at
+    the cutoff.
     """
     X = np.asarray(X, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
@@ -183,14 +185,12 @@ def _profit(
         )
 
     value = np.zeros(n)
-    stay = np.zeros(n)
     live = np.flatnonzero(~np.isnan(cut))
     if live.size:
         if problem.types.kind == "finite":
             th, w = problem.types.values[None, :], problem.types.weights[None, :]
             stays = pay(problem.u_fn, live, th) >= 0.0
             value[live] = np.sum(w * pay(problem.v_fn, live, th) * stays, axis=1)
-            stay[live] = np.sum(w * stays, axis=1)
         else:
             _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
             span = hi - cut[live]
@@ -198,21 +198,43 @@ def _profit(
             vv = pay(problem.v_fn, live, nodes)
             dens = problem.types.density_at(nodes)
             value[live] = np.sum(coef[None, :] * vv * dens, axis=1) * span / problem.panels / 3.0
-            stay[live] = np.sum(coef[None, :] * dens, axis=1) * span / problem.panels / 3.0
     if audit:
         value[~valid] = -np.inf
-        stay[~valid] = np.nan
-    return value, stay, cut
+    return value, cut
+
+
+def _stay(problem: SingleProblem, X, Y, cut) -> np.ndarray:
+    """Stay probability of paired (x, y) arrays at their kernel cutoffs ``cut``.
+
+    0 where no type stays (cutoff nan); otherwise, with interval types,
+    the kernel's Simpson mass of the density from the cutoff up, and with
+    finite types the weights of the types whose u is at least 0.
+    """
+    X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
+    stay = np.zeros(X.size)
+    live = np.flatnonzero(~np.isnan(cut))
+    if live.size and problem.types.kind == "finite":
+        th, w = problem.types.values[None, :], problem.types.weights[None, :]
+        u = problem.u_fn(X[live, None], Y[live, None], th, np.zeros((live.size, 1), int))
+        stay[live] = np.sum(w * (_rows(u, (live.size, th.shape[1])) >= 0.0), axis=1)
+    elif live.size:
+        lo, hi = _theta_span(problem.types)
+        _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
+        span = hi - cut[live]
+        dens = problem.types.density_at(cut[live, None] + span[:, None] * frac[None, :])
+        stay[live] = np.sum(coef[None, :] * dens, axis=1) * span / problem.panels / 3.0
+    return stay
 
 
 def _point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, float]:
-    """Audited (value, stay probability, cutoff) at one offer pair."""
-    value, stay, cut = _profit(problem, [x], [y])
+    """Audited (value, stay probability, cutoff) at one offer pair; the
+    stay probability by :func:`_stay` at the kernel's cutoff."""
+    value, cut = _profit(problem, [x], [y])
     if value[0] == -np.inf:
         raise MonotonicityError(
             f"agent utility is not strictly increasing in theta at (x, y) = ({x}, {y})"
         )
-    return float(value[0]), float(stay[0]), float(cut[0])
+    return float(value[0]), float(_stay(problem, [x], [y], cut)[0]), float(cut[0])
 
 
 def _cutoff_result(problem: SingleProblem, cut: float) -> CutoffResult:
@@ -266,21 +288,29 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarra
     With interval types every s-th point, s = max(1, len(ys) // 16), and the
     last are scanned, then [c - s, c + s] (shifted inside the grid) around
     each coarse best c: rows are assumed unimodal at spacing s, as golden
-    section assumes on its bracket. Rows whose coarse samples all fail the
+    section assumes on its bracket. Each window holds three coarse points,
+    read from the kept coarse samples, so the window pass evaluates its
+    other 2s - 2 points only. Rows whose coarse samples all fail the
     audit, finite types and s = 1 get the full grid."""
     m = ys.size
-    def scan(rows, cols):  # each row's best (grid index, value) over its columns
-        grid = _profit_grid(problem, xs[rows], ys[cols], r[rows])
-        k = (np.arange(rows.size), np.argmax(grid, axis=1))
+    def best(cols, grid):  # each row's best (grid index, value) over its columns
+        k = (np.arange(len(grid)), np.argmax(grid, axis=1))
         return np.broadcast_to(cols, grid.shape)[k], grid[k]
     s = max(1, m // 16) if problem.types.kind == "interval" else 1
-    idx, value = scan(np.arange(len(xs)), np.unique(np.r_[0:m:s, m - 1]))
+    coarse = np.unique(np.r_[0:m:s, m - 1])
+    grid = _profit_grid(problem, xs, ys[coarse], r)
+    idx, value = best(coarse, grid)
     if s > 1:
         full = value == -np.inf  # every coarse sample failed the audit
-        win = np.clip(idx - s, 0, m - 2 * s - 1)[:, None] + np.arange(2 * s + 1)
-        for rows, cols in ((np.flatnonzero(~full), win[~full]), (np.flatnonzero(full), np.arange(m))):
-            if rows.size:
-                idx[rows], value[rows] = scan(rows, cols)
+        if (rows := np.flatnonzero(~full)).size:
+            win = np.clip(idx[rows] - s, 0, m - 2 * s - 1)[:, None] + np.arange(2 * s + 1)
+            old = np.isin(win, coarse)
+            wgrid = np.empty(win.shape)
+            wgrid[old] = grid[rows[np.nonzero(old)[0]], np.searchsorted(coarse, win[old])]
+            wgrid[~old] = _profit_grid(problem, xs[rows], ys[win[~old].reshape(rows.size, -1)], r[rows]).ravel()
+            idx[rows], value[rows] = best(win, wgrid)
+        if (rows := np.flatnonzero(full)).size:
+            idx[rows], value[rows] = best(np.arange(m), _profit_grid(problem, xs[rows], ys, r[rows]))
     return idx, value
 
 

@@ -333,6 +333,38 @@ class TestEngineScenarios:
         assert report.payload["results"]["passed"] is True
 
 
+    def test_findings_payload_and_warnings(self):
+        # a failing audit with a plain menu and a menu with recommendations
+        # safe-profitable: robust-check names the plain menu "plain" and
+        # reports every field, the demo names it "PlainMenu" and reports four
+        from contract_forge import contracts as ct
+        from contract_forge import equilibrium as eq
+
+        env, assessment, plain, _ = ct.plain_menu_scenario(n_aux=2)
+        menu = ct.enumerate_gstar(env, 1)[0]
+        base = eq.check_continuation(env, assessment)
+        rep = eq.RobustReport(False, base, (
+            eq.DeviationFinding(0, plain, "safe-profitable", 0.25, 0.5, 0.125),
+            eq.DeviationFinding(1, menu, "deterred", -1.0, 0.0, None),
+            eq.DeviationFinding(1, menu, "safe-profitable", 0.3, 0.7, 0.1),
+        ))
+        for command, blocks, name, keys in (
+            ("private-check", {"environment": env, "assessment": assessment}, "plain", 7),
+            ("plain-menu-demo", {}, "PlainMenu", 4),
+        ):
+            built = cli._build_blocks({"schema": 1, "command": command, "options": {}}, command)
+            sc = cli.ScenarioFile(command=command, raw={}, blocks={**built, **blocks})
+            report = cli.RunReport(command, "", {})
+            with mock.patch.object(cli.eq, "check_robust", return_value=rep):
+                cli._COMMAND_SPECS[command][2](sc, report, sc.blocks["options"])
+            assert report.exit_code == 1
+            assert report.warnings == [
+                f"safe-profitable deviation: {name} for principal 1",
+                "safe-profitable deviation: menu_rec for principal 2",
+            ]
+            assert [len(f) for f in report.payload["findings"]] == [keys] * 3
+
+
 class TestScenarioErrors:
     """Malformed or invalid scenarios exit 2 with a message, never a traceback."""
 

@@ -201,30 +201,34 @@ def fixture_run():
 
 class TestAgencyRun:
     def test_kernel_pass_count(self, fixture_run):
-        # 6 fixed-point best responses and one batched curve pass, 4 zoom
-        # stages each, one reported pair (symmetric, x1 == x2), one menu
+        # one batched curve pass and 5 fixed-point best responses (the
+        # curve answers the start's rival offer 0), 4 zoom stages each, one
+        # reported pair (symmetric, x1 == x2), one menu
         _, seen = fixture_run
-        assert seen["inner_rows"] == 30
+        assert seen["inner_rows"] == 26
         # most inner optima sit on the participation kink, found as a root
         # of the lowest type's utility instead of by about 36 golden steps;
         # golden section steps all its rows in lockstep (328 calls when each
-        # step count took its own pass)
-        assert seen["profit"] <= 293
+        # step count took its own pass, 293 with the start's response
+        # solved apart from the curve)
+        assert seen["profit"] <= 241
 
     def test_mesh_cells(self, fixture_run):
-        # the strided y-scan: 2,880 coarse-slice rows at 17 + 9 of 64 points
-        # and 7 full-resolution rows at 17 + 33 of 256, against 186,112
-        # cells for the full grid
+        # the strided y-scan: 2,400 coarse-slice rows at 17 + 6 of 64 points
+        # and 7 full-resolution rows at 17 + 30 of 256 (each window reads
+        # three points from the coarse pass), against 186,112 cells for the
+        # full grid
         _, seen = fixture_run
-        assert seen["cells"] <= 80_000
+        assert seen["cells"] <= 62_153
 
-    def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run):
+    def test_curve_is_solved_first_and_serves_the_fixed_point(self, fixture_run, worked):
         report, seen = fixture_run
-        *iteration, (j, curve_offers, curve) = seen["best_response"]
+        (j, curve_offers, curve), *iteration = seen["best_response"]
         assert j == 0 and list(curve_offers) == [0.5 * i for i in range(9)]
-        # the start (0, 0) asked for the response to 0 on its own
-        at_zero = [answer for j, xo, answer in iteration if j == 0 and xo == 0.0]
-        assert at_zero and curve[0] == at_zero[0]
+        # the iteration asked for no offer the curve answered (the problem
+        # is symmetric, so neither principal did), the start's 0 included
+        assert iteration and not {xo for _, xo, _ in iteration} & set(curve_offers)
+        assert curve[0] == sa.best_response(worked, 0, 0.0)
         rows = dict(report.tables["best_response"][1])
         assert list(rows.values()) == list(curve)
 
@@ -283,6 +287,31 @@ class TestFixedPoint:
             # participation binds at the lowest type: y = sqrt(3 x), cutoff 3
             assert abs(eqm.y[j] - math.sqrt(3.0 * eqm.x[j])) <= 1e-9
             assert abs(eqm.cutoffs[j] - 3.0) <= 1e-9
+
+
+_CURVE_OFFERS = [0.5 * i for i in range(9)]
+_COORD = st.sampled_from(_CURVE_OFFERS) | st.floats(0.0, 5.0)
+
+
+class TestSeededFixedPoint:
+    """Best responses handed to ``fixed_point`` leave its result unchanged."""
+
+    @given(beta=st.floats(0.3, 0.9), start=st.tuples(_COORD, _COORD), symmetric=st.booleans())
+    @example(beta=BETA, start=(0.0, 0.0), symmetric=True)
+    @example(beta=0.45, start=(0.0, 0.0), symmetric=False)
+    @example(beta=0.6, start=(1.5, 2.7), symmetric=False)
+    @settings(max_examples=4, deadline=None)
+    def test_seeded_equals_unseeded(self, beta, start, symmetric):
+        problem = _worked_family(beta)
+        if not symmetric:  # principal 2 pays 1.2 x^2
+            problem = dataclasses.replace(
+                problem, principal_payoffs=(problem.principal_payoffs[0], "(1 + beta*x_other)*y*theta - 1.2*x^2")
+            )
+        curve = sa.best_response(problem, 0, _CURVE_OFFERS)
+        seeded = sa.fixed_point(problem, start, dict(zip(_CURVE_OFFERS, curve.tolist())))
+        plain = sa.fixed_point(problem, start)
+        for name in plain.__slots__:
+            assert getattr(seeded, name) == getattr(plain, name), name
 
 
 def _closed_form_root(beta: float) -> float:

@@ -77,28 +77,30 @@ def _counted(problem: ss.SingleProblem) -> list:
 
 
 class TestKernel:
-    """The participation kernel ``_profit`` and its bracketed root finder."""
+    """The participation kernel ``_profit``, its bracketed root finder, and
+    the stay probability ``_stay`` read at the kernel's cutoff."""
 
     @given(x=st.floats(0.3, 3.0), t=st.floats(3.0, 4.0, exclude_min=True, exclude_max=True))
     @settings(max_examples=80, deadline=None)
     def test_cutoff_matches_closed_form(self, labor, x, t):
         y = math.sqrt(x * t)
         for audit in (True, False):
-            _, _, cut = ss._profit(labor, [x], [y], audit=audit)
+            _, cut = ss._profit(labor, [x], [y], audit=audit)
             assert abs(cut[0] - y * y / x) <= 1e-12
 
     @pytest.mark.parametrize("audit", [True, False])
     def test_indifferent_type_stays(self, audit):
         # u = theta - 4 on [3, 5]: the type 4 is exactly indifferent
         p = ss.SingleProblem(u="x*theta - y^2", v="y*theta", types=ec.TypeSpace.interval(3.0, 5.0))
-        _, stay, cut = ss._profit(p, [1.0], [2.0], audit=audit)
+        _, cut = ss._profit(p, [1.0], [2.0], audit=audit)
         assert cut[0] == 4.0
-        assert stay[0] == pytest.approx(0.5, abs=1e-12)
+        assert ss._stay(p, [1.0], [2.0], cut)[0] == pytest.approx(0.5, abs=1e-12)
         assert ss.cutoff(p, 1.0, 2.0) == ss.CutoffResult("interior", 4.0)
 
     @pytest.mark.parametrize("audit", [True, False])
     def test_all_stay_and_none_stay_rows(self, labor, audit):
-        value, stay, cut = ss._profit(labor, [1.0, 1.0, 1.0], [0.0, 1.9, 3.0], audit=audit)
+        value, cut = ss._profit(labor, [1.0, 1.0, 1.0], [0.0, 1.9, 3.0], audit=audit)
+        stay = ss._stay(labor, [1.0, 1.0, 1.0], [0.0, 1.9, 3.0], cut)
         assert cut[0] == 3.0 and stay[0] == pytest.approx(1.0, abs=1e-12)
         assert cut[1] == pytest.approx(1.9**2, abs=1e-12)
         assert stay[1] == pytest.approx(4.0 - 1.9**2, abs=1e-12)
@@ -111,7 +113,7 @@ class TestKernel:
         rng = np.random.default_rng(5)
         X = rng.uniform(0.3, 3.0, 500)
         Y = np.sqrt(X * rng.uniform(3.0, 4.0, 500))
-        _, _, cut = ss._profit(problem, X, Y, audit=False)
+        _, cut = ss._profit(problem, X, Y, audit=False)
         assert np.max(np.abs(cut - Y * Y / X)) <= 1e-12
         assert len(calls) <= 10  # the end sweep plus the root steps
 
@@ -130,7 +132,7 @@ class TestKernel:
         calls = _counted(p)
         for audit in (True, False):
             calls.clear()
-            _, _, cut = ss._profit(p, X, Y, audit=audit)
+            _, cut = ss._profit(p, X, Y, audit=audit)
             assert np.max(np.abs(cut - Y * Y / X)) <= 1e-12
             assert len(calls) <= max_calls  # the sweep plus the root steps
 
@@ -138,15 +140,15 @@ class TestKernel:
         types = ec.TypeSpace.uniform_finite([3.0, 4.0, 5.0])
         p = ss.SingleProblem(u="x*theta - y^2", v="y*theta", types=types)
         y = math.sqrt(3.2)
-        value, stay, cut = ss._profit(p, [1.0], [y])
+        value, cut = ss._profit(p, [1.0], [y])
         assert cut[0] == pytest.approx(3.2, abs=1e-12)
         assert ss.cutoff(p, 1.0, y).theta == pytest.approx(3.2, abs=1e-12)
-        assert stay[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert ss._stay(p, [1.0], [y], cut)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert value[0] == pytest.approx(y * (4.0 + 5.0) / 3.0, abs=1e-12)
         # u = theta - 4: the indifferent type 4 stays and is the exact cutoff
-        value, stay, cut = ss._profit(p, [1.0], [2.0])
+        value, cut = ss._profit(p, [1.0], [2.0])
         assert cut[0] == 4.0
-        assert stay[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert ss._stay(p, [1.0], [2.0], cut)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 class TestExpectedProfit:
