@@ -15,6 +15,7 @@ from contract_forge import solver_single as ss
 import closed_forms as cf
 
 BETA = 17.0 / 21.0
+_CURVE_OFFERS = [0.5 * i for i in range(9)]  # solve-agency's curve on the default x_box
 
 
 def _worked_family(beta: float) -> sa.AgencyProblem:
@@ -221,10 +222,10 @@ class TestAgencyRun:
         _, seen = fixture_run
         assert seen["cells"] <= 62_153
 
-    def test_curve_is_solved_first_and_serves_the_fixed_point(self, fixture_run, worked):
+    def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run, worked):
         report, seen = fixture_run
         (j, curve_offers, curve), *iteration = seen["best_response"]
-        assert j == 0 and list(curve_offers) == [0.5 * i for i in range(9)]
+        assert j == 0 and list(curve_offers) == _CURVE_OFFERS
         # the iteration asked for no offer the curve answered (the problem
         # is symmetric, so neither principal did), the start's 0 included
         assert iteration and not {xo for _, xo, _ in iteration} & set(curve_offers)
@@ -289,7 +290,6 @@ class TestFixedPoint:
             assert abs(eqm.cutoffs[j] - 3.0) <= 1e-9
 
 
-_CURVE_OFFERS = [0.5 * i for i in range(9)]
 _COORD = st.sampled_from(_CURVE_OFFERS) | st.floats(0.0, 5.0)
 
 
