@@ -512,19 +512,17 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
 
 
 def _partitions(items: Sequence[int]):
-    """All set partitions, blocks ordered by smallest element."""
+    """All set partitions as lists of tuples, blocks ordered by smallest element."""
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
     for part in _partitions(rest):
-        yield [[first]] + part
+        yield [(first,)] + part
         for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
 
 
-# candidates per vectorized filter pass: bounds the memory of the rows x blocks x types gather
-_FILTER_BLOCK = 1024
 # block-assignment candidates one enumeration may visit
 _ENUMERATION_CAP = 5_000_000
 
@@ -536,13 +534,17 @@ def enumerate_final_allocations(
 
     Enumerates type partitions with one message per block, keeping only
     receiver-optimal recommendations per block posterior and agent-optimal
-    block assignments. The menu is the blocks' baselines; each block's
+    block assignments, grown one block at a time in ``itertools.product``
+    order: a row is dropped once two blocks share a (baseline, final
+    action) pair or a type strictly prefers another block's final action
+    (what filtering the whole product keeps, for finite sender payoffs and
+    ``tol >= 0``). The menu is the blocks' baselines; each block's
     message plays its recommendation under the block's Bayes posterior,
     and every off-path message copies the revision and belief of the
     first on-path message, in message order, with its baseline, so a
     deviation only reaches on-path final actions. Every found equilibrium
     is re-validated by the generic continuation checker. Raises when the
-    grid implies more block-assignment candidates than
+    grid implies more block-assignment candidates, pruned or not, than
     ``_ENUMERATION_CAP``.
     """
     env = game.env
@@ -562,47 +564,55 @@ def enumerate_final_allocations(
     # distinct keys, as grid steps exceed 2 * GRID_TOL
     found: dict[tuple, tuple[Allocation, Assessment]] = {}
     candidates = 0
+    # once per type subset: receiver-optimal (x index, z index) rows and
+    # envy[z', z], whether a member strictly prefers z' to z; once per two
+    # subsets, which of their rows may meet in one assignment
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    compat: dict[tuple, np.ndarray] = {}
     for part in _partitions(list(range(T))):
         block_of = np.array([next(b for b, blk in enumerate(part) if t in blk) for t in range(T)])
-        # per block: receiver-optimal final actions per baseline, rows of (x index, z index)
-        pairs: list[np.ndarray] = []
         for block in part:
-            w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
-            w = w / w.sum()
-            vbar = game.v_tab @ w  # value of each z under the block posterior
-            vals = np.where(on_grid, vbar[reach], -np.inf)
-            xi, k = np.nonzero(on_grid & ~beats(vals.max(axis=1)[:, None], vals, tol))
-            pairs.append(np.stack([xi, reach[xi, k]], axis=1))
-        shape = tuple(len(p) for p in pairs)
-        size = math.prod(shape)
-        candidates += size
+            if block not in tables:
+                w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
+                w = w / w.sum()
+                vbar = game.v_tab @ w  # value of each z under the block posterior
+                vals = np.where(on_grid, vbar[reach], -np.inf)
+                xi, k = np.nonzero(on_grid & ~beats(vals.max(axis=1)[:, None], vals, tol))
+                u = game.u_tab[:, block]
+                tables[block] = (np.stack([xi, reach[xi, k]], axis=1), np.any(beats(u[:, None], u[None, :], tol), axis=2))
+        pairs = [tables[block][0] for block in part]
+        candidates += math.prod(map(len, pairs))
         if candidates > _ENUMERATION_CAP:
             raise ValueError(
                 f"grid caps exceeded: more than {_ENUMERATION_CAP} block-assignment candidates"
             )
-        for start in range(0, size, _FILTER_BLOCK):
-            # the next candidates in itertools.product order: rows x blocks x (x, z index)
-            pick = np.unravel_index(np.arange(start, min(start + _FILTER_BLOCK, size)), shape)
-            combos = np.stack([p[i] for p, i in zip(pairs, pick)], axis=1)
-            codes = np.sort(combos[..., 0] * len(Z) + combos[..., 1], axis=1)
-            distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
-            # agent optimality: each type's assigned z beats every used z
-            zs = combos[..., 1]
-            own = game.u_tab[zs[:, block_of], np.arange(T)]
-            keep = distinct & ~np.any(beats(game.u_tab[zs].max(axis=1), own, tol), axis=1)
-            for combo in combos[keep].tolist():
-                z_of_type = tuple(combo[b][1] for b in block_of.tolist())
-                if z_of_type in found:
-                    continue
-                assessment = _assessment_from_blocks(game, part, combo)
-                report = check_continuation(env, assessment, tol)
-                if not report.passed:
-                    raise AssertionError(
-                        "partition enumeration produced an invalid equilibrium; "
-                        f"worst violations: {report.agent_worst} {report.principal_worst}"
-                    )
-                fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
-                found[z_of_type] = (fa, assessment)
+        # rows of pair indices, each extended by the next block's pairs that
+        # differ from every earlier block's and that no type of either envies
+        rows = np.zeros((1, 0), dtype=int)
+        for b, new in enumerate(part):
+            ok = np.ones((len(rows), len(pairs[b])), dtype=bool)
+            for p, old in enumerate(part[:b]):
+                if (old, new) not in compat:
+                    (po, eo), (pn, en) = tables[old], tables[new]
+                    zo, zn = po[:, 1, None], pn[None, :, 1]
+                    compat[old, new] = np.any(po[:, None] != pn, axis=2) & ~eo[zn, zo] & ~en[zo, zn]
+                ok &= compat[old, new][rows[:, p]]
+            r, j = np.nonzero(ok)  # row-major: itertools.product order
+            rows = np.column_stack([rows[r], j])
+        combos = np.stack([p[i] for p, i in zip(pairs, rows.T)], axis=1)
+        for combo in combos.tolist():
+            z_of_type = tuple(combo[b][1] for b in block_of.tolist())
+            if z_of_type in found:
+                continue
+            assessment = _assessment_from_blocks(game, part, combo)
+            report = check_continuation(env, assessment, tol)
+            if not report.passed:
+                raise AssertionError(
+                    "partition enumeration produced an invalid equilibrium; "
+                    f"worst violations: {report.agent_worst} {report.principal_worst}"
+                )
+            fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
+            found[z_of_type] = (fa, assessment)
     return {fa.key(): (fa, assessment) for fa, assessment in found.values()}
 
 

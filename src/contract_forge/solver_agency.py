@@ -174,7 +174,9 @@ def fixed_point(
     residual grew since the previous step. Iterates until the residual
     drops below ``_FP_TOL``, at most ``_MAX_ITER`` steps; raises on
     non-convergence, attaching the trajectory. The best responses search
-    the coarse slice (see :func:`best_response`), each rival offer once.
+    the coarse slice (see :func:`best_response`), each rival offer once;
+    when the problem is symmetric and neither of two differing offers is
+    answered yet, both principals' responses come from one batched call.
     ``responses`` maps rival offers to principal 1's best responses known
     beforehand (``solve-agency`` passes its batched curve): the iteration
     reads them instead of solving them again, for both principals when
@@ -201,7 +203,11 @@ def fixed_point(
     residual = prev_residual = math.inf
     iterations = 0
     for iterations in range(_MAX_ITER + 1):
-        f = np.array([br(0, float(x[1])), br(1, float(x[0]))]) - x
+        x0, x1 = float(x[0]), float(x[1])
+        if symmetric and x0 != x1 and (x0,) not in cache and (x1,) not in cache:
+            # both principals' responses in one batched pass
+            cache[(x1,)], cache[(x0,)] = best_response(problem, 0, x[::-1]).tolist()
+        f = np.array([br(0, x1), br(1, x0)]) - x
         residual = float(np.max(np.abs(f)))
         if residual <= _FP_TOL:
             break

@@ -424,11 +424,10 @@ def _naive_final_allocation_keys(game, tol=1e-9):
 
 
 @pytest.mark.parametrize("receiver", ["-(z - 0.05 - 0.7*theta)^2", "0*z*theta"])
-def test_vectorized_filter_matches_naive_loop(monkeypatch, receiver):
-    """Block boundaries of 7 fall inside partitions; the flat receiver ties
-    every final action of every window. The enumerator needs no concavity,
-    so the model's audit is skipped to admit the flat receiver."""
-    monkeypatch.setattr(rv, "_FILTER_BLOCK", 7)
+def test_enumerator_matches_naive_loop(monkeypatch, receiver):
+    """The flat receiver ties every final action of every window. The
+    enumerator needs no concavity, so the model's audit is skipped to
+    admit the flat receiver."""
     monkeypatch.setattr(rv, "audit_concavity", lambda model: None)
     model = rv.RevisableModel.additive(
         "-(z - theta)^2", receiver, TypeSpace.uniform_finite([0.0, 0.5, 1.0]), alpha=0.0
@@ -561,3 +560,99 @@ def test_additive_endpoint_algebra(z, r, alpha):
         assert z == pytest.approx(flo, abs=1e-9)
     else:
         assert (x, y) == (z, 0.0)
+
+
+def _product_filter_reference(game, tol):
+    """The enumerator as it was before the block-by-block join, frozen: it
+    filtered the whole product of the blocks' receiver-optimal pairs, in
+    itertools.product order, in numpy batches of 1024 candidates."""
+    env = game.env
+    labels = env.types.labels
+    mu = env.types.weights
+    T = len(labels)
+    Z = np.array(game.z_values)
+    m = game.alpha_steps
+    reach = np.arange(len(game.x_values))[:, None] + np.arange(-2 * m, 1)
+    on_grid = (reach >= 0) & (reach < len(Z))
+    reach = np.where(on_grid, reach, -1)
+    found = {}
+    candidates = 0
+    for part in rv._partitions(list(range(T))):
+        block_of = np.array([next(b for b, blk in enumerate(part) if t in blk) for t in range(T)])
+        pairs = []
+        for block in part:
+            w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
+            w = w / w.sum()
+            vbar = game.v_tab @ w
+            vals = np.where(on_grid, vbar[reach], -np.inf)
+            xi, k = np.nonzero(on_grid & ~rv.beats(vals.max(axis=1)[:, None], vals, tol))
+            pairs.append(np.stack([xi, reach[xi, k]], axis=1))
+        shape = tuple(len(p) for p in pairs)
+        size = math.prod(shape)
+        candidates += size
+        if candidates > rv._ENUMERATION_CAP:
+            raise ValueError(
+                f"grid caps exceeded: more than {rv._ENUMERATION_CAP} block-assignment candidates"
+            )
+        for start in range(0, size, 1024):
+            pick = np.unravel_index(np.arange(start, min(start + 1024, size)), shape)
+            combos = np.stack([p[i] for p, i in zip(pairs, pick)], axis=1)
+            codes = np.sort(combos[..., 0] * len(Z) + combos[..., 1], axis=1)
+            distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
+            zs = combos[..., 1]
+            own = game.u_tab[zs[:, block_of], np.arange(T)]
+            keep = distinct & ~np.any(rv.beats(game.u_tab[zs].max(axis=1), own, tol), axis=1)
+            for combo in combos[keep].tolist():
+                z_of_type = tuple(combo[b][1] for b in block_of.tolist())
+                if z_of_type in found:
+                    continue
+                assessment = rv._assessment_from_blocks(game, part, combo)
+                report = rv.check_continuation(env, assessment, tol)
+                if not report.passed:
+                    raise AssertionError(
+                        "partition enumeration produced an invalid equilibrium; "
+                        f"worst violations: {report.agent_worst} {report.principal_worst}"
+                    )
+                fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
+                found[z_of_type] = (fa, assessment)
+    return {fa.key(): (fa, assessment) for fa, assessment in found.values()}
+
+
+def _outcome(enumerate_fn, game, tol):
+    """Keys in order and the repr of each (allocation, assessment), or the
+    repr of the error raised (the cap, or a rejected equilibrium)."""
+    try:
+        found = enumerate_fn(game, tol)
+    except (ValueError, AssertionError) as e:
+        return repr(e)
+    return list(found), [repr(value) for value in found.values()]
+
+
+@given(
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    points=st.integers(2, 7),
+    alpha_steps=st.integers(0, 2),
+    k=st.floats(0.0, 0.3),
+    a=st.floats(0.4, 0.9),
+    flat=st.booleans(),
+    tol=st.sampled_from([1e-9, 0.0]),
+)
+@settings(max_examples=60, deadline=None)
+@example(counts=[1, 1, 1], points=5, alpha_steps=1, k=0.05, a=0.7, flat=True, tol=0.0)
+@example(counts=[1] * 5, points=5, alpha_steps=1, k=0.15, a=0.6, flat=False, tol=1e-9)
+def test_join_equals_frozen_product_filter(counts, points, alpha_steps, k, a, flat, tol):
+    """Same keys in the same order, the same first-hit assessments, and the
+    same error where the cap or the checker stops both. Types are evenly
+    spaced on [0, 1] with weights from ``counts``; the flat receiver ties
+    every final action, with the concavity audit skipped; a cap of 50,000
+    candidates keeps the reference's product filter quick."""
+    types = TypeSpace.from_finite(
+        [(f"t{i}", i / (len(counts) - 1), c / sum(counts)) for i, c in enumerate(counts)]
+    )
+    receiver = "0*z*theta" if flat else f"-(z - {k!r} - {a!r}*theta)^2"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rv, "audit_concavity", lambda model: None)
+        mp.setattr(rv, "_ENUMERATION_CAP", 50_000)
+        model = rv.RevisableModel.additive("-(z - theta)^2", receiver, types, alpha=0.0)
+        game = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, points)), alpha_steps)
+        assert _outcome(rv.enumerate_final_allocations, game, tol) == _outcome(_product_filter_reference, game, tol)

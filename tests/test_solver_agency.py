@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from importlib import resources
 
@@ -232,6 +233,28 @@ class TestAgencyRun:
         assert curve[0] == sa.best_response(worked, 0, 0.0)
         rows = dict(report.tables["best_response"][1])
         assert list(rows.values()) == list(curve)
+
+
+def test_offers_apart_are_answered_in_one_pass(tmp_path, monkeypatch):
+    """From the start (1.0, 0.5) the fixture's offers differ at every
+    iterate, so each iteration answers both principals with one batched
+    call: the 9-offer curve, then 5 calls of 2 offers (10 calls of one
+    offer when each principal took its own pass)."""
+    sizes = []
+    best_response = sa.best_response
+
+    def recorded(problem, j, x_other):
+        sizes.append(np.size(x_other))
+        return best_response(problem, j, x_other)
+
+    monkeypatch.setattr(sa, "best_response", recorded)
+    doc = json.loads((resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json").read_text())
+    doc["agency"]["start"] = [1.0, 0.5]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    report = cli.run(cli.parse_scenario(str(path)))
+    assert report.exit_code == 0
+    assert sizes == [9] + [2] * 5
 
 
 class TestFixedPoint:
