@@ -60,6 +60,7 @@ __all__ = [
     "DeviationFinding",
     "build_assessment",
     "bayes_update",
+    "posteriors",
     "check_continuation",
     "induced_allocation",
     "principal_value",
@@ -286,31 +287,31 @@ def _normalize_strategy(game: _Game, strategy: StrategyMap):
 # ---------------------------------------------------------------------------
 
 
-def _joint(game: _Game, q, j: int):
-    """Principal j's joint mass at each observation, in first-use order:
-    (observation -> weights over (type, profile), observation -> total).
-    Opt-out mass is dropped."""
+def posteriors(joint) -> dict:
+    """Bayes' rule, the one place a posterior is formed. ``joint`` yields
+    (observation, key, weight) triples; weights are summed per
+    (observation, key) and per observation in the order given, and each
+    observation of positive mass gets {key: weight / mass}, both in
+    first-use order."""
     weights: dict = {}
     mass: dict = {}
-    for t, dist in q.items():
-        for prof, prob in dist:
-            if prof is None or prob == 0.0:
-                continue
-            obs, w = game.seen(j, prof), game.mu[t] * prob
-            acc = weights.setdefault(obs, {})
-            acc[(t, prof)] = acc.get((t, prof), 0.0) + w
-            mass[obs] = mass.get(obs, 0.0) + w
-    return weights, mass
+    for obs, key, w in joint:
+        if obs in mass:
+            acc = weights[obs]
+            acc[key] = acc.get(key, 0.0) + w
+            mass[obs] += w
+        else:
+            weights[obs], mass[obs] = {key: w}, w
+    return {obs: {k: w / mass[obs] for k, w in acc.items()} for obs, acc in weights.items() if mass[obs] > 0.0}
 
 
 def _posteriors(game: _Game, q, j: int) -> dict:
-    """Bayes' rule at every observation of principal j with positive mass."""
-    weights, mass = _joint(game, q, j)
-    return {
-        obs: {k: w / mass[obs] for k, w in acc.items()}
-        for obs, acc in weights.items()
-        if mass[obs] > 0.0
-    }
+    """Principal j's Bayes posterior over (type, profile) at every
+    observation with positive mass; opt-out mass is dropped."""
+    return posteriors(
+        (game.seen(j, prof), (t, prof), game.mu[t] * prob)
+        for t, dist in q.items() for prof, prob in dist if prof is not None and prob != 0.0
+    )
 
 
 def _policy_type_vector(game: _Game, policy: str) -> np.ndarray:
@@ -337,7 +338,7 @@ def _beliefs(game: _Game, q, j: int, policy: str) -> dict:
     instead takes the on-path belief at the selector observation, moved
     here; the prior applies when that one is off path too."""
     onpath = _posteriors(game, q, j)
-    tvec = _policy_type_vector(game, policy)
+    cond = None  # each type's policy weight and participation-conditional distribution, once needed
     out: dict = {}
     for obs, cell in game.cells[j].items():
         ref = game.select(j, game.actions(cell[0])) if policy == "selector" else None
@@ -347,20 +348,17 @@ def _beliefs(game: _Game, q, j: int, policy: str) -> dict:
             out[obs] = {(t, game.place(j, obs, prof)): w for (t, prof), w in onpath[ref].items()}
         else:
             out[obs] = belief = {}
+            if cond is None:  # the distribution over profiles, what j observes left blank (None)
+                tvec = _policy_type_vector(game, policy)
+                cond = posteriors(
+                    (t, game.place(j, None, prof), prob)
+                    for t, dist in q.items() for prof, prob in dist if prof is not None and prob != 0.0
+                )
             for t in range(game.T):
                 if tvec[t] == 0.0:
                     continue
-                acc: dict[tuple[int, ...], float] = {}
-                total = 0.0
-                for prof, prob in q[t]:
-                    if prof is None or prob == 0.0:
-                        continue
-                    key = game.place(j, obs, prof)
-                    acc[key] = acc.get(key, 0.0) + prob
-                    total += prob
-                rest = {k: p / total for k, p in acc.items()} if total > 0.0 else {cell[0]: 1.0}
-                for prof, p in rest.items():
-                    belief[(t, prof)] = tvec[t] * p
+                for prof, p in cond.get(t, {cell[0]: 1.0}).items():
+                    belief[(t, game.place(j, obs, prof))] = tvec[t] * p
     return out
 
 
@@ -599,16 +597,13 @@ def check_continuation(
                 )
     beliefs = _declared_beliefs(game, assessment)
 
-    # (i) Bayes consistency at every observation with positive mass: the
-    # belief times the mass equals the joint mass.
+    # (i) Bayes consistency at every observation with positive mass: each
+    # declared weight equals the Bayes posterior's, key by key.
     gaps = [0.0]
     for j in range(game.n):
-        weights, mass = _joint(game, q, j)
-        for obs, m in mass.items():
-            if m > 0.0:
-                p, joint = beliefs[j][obs], weights[obs]
-                gaps.append(abs(sum(p.values()) - 1.0))
-                gaps += [abs(p.get(k, 0.0) * m - joint.get(k, 0.0)) for k in p.keys() | joint.keys()]
+        for obs, post in _posteriors(game, q, j).items():
+            p = beliefs[j][obs]
+            gaps += [abs(p.get(k, 0.0) - post.get(k, 0.0)) for k in p.keys() | post.keys()]
     bayes_gap = max(gaps)
 
     # (ii) agent optimality with interim participation.

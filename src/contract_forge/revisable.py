@@ -35,7 +35,7 @@ from .env_core import (
     beats,
     expect,
 )
-from .equilibrium import Assessment, BeliefSystem, check_continuation
+from .equilibrium import Assessment, BeliefSystem, check_continuation, posteriors
 from .optimize import golden_rows
 
 __all__ = [
@@ -406,18 +406,14 @@ def _push_forward(strategy, recode: Mapping[str, str]) -> dict:
 
 
 def _posteriors(game: GridGame, strategy) -> dict[str, dict]:
-    """Bayes posterior of every message ``strategy`` sends, as weights over
-    (type label, ()) of the types that send it, the :class:`BeliefSystem`
-    form of public play."""
-    labels = game.env.types.labels
-    mu = game.env.types.weights
-    mass: dict[str, np.ndarray] = {}
-    for t, lab in enumerate(labels):
-        for outcome, prob in strategy[lab]:
-            if prob > 0.0:
-                vec = mass.setdefault(outcome[0], np.zeros(len(labels)))
-                vec[t] += mu[t] * prob
-    return {m: {(lab, ()): float(x) for lab, x in zip(labels, v / v.sum()) if x > 0.0} for m, v in mass.items()}
+    """Bayes posterior (:func:`equilibrium.posteriors`) of every message
+    ``strategy`` sends, as weights over (type label, ()) of the types that
+    send it, the :class:`BeliefSystem` form of public play."""
+    mu = game.env.types.weights.tolist()
+    return posteriors(
+        (outcome[0], (lab, ()), mu[t] * prob)
+        for t, lab in enumerate(game.env.types.labels) for outcome, prob in strategy[lab] if prob > 0.0
+    )
 
 
 def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessment:
@@ -543,9 +539,10 @@ def enumerate_final_allocations(
     and every off-path message copies the revision and belief of the
     first on-path message, in message order, with its baseline, so a
     deviation only reaches on-path final actions. Every found equilibrium
-    is re-validated by the generic continuation checker. Raises when the
-    grid implies more block-assignment candidates, pruned or not, than
-    ``_ENUMERATION_CAP``.
+    is re-validated by the generic continuation checker; one it rejects
+    raises RuntimeError naming each failed condition and its gap. Raises
+    ValueError when the grid implies more block-assignment candidates,
+    pruned or not, than ``_ENUMERATION_CAP``.
     """
     env = game.env
     labels = env.types.labels
@@ -573,9 +570,8 @@ def enumerate_final_allocations(
         block_of = np.array([next(b for b, blk in enumerate(part) if t in blk) for t in range(T)])
         for block in part:
             if block not in tables:
-                w = np.array([mu[t] if t in block else 0.0 for t in range(T)])
-                w = w / w.sum()
-                vbar = game.v_tab @ w  # value of each z under the block posterior
+                post = posteriors(((), t, mu[t]) for t in block).get((), {})
+                vbar = game.v_tab @ np.array([post.get(t, 0.0) for t in range(T)])  # each z under the block posterior
                 vals = np.where(on_grid, vbar[reach], -np.inf)
                 xi, k = np.nonzero(on_grid & ~beats(vals.max(axis=1)[:, None], vals, tol))
                 u = game.u_tab[:, block]
@@ -607,10 +603,12 @@ def enumerate_final_allocations(
             assessment = _assessment_from_blocks(game, part, combo)
             report = check_continuation(env, assessment, tol)
             if not report.passed:
-                raise AssertionError(
-                    "partition enumeration produced an invalid equilibrium; "
-                    f"worst violations: {report.agent_worst} {report.principal_worst}"
-                )
+                failed = [f"{name} {worst!r}" for name, ok, worst in (
+                    ("bayes gap", report.bayes_ok, report.bayes_gap),
+                    ("agent (type, deviation, gap)", report.agent_ok, report.agent_worst),
+                    ("principal (principal, message, deviation, gap)", report.principal_ok, report.principal_worst),
+                ) if not ok]
+                raise RuntimeError(f"partition enumeration produced an invalid equilibrium: {'; '.join(failed)}")
             fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
             found[z_of_type] = (fa, assessment)
     return {fa.key(): (fa, assessment) for fa, assessment in found.values()}

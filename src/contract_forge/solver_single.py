@@ -145,25 +145,21 @@ def _profit(
     points with the audit, the two ends without); rows whose highest type
     refuses retain no one (profit 0, cutoff nan), rows whose lowest type
     accepts retain everyone (cutoff lo), and the rest get their cutoff
-    from :func:`optimize.root_rows`, bracketed by the sweep. Interval types
-    integrate v and the density by Simpson's rule from the cutoff up;
-    finite types sum over the stayers. With ``audit``, entries failing
-    the strict-increase audit are -inf unless the sweep certifies that
-    no type stays; refinement probes inside audited brackets skip it.
-    ``r`` holds each row's index into the rival offers the problem binds
-    (one index for every row), passed to u and v as their fourth
-    argument. A row's results depend on that row alone. The stay
-    probability, which only :func:`_point` reports, is :func:`_stay` at
-    the cutoff.
+    from :func:`optimize.root_rows`, bracketed by the sweep. The profit is
+    v integrated over the stayers by :func:`_stay`. With ``audit``,
+    entries failing the strict-increase audit are -inf unless the sweep
+    certifies that no type stays; refinement probes inside audited
+    brackets skip it. ``r`` holds each row's index into the rival offers
+    the problem binds (one index for every row), passed to u and v as
+    their fourth argument. A row's results depend on that row alone. The
+    stay probability, which only :func:`_point` reports, is :func:`_stay`
+    of 1 at the cutoff.
     """
     X = np.asarray(X, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
     n = X.size
     R = np.zeros(n, int) + r
     lo, hi = _theta_span(problem.types)
-
-    def pay(fn, rows, th):  # fn at the listed rows; th has one row or one per row
-        return _rows(fn(X[rows, None], Y[rows, None], th, R[rows, None]), (rows.size, th.shape[1]))
 
     grid = _fixed_nodes(lo, hi, problem.panels)[0] if audit else np.array([lo, hi])
     sweep = _rows(problem.u_fn(X[:, None], Y[:, None], grid[None, :], R[:, None]), (n, grid.size))
@@ -184,46 +180,42 @@ def _profit(
             _root_width(max(abs(lo), abs(hi))),
         )
 
-    value = np.zeros(n)
-    live = np.flatnonzero(~np.isnan(cut))
-    if live.size:
-        if problem.types.kind == "finite":
-            th, w = problem.types.values[None, :], problem.types.weights[None, :]
-            stays = pay(problem.u_fn, live, th) >= 0.0
-            value[live] = np.sum(w * pay(problem.v_fn, live, th) * stays, axis=1)
-        else:
-            _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
-            span = hi - cut[live]
-            nodes = cut[live, None] + span[:, None] * frac[None, :]
-            vv = pay(problem.v_fn, live, nodes)
-            dens = problem.types.density_at(nodes)
-            value[live] = np.sum(coef[None, :] * vv * dens, axis=1) * span / problem.panels / 3.0
+    value = _stay(problem, X, Y, cut, R, problem.v_fn)
     if audit:
         value[~valid] = -np.inf
     return value, cut
 
 
-def _stay(problem: SingleProblem, X, Y, cut) -> np.ndarray:
-    """Stay probability of paired (x, y) arrays at their kernel cutoffs ``cut``.
+def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
+    """The integral of ``fn`` over the types that stay, for paired (x, y)
+    arrays at their kernel cutoffs ``cut``; ``fn`` None integrates 1, the
+    stay probability.
 
     0 where no type stays (cutoff nan); otherwise, with interval types,
-    the kernel's Simpson mass of the density from the cutoff up, and with
-    finite types the weights of the types whose u is at least 0.
+    Simpson's rule for fn times the density from the cutoff up, and with
+    finite types the weighted sum of fn over the types whose u is at
+    least 0. ``r`` is each row's rival index, as in :func:`_profit`.
     """
     X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
-    stay = np.zeros(X.size)
+    R = np.zeros(X.size, int) + r
+    out = np.zeros(X.size)
     live = np.flatnonzero(~np.isnan(cut))
+
+    def pay(f, th):  # f at the live rows; th has one row or one per row
+        return _rows(f(X[live, None], Y[live, None], th, R[live, None]), (live.size, th.shape[1]))
+
     if live.size and problem.types.kind == "finite":
         th, w = problem.types.values[None, :], problem.types.weights[None, :]
-        u = problem.u_fn(X[live, None], Y[live, None], th, np.zeros((live.size, 1), int))
-        stay[live] = np.sum(w * (_rows(u, (live.size, th.shape[1])) >= 0.0), axis=1)
+        stays = pay(problem.u_fn, th) >= 0.0
+        out[live] = np.sum(w * (1.0 if fn is None else pay(fn, th)) * stays, axis=1)
     elif live.size:
         lo, hi = _theta_span(problem.types)
         _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
         span = hi - cut[live]
-        dens = problem.types.density_at(cut[live, None] + span[:, None] * frac[None, :])
-        stay[live] = np.sum(coef[None, :] * dens, axis=1) * span / problem.panels / 3.0
-    return stay
+        nodes = cut[live, None] + span[:, None] * frac[None, :]
+        integrand = coef[None, :] * (1.0 if fn is None else pay(fn, nodes)) * problem.types.density_at(nodes)
+        out[live] = np.sum(integrand, axis=1) * span / problem.panels / 3.0
+    return out
 
 
 def _point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, float]:

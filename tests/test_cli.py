@@ -274,6 +274,40 @@ class TestEngineScenarios:
         # pooling on y0: principal deviation to y1 pays 1.5 > 0 at the prior
         assert pooled.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["check-equilibrium", "robust-check"])
+    def test_pooled_posterior_passes_at_tol_zero(self, tmp_path, command):
+        """Four types of weight 0.1 to 0.4, the first three pooled, with
+        payoffs that make every choice optimal. At tol 0 this exited 1,
+        "assessment fails continuation checks", with bayes_gap 1.1e-16: the
+        check multiplied the posterior back by its mass."""
+        raw = {
+            "schema": 1,
+            "command": command,
+            "environment": {
+                "types": {"kind": "finite", "items": [
+                    {"label": f"t{i}", "value": i + 1.0, "weight": w} for i, w in enumerate((0.1, 0.2, 0.3, 0.4))
+                ]},
+                "principals": [{
+                    "contractible": [{"label": "x", "value": 1.0}],
+                    "noncontractible": [{"label": "y0", "value": 0.0}, {"label": "y1", "value": 1.0}],
+                    "feasible": {"x": ["y0", "y1"]},
+                }],
+                "payoffs": {"mode": "expressions", "agent": "0", "principals": ["0"]},
+            },
+            "assessment": {
+                "contracts": [{"kind": "menu_rec", "menu": ["x"]}],
+                "strategy": {
+                    f"t{i}": [{"profile": ["x|y1" if i == 3 else "x|y0"], "prob": 1.0}] for i in range(4)
+                },
+            },
+            "options": {"tol": 0},
+        }
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        base = results if command == "check-equilibrium" else results["base"]
+        assert base["passed"] is True and base["bayes_gap"] == 0
+
     def test_robust_check_failing_base(self, tmp_path):
         # pooling on y0 fails the principal check (see above); the audit
         # checks the base once and the report reads its result
@@ -952,6 +986,38 @@ class TestRevisableCheck:
         assert res.exit_code == 0, res.output
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
         assert (results["n_limited"], results["n_full"], results["equal"]) == (15, 15, True)
+
+    def test_six_types_at_tol_zero(self, tmp_path):
+        """Exited 1 with an AssertionError traceback: the enumerator's Bayes
+        posteriors differed from the checker's by 1.1e-16, and tol 0
+        rejected its own first hit."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        block = raw["revisable"]
+        block["types"]["items"] = [
+            {"label": f"t{i}", "value": float(i), "weight": w} for i, w in enumerate((0.1, 0.2, 0.3, 0.1, 0.2, 0.1))
+        ]
+        block["z_grid"]["points"] = 4
+        del block["ideal_form"]
+        raw["options"] = {"tol": 0}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert (results["equal"], results["n_limited"], results["n_full"], results["transforms_ok"]) == (True, 10, 10, True)
+
+    def test_rejected_first_hit_exits_2(self, tmp_path, monkeypatch):
+        """Exited 1 with an AssertionError traceback that named no violation
+        ("worst violations: None None") when only the Bayes check failed."""
+        check = cli.rv.check_continuation
+        monkeypatch.setattr(
+            cli.rv, "check_continuation", lambda *a: dataclasses.replace(check(*a), bayes_ok=False, bayes_gap=0.25)
+        )
+        res = CliRunner().invoke(
+            cli.main, ["--scenario", str(fixture_path("revisable_grid.json")), "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "error: partition enumeration produced an invalid equilibrium: bayes gap 0.25\n" in res.output
 
     def test_types_need_distinct_values(self, tmp_path):
         raw = json.loads(fixture_path("revisable_grid.json").read_text())

@@ -264,7 +264,7 @@ class TestCheckContinuation:
         bad = eq.Assessment(a.contracts, a.strategy, a.continuation, eq.BeliefSystem(weights))
         rep = eq.check_continuation(env, bad)
         assert not rep.bayes_ok
-        # joint mass is 0.5 per type; the point-mass belief misstates both by 0.5
+        # the posterior is 0.5 per type; the point-mass belief misstates both by 0.5
         assert rep.bayes_gap == pytest.approx(0.5)
 
     def test_non_finite_belief_is_an_error(self):
@@ -425,15 +425,25 @@ def _offpath_weights(env, a):
 @given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(eq.OFFPATH_POLICIES))
 @example(seed=4, policy="prior")  # public, one message off path
 @example(seed=240, policy="selector")  # private, two principals with two messages each
+@example(seed=27, policy="prior")  # one principal; a two-point pool failed Bayes at tol 0 by 1.1e-16
 @settings(max_examples=40, deadline=None)
 def test_found_beliefs_are_bayes_beliefs_and_checked(seed, policy):
     """Every equilibrium the search finds holds exactly the beliefs Bayes'
-    rule and its policy give, and negating one positive off-path weight
-    is an error."""
+    rule and its policy give, passes the Bayes check at tol 0 with gap 0,
+    as does its canonicalization, and negating one positive off-path
+    weight is an error. One-principal games are also searched over
+    two-point mixtures."""
     env, contracts = random_instance(np.random.default_rng(seed))
-    for fe in eq.enumerate_equilibria(env, contracts, eq.SearchOptions(policies=(policy,))):
+    found = [
+        fe
+        for mixing in ("pure", "two-point")[: 2 if env.n == 1 else 1]
+        for fe in eq.enumerate_equilibria(env, contracts, eq.SearchOptions(policies=(policy,), mixing=mixing))
+    ]
+    for fe in found:
         a = fe.assessment
         assert eq.bayes_update(env, contracts, a.strategy, policy) == a.beliefs
+        for b in (a, eq.canonicalize(env, a)):
+            assert eq.check_continuation(env, b, 0.0).bayes_gap == 0.0
         for j, obs, key in _offpath_weights(env, a):
             weights = {k: dict(v) for k, v in a.beliefs.weights.items()}
             weights[j][obs] = {**weights[j][obs], key: -weights[j][obs][key]}

@@ -565,7 +565,8 @@ def test_additive_endpoint_algebra(z, r, alpha):
 def _product_filter_reference(game, tol):
     """The enumerator as it was before the block-by-block join, frozen: it
     filtered the whole product of the blocks' receiver-optimal pairs, in
-    itertools.product order, in numpy batches of 1024 candidates."""
+    itertools.product order, in numpy batches of 1024 candidates. A first
+    hit the checker rejects raises the enumerator's RuntimeError."""
     env = game.env
     labels = env.types.labels
     mu = env.types.weights
@@ -609,10 +610,12 @@ def _product_filter_reference(game, tol):
                 assessment = rv._assessment_from_blocks(game, part, combo)
                 report = rv.check_continuation(env, assessment, tol)
                 if not report.passed:
-                    raise AssertionError(
-                        "partition enumeration produced an invalid equilibrium; "
-                        f"worst violations: {report.agent_worst} {report.principal_worst}"
-                    )
+                    failed = [f"{name} {worst!r}" for name, ok, worst in (
+                        ("bayes gap", report.bayes_ok, report.bayes_gap),
+                        ("agent (type, deviation, gap)", report.agent_ok, report.agent_worst),
+                        ("principal (principal, message, deviation, gap)", report.principal_ok, report.principal_worst),
+                    ) if not ok]
+                    raise RuntimeError(f"partition enumeration produced an invalid equilibrium: {'; '.join(failed)}")
                 fa = Allocation({labels[t]: ((float(Z[zi]), 1.0),) for t, zi in enumerate(z_of_type)})
                 found[z_of_type] = (fa, assessment)
     return {fa.key(): (fa, assessment) for fa, assessment in found.values()}
@@ -623,7 +626,7 @@ def _outcome(enumerate_fn, game, tol):
     repr of the error raised (the cap, or a rejected equilibrium)."""
     try:
         found = enumerate_fn(game, tol)
-    except (ValueError, AssertionError) as e:
+    except (ValueError, RuntimeError) as e:
         return repr(e)
     return list(found), [repr(value) for value in found.values()]
 
@@ -656,3 +659,29 @@ def test_join_equals_frozen_product_filter(counts, points, alpha_steps, k, a, fl
         model = rv.RevisableModel.additive("-(z - theta)^2", receiver, types, alpha=0.0)
         game = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, points)), alpha_steps)
         assert _outcome(rv.enumerate_final_allocations, game, tol) == _outcome(_product_filter_reference, game, tol)
+
+
+@given(
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    points=st.integers(2, 7),
+    alpha_steps=st.integers(0, 2),
+    k=st.floats(0.0, 0.3),
+    a=st.floats(0.4, 0.9),
+)
+@settings(max_examples=40, deadline=None)
+@example(counts=[1, 2, 3, 1], points=4, alpha_steps=1, k=0.05, a=0.7)
+def test_grid_games_enumerate_at_tol_zero(counts, points, alpha_steps, k, a):
+    """Every first hit passes the checker at tol 0: its beliefs and the
+    checker's posteriors come from one Bayes rule, so they agree bit for
+    bit. At tol 0 the enumeration used to raise on many such games, the
+    checker finding a Bayes gap of about 1e-16. Types are evenly spaced
+    on [0, 1] with weights from ``counts``."""
+    types = TypeSpace.from_finite(
+        [(f"t{i}", i / (len(counts) - 1), c / sum(counts)) for i, c in enumerate(counts)]
+    )
+    model = rv.RevisableModel.additive(
+        "-(z - theta)^2", f"-(z - {k!r} - {a!r}*theta)^2", types, alpha=0.0, z_range=(-1.0, 2.0)
+    )
+    game = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, points)), alpha_steps)
+    for _fa, assessment in rv.enumerate_final_allocations(game, 0.0).values():
+        assert rv.check_continuation(game.env, assessment, 0.0).bayes_gap == 0.0
