@@ -361,6 +361,8 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
     # points - 1 steps already let every baseline reach every final action
     alpha_steps = _integer(obj["alpha_steps"], f"{path}.alpha_steps", 0, points - 1)
     types = _typespace_from(obj["types"], f"{path}.types", ("finite",))
+    if (zero := rv.zero_weight_type(types)) is not None:
+        raise ScenarioError(f"invalid revisable at {path}.types.items[{zero[0]}].weight: {zero[1]}")
     values = sorted(types.values)  # the grid game's table payoffs are looked up by type value
     if any(ec.same_value(a, b) for a, b in zip(values, values[1:])):
         raise ScenarioError(f"invalid revisable at {path}.types: table payoffs need distinct type values")

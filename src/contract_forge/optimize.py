@@ -1,5 +1,5 @@
-"""Deterministic 1-D searches, many rows at once: golden-section maxima
-and bracketed roots.
+"""Deterministic 1-D searches, many rows at once: maxima by Brent's
+method and bracketed roots.
 
 Objectives here are unimodal up to kinks (participation cutoffs), so
 derivative-free bracketing is the safe choice; a kink itself is a root.
@@ -12,55 +12,76 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["golden_rows", "root_rows"]
+__all__ = ["line_max_rows", "root_rows"]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction of a bracket
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100  # a safeguard: smooth rows close in 4-6 steps, a kink at the root in 13-48
 
 
-def golden_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b, tol: float, group=None
-) -> np.ndarray:
-    """Golden-section maximizers of one objective per row on [a, b].
+def line_max_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
+    """Maximizers of one objective per row on [a, b], by Brent's method
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5;
+    the stopping rule of netlib's ``fmin``), turned to maxima.
 
     ``f(rows, points)`` returns the objective of each listed row (indices
-    into ``a`` and ``b``) at its point. The rows of one group (every row,
-    without ``group``) take the step count of their widest bracket, or
-    the bracket midpoints when it is within ``tol``; all rows step in
-    lockstep, one call of ``f`` per step over the rows still stepping,
-    each leaving at its own count, so a row's result does not depend on
-    the other rows. A tie steps right, except a tie at 0: both probes
-    then sit on a participation objective's no-trade plateau, which lies
-    past its bump (no type stays at larger y), so it steps left.
+    into ``a`` and ``b``) at its point, always inside the row's bracket.
+    Each row keeps Brent's state: its bracket, its best point x, the
+    points w and v before it, and its last two steps d and e. A step goes
+    to the vertex of the parabola through x, w and v where that lies
+    inside the bracket and moves less than half the step before last;
+    otherwise it is a golden-section step into the larger side. No probe
+    lies within tol1 = sqrt(eps)*|x| + tol/3 of x or within 2*tol1 of
+    the bracket's ends. A row leaves with x once
+    |x - m| <= 2*tol1 - (b - a)/2, m the bracket's midpoint: x is then
+    within 2*tol1 of a unimodal row's maximum (near a smooth maximum f is
+    flat to rounding within about sqrt(eps)*|x| anyway). A bracket within
+    ``tol`` (``tol`` > 0) returns its midpoint without a call of ``f``.
+    All rows still stepping share one call of ``f`` per step, so a row's
+    result does not depend on the other rows. A probe at least as good as
+    x replaces it, except on a tie at 0: both then sit on a participation
+    objective's no-trade plateau, which lies past its bump (no type stays
+    at larger y), so the left one is kept.
     """
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    group = np.zeros(a.size, dtype=int) if group is None else np.asarray(group)
-    widest = np.zeros(group.max() + 1)
-    np.maximum.at(widest, group, b - a)
-    counts = [math.ceil(math.log(tol / w) / math.log(_INV_PHI)) if w > tol else 0 for w in widest]
-    steps = np.array(counts)[group]
-    x = 0.5 * (a + b)
-    rows = np.flatnonzero(steps)
-    n, lo, hi = steps[rows], a[rows], b[rows]
-    dist = hi - lo
-    c = lo + _INV_PHI_SQ * dist
-    d = lo + _INV_PHI * dist
-    fc, fd = (f(rows, c), f(rows, d)) if rows.size else (c, d)  # no call of f without rows
-    for i in range(1, max(counts)):
-        left = (fc > fd) | ((fc == 0.0) & (fd == 0.0))  # maximum in [lo, d] where true, else [c, hi]
-        if np.count_nonzero(stop := n == i):  # these rows leave, as the rest do after the loop
-            x[rows[stop]] = np.where(left, 0.5 * (lo + d), 0.5 * (c + hi))[stop]
-            rows, n, lo, hi, c, d, fc, fd, dist, left = (v[~stop] for v in (rows, n, lo, hi, c, d, fc, fd, dist, left))
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        dist = dist * _INV_PHI
-        c = lo + _INV_PHI_SQ * dist  # equals the surviving old point on one side
-        d = lo + _INV_PHI * dist
-        fp = f(rows, np.where(left, c, d))
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    x[rows] = np.where((fc > fd) | ((fc == 0.0) & (fd == 0.0)), 0.5 * (lo + d), 0.5 * (c + hi))
-    return x
+    a, b = (np.array(v, dtype=float, ndmin=1) for v in (a, b))
+    out = 0.5 * (a + b)
+    rows = np.flatnonzero(b - a > tol)
+    a, b = a[rows], b[rows]
+    x = w = v = a + _GOLD * (b - a)
+    fx = fw = fv = f(rows, x) if rows.size else x  # no call of f without rows
+    d = e = np.zeros(rows.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            m, tol1 = 0.5 * (a + b), _SQRT_EPS * np.abs(x) + tol / 3.0
+            if np.count_nonzero(done := ~(np.abs(x - m) > 2.0 * tol1 - 0.5 * (b - a))):  # NaN leaves too
+                out[rows[done]] = x[done]
+                keep = ~done
+                rows, a, b, x, w, v, fx, fw, fv, d, e, m, tol1 = (
+                    t[keep] for t in (rows, a, b, x, w, v, fx, fw, fv, d, e, m, tol1)
+                )
+                if not rows.size:
+                    break
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = np.where(q > 0.0, -p, p), np.abs(q)
+            r = np.where(np.abs(e) > tol1, e, 0.0)  # the step before last, where a parabola is tried
+            para = (np.abs(p) < np.abs(0.5 * q * r)) & (q * (a - x) < p) & (p < q * (b - x))
+            step, golden = p / q, np.where(x < m, b, a) - x
+            near_end = (x + step - a < 2.0 * tol1) | (b - (x + step) < 2.0 * tol1)  # step tol1 inward instead
+            step = np.where(near_end, np.where(x < m, tol1, -tol1), step)
+            d, e = np.where(para, step, _GOLD * golden), np.where(para, d, golden)
+            u = np.where(np.abs(d) >= tol1, x + d, x + np.where(d > 0.0, tol1, -tol1))
+            fu = f(rows, u)
+            better = (fu > fx) | ((fu == fx) & ((fx != 0.0) | (u < x)))
+            lower = better == (u >= x)  # the bracket's lower end moves, to x or u
+            end = np.where(better, x, u)
+            a, b = np.where(lower, end, a), np.where(lower, b, end)
+            to_w = better | (fu >= fw) | (w == x)  # w moves to v
+            to_v = ~to_w & ((fu >= fv) | (v == x) | (v == w))  # u replaces v
+            v, fv = np.where(to_w, w, np.where(to_v, u, v)), np.where(to_w, fw, np.where(to_v, fu, fv))
+            w, fw = np.where(better, x, np.where(to_w, u, w)), np.where(better, fx, np.where(to_w, fu, fw))
+            x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    return out
 
 
 def root_rows(

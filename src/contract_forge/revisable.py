@@ -36,7 +36,7 @@ from .env_core import (
     expect,
 )
 from .equilibrium import Assessment, BeliefSystem, check_continuation, posteriors
-from .optimize import golden_rows
+from .optimize import line_max_rows
 
 __all__ = [
     "RevisableModel",
@@ -49,6 +49,7 @@ __all__ = [
     "endpoint_baseline",
     "GridGame",
     "grid_step",
+    "zero_weight_type",
     "build_grid_game",
     "final_allocation_of",
     "collapse_to_full",
@@ -81,7 +82,8 @@ class RevisableModel:
     ``ideal_form`` may declare the closed-form posterior ideal for the
     quadratic receiver family: ("affine", k, a) means the ideal point is
     k + a * E[theta] (checked by :func:`audit_ideal_form`). Without it the
-    ideal is located by a bracketed golden-section search over ``z_range``.
+    ideal is located by a scan of ``z_range`` and a bracketed search by
+    Brent's method (:func:`posterior_ideal`).
     """
 
     mode: str  # "additive" | "proportional"
@@ -187,9 +189,10 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     """The receiver's uniquely optimal final action under ``belief``.
 
     Uses the declared closed form when present, otherwise a coarse scan of
-    the working range followed by golden-section refinement to
-    :func:`_ideal_tol`. Raises if the scan cannot bracket an interior
-    maximizer.
+    the working range followed by Brent's method
+    (:func:`optimize.line_max_rows`) at tol :func:`_ideal_tol`, which
+    stops within 2*(sqrt(eps)*|z| + tol/3) of the ideal. Raises if the
+    scan cannot bracket an interior maximizer.
     """
     if model.ideal_form is not None:
         _, k, a = model.ideal_form
@@ -209,7 +212,7 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
             "posterior ideal search found no interior bracket; widen z_range"
         )
     tol = _ideal_tol(model)
-    z_star = golden_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], tol)[0]
+    z_star = line_max_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], tol)[0]
     return float(z_star)
 
 
@@ -329,14 +332,27 @@ def grid_step(z: Sequence[float]) -> float:
     return h
 
 
+def zero_weight_type(types: TypeSpace) -> tuple[int, str] | None:
+    """The first finite type of weight 0, as (index, message), or None.
+    Grid games reject it: a block of zero-weight types sends a message of
+    zero mass, which has no Bayes posterior."""
+    for i, t in enumerate(types.finite):
+        if t.weight == 0.0:
+            return i, f"type {t.label!r} has weight 0: its message would have no Bayes posterior"
+    return None
+
+
 def build_grid_game(
     model: RevisableModel, z_values: Sequence[float], alpha_steps: int
 ) -> GridGame:
-    """Discretize an additive revisable model on an evenly spaced z-grid."""
+    """Discretize an additive revisable model on an evenly spaced z-grid;
+    every type needs a positive weight (:func:`zero_weight_type`)."""
     if model.mode != "additive":
         raise ValueError("grid games support the additive revision mode")
     if model.types.kind != "finite":
         raise ValueError("grid games need a finite type space")
+    if (zero := zero_weight_type(model.types)) is not None:
+        raise ValueError(zero[1])
     z = tuple(float(v) for v in z_values)
     h = grid_step(z)
     m = int(alpha_steps)

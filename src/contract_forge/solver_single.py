@@ -11,7 +11,8 @@ crossing holds, richer communication adds nothing, so the optimum solves
 evaluated here by a kink-safe search in each variable: grid (strided in
 y with interval types: every (y_grid // 16)-th point, then every point
 within that stride of the best), then (y with interval types) the
-participation kink as a root, then golden section. One vectorized kernel
+participation kink as a root, then Brent's method
+(:func:`optimize.line_max_rows`). One vectorized kernel
 (``_profit``) gives the value and the participation cutoff of many
 (x, y) pairs at once: the cutoff by the bracketed root finder on the
 rows where it is interior, the expectation by composite Simpson
@@ -29,11 +30,11 @@ import numpy as np
 
 from . import exprlang
 from .env_core import TypeSpace, simpson_coefficients
-from .optimize import golden_rows, root_rows
+from .optimize import line_max_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
-OPT_TOL = 1e-8  # golden-section bracket width of both searches, and the kink's probe step
+OPT_TOL = 1e-8  # tol of both line searches (Brent stops within 2*(sqrt(eps)*|x| + tol/3)), and the kink's probe step
 _X_GRID = 256  # x-grid points of ``solve``
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
@@ -279,8 +280,8 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarra
 
     With interval types every s-th point, s = max(1, len(ys) // 16), and the
     last are scanned, then [c - s, c + s] (shifted inside the grid) around
-    each coarse best c: rows are assumed unimodal at spacing s, as golden
-    section assumes on its bracket. Each window holds three coarse points,
+    each coarse best c: rows are assumed unimodal at spacing s, as the
+    line search assumes on its bracket. Each window holds three coarse points,
     read from the kept coarse samples, so the window pass evaluates its
     other 2s - 2 points only. Rows whose coarse samples all fail the
     audit, finite types and s = 1 get the full grid."""
@@ -316,17 +317,18 @@ def _inner_rows(
     With interval types, where u(x, ., lo) changes sign on [a, b],
     :func:`optimize.root_rows` finds the kink y_k at which the lowest type
     is just indifferent (and stays), and one unaudited kernel pass
-    evaluates y_k and y_k -/+ :data:`OPT_TOL`, clipped to the bracket. Golden
-    section assumes the objective unimodal on the bracket; so does this
-    rule: if f(y_k) is at least both neighbours, y_k is the bracket's
-    maximizer. Otherwise golden section runs on the rising side, [a, y_k]
-    or [y_k, b], toward the larger neighbour. Other rows run it on [a, b],
-    finite types always: their f drops at every type's indifference y, so
-    another type's drop in the bracket can beat y_k. Golden section
-    refines its rows at once, one group per rival (a taken y_k is a
-    zero-width bracket, not evaluated). The refined value honors the audit
-    and is kept only when it beats the grid value. ``r`` gives each offer
-    its rival index (see :func:`_profit`).
+    evaluates y_k and y_k -/+ :data:`OPT_TOL`, clipped to the bracket. The
+    line search (Brent's method, :func:`optimize.line_max_rows`) assumes
+    the objective unimodal on the bracket; so does this rule: if f(y_k) is
+    at least both neighbours, y_k is the bracket's maximizer. Otherwise the
+    search runs on the rising side, [a, y_k] or [y_k, b], toward the larger
+    neighbour. Other rows run it on [a, b], finite types always: their f
+    drops at every type's indifference y, so another type's drop in the
+    bracket can beat y_k. The search refines all rows at once, each
+    stopping within 2*(sqrt(eps)*|y| + OPT_TOL/3) of its maximum (a taken
+    y_k is a zero-width bracket, not evaluated). The refined value honors
+    the audit and is kept only when it beats the grid value. ``r`` gives
+    each offer its rival index (see :func:`_profit`).
     """
     xs = np.asarray(xs, dtype=float)
     r = np.zeros(xs.shape, int) + r
@@ -360,7 +362,7 @@ def _inner_rows(
             peak, left = (fk >= fm) & (fk >= fp), fm > fp  # left: rising toward a
             a[kink] = np.where(left & ~peak, ak, yk)  # a peak's bracket is [y_k, y_k]
             b[kink] = np.where(left | peak, yk, bk)
-        yr = golden_rows(f, a, b, tol, (b > a) + 2 * rr)
+        yr = line_max_rows(f, a, b, tol)
         vr = _profit(problem, X, yr, rr)[0]
         better = vr > value[rows]
         value[rows[better]] = vr[better]
@@ -372,11 +374,13 @@ def solve(problem: SingleProblem) -> SolveResult:
     """Two-step optimum: outer search over x, inner search over y.
 
     Both loops scan an even grid and refine around the best bracket, the
-    inner one by kink root or golden section (:func:`_inner_rows`), the
-    outer one by golden section: the objective has kinks where the
-    participation cutoff meets the type-space boundary, so derivative-free
-    search is used throughout. Offers retaining no type score zero; when
-    nothing beats zero the result is the no-trade outcome.
+    inner one by kink root or Brent's method (:func:`_inner_rows`), the
+    outer one by Brent's method (:func:`optimize.line_max_rows`, about 8
+    steps on the worked labor problem), each stopping within
+    2*(sqrt(eps)*|x| + OPT_TOL/3) of its maximum: the objective has kinks
+    where the participation cutoff meets the type-space boundary, so
+    derivative-free search is used throughout. Offers retaining no type
+    score zero; when nothing beats zero the result is the no-trade outcome.
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], _X_GRID)
     values, inner_y = _inner_rows(problem, xs)
@@ -387,7 +391,7 @@ def solve(problem: SingleProblem) -> SolveResult:
         return SolveResult(None, None, None, 0.0, 0.0, True, trace)
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _X_GRID - 1)])
-    x_ref = float(golden_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, OPT_TOL)[0])
+    x_ref = float(line_max_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, OPT_TOL)[0])
     v_ref, y_ref = (float(v[0]) for v in _inner_rows(problem, np.array([x_ref])))
     if v_ref >= values[i]:
         x_star, value, y_star = x_ref, v_ref, y_ref
@@ -406,7 +410,7 @@ def zoom_solve(problem: SingleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Fast (x, y) optimizer for iterative callers (best-response dynamics).
 
     Each of ``_ZOOM_STAGES`` stages scans an x-grid of ``_ZOOM_GRID``
-    points with the vectorized inner-row search (grid, kink root, golden
+    points with the vectorized inner-row search (grid, kink root, Brent
     fallback; see :func:`_inner_rows`), then zooms the x-box around the
     incumbent row. Same unimodality assumption as the full solve. Every
     row is refined, not only the incumbent and its neighbours: on the

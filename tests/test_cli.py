@@ -1004,6 +1004,18 @@ class TestRevisableCheck:
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
         assert (results["equal"], results["n_limited"], results["n_full"], results["transforms_ok"]) == (True, 10, 10, True)
 
+    @pytest.mark.parametrize("zero", [0, 1])
+    def test_zero_weight_type_exits_2_naming_its_weight(self, tmp_path, zero):
+        """Exited 2 with the bare message "tuple.index(x): x not in tuple": a
+        zero-weight type's message has no Bayes posterior."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        for i, item in enumerate(raw["revisable"]["types"]["items"]):
+            item["weight"] = 0.0 if i == zero else 0.5
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert f"invalid revisable at $.revisable.types.items[{zero}].weight: type 't{zero}' has weight 0" in res.output
+
     def test_rejected_first_hit_exits_2(self, tmp_path, monkeypatch):
         """Exited 1 with an AssertionError traceback that named no violation
         ("worst violations: None None") when only the Bayes check failed."""

@@ -37,7 +37,7 @@ DIGESTS = {
     "labor_single.json": (
         0,
         {
-            "report.json": "2255cae7df38bb253f044ecdf1dfbab5f884b3c378c6e9ceb59d0f23327ecafb",
+            "report.json": "4e55eaed53ffb90c36786917bcdedd9dea59e0e0ae52b1ec66b1d3c94c6b273b",
             "solve_trace.csv": "746d46f23d4179b5bcb3a92d1d161bbc4f4fcc886aaa15e9f433eb1805e35d98",
         },
     ),

@@ -7,7 +7,7 @@ import pytest
 from contract_forge import revisable as rv
 from contract_forge.env_core import Allocation, Belief, TypeSpace
 from contract_forge.equilibrium import check_continuation
-from contract_forge.optimize import golden_rows
+from contract_forge.optimize import line_max_rows
 
 import closed_forms as cf
 
@@ -70,7 +70,7 @@ class TestPosteriorIdeal:
         value = lambda z: float(np.broadcast_to(model.receiver_fn(z, pts), pts.shape) @ w)
         zs = np.linspace(-1.0, 2.0, 201)
         i = int(np.argmax([value(z) for z in zs]))
-        ref = golden_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], rv._ideal_tol(model))[0]
+        ref = line_max_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], rv._ideal_tol(model))[0]
         assert rv.posterior_ideal(model, Belief(tuple(pts), tuple(w))) == float(ref)
 
     def test_searched_ideal_ties_within_its_resolution(self):
@@ -685,3 +685,10 @@ def test_grid_games_enumerate_at_tol_zero(counts, points, alpha_steps, k, a):
     game = rv.build_grid_game(model, tuple(np.linspace(0.0, 1.0, points)), alpha_steps)
     for _fa, assessment in rv.enumerate_final_allocations(game, 0.0).values():
         assert rv.check_continuation(game.env, assessment, 0.0).bayes_gap == 0.0
+
+
+def test_grid_game_rejects_a_zero_weight_type():
+    types = TypeSpace.from_finite([("t0", 0.0, 0.0), ("t1", 0.5, 0.5), ("t2", 1.0, 0.5)])
+    assert rv.zero_weight_type(types)[0] == 0
+    with pytest.raises(ValueError, match="type 't0' has weight 0"):
+        rv.build_grid_game(quadratic_model(types=types), (0.0, 0.5, 1.0), 1)

@@ -209,11 +209,11 @@ class TestAgencyRun:
         _, seen = fixture_run
         assert seen["inner_rows"] == 26
         # most inner optima sit on the participation kink, found as a root
-        # of the lowest type's utility instead of by about 36 golden steps;
-        # golden section steps all its rows in lockstep (328 calls when each
-        # step count took its own pass, 293 with the start's response
-        # solved apart from the curve)
-        assert seen["profit"] <= 241
+        # of the lowest type's utility; the line search steps the other rows
+        # in lockstep, Brent's method in 10 or 31 steps where golden section
+        # took 36 (241 calls then; 328 when each golden step count took its
+        # own pass, 293 with the start's response solved apart from the curve)
+        assert seen["profit"] <= 210
 
     def test_mesh_cells(self, fixture_run):
         # the strided y-scan: 2,400 coarse-slice rows at 17 + 6 of 64 points

@@ -11,9 +11,8 @@ from contract_forge import env_core as ec
 from contract_forge import equilibrium as eq
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
-from contract_forge.optimize import golden_rows
-
 import closed_forms as cf
+from golden_section_reference import golden_rows_reference
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +183,21 @@ class TestSolve:
         assert r.value == pytest.approx(5.2225, abs=1e-3)
         assert r.stay_prob == pytest.approx(1.0, abs=1e-9)
 
+    @given(scale=st.floats(0.25, 4.0), agent_scale=st.floats(0.25, 4.0))
+    @example(scale=1.0, agent_scale=1.0)  # the labor_single fixture
+    @settings(max_examples=12, deadline=None)
+    def test_labor_optimum_within_5e_8_of_closed_form(self, scale, agent_scale):
+        """The optimum sits at cutoff 3 (all stay): x* = (3.5*sqrt(3)/4)^(2/3),
+        y* = sqrt(3 x*), value from the closed-form profile. Scaling the
+        principal's payoff scales the value; scaling the agent's utility
+        moves no one's participation."""
+        _, x_star, value_star = cf.labor_profile(3.0)
+        p = ss.SingleProblem(u=f"{agent_scale!r}*(x*theta - y^2)/sqrt(theta)", v=f"{scale!r}*(y*theta - x^2)")
+        r = ss.solve(p)
+        assert abs(r.x - x_star) <= 5e-8
+        assert abs(r.y - math.sqrt(3.0 * x_star)) <= 5e-8
+        assert abs(r.value / scale - value_star) <= 5e-8
+
     def test_no_trade_when_value_negative(self):
         p = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="0 - 1")
         r = ss.solve(p)
@@ -213,30 +227,32 @@ class TestSolve:
         assert x == pytest.approx(labor_solution.x, abs=1e-3)
 
 
-def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float]:
-    """The y-grid's bracket [a, b] around its best point, and that point's value."""
+def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float, float]:
+    """The y-grid's bracket [a, b] around its best point, that point and its value."""
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
     grid = ss._profit_grid(problem, np.array([x]), ys, np.zeros(1, int))[0]
     i = int(np.argmax(grid))
-    return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(grid[i])
+    return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(ys[i]), float(grid[i])
 
 
-def _golden_inner(problem: ss.SingleProblem, x: float) -> float:
-    """The inner value by golden section on the grid bracket alone, with
-    the audited re-evaluation kept only when it beats the grid value: the
-    search ``_inner_rows`` ran before it solved for the participation kink."""
-    a, b, grid_value = _grid_bracket(problem, x)
-    y = golden_rows(
+def _golden_inner(problem: ss.SingleProblem, x: float) -> tuple[float, float]:
+    """The inner (value, y) by golden section on the grid bracket alone,
+    with the audited re-evaluation kept only when it beats the grid value:
+    the search ``_inner_rows`` ran before it solved for the participation
+    kink and before Brent's method replaced golden section."""
+    a, b, grid_y, grid_value = _grid_bracket(problem, x)
+    y = golden_rows_reference(
         lambda _, yk: ss._profit(problem, np.full(yk.size, x), yk, audit=False)[0], a, b, ss.OPT_TOL
     )
-    return max(float(ss._profit(problem, [x], y)[0][0]), grid_value)
+    value = float(ss._profit(problem, [x], y)[0][0])
+    return (value, float(y[0])) if value > grid_value else (grid_value, grid_y)
 
 
 def _dense_bracket(problem: ss.SingleProblem, x: float, n: int = 4001) -> tuple[float, float]:
     """The best audited value on an n-point grid over the grid bracket,
     and a bound on how far the bracket's supremum can lie from it: twice
     the largest step between neighbouring grid values."""
-    a, b, _ = _grid_bracket(problem, x)
+    a, b, _, _ = _grid_bracket(problem, x)
     f = ss._profit(problem, np.full(n, x), np.linspace(a, b, n))[0]
     return float(np.max(f)), 2.0 * float(np.max(np.abs(np.diff(f))))
 
@@ -288,8 +304,13 @@ class TestInnerRows:
                 types["types"] = ec.TypeSpace.from_finite([("a", 3.0, low_weight), ("b", 3.0 + gap, 1.0 - low_weight)])
             problem = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", **types, **box)
         (value,), _ = ss._inner_rows(problem, np.array([x]))
-        golden = _golden_inner(problem, x)
-        assert value >= golden - 1e-12 * max(1.0, abs(golden))
+        golden, y = _golden_inner(problem, x)
+        # Brent's method stops within 2*tol1 = 2*(sqrt(eps)*|y| + tol/3) of
+        # the bracket's maximum, golden section within tol: at a drop (finite
+        # types) the search may give up the rise of f over that distance
+        reach = y - 2.0 * (np.sqrt(np.finfo(float).eps) * abs(y) + ss.OPT_TOL / 3.0)
+        floor = min(golden, float(ss._profit(problem, [x], [reach])[0][0]))
+        assert value >= floor - 1e-12 * max(1.0, abs(golden))
         if problem.types.kind == "interval":  # finite types' drops break unimodality
             best, slack = _dense_bracket(problem, x)
             for found in (value, golden):
