@@ -11,6 +11,7 @@ from contract_forge import env_core as ec
 from contract_forge import equilibrium as eq
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
+
 import closed_forms as cf
 from golden_section_reference import golden_rows_reference
 
