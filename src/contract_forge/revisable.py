@@ -178,11 +178,13 @@ def audit_ideal_form(model: RevisableModel) -> None:
 
 
 def _ideal_tol(model: RevisableModel) -> float:
-    """Resolution of the posterior ideal: sqrt(eps) times the width of
-    ``z_range``. Near its maximum the expected receiver payoff is flat to
-    rounding within about that distance, so the search stops there and a
-    target that close to the ideal is a tie."""
-    return math.sqrt(np.finfo(float).eps) * (model.z_range[1] - model.z_range[0])
+    """Resolution of the posterior ideal: sqrt(eps) times the larger of
+    the width of ``z_range`` and its ends' magnitudes (the width when the
+    range holds 0). Near its maximum the expected receiver payoff is flat
+    to rounding within about sqrt(eps)*|z| of it, so :func:`posterior_ideal`
+    stops within this tol and a target that close to the ideal is a tie."""
+    lo, hi = model.z_range
+    return math.sqrt(np.finfo(float).eps) * max(hi - lo, abs(lo), abs(hi))
 
 
 def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
@@ -190,9 +192,9 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
 
     Uses the declared closed form when present, otherwise a coarse scan of
     the working range followed by Brent's method
-    (:func:`optimize.line_max_rows`) at tol :func:`_ideal_tol`, which
-    stops within 2*(sqrt(eps)*|z| + tol/3) of the ideal. Raises if the
-    scan cannot bracket an interior maximizer.
+    (:func:`optimize.line_max_rows`) at tol :func:`_ideal_tol` on the
+    offset from the scan's best point, which stops within tol of the
+    ideal. Raises if the scan cannot bracket an interior maximizer.
     """
     if model.ideal_form is not None:
         _, k, a = model.ideal_form
@@ -211,9 +213,11 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
         raise ValueError(
             "posterior ideal search found no interior bracket; widen z_range"
         )
-    tol = _ideal_tol(model)
-    z_star = line_max_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], tol)[0]
-    return float(z_star)
+    # search the offset t = z - zs[i], so Brent's stop 2*(sqrt(eps)*|t| + tol/3) stays below tol
+    t = line_max_rows(
+        lambda _, t: np.array([value(zs[i] + t[0])]), zs[i - 1] - zs[i], zs[i + 1] - zs[i], _ideal_tol(model)
+    )
+    return float(zs[i] + t[0])
 
 
 def feasible_final_interval(model: RevisableModel, x: float) -> tuple[float, float]:

@@ -307,6 +307,33 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarra
     return idx, value
 
 
+def _type_drops(problem: SingleProblem, X, r, a, b, y, value) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best of (``y``, ``value``) and the drops of finite types
+    in its bracket [a, b], ``y`` on ties.
+
+    With finite types f jumps where a type leaves and rises up to the jump,
+    so a line search stops short of that peak. Each type whose
+    u(x, ., theta) changes sign on a row's bracket has its indifference y
+    solved by :func:`optimize.root_rows` (the end where it stays), as the
+    kink is, and valued by one audited kernel pass.
+    """
+    th = problem.types.values
+    ua, ub = (_rows(problem.u_fn(X[:, None], e[:, None], th, r[:, None]), (X.size, th.size)) for e in (a, b))
+    k, j = np.nonzero((ua >= 0.0) != (ub >= 0.0))
+    if not k.size:
+        return y, value
+    yd = root_rows(
+        lambda i, yi: _rows(problem.u_fn(X[k[i]], yi, th[j[i]], r[k[i]]), (i.size,)),
+        a[k], b[k], ua[k, j], ub[k, j],
+        _root_width(max(abs(problem.y_box[0]), abs(problem.y_box[1]))),
+    )
+    at, ys = np.r_[np.arange(X.size), k], np.r_[y, yd]
+    vs = np.r_[value, _profit(problem, X[k], yd, r[k])[0]]
+    order = np.lexsort((-vs, at))  # by row, best first; stable, so ``y`` first on ties
+    first = order[np.r_[True, at[order][1:] != at[order][:-1]]]
+    return ys[first], vs[first]
+
+
 def _inner_rows(
     problem: SingleProblem, xs: np.ndarray, r=0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +353,10 @@ def _inner_rows(
     drops at every type's indifference y, so another type's drop in the
     bracket can beat y_k. The search refines all rows at once, each
     stopping within 2*(sqrt(eps)*|y| + OPT_TOL/3) of its maximum (a taken
-    y_k is a zero-width bracket, not evaluated). The refined value honors
-    the audit and is kept only when it beats the grid value. ``r`` gives
+    y_k is a zero-width bracket, not evaluated). With finite types each
+    drop in the bracket is also solved as a root (:func:`_type_drops`),
+    and kept where it beats the search. The refined value honors the audit
+    and is kept only when it beats the grid value. ``r`` gives
     each offer its rival index (see :func:`_profit`).
     """
     xs = np.asarray(xs, dtype=float)
@@ -364,6 +393,8 @@ def _inner_rows(
             b[kink] = np.where(left | peak, yk, bk)
         yr = line_max_rows(f, a, b, tol)
         vr = _profit(problem, X, yr, rr)[0]
+        if problem.types.kind == "finite":
+            yr, vr = _type_drops(problem, X, rr, a, b, yr, vr)
         better = vr > value[rows]
         value[rows[better]] = vr[better]
         y[rows[better]] = yr[better]

@@ -70,8 +70,24 @@ class TestPosteriorIdeal:
         value = lambda z: float(np.broadcast_to(model.receiver_fn(z, pts), pts.shape) @ w)
         zs = np.linspace(-1.0, 2.0, 201)
         i = int(np.argmax([value(z) for z in zs]))
-        ref = line_max_rows(lambda _, z: np.array([value(z[0])]), zs[i - 1], zs[i + 1], rv._ideal_tol(model))[0]
-        assert rv.posterior_ideal(model, Belief(tuple(pts), tuple(w))) == float(ref)
+        t = line_max_rows(lambda _, t: np.array([value(zs[i] + t[0])]), zs[i - 1] - zs[i], zs[i + 1] - zs[i],
+                          rv._ideal_tol(model))[0]
+        assert rv.posterior_ideal(model, Belief(tuple(pts), tuple(w))) == float(zs[i] + t)
+
+    @pytest.mark.parametrize("center", [0.0, 100.0, -100.0, 1000.0])
+    def test_searched_ideal_far_from_zero_ties_with_the_true_ideal(self, center):
+        """Far from 0 the expected payoff is flat to rounding within about
+        sqrt(eps)*|z| of its maximum, wider than sqrt(eps) times a narrow
+        range's width; the search still lands within the ideal's tol, and a
+        target at the true ideal is a tie, placed in the middle of its window."""
+        model = rv.RevisableModel.additive(
+            "z", f"-exp(z - {center!r} - theta) + z", TypeSpace.uniform_finite([0.0, 0.5, 1.0]),
+            alpha=0.25, z_range=(center - 1.0, center + 1.5),
+        )
+        belief = Belief((0.0, 0.5, 1.0), (0.2, 0.3, 0.5))
+        ideal = center - math.log(0.2 + 0.3 * math.exp(-0.5) + 0.5 * math.exp(-1.0))
+        assert rv.posterior_ideal(model, belief) == pytest.approx(ideal, abs=rv._ideal_tol(model))
+        assert rv._placement(model, ideal, belief)[:3] == (ideal, 0.0, ideal)
 
     def test_searched_ideal_ties_within_its_resolution(self):
         """The search finds this belief's ideal 0.505 only to within about

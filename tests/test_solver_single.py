@@ -228,32 +228,31 @@ class TestSolve:
         assert x == pytest.approx(labor_solution.x, abs=1e-3)
 
 
-def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float, float]:
-    """The y-grid's bracket [a, b] around its best point, that point and its value."""
+def _grid_bracket(problem: ss.SingleProblem, x: float) -> tuple[float, float, float]:
+    """The y-grid's bracket [a, b] around its best point, and that point's value."""
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
     grid = ss._profit_grid(problem, np.array([x]), ys, np.zeros(1, int))[0]
     i = int(np.argmax(grid))
-    return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(ys[i]), float(grid[i])
+    return ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)], float(grid[i])
 
 
-def _golden_inner(problem: ss.SingleProblem, x: float) -> tuple[float, float]:
-    """The inner (value, y) by golden section on the grid bracket alone,
-    with the audited re-evaluation kept only when it beats the grid value:
-    the search ``_inner_rows`` ran before it solved for the participation
-    kink and before Brent's method replaced golden section."""
-    a, b, grid_y, grid_value = _grid_bracket(problem, x)
+def _golden_inner(problem: ss.SingleProblem, x: float) -> float:
+    """The inner value by golden section on the grid bracket alone, with
+    the audited re-evaluation kept only when it beats the grid value: the
+    search ``_inner_rows`` ran before it solved for the participation kink
+    and before Brent's method replaced golden section."""
+    a, b, grid_value = _grid_bracket(problem, x)
     y = golden_rows_reference(
         lambda _, yk: ss._profit(problem, np.full(yk.size, x), yk, audit=False)[0], a, b, ss.OPT_TOL
     )
-    value = float(ss._profit(problem, [x], y)[0][0])
-    return (value, float(y[0])) if value > grid_value else (grid_value, grid_y)
+    return max(float(ss._profit(problem, [x], y)[0][0]), grid_value)
 
 
 def _dense_bracket(problem: ss.SingleProblem, x: float, n: int = 4001) -> tuple[float, float]:
     """The best audited value on an n-point grid over the grid bracket,
     and a bound on how far the bracket's supremum can lie from it: twice
     the largest step between neighbouring grid values."""
-    a, b, _, _ = _grid_bracket(problem, x)
+    a, b, _ = _grid_bracket(problem, x)
     f = ss._profit(problem, np.full(n, x), np.linspace(a, b, n))[0]
     return float(np.max(f)), 2.0 * float(np.max(np.abs(np.diff(f))))
 
@@ -305,13 +304,8 @@ class TestInnerRows:
                 types["types"] = ec.TypeSpace.from_finite([("a", 3.0, low_weight), ("b", 3.0 + gap, 1.0 - low_weight)])
             problem = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", **types, **box)
         (value,), _ = ss._inner_rows(problem, np.array([x]))
-        golden, y = _golden_inner(problem, x)
-        # Brent's method stops within 2*tol1 = 2*(sqrt(eps)*|y| + tol/3) of
-        # the bracket's maximum, golden section within tol: at a drop (finite
-        # types) the search may give up the rise of f over that distance
-        reach = y - 2.0 * (np.sqrt(np.finfo(float).eps) * abs(y) + ss.OPT_TOL / 3.0)
-        floor = min(golden, float(ss._profit(problem, [x], [reach])[0][0]))
-        assert value >= floor - 1e-12 * max(1.0, abs(golden))
+        golden = _golden_inner(problem, x)
+        assert value >= golden - 1e-12 * max(1.0, abs(golden))
         if problem.types.kind == "interval":  # finite types' drops break unimodality
             best, slack = _dense_bracket(problem, x)
             for found in (value, golden):
