@@ -100,9 +100,11 @@ def root_rows(
     with no x3 yet, takes the midpoint without the test. A row leaves at
     the step its bracket gets narrower than ``tol`` or its newest probe is
     an exact zero, returning the bracket's end where g >= 0. A row's root
-    does not depend on the other rows.
+    does not depend on the other rows; without rows g is not called.
     """
     out = np.empty_like(a)
+    if not a.size:  # no call of g without rows
+        return out
     rows = np.arange(a.size)
     x1, f1, x2, f2 = a, ga, b, gb
     x3 = f3 = np.full_like(a, np.nan)  # set by the first step

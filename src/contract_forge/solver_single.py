@@ -36,6 +36,7 @@ _EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 OPT_TOL = 1e-8  # tol of both line searches (Brent stops within 2*(sqrt(eps)*|x| + tol/3)), and the kink's probe step
 _X_GRID = 256  # x-grid points of ``solve``
+_WORKSPACE = 65_536  # elements of one (rows x nodes) kernel temporary: 512 KiB of floats
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -137,6 +138,13 @@ def _fixed_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, ...]:
     return tuple(np.broadcast_to(v, v.shape) for v in nodes)  # read-only views: every caller shares them
 
 
+def _chunks(n: int, nodes: int):
+    """Row slices covering ``n`` rows (one slice without rows), each of at
+    most ``_WORKSPACE // nodes`` rows and at least one."""
+    step = max(1, _WORKSPACE // nodes)
+    return (slice(i, i + step) for i in range(0, max(n, 1), step))
+
+
 def _profit(
     problem: SingleProblem, X, Y, r=0, audit: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +160,11 @@ def _profit(
     certifies that no type stays; refinement probes inside audited
     brackets skip it. ``r`` holds each row's index into the rival offers
     the problem binds (one index for every row), passed to u and v as
-    their fourth argument. A row's results depend on that row alone. The
+    their fourth argument. A row's results depend on that row alone, so
+    any number of rows, every rival's at once, is one call: the sweep
+    and audit run in chunks of at most ``_WORKSPACE`` elements per
+    (rows x nodes) temporary, each chunk recording its interior rows'
+    root brackets, and one root call solves every interior row. The
     stay probability, which only :func:`_point` reports, is :func:`_stay`
     of 1 at the cutoff.
     """
@@ -163,22 +175,21 @@ def _profit(
     lo, hi = _theta_span(problem.types)
 
     grid = _fixed_nodes(lo, hi, problem.panels)[0] if audit else np.array([lo, hi])
-    sweep = _rows(problem.u_fn(X[:, None], Y[:, None], grid[None, :], R[:, None]), (n, grid.size))
-    none = sweep[:, -1] < 0.0
-    if audit:  # a non-finite sweep (inf - inf) fails the audit
-        with np.errstate(invalid="ignore"):
-            valid = np.all(np.diff(sweep, axis=1) > 0.0, axis=1) | np.all(sweep < 0.0, axis=1)
-    else:
-        valid = np.ones(n, dtype=bool)
-    cut = np.where(none | ~valid, np.nan, lo)
-    inner = np.flatnonzero(valid & ~none & (sweep[:, 0] < 0.0))
-    if inner.size:
+    valid, cut, brackets = np.ones(n, dtype=bool), np.full(n, lo), []
+    for s in _chunks(n, grid.size):
+        sweep = _rows(problem.u_fn(X[s, None], Y[s, None], grid[None, :], R[s, None]), (cut[s].size, grid.size))
+        if audit:  # a non-finite sweep fails the audit: inf > inf and every nan comparison are false
+            valid[s] = np.all(sweep[:, 1:] > sweep[:, :-1], axis=1) | np.all(sweep < 0.0, axis=1)
+        cut[s][(sweep[:, -1] < 0.0) | ~valid[s]] = np.nan
+        inner = np.flatnonzero(~np.isnan(cut[s]) & (sweep[:, 0] < 0.0))
         k = np.argmax(sweep[inner] >= 0.0, axis=1)  # first staying grid point
+        brackets.append((inner + s.start, grid[k - 1], grid[k], sweep[inner, k - 1], sweep[inner, k]))
+    inner, a, b, ua, ub = (np.concatenate(v) for v in zip(*brackets))
+    if inner.size:
         Xi, Yi, Ri = X[inner], Y[inner], R[inner]
         cut[inner] = root_rows(
             lambda rows, th: _rows(problem.u_fn(Xi[rows], Yi[rows], th, Ri[rows]), (rows.size,)),
-            grid[k - 1], grid[k], sweep[inner, k - 1], sweep[inner, k],
-            _root_width(max(abs(lo), abs(hi))),
+            a, b, ua, ub, _root_width(max(abs(lo), abs(hi))),
         )
 
     value = _stay(problem, X, Y, cut, R, problem.v_fn)
@@ -195,27 +206,40 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
     0 where no type stays (cutoff nan); otherwise, with interval types,
     Simpson's rule for fn times the density from the cutoff up, and with
     finite types the weighted sum of fn over the types whose u is at
-    least 0. ``r`` is each row's rival index, as in :func:`_profit`.
+    least 0. Rows run in chunks of at most ``_WORKSPACE`` elements per
+    (rows x nodes) temporary. Rows whose cutoff is lo share one node row,
+    a uniform density is the scalar 1/(hi - lo), and every row sums
+    (coef * fn) * density, so sharing changes no bit. ``r`` is each row's
+    rival index, as in :func:`_profit`.
     """
     X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
     R = np.zeros(X.size, int) + r
     out = np.zeros(X.size)
-    live = np.flatnonzero(~np.isnan(cut))
+    types = problem.types
 
-    def pay(f, th):  # f at the live rows; th has one row or one per row
-        return _rows(f(X[live, None], Y[live, None], th, R[live, None]), (live.size, th.shape[1]))
+    def pay(f, rows, th):  # f at ``rows``; th has one row or one per row
+        return _rows(f(X[rows, None], Y[rows, None], th, R[rows, None]), (rows.size, th.shape[1]))
 
-    if live.size and problem.types.kind == "finite":
-        th, w = problem.types.values[None, :], problem.types.weights[None, :]
-        stays = pay(problem.u_fn, th) >= 0.0
-        out[live] = np.sum(w * (1.0 if fn is None else pay(fn, th)) * stays, axis=1)
-    elif live.size:
-        lo, hi = _theta_span(problem.types)
-        _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
-        span = hi - cut[live]
-        nodes = cut[live, None] + span[:, None] * frac[None, :]
-        integrand = coef[None, :] * (1.0 if fn is None else pay(fn, nodes)) * problem.types.density_at(nodes)
-        out[live] = np.sum(integrand, axis=1) * span / problem.panels / 3.0
+    if types.kind == "finite":
+        th, w = types.values[None, :], types.weights[None, :]
+        for s in _chunks(X.size, th.shape[1]):
+            if (rows := s.start + np.flatnonzero(~np.isnan(cut[s]))).size:
+                stays = pay(problem.u_fn, rows, th) >= 0.0
+                out[rows] = np.sum(w * (1.0 if fn is None else pay(fn, rows, th)) * stays, axis=1)
+        return out
+    lo, hi = _theta_span(types)
+    _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
+    shared = lo + (hi - lo) * frac[None, :]  # the nodes of every row whose cutoff is lo
+    for s in _chunks(X.size, frac.size):
+        c = cut[s]
+        for rows, at_lo in ((np.flatnonzero(c == lo), True), (np.flatnonzero((c != lo) & ~np.isnan(c)), False)):
+            if not rows.size:
+                continue
+            span = hi - c[rows]
+            nodes = shared if at_lo else c[rows, None] + span[:, None] * frac[None, :]
+            dens = 1.0 / (hi - lo) if types.density == "uniform" else types.density_at(nodes)
+            integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows + s.start, nodes)) * dens
+            out[rows + s.start] = np.sum(integrand, axis=1) * span / problem.panels / 3.0
     return out
 
 
@@ -260,19 +284,12 @@ def expected_profit(problem: SingleProblem, x: float, y: float) -> float:
 def _profit_grid(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Expected profit on an (x, y) mesh, ``ys`` one vector or a row per x; -inf if invalid.
 
-    ``r`` gives each x its rival index. Evaluated in blocks of whole
-    x-rows, at most one rival's, so the quadrature workspace stays
-    cache-sized and no mesh-sized copy of the offers is made.
+    ``r`` gives each x its rival index. The whole mesh, every rival's
+    rows, is one :func:`_profit` call, which bounds its own workspace.
     """
     m = np.shape(ys)[-1]
     ys = np.broadcast_to(ys, (len(xs), m))
-    block = min(max(1, 2_000_000 // max(problem.panels + 1, 1) // m), int(np.bincount(r).max()))
-    out = np.empty((len(xs), m))
-    for i in range(0, len(xs), block):
-        rows = np.arange(i, min(i + block, len(xs)))
-        values = _profit(problem, np.repeat(xs[rows], m), ys[rows], np.repeat(r[rows], m))[0]
-        out[rows] = values.reshape(rows.size, m)
-    return out
+    return _profit(problem, np.repeat(xs, m), ys, np.repeat(r, m))[0].reshape(len(xs), m)
 
 
 def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarray):

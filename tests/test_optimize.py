@@ -297,6 +297,14 @@ def test_bracket_narrower_than_tol_takes_no_step():
     assert calls == [2, 2]  # the two end evaluations above
 
 
+def test_no_rows_take_no_call():
+    g, calls = _lines(np.zeros(0), 1.0)
+    empty = np.zeros(0)
+    x = root_rows(g, empty, empty, empty, empty, 1e-12)
+    assert x.shape == (0,)
+    assert calls == []
+
+
 def test_rows_equal_their_own_calls_bit_for_bit():
     rng = np.random.default_rng(5)
     roots = rng.uniform(-2.9, 3.9, 9)

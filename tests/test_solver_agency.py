@@ -150,13 +150,18 @@ class TestBatchedBestResponse:
         assert type(sa.best_response(worked, 0, 1.0)) is float
 
     def test_chunks_inside_a_rival_mesh_do_not_change_grid(self, worked):
-        # full panels evaluate blocks of 2,000,000 // 257 // 256 = 30 x-rows;
-        # each rival has 31, so block boundaries fall inside a rival's mesh
+        # the batched mesh is one kernel call; at full panels its Simpson
+        # pass takes _WORKSPACE // 257 = 255 rows at a time and its sweep
+        # _WORKSPACE // 33 = 1,985, while each rival has 31 x 256 = 7,936
+        # rows, a multiple of neither, so chunk boundaries fall inside a
+        # rival's mesh
         offers = [0.0, 1.5, 3.0]
         batched = sa.bilateral_reduce(worked, 0, offers)
         xs = np.linspace(0.5, 4.5, 31)
         ys = np.linspace(0.0, 5.0, 256)
-        assert 2_000_000 // (batched.panels + 1) // ys.size < xs.size
+        for nodes in (batched.panels + 1, 33):
+            step = ss._WORKSPACE // nodes
+            assert step < xs.size * ys.size and (xs.size * ys.size) % step
         grid = ss._profit_grid(batched, np.tile(xs, 3), ys, np.repeat(np.arange(3), xs.size))
         for k, xo in enumerate(offers):
             alone = ss._profit_grid(sa.bilateral_reduce(worked, 0, xo), xs, ys, np.zeros(xs.size, int))
@@ -166,12 +171,12 @@ class TestBatchedBestResponse:
 @pytest.fixture(scope="module")
 def fixture_run():
     """One ``cli.run`` of the bundled agency fixture, counting kernel passes
-    (``_inner_rows`` calls), ``_profit`` kernel calls and the (x, y) mesh
-    cells the y-grid scans evaluate, and recording every best-response
-    call."""
-    seen = {"inner_rows": 0, "profit": 0, "cells": 0, "best_response": []}
+    (``_inner_rows`` calls), ``_profit`` kernel calls, ``root_rows`` calls
+    and the (x, y) mesh cells the y-grid scans evaluate, and recording
+    every best-response call."""
+    seen = {"inner_rows": 0, "profit": 0, "roots": 0, "cells": 0, "best_response": []}
     inner_rows, profit, best_response = ss._inner_rows, ss._profit, sa.best_response
-    profit_grid = ss._profit_grid
+    profit_grid, root_rows = ss._profit_grid, ss.root_rows
 
     def counted(*args, **kwargs):
         seen["inner_rows"] += 1
@@ -180,6 +185,10 @@ def fixture_run():
     def counted_profit(*args, **kwargs):
         seen["profit"] += 1
         return profit(*args, **kwargs)
+
+    def counted_roots(*args, **kwargs):
+        seen["roots"] += 1
+        return root_rows(*args, **kwargs)
 
     def counted_cells(problem, xs, ys, r=None):
         seen["cells"] += len(xs) * np.shape(ys)[-1]
@@ -196,6 +205,7 @@ def fixture_run():
             mp.setattr(module, "_inner_rows", counted)
         mp.setattr(ss, "_profit", counted_profit)
         mp.setattr(ss, "_profit_grid", counted_cells)
+        mp.setattr(ss, "root_rows", counted_roots)
         mp.setattr(sa, "best_response", recorded)
         report = cli.run(cli.parse_scenario(str(path)))
     return report, seen
@@ -212,8 +222,13 @@ class TestAgencyRun:
         # of the lowest type's utility; the line search steps the other rows
         # in lockstep, Brent's method in 10 or 31 steps where golden section
         # took 36 (241 calls then; 328 when each golden step count took its
-        # own pass, 293 with the start's response solved apart from the curve)
-        assert seen["profit"] <= 210
+        # own pass, 293 with the start's response solved apart from the
+        # curve). Each y-scan pass is one kernel call for every rival (210
+        # calls when a pass made one per rival). The 121 kernel calls with
+        # interior cutoffs solve them in one root call each, and each of the
+        # 26 passes solves its kinks in one (211 with a call per rival)
+        assert seen["profit"] == 146
+        assert seen["roots"] == 147
 
     def test_mesh_cells(self, fixture_run):
         # the strided y-scan: 2,400 coarse-slice rows at 17 + 6 of 64 points

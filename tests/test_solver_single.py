@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from contract_forge import solver_single as ss
 
 import closed_forms as cf
 from golden_section_reference import golden_rows_reference
+from kernel_reference import profit_reference, stay_reference
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,81 @@ class TestKernel:
         value, cut = ss._profit(p, [1.0], [2.0])
         assert cut[0] == 4.0
         assert ss._stay(p, [1.0], [2.0], cut)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed(density: str) -> ss.SingleProblem:
+    """u = x*(theta - 3) + 1 - y^2 on types in [3, 4.5]: with x > 0 all
+    stay at y <= 1, the cutoff is 3 + (y^2 - 1)/x past that, and none stay
+    once it passes 4.5; with x <= 0 and y < 1 u is positive and does not
+    rise, failing the audit. v takes a square root of theta, so node rows
+    meet a ufunc, and the uniform density 2/3 is no power of two."""
+    types = {
+        "uniform": ec.TypeSpace.interval(3.0, 4.5),
+        "normal": ec.TypeSpace.interval(3.0, 4.5, density="normal", mean=3.4, sd=0.5),
+        "finite": ec.TypeSpace.from_finite([("a", 3.0, 0.2), ("b", 3.4, 0.5), ("c", 4.0, 0.3)]),
+    }[density]
+    return ss.SingleProblem(u="x*(theta - 3) + 1 - y^2", v="y*sqrt(theta) - x^2", types=types)
+
+
+class TestKernelChunks:
+    """``_profit`` and ``_stay`` bound their own workspace: rows run in
+    chunks, all-stay rows share one Simpson node row, and no bit moves."""
+
+    @pytest.mark.parametrize("density", ["uniform", "normal", "finite"])
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_matches_the_one_pass_kernel_bit_for_bit(self, density, audit):
+        # 3,000 rows cross the Simpson pass's 255-row chunks; at x = 0 u is
+        # flat in theta, which the audit's strict increase rejects
+        p = _mixed(density)
+        rng = np.random.default_rng(8)
+        X, Y = rng.uniform(-1.0, 3.0, 3000), rng.uniform(0.0, 3.0, 3000)
+        X[:50] = 0.0
+        value, cut = ss._profit(p, X, Y, audit=audit)
+        want_value, want_cut = profit_reference(p, X, Y, audit=audit)
+        assert value.tobytes() == want_value.tobytes()
+        assert cut.tobytes() == want_cut.tobytes()
+        assert ss._stay(p, X, Y, cut).tobytes() == stay_reference(p, X, Y, cut).tobytes()
+        assert {ss._cutoff_result(p, c).kind for c in cut} == {"all-stay", "interior", "none-stay"}
+        assert np.count_nonzero(cut == 3.0) > 100
+        assert np.any(value[:50] == -np.inf) == audit
+
+    @given(
+        density=st.sampled_from(["uniform", "normal", "finite"]),
+        audit=st.booleans(),
+        rows=st.lists(st.tuples(st.floats(-1.0, 3.0), st.floats(0.0, 3.0)), min_size=1, max_size=30),
+        splits=st.lists(st.integers(0, 30), max_size=3),
+        workspace=st.sampled_from([ss._WORKSPACE, 1, 40, 300]),
+    )
+    @example(density="normal", audit=True, rows=[(1.0, 0.5), (1.0, 1.2), (1.0, 2.5), (-1.0, 0.5)],
+             splits=[1, 3], workspace=300)
+    @settings(max_examples=80, deadline=None)
+    def test_any_split_of_the_rows_gives_the_same_bits(self, density, audit, rows, splits, workspace):
+        # the whole mesh in chunks as small as one row, against its parts
+        # with the default workspace
+        p = _mixed(density)
+        X, Y = np.array(rows).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ss, "_WORKSPACE", workspace)
+            whole = ss._profit(p, X, Y, audit=audit)
+        edges = sorted({min(k, X.size) for k in splits} | {0, X.size})
+        parts = [ss._profit(p, X[i:j], Y[i:j], audit=audit) for i, j in zip(edges, edges[1:])]
+        for k in (0, 1):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+    def test_workspace_stays_bounded(self, labor):
+        # one audited call on 20,000 rows at 256 panels; the one-pass kernel
+        # held (rows x 257)-element temporaries, a peak of about 100 MB
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0.3, 3.0, 20_000)
+        Y = np.sqrt(X * rng.uniform(2.5, 4.5, X.size))
+        tracemalloc.start()
+        try:
+            ss._profit(labor, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestExpectedProfit:
