@@ -706,7 +706,7 @@ def _run_necessity(sc, report, opts):
     # each type sends the messages of its reference profile, under menus of the actions used
     profiles = {lab: dist[0][0] for lab, dist in ref_alloc.entries.items()}
     contracts = [ct.menu_rec(env, k, [prof[k][0] for prof in profiles.values()]) for k in range(env.n)]
-    strategy = {lab: ((tuple(f"{x}|{y}" for x, y in prof), 1.0),) for lab, prof in profiles.items()}
+    strategy = {lab: ((tuple(ct.pair_label(x, y) for x, y in prof), 1.0),) for lab, prof in profiles.items()}
     assessment = eq.build_assessment(env, contracts, strategy)
     rep = eq.check_continuation(env, assessment, opts.search.tol)
     found = eq.enumerate_equilibria(env, contracts, opts.search)

@@ -20,7 +20,7 @@ action order) so that every report is diff-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .env_core import (
     ActionValue,
@@ -36,6 +36,8 @@ from .env_core import (
 __all__ = [
     "Message",
     "Mechanism",
+    "pair_label",
+    "split_pair_label",
     "menu_rec",
     "submenu",
     "plain_menu",
@@ -82,6 +84,16 @@ class Mechanism:
         return self.labels.index(label)
 
 
+def pair_label(x: str, y: str) -> str:
+    """The label ``x|y`` of the message assigned to ``x`` recommending ``y``."""
+    return f"{x}|{y}"
+
+
+def split_pair_label(label: str) -> tuple[str, str]:
+    """The (x, y) pair a :func:`pair_label` names."""
+    return tuple(label.split("|", 1))
+
+
 def _check_against(env: Environment, mech: Mechanism) -> None:
     spec = env.principals[mech.principal]
     for m in mech.messages:
@@ -96,7 +108,7 @@ def _check_against(env: Environment, mech: Mechanism) -> None:
             )
 
 
-def menu_rec(env: Environment, j: int, menu: Sequence[str]) -> Mechanism:
+def menu_rec(env: Environment, j: int, menu: Collection[str]) -> Mechanism:
     """Menu-with-recommendations contract over ``menu``.
 
     The message set is exactly the feasible-pair closure of the menu: one
@@ -111,7 +123,7 @@ def menu_rec(env: Environment, j: int, menu: Sequence[str]) -> Mechanism:
         if x not in menu:
             continue
         for y in spec.feasible[x]:
-            msgs.append(Message(label=f"{x}|{y}", action=x, recommendation=y))
+            msgs.append(Message(label=pair_label(x, y), action=x, recommendation=y))
     mech = Mechanism(principal=j, messages=tuple(msgs), kind="menu_rec")
     _check_against(env, mech)
     return mech
@@ -122,7 +134,7 @@ def submenu(env: Environment, j: int, pairs: Sequence[tuple[str, str]]) -> Mecha
     spec = env.principals[j]
     order = {p: i for i, p in enumerate(spec.feasible_pairs())}
     chosen = sorted(set(tuple(p) for p in pairs), key=lambda p: order.get(p, len(order)))
-    msgs = tuple(Message(label=f"{x}|{y}", action=x, recommendation=y) for x, y in chosen)
+    msgs = tuple(Message(label=pair_label(x, y), action=x, recommendation=y) for x, y in chosen)
     mech = Mechanism(principal=j, messages=msgs, kind="submenu")
     _check_against(env, mech)
     return mech

@@ -239,6 +239,14 @@ class ActionValue:
     value: float | None = None
 
 
+def _value_of(actions: Sequence[ActionValue], label: str) -> float | None:
+    """The value of the action labelled ``label``; KeyError if none is."""
+    for a in actions:
+        if a.label == label:
+            return a.value
+    raise KeyError(label)
+
+
 @dataclass(frozen=True, slots=True)
 class PrincipalSpec:
     """One principal's action structure.
@@ -261,16 +269,10 @@ class PrincipalSpec:
         return tuple(a.label for a in self.noncontractible)
 
     def x_value(self, label: str) -> float | None:
-        for a in self.contractible:
-            if a.label == label:
-                return a.value
-        raise KeyError(label)
+        return _value_of(self.contractible, label)
 
     def y_value(self, label: str) -> float | None:
-        for a in self.noncontractible:
-            if a.label == label:
-                return a.value
-        raise KeyError(label)
+        return _value_of(self.noncontractible, label)
 
     def feasible_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (x, y) pairs with y feasible after x, in declared order."""

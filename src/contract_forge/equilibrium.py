@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import Mechanism, enumerate_gstar, enumerate_private, image, menu_rec
+from .contracts import Mechanism, enumerate_gstar, enumerate_private, image, menu_rec, pair_label
 from .env_core import (
     DEFAULT_TOL,
     OPT_OUT,
@@ -1034,9 +1034,7 @@ def canonicalize(env: Environment, assessment: Assessment) -> Assessment:
 
     def recode(prof: tuple[int, ...]) -> tuple[str, ...]:
         ys = gamma[prof]
-        return tuple(
-            f"{game.msg_action[j][prof[j]]}|{ys[j]}" for j in range(game.n)
-        )
+        return tuple(pair_label(game.msg_action[j][prof[j]], ys[j]) for j in range(game.n))
 
     strategy: dict[str, tuple] = {}
     for t, lab in enumerate(game.t_labels):

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import exprlang
-from .contracts import menu_rec
+from .contracts import _table_env, menu_rec, pair_label, split_pair_label
 from .env_core import (
     DEFAULT_TOL,
     OPT_OUT,
@@ -29,7 +29,6 @@ from .env_core import (
     Allocation,
     Belief,
     Environment,
-    PayoffModel,
     PrincipalSpec,
     TypeSpace,
     beats,
@@ -187,6 +186,12 @@ def _ideal_tol(model: RevisableModel) -> float:
     return math.sqrt(np.finfo(float).eps) * max(hi - lo, abs(lo), abs(hi))
 
 
+def _expected_receiver(model: RevisableModel, zs: np.ndarray, belief: Belief) -> np.ndarray:
+    """The receiver's expected payoff under ``belief`` at each final action of ``zs``."""
+    pts = np.array(belief.points)
+    return np.broadcast_to(model.receiver_fn(zs[:, None], pts), (zs.size, pts.size)) @ np.array(belief.weights)
+
+
 def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     """The receiver's uniquely optimal final action under ``belief``.
 
@@ -199,23 +204,15 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     if model.ideal_form is not None:
         _, k, a = model.ideal_form
         return float(k) + float(a) * expect(lambda th: th, belief)
-    fn = model.receiver_fn
-    pts = np.array(belief.points)
-    w = np.array(belief.weights)
-
-    def value(z: float) -> float:
-        return float(np.broadcast_to(fn(z, pts), pts.shape) @ w)
-
     zs = np.linspace(model.z_range[0], model.z_range[1], 201)
-    vals = np.broadcast_to(fn(zs[:, None], pts[None, :]), (zs.size, pts.size)) @ w
-    i = int(np.argmax(vals))
+    i = int(np.argmax(_expected_receiver(model, zs, belief)))
     if i in (0, len(zs) - 1):
         raise ValueError(
             "posterior ideal search found no interior bracket; widen z_range"
         )
     # search the offset t = z - zs[i], so Brent's stop 2*(sqrt(eps)*|t| + tol/3) stays below tol
     t = line_max_rows(
-        lambda _, t: np.array([value(zs[i] + t[0])]), zs[i - 1] - zs[i], zs[i + 1] - zs[i], _ideal_tol(model)
+        lambda _, t: _expected_receiver(model, zs[i] + t, belief), zs[i - 1] - zs[i], zs[i + 1] - zs[i], _ideal_tol(model)
     )
     return float(zs[i] + t[0])
 
@@ -272,10 +269,7 @@ def _placement(
     x_hat, rev = endpoint_baseline(model, z, posterior_ideal(model, belief))
     lo, hi = feasible_final_interval(model, x_hat)
     scan = np.linspace(lo, hi, 101)
-    pts = np.array(belief.points)
-    vals = np.asarray(model.receiver_fn(scan[:, None], pts[None, :]), dtype=float)
-    expected = np.broadcast_to(vals, (scan.size, pts.size)) @ np.array(belief.weights)
-    return x_hat, rev, float(scan[int(np.argmax(expected))]), (hi - lo) / 100.0
+    return x_hat, rev, float(scan[int(np.argmax(_expected_receiver(model, scan, belief)))]), (hi - lo) / 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +297,10 @@ class GridGame:
     v_tab: np.ndarray = field(repr=False, compare=False)
 
     def x_label(self, value: float) -> str:
-        for i, v in enumerate(self.x_values):
-            if abs(v - value) <= GRID_TOL:
-                return f"b{i}"
-        raise KeyError(f"baseline {value!r} is not on the grid")
+        return _grid_label(self.x_values, value, "b", "baseline")
 
     def rev_label(self, value: float) -> str:
-        for i, v in enumerate(self.rev_values):
-            if abs(v - value) <= GRID_TOL:
-                return f"r{i}"
-        raise KeyError(f"revision {value!r} is not on the grid")
+        return _grid_label(self.rev_values, value, "r", "revision")
 
     def final_of(self, x_label: str, rev_label: str) -> float:
         """The final action of a feasible pair, read off the grid: b_i + r_k
@@ -321,6 +309,14 @@ class GridGame:
         if not 0 <= zi < len(self.z_values):
             raise KeyError(f"{x_label} + {rev_label} leaves the final-action grid")
         return self.z_values[zi]
+
+
+def _grid_label(values: Sequence[float], value: float, prefix: str, what: str) -> str:
+    """``prefix`` and the index of the grid value within ``GRID_TOL`` of ``value``."""
+    for i, v in enumerate(values):
+        if abs(v - value) <= GRID_TOL:
+            return f"{prefix}{i}"
+    raise KeyError(f"{what} {value!r} is not on the grid")
 
 
 def grid_step(z: Sequence[float]) -> float:
@@ -379,19 +375,13 @@ def build_grid_game(
     shape = (len(z), thetas.size)
     u_tab = np.broadcast_to(model.sender_fn(grid, thetas), shape)
     v_tab = np.broadcast_to(model.receiver_fn(grid, thetas), shape)
-    entries = {}
-    for i, x in enumerate(feasible):
-        for y in feasible[x]:
-            zi = i + int(y[1:]) - 2 * m  # (b_i, r_k) pays at its final action z_{i+k-2m}
-            for c, t in enumerate(model.types.finite):
-                entries[(t.label, ((x, y),))] = (float(u_tab[zi, c]), (float(v_tab[zi, c]),))
-    env = Environment(
-        types=model.types,
-        principals=(spec,),
-        payoffs=PayoffModel.from_table(entries, n_principals=1),
-        observability="public",
-        optout=False,  # the sender always messages in this model
-    )
+
+    def payoff(label: str, prof):
+        (x, y), = prof
+        zi, c = int(x[1:]) + int(y[1:]) - 2 * m, model.types.labels.index(label)  # (b_i, r_k) pays at z_(i+k-2m)
+        return u_tab[zi, c], (v_tab[zi, c],)
+
+    env = _table_env(model.types, (spec,), payoff, optout=False)  # the sender always messages in this model
     return GridGame(
         model=model, z_values=z, alpha_steps=m, env=env, x_values=xs, rev_values=revs,
         u_tab=u_tab, v_tab=v_tab,
@@ -446,17 +436,13 @@ def _menu_assessment(game: GridGame, strategy, beliefs, offpath: str) -> Assessm
     revision and belief of the first message in ``beliefs``, in message
     order, with the same baseline.
     """
-    menu = sorted({m.split("|", 1)[0] for m in beliefs}, key=lambda s: int(s[1:]))
-    mech = menu_rec(game.env, 0, menu)
-    first: dict[str, str] = {}
-    for m in mech.messages:
-        if m.label in beliefs:
-            first.setdefault(m.action, m.label)
+    mech = menu_rec(game.env, 0, {split_pair_label(m)[0] for m in beliefs})
+    first = {m.action: m for m in reversed(mech.messages) if m.label in beliefs}  # per baseline, the first in order
     continuation, weights = {}, {}
     for m in mech.messages:
-        src = m.label if m.label in beliefs else first[m.action]
-        continuation[(m.label,)] = src.split("|", 1)[1]
-        weights[(m.label,)] = beliefs[src]
+        src = m if m.label in beliefs else first[m.action]
+        continuation[(m.label,)] = src.recommendation
+        weights[(m.label,)] = beliefs[src.label]
     return Assessment(
         contracts=(mech,),
         strategy=strategy,
@@ -479,7 +465,7 @@ def collapse_to_full(game: GridGame, assessment: Assessment, game0: GridGame) ->
     cont = assessment.continuation[0]
     zero = game0.rev_label(0.0)
     recode = {
-        m.label: f"{game0.x_label(game.final_of(m.action, cont[(m.label,)]))}|{zero}"
+        m.label: pair_label(game0.x_label(game.final_of(m.action, cont[(m.label,)])), zero)
         for m in assessment.contracts[0].messages
     }
     strategy = _push_forward(assessment.strategy, recode)
@@ -516,7 +502,7 @@ def lift_to_limited(game0: GridGame, assessment: Assessment, game_a: GridGame) -
             raise ValueError(
                 f"endpoint placement failed: constrained optimum {z_best!r} != {z!r}"
             )
-        recode[msg.label] = f"{game_a.x_label(x_hat)}|{game_a.rev_label(rev)}"
+        recode[msg.label] = pair_label(game_a.x_label(x_hat), game_a.rev_label(rev))
         beliefs[recode[msg.label]] = old
     strategy = _push_forward(assessment.strategy, recode)
     return _menu_assessment(game_a, strategy, beliefs, assessment.beliefs.offpath)
@@ -638,7 +624,7 @@ def _assessment_from_blocks(game: GridGame, part, combo) -> Assessment:
     labels = game.env.types.labels
     strategy = {}
     for block, (xi, zi) in zip(part, combo):
-        msg = f"b{xi}|r{zi - xi + 2 * game.alpha_steps}"  # b_xi + r_k = z_(xi+k-2m)
+        msg = pair_label(f"b{xi}", f"r{zi - xi + 2 * game.alpha_steps}")  # b_xi + r_k = z_(xi+k-2m)
         for t in block:
             strategy[labels[t]] = (((msg,), 1.0),)
     return _menu_assessment(game, strategy, _posteriors(game, strategy), "selector")
