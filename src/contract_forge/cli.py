@@ -340,6 +340,9 @@ def _agency_problem_from(obj, path: str) -> tuple[sa.AgencyProblem, dict]:
             raise ScenarioError(f"schema error at {mpath}.{k}: expected a list of menus")
         menus[int(k) - 1] = [list(_numbers(m, f"{mpath}.{k}[{i}]")) for i, m in enumerate(entries)]
     fixed_point = {"start": _numbers(obj["start"], f"{path}.start", 2)} if "start" in obj else {}
+    lo, hi = problem.x_box
+    if not all(lo <= x <= hi for x in fixed_point.get("start", ())):
+        raise ScenarioError(f"schema error at {path}.start: expected two offers in x_box [{lo!r}, {hi!r}]")
     return problem, {"fixed_point": fixed_point, "deviation_menus": menus}
 
 

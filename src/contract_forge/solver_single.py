@@ -179,7 +179,9 @@ def _profit(
     for s in _chunks(n, grid.size):
         sweep = _rows(problem.u_fn(X[s, None], Y[s, None], grid[None, :], R[s, None]), (cut[s].size, grid.size))
         if audit:  # a non-finite sweep fails the audit: inf > inf and every nan comparison are false
-            valid[s] = np.all(sweep[:, 1:] > sweep[:, :-1], axis=1) | np.all(sweep < 0.0, axis=1)
+            # u is vacuously increasing over a one-point span (finite types of one value)
+            rising = np.all(sweep[:, 1:] > sweep[:, :-1], axis=1) if lo < hi else np.all(np.isfinite(sweep), axis=1)
+            valid[s] = rising | np.all(sweep < 0.0, axis=1)
         cut[s][(sweep[:, -1] < 0.0) | ~valid[s]] = np.nan
         inner = np.flatnonzero(~np.isnan(cut[s]) & (sweep[:, 0] < 0.0))
         k = np.argmax(sweep[inner] >= 0.0, axis=1)  # first staying grid point
@@ -418,6 +420,23 @@ def _inner_rows(
     return value, y
 
 
+def _no_trade(problem: SingleProblem, xs: np.ndarray, trace) -> SolveResult:
+    """The no-trade result, once no offer of the ``xs`` x y-grid mesh that
+    the audit rejects is worth more than 0 unaudited; else the audit, not
+    the payoffs, ruled trade out, and MonotonicityError names the best such offer."""
+    ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
+    X, Y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    rejected = np.flatnonzero(_profit(problem, X, Y)[0] == -np.inf)
+    value = _profit(problem, X[rejected], Y[rejected], audit=False)[0]
+    if rejected.size and value.max() > 0.0:
+        k = int(np.argmax(value))
+        raise MonotonicityError(
+            f"no trade is not certified: (x, y) = ({X[rejected[k]]}, {Y[rejected[k]]}) is worth {float(value[k])!r} "
+            "but agent utility is not strictly increasing in theta there"
+        )
+    return SolveResult(None, None, None, 0.0, 0.0, True, trace)
+
+
 def solve(problem: SingleProblem) -> SolveResult:
     """Two-step optimum: outer search over x, inner search over y.
 
@@ -428,7 +447,8 @@ def solve(problem: SingleProblem) -> SolveResult:
     2*(sqrt(eps)*|x| + OPT_TOL/3) of its maximum: the objective has kinks
     where the participation cutoff meets the type-space boundary, so
     derivative-free search is used throughout. Offers retaining no type
-    score zero; when nothing beats zero the result is the no-trade outcome.
+    score zero; when nothing beats zero the result is the no-trade outcome,
+    unless an offer the audit rejects would trade (:func:`_no_trade`).
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], _X_GRID)
     values, inner_y = _inner_rows(problem, xs)
@@ -436,7 +456,7 @@ def solve(problem: SingleProblem) -> SolveResult:
 
     i = int(np.argmax(values))
     if not np.isfinite(values[i]):
-        return SolveResult(None, None, None, 0.0, 0.0, True, trace)
+        return _no_trade(problem, xs, trace)
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _X_GRID - 1)])
     x_ref = float(line_max_rows(lambda _, x: _inner_rows(problem, x)[0], a, b, OPT_TOL)[0])
@@ -447,7 +467,7 @@ def solve(problem: SingleProblem) -> SolveResult:
         x_star, value, y_star = float(xs[i]), float(values[i]), float(inner_y[i])
 
     if value <= 0.0:
-        return SolveResult(None, None, None, 0.0, 0.0, True, trace)
+        return _no_trade(problem, xs, trace)
     _, stay, cut = _point(problem, x_star, y_star)
     return SolveResult(
         x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace

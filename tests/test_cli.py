@@ -517,6 +517,14 @@ class TestScenarioErrors:
         assert res.exit_code == 0, res.output
         assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == digest
 
+    def test_no_trade_that_only_the_audit_forces_exits_2(self, tmp_path):
+        raw = json.loads(fixture_path("labor_single.json").read_text())
+        raw["problem"]["agent"] = "x - y"
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: no trade is not certified: (x, y) = (1.7450980392156863, 1.7450980392156863)" in res.output
+
     @pytest.mark.parametrize(
         "agent",
         # an OverflowError traceback, and a bare "cannot convert float NaN to integer"
@@ -694,6 +702,15 @@ class TestScenarioErrors:
         assert isinstance(res.exception, SystemExit)
         assert where in res.output
 
+    @pytest.mark.parametrize("start", [[1e308, 1e308], [0.5, 6.0], [-1.0, 1.0]])
+    def test_agency_start_outside_x_box_is_a_schema_error(self, tmp_path, start):
+        """A start of [1e308, 1e308] ran all 200 iterations and exited 2 with
+        "best-response iteration did not converge", naming no field."""
+        res = self._invoke_with(tmp_path, "agency_beta17_21.json", "agency", ["start"], start)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: schema error at $.agency.start: expected two offers in x_box [0.0, 5.0]" in res.output
+
     @pytest.mark.parametrize(
         "keys, value, where",
         [
@@ -748,6 +765,88 @@ class TestScenarioErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert f"error: schema error at $.{block}.{key}: unknown field" in res.output
+
+
+class TestAssessmentBlock:
+    """Assessment and robust-check paths of the bundled two-principal
+    environment, whose payoffs are all 0, so every assessment is an
+    equilibrium and every deviation is deterred."""
+
+    def _scenario(self, command="check-equilibrium", contracts=None, continuation=None, private=False, options=None):
+        raw = json.loads(fixture_path("necessity_env.json").read_text())
+        raw["command"] = command
+        if private:
+            raw["environment"]["observability"] = "private"
+        raw["assessment"] = {
+            "contracts": contracts or TestScenarioErrors.VALID,
+            "strategy": {lab: [{"profile": ["a|w", "d|e"], "prob": 1.0}] for lab in ("t0", "t1", "t2")},
+        }
+        if continuation is not None:
+            raw["assessment"]["continuation"] = continuation
+        raw["options"] = options or {}
+        return raw
+
+    def test_submenu_contract_from_pairs(self, tmp_path):
+        raw = self._scenario(contracts=[
+            {"kind": "submenu", "pairs": [["b", "w"], ["a", "w"]]}, {"kind": "menu_rec", "menu": ["d"]},
+        ])
+        mech = cli.parse_scenario(_write(tmp_path, raw)).blocks["assessment"].contracts[0]
+        assert mech.kind == "submenu" and mech.labels == ("a|w", "b|w")  # declared pair order
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+
+    ROWS = [
+        {"principal": 1, "message": "a|w", "action": "w"},
+        {"principal": 2, "message": "d|e", "action": "f"},
+        {"principal": 2, "message": "d|f", "action": "e"},
+    ]
+
+    def test_private_continuation_is_keyed_by_message(self, tmp_path):
+        raw = self._scenario(continuation=self.ROWS, private=True)
+        assessment = cli.parse_scenario(_write(tmp_path, raw)).blocks["assessment"]
+        assert assessment.continuation == {0: {"a|w": "w"}, 1: {"d|e": "f", "d|f": "e"}}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+
+    def test_continuation_must_cover_every_key(self, tmp_path):
+        res = _invoke_raw(tmp_path, self._scenario(continuation=self.ROWS[:2], private=True))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: schema error at $.assessment.continuation: principal 2 acts at 1 of 2 keys" in res.output
+
+    def test_plain_contract_needs_an_explicit_continuation(self, tmp_path):
+        """A plain menu's messages carry no recommendation to follow."""
+        raw = self._scenario(contracts=[{"kind": "plain", "menu": ["a"]}, TestScenarioErrors.VALID[1]])
+        raw["assessment"]["strategy"] = {lab: [{"profile": ["a", "d|e"], "prob": 1.0}] for lab in ("t0", "t1", "t2")}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert (
+            "error: invalid assessment at $.assessment: contract of principal 0 has messages without recommendations"
+        ) in res.output
+
+    def test_policies_option_is_read(self, tmp_path):
+        raw = self._scenario("robust-check", options={"policies": ["selector", "prior"]})
+        assert cli.parse_scenario(_write(tmp_path, raw)).blocks["options"].search.policies == ("selector", "prior")
+        assert _invoke_raw(tmp_path, raw).exit_code == 0
+        raw["options"]["policies"] = ["prior", "median"]
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert "schema error at $.options.policies[1]: expected one of" in res.output
+
+    @pytest.mark.parametrize("deviations, kinds", [(None, {"menu_rec": 8}), ("gsharp", {"submenu": 10})])
+    def test_robust_check_deviation_space(self, tmp_path, deviations, kinds):
+        """Principal 1 has three single-pair actions and principal 2 one
+        action of two pairs: 7 + 1 menus with recommendations, 7 + 3 submenus."""
+        raw = self._scenario("robust-check", options={} if deviations is None else {"deviations": deviations})
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        findings = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["findings"]
+        counts: dict = {}
+        for f in findings:
+            counts[f["deviation_kind"]] = counts.get(f["deviation_kind"], 0) + 1
+        assert counts == kinds
+        assert {f["outcome"] for f in findings} == {"deterred"}
 
 
 class TestSerializationRoundTrip:

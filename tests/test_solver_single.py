@@ -284,6 +284,31 @@ class TestSolve:
         assert r.value == 0.0
         assert r.x is None
 
+    @pytest.mark.parametrize("items", [[("a", 3.0, 1.0)], [("a", 3.0, 0.25), ("b", 3.0, 0.75)]])
+    def test_one_point_type_span_matches_closed_form(self, items):
+        """Types of one value theta = 3 all stay while y <= sqrt(3x), so the
+        optimum maximizes 3*sqrt(3x) - x^2: x* = (3*sqrt(3)/4)^(2/3). The
+        audit swept 33 copies of theta, found u flat, rejected every offer
+        that retains a type and reported no trade."""
+        x_star = (3.0 * math.sqrt(3.0) / 4.0) ** (2.0 / 3.0)
+        y_star = math.sqrt(3.0 * x_star)
+        types = ec.TypeSpace.from_finite(items)
+        r = ss.solve(ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2", types=types))
+        assert not r.no_trade and r.stay_prob == 1.0
+        assert abs(r.x - x_star) <= 1e-6 and abs(r.x - 1.190551) <= 1e-6
+        assert abs(r.y - y_star) <= 1e-6 and abs(r.y - 1.889882) <= 1e-6
+        assert abs(r.value - (3.0 * y_star - x_star**2)) <= 1e-6 and abs(r.value - 4.252234) <= 1e-6
+
+    def test_no_trade_that_only_the_audit_forces_is_an_error(self):
+        """u = x - y is flat in theta, so the audit rejects every offer that
+        retains a type; but y = x retains all, worth 3.5x - x^2, 3.0625 at
+        x = 1.75. This reported no trade."""
+        p = ss.SingleProblem(u="x - y", v="y*theta - x^2")
+        with pytest.raises(ss.MonotonicityError, match=(
+            r"no trade is not certified: \(x, y\) = \(1.7450980392156863, 1.7450980392156863\) is worth 3.06247"
+        )):
+            ss.solve(p)
+
     def test_density_the_kernel_cannot_integrate_is_rejected(self):
         narrow = ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.002)
         with pytest.raises(ValueError, match="density integrates to 0.828462937177.* at 256 panels"):
