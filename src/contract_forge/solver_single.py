@@ -421,9 +421,9 @@ def _inner_rows(
 
 
 def _no_trade(problem: SingleProblem, xs: np.ndarray, trace) -> SolveResult:
-    """The no-trade result, once no offer of the ``xs`` x y-grid mesh that
-    the audit rejects is worth more than 0 unaudited; else the audit, not
-    the payoffs, ruled trade out, and MonotonicityError names the best such offer."""
+    """The no-trade result, certified on the ``xs`` x y-grid mesh: where an
+    offer the audit rejects is worth more than 0 unaudited, the audit, not
+    the payoffs, ruled trade out, and MonotonicityError names the best one."""
     ys = np.linspace(problem.y_box[0], problem.y_box[1], problem.y_grid)
     X, Y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
     rejected = np.flatnonzero(_profit(problem, X, Y)[0] == -np.inf)
