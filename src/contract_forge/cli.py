@@ -468,6 +468,12 @@ def _assessment_from(env: ec.Environment | None, obj, path: str) -> eq.Assessmen
     continuation = obj.get("continuation", "recommendation")
     if not isinstance(continuation, list):
         _choice(continuation, f"{path}.continuation", ("recommendation",))
+        for j, mech in enumerate(mechs):
+            if any(m.recommendation is None for m in mech.messages):
+                raise ScenarioError(
+                    f"invalid assessment at {path}.contracts[{j}]: contract of principal {j + 1} has messages "
+                    "without recommendations, so the \"recommendation\" continuation cannot follow them"
+                )
     else:
         private = env.observability == "private"
         cont: dict[int, dict] = {j: {} for j in range(env.n)}
@@ -553,6 +559,11 @@ def run(sc: ScenarioFile) -> RunReport:
     return report
 
 
+def _quadrature(gauss: int) -> str:
+    """The report's name of a stay integral rule of ``gauss`` Gauss nodes."""
+    return "gauss-legendre" if gauss else "simpson"
+
+
 def _run_solve_single(sc, report, opts):
     result = ss.solve(sc.blocks["problem"])
     report.payload = {
@@ -563,6 +574,7 @@ def _run_solve_single(sc, report, opts):
         "value": result.value,
         "stay_prob": result.stay_prob,
         "no_trade": result.no_trade,
+        "quadrature": _quadrature(result.gauss),
     }
     report.tables["solve_trace"] = (
         ("x", "inner_value"),
@@ -575,6 +587,8 @@ def _run_solve_agency(sc, report, opts):
     offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
     curve = sa.best_response(problem, 0, offers)  # one batched pass, whose answers the iteration reuses
     eqm = sa.fixed_point(problem, **extras["fixed_point"], responses=dict(zip(offers.tolist(), curve.tolist())))
+    if eqm.gauss[0] != problem.gauss[0]:  # the fixed point fell back to Simpson's rule
+        curve = sa.best_response(ss.with_gauss(problem, eqm.gauss), 0, offers)
     report.payload = {
         "x": list(eqm.x),
         "y": list(eqm.y),
@@ -583,6 +597,7 @@ def _run_solve_agency(sc, report, opts):
         "residual": eqm.residual,
         "iterations": eqm.iterations,
         "converged": eqm.converged,
+        "quadrature": [_quadrature(g) for g in eqm.gauss],
     }
     report.tables["trajectory"] = (
         ("iteration", "x1", "x2"),

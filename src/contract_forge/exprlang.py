@@ -47,6 +47,7 @@ __all__ = [
     "as_expr",
     "evaluate",
     "free_vars",
+    "smooth_in",
     "to_source",
     "compile_fn",
 ]
@@ -259,6 +260,27 @@ def free_vars(expr: Expr) -> frozenset[str]:
                 out |= free_vars(a)
             return out
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def smooth_in(expr: Expr, var: str) -> bool:
+    """Whether ``var`` reaches ``expr`` only through ``+``, ``-``, ``*``,
+    ``exp``, division by a ``var``-free subexpression and ``^`` with a
+    constant non-negative integer exponent, so that ``expr`` is analytic
+    in ``var``; ``abs``, ``min``, ``max``, ``sqrt`` and ``log`` are not."""
+    if var not in free_vars(expr):
+        return True
+    match expr:
+        case Var():
+            return True
+        case Neg(arg) | Call("exp", (arg,)):
+            return smooth_in(arg, var)
+        case Bin("/", left, right):
+            return var not in free_vars(right) and smooth_in(left, var)
+        case Bin("^", left, Num(p)):
+            return p >= 0.0 and p.is_integer() and smooth_in(left, var)
+        case Bin(op, left, right):
+            return op in "+-*" and smooth_in(left, var) and smooth_in(right, var)
+    return False
 
 
 def to_source(expr: Expr) -> str:

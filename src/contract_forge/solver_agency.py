@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace, beats
-from .solver_single import SingleProblem, _as_fn, _inner_rows, _point, zoom_solve
+from .solver_single import SingleProblem, _as_fn, _checked_point, _gauss_nodes, _inner_rows, with_gauss, zoom_solve
 
 __all__ = [
     "AgencyProblem",
@@ -56,7 +56,8 @@ class AgencyProblem:
     ``agent_utilities[j]`` is u_j over (x, y, theta); ``principal_payoffs[j]``
     is v_j over (x, y, x_other, theta). Expression text may reference the
     interaction coefficient as the variable ``beta``; it is bound from the
-    ``beta`` field at compile time.
+    ``beta`` field at compile time. ``gauss[j]`` is ``SingleProblem.gauss``
+    of principal j's slices, set from ``principal_payoffs[j]``.
     """
 
     beta: float
@@ -74,16 +75,17 @@ class AgencyProblem:
             _as_fn(v, ["x", "y", "x_other", "theta", "beta"])
             for v in self.principal_payoffs
         )
+        self.gauss = tuple(_gauss_nodes(v, self.types) for v in self.principal_payoffs)
         bilateral_reduce(self, 0, 0.0)  # a slice's kernel must integrate the type density
 
     @property
     def symmetric(self) -> bool:
-        """Both principals share payoffs, so best responses coincide."""
+        """Both principals share payoffs and quadrature, so best responses coincide."""
 
         def same(a, b):
             return a is b or (not callable(a) and not callable(b) and a == b)
 
-        return same(*self.agent_utilities) and same(*self.principal_payoffs)
+        return same(*self.agent_utilities) and same(*self.principal_payoffs) and self.gauss[0] == self.gauss[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +98,7 @@ class AgencyEquilibrium:
     iterations: int
     converged: bool
     trajectory: tuple[tuple[float, float], ...]
+    gauss: tuple[int, int]  # each principal's Gauss-Legendre nodes; 0: Simpson's rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +146,7 @@ def bilateral_reduce(
     # only: the coarse slice steers the search, reported values never use it
     if fast:
         single.y_grid, single.panels = _ITER_Y_GRID, _ITER_PANELS
+    single.gauss = problem.gauss[j]
     return single
 
 
@@ -161,14 +165,14 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
 
 def fixed_point(
     problem: AgencyProblem,
-    start: tuple[float, float] = (0.0, 0.0),
+    start: tuple[float, float] | None = None,
     responses: Mapping[float, float] | None = None,
 ) -> AgencyEquilibrium:
     """Accelerated simultaneous best-response iteration to a simple-offer equilibrium.
 
     With residual f(x) = BR(x) - x, the damped step is x + lambda f(x),
-    lambda = ``_DAMPING``.
-    From the second step on, Anderson acceleration (Walker & Ni 2011,
+    lambda = ``_DAMPING``, from ``start``, by default 0 clipped into
+    ``x_box`` for both offers. From the second step on, Anderson acceleration (Walker & Ni 2011,
     SIAM J. Numer. Anal. 49(4)) with the last ``_ANDERSON_DEPTH`` iterates
     replaces it, unless the accelerated point leaves ``x_box`` or the
     residual grew since the previous step. Iterates until the residual
@@ -185,13 +189,15 @@ def fixed_point(
     value of each principal come from one full-resolution inner solve at
     the reported own offer against the rival's, shared when the problem
     is symmetric and the offers are equal. At a kink optimum that y is
-    the kink's root, so the lowest type stays (cutoff exactly lo).
+    the kink's root, so the lowest type stays (cutoff exactly lo). Where a
+    Gauss pair fails its check at twice the nodes, the iteration runs
+    again, unseeded, with that principal on Simpson's rule.
     """
-    x = np.array([float(start[0]), float(start[1])])
+    box_lo, box_hi = problem.x_box
+    x = np.array(start if start is not None else [min(max(0.0, box_lo), box_hi)] * 2, dtype=float)
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
     symmetric = problem.symmetric
     cache = {((xo,) if symmetric else (0, xo)): br for xo, br in (responses or {}).items()}
-    box_lo, box_hi = problem.x_box
 
     def br(j: int, xo: float) -> float:
         key = (xo,) if symmetric else (j, xo)
@@ -232,14 +238,20 @@ def fixed_point(
 
     ys, cuts, vals = [0.0, 0.0], [None, None], [0.0, 0.0]
     same = symmetric and x[0] == x[1]  # then principal 2's pair is principal 1's
+    gauss = list(problem.gauss)  # Simpson's rule where a Gauss pair fails its check
     for j in range(1 if same else 2):
         single = bilateral_reduce(problem, j, x[1 - j])
         value, y = (float(v[0]) for v in _inner_rows(single, np.array([x[j]])))
         if value > 0.0:  # otherwise no trade: y 0, no cutoff, value 0
-            cut = _point(single, x[j], y)[2]  # the lowest type when all stay
+            if (point := _checked_point(single, x[j], y)) is None:
+                gauss[j] = 0
+                continue
+            cut = point[2]  # the lowest type when all stay
             ys[j], cuts[j], vals[j] = y, (None if math.isnan(cut) else cut), value
     if same:
-        ys[1], cuts[1], vals[1] = ys[0], cuts[0], vals[0]
+        ys[1], cuts[1], vals[1], gauss[1] = ys[0], cuts[0], vals[0], gauss[0]
+    if tuple(gauss) != problem.gauss:
+        return fixed_point(with_gauss(problem, tuple(gauss)), start)
     return AgencyEquilibrium(
         x=(float(x[0]), float(x[1])),
         y=(ys[0], ys[1]),
@@ -249,6 +261,7 @@ def fixed_point(
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),
+        gauss=problem.gauss,
     )
 
 
@@ -281,6 +294,7 @@ def robustness_check(
     best single offer it contains. A menu is flagged only if that bound
     strictly exceeds the equilibrium value plus ``_SAFE_TOL``.
     """
+    problem = with_gauss(problem, equilibrium.gauss)  # menus valued on the equilibrium's quadrature
     findings: list[RobustnessFinding] = []
     for j, menus in deviation_menus.items():
         x_other = equilibrium.x[1 - j]

@@ -15,12 +15,14 @@ participation kink as a root, then Brent's method
 (:func:`optimize.line_max_rows`). One vectorized kernel
 (``_profit``) gives the value and the participation cutoff of many
 (x, y) pairs at once: the cutoff by the bracketed root finder on the
-rows where it is interior, the expectation by composite Simpson
-quadrature split exactly at the cutoff.
+rows where it is interior, the expectation from exactly the cutoff up,
+by Gauss-Legendre where v is smooth in theta and by composite Simpson
+elsewhere (see :class:`SingleProblem`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprlang
-from .env_core import TypeSpace, simpson_coefficients
+from .env_core import DENSITY_TOL, TypeSpace, simpson_coefficients
 from .optimize import line_max_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
@@ -37,6 +39,8 @@ _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 OPT_TOL = 1e-8  # tol of both line searches (Brent stops within 2*(sqrt(eps)*|x| + tol/3)), and the kink's probe step
 _X_GRID = 256  # x-grid points of ``solve``
 _WORKSPACE = 65_536  # elements of one (rows x nodes) kernel temporary: 512 KiB of floats
+_GL_NODES = 16  # Gauss-Legendre nodes of the stay integral where v is smooth in theta
+_CHECK_TOL = 1e-12  # relative change at twice the Gauss nodes that sends a solve back to Simpson's rule
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -49,6 +53,7 @@ __all__ = [
     "cutoff",
     "expected_profit",
     "solve",
+    "with_gauss",
     "zoom_solve",
 ]
 
@@ -72,7 +77,10 @@ class SingleProblem:
     and its compiled expressions ignore r). ``zoom_solve`` answers every
     rival offer in one pass per stage. ``y_grid`` (y-grid points)
     and ``panels`` (Simpson panels, even) set the kernel's resolution; the
-    coarse slice that agency best responses search lowers both.
+    coarse slice that agency best responses search lowers both. ``gauss``
+    (:func:`_gauss_nodes`) is the stay integral's Gauss-Legendre node count,
+    exact to degree 2 * ``_GL_NODES`` - 1 (Davis & Rabinowitz 1984), or 0 for
+    Simpson's rule; ``panels`` must integrate the density to 1 either way.
     """
 
     u: object
@@ -93,6 +101,7 @@ class SingleProblem:
             raise ValueError("Simpson quadrature needs an even panel count")
         if self.types.kind == "interval":  # the kernel's quadrature must give the density mass 1
             self.types.grid(self.panels + 1)
+        self.gauss = _gauss_nodes(self.v, self.types)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +119,7 @@ class SolveResult:
     stay_prob: float
     no_trade: bool
     x_trace: tuple[tuple[float, float], ...]  # (x, best inner value)
+    gauss: int  # Gauss-Legendre nodes of the stay integral; 0: Simpson's rule
 
 
 def _root_width(scale: float) -> float:
@@ -132,10 +142,38 @@ def _rows(values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _fixed_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, ...]:
-    """The audit's 33 sweep points on [lo, hi], and the Simpson node fractions and coefficients of ``panels`` panels."""
-    nodes = np.linspace(lo, hi, 33), np.linspace(0.0, 1.0, panels + 1), simpson_coefficients(panels + 1)
-    return tuple(np.broadcast_to(v, v.shape) for v in nodes)  # read-only views: every caller shares them
+def _fixed_nodes(lo: float, hi: float, panels: int, gauss: int = 0) -> tuple:
+    """The audit's 33 sweep points on [lo, hi], and the stay integral's node
+    fractions, coefficients and sum divisors: Simpson's rule of ``panels``
+    panels or ``gauss`` Gauss-Legendre nodes by Golub & Welsch (1969, Math.
+    Comp. 23), made symmetric and scaled to integrate 1 exactly."""
+    if gauss:
+        b = (k := np.arange(1.0, gauss)) / np.sqrt(4.0 * k * k - 1.0)
+        t, vec = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+        w = vec[0] ** 2 + vec[0, ::-1] ** 2
+        frac, coef, div = (1.0 + (t - t[::-1]) / 2.0) / 2.0, 2.0 * w / w.sum(), (2.0, 1.0)
+    else:
+        frac, coef, div = np.linspace(0.0, 1.0, panels + 1), simpson_coefficients(panels + 1), (panels, 3.0)
+    nodes = np.linspace(lo, hi, 33), frac, coef
+    return (*(np.broadcast_to(v, v.shape) for v in nodes), div)  # read-only views: every caller shares them
+
+
+def _gauss_nodes(v, types: TypeSpace) -> int:
+    """``_GL_NODES`` where the stay integral of ``v`` may take Gauss-Legendre
+    nodes, else 0: ``v`` is an expression smooth in theta and the interval's
+    uniform or normal density has Gauss mass 1 within ``DENSITY_TOL``."""
+    smooth = not callable(v) and types.kind == "interval" and exprlang.smooth_in(exprlang.as_expr(v), "theta")
+    if not smooth or types.density not in ("uniform", "normal"):
+        return 0
+    _, frac, w, _ = _fixed_nodes(types.lo, types.hi, 0, _GL_NODES)
+    mass = float(np.sum(w * types.density_at(types.lo + (types.hi - types.lo) * frac))) * (types.hi - types.lo) / 2.0
+    return _GL_NODES if abs(mass - 1.0) <= DENSITY_TOL else 0
+
+
+def with_gauss(problem, gauss):
+    """A copy of a single or agency ``problem`` with Gauss nodes ``gauss`` (0: Simpson's rule)."""
+    (out := copy.copy(problem)).gauss = gauss
+    return out
 
 
 def _chunks(n: int, nodes: int):
@@ -174,7 +212,7 @@ def _profit(
     R = np.zeros(n, int) + r
     lo, hi = _theta_span(problem.types)
 
-    grid = _fixed_nodes(lo, hi, problem.panels)[0] if audit else np.array([lo, hi])
+    grid = _fixed_nodes(lo, hi, problem.panels, problem.gauss)[0] if audit else np.array([lo, hi])
     valid, cut, brackets = np.ones(n, dtype=bool), np.full(n, lo), []
     for s in _chunks(n, grid.size):
         sweep = _rows(problem.u_fn(X[s, None], Y[s, None], grid[None, :], R[s, None]), (cut[s].size, grid.size))
@@ -206,13 +244,13 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
     stay probability.
 
     0 where no type stays (cutoff nan); otherwise, with interval types,
-    Simpson's rule for fn times the density from the cutoff up, and with
-    finite types the weighted sum of fn over the types whose u is at
-    least 0. Rows run in chunks of at most ``_WORKSPACE`` elements per
-    (rows x nodes) temporary. Rows whose cutoff is lo share one node row,
-    a uniform density is the scalar 1/(hi - lo), and every row sums
-    (coef * fn) * density, so sharing changes no bit. ``r`` is each row's
-    rival index, as in :func:`_profit`.
+    the problem's rule (``gauss`` nodes, else ``panels``) for fn times the
+    density from the cutoff up, and with finite types the weighted sum of
+    fn over the types whose u is at least 0. Rows run in chunks of at
+    most ``_WORKSPACE`` elements per (rows x nodes) temporary. Rows whose
+    cutoff is lo share one node row, a uniform density is the scalar
+    1/(hi - lo), and every row sums (coef * fn) * density, so sharing
+    changes no bit. ``r`` is each row's rival index, as in :func:`_profit`.
     """
     X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
     R = np.zeros(X.size, int) + r
@@ -230,7 +268,7 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
                 out[rows] = np.sum(w * (1.0 if fn is None else pay(fn, rows, th)) * stays, axis=1)
         return out
     lo, hi = _theta_span(types)
-    _, frac, coef = _fixed_nodes(lo, hi, problem.panels)
+    _, frac, coef, div = _fixed_nodes(lo, hi, problem.panels, problem.gauss)
     shared = lo + (hi - lo) * frac[None, :]  # the nodes of every row whose cutoff is lo
     for s in _chunks(X.size, frac.size):
         c = cut[s]
@@ -241,7 +279,7 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
             nodes = shared if at_lo else c[rows, None] + span[:, None] * frac[None, :]
             dens = 1.0 / (hi - lo) if types.density == "uniform" else types.density_at(nodes)
             integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows + s.start, nodes)) * dens
-            out[rows + s.start] = np.sum(integrand, axis=1) * span / problem.panels / 3.0
+            out[rows + s.start] = np.sum(integrand, axis=1) * span / div[0] / div[1]
     return out
 
 
@@ -254,6 +292,19 @@ def _point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, fl
             f"agent utility is not strictly increasing in theta at (x, y) = ({x}, {y})"
         )
     return float(value[0]), float(_stay(problem, [x], [y], cut)[0]), float(cut[0])
+
+
+def _checked_point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, float] | None:
+    """:func:`_point` at a reported pair, or None where the stay integral
+    takes Gauss nodes and twice as many move its value or stay probability
+    q by more than ``_CHECK_TOL`` * max(1, |q|)."""
+    point = _point(problem, x, y)
+    if problem.gauss:
+        fine, cut = with_gauss(problem, 2 * problem.gauss), np.array(point[2:])
+        for fn, q in ((problem.v_fn, point[0]), (None, point[1])):
+            if not abs(_stay(fine, [x], [y], cut, fn=fn)[0] - q) <= _CHECK_TOL * max(1.0, abs(q)):
+                return None
+    return point
 
 
 def _cutoff_result(problem: SingleProblem, cut: float) -> CutoffResult:
@@ -434,7 +485,7 @@ def _no_trade(problem: SingleProblem, xs: np.ndarray, trace) -> SolveResult:
             f"no trade is not certified: (x, y) = ({X[rejected[k]]}, {Y[rejected[k]]}) is worth {float(value[k])!r} "
             "but agent utility is not strictly increasing in theta there"
         )
-    return SolveResult(None, None, None, 0.0, 0.0, True, trace)
+    return SolveResult(None, None, None, 0.0, 0.0, True, trace, problem.gauss)
 
 
 def solve(problem: SingleProblem) -> SolveResult:
@@ -449,6 +500,7 @@ def solve(problem: SingleProblem) -> SolveResult:
     derivative-free search is used throughout. Offers retaining no type
     score zero; when nothing beats zero the result is the no-trade outcome,
     unless an offer the audit rejects would trade (:func:`_no_trade`).
+    A Gauss answer that fails :func:`_checked_point` is solved again by Simpson.
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], _X_GRID)
     values, inner_y = _inner_rows(problem, xs)
@@ -468,9 +520,11 @@ def solve(problem: SingleProblem) -> SolveResult:
 
     if value <= 0.0:
         return _no_trade(problem, xs, trace)
-    _, stay, cut = _point(problem, x_star, y_star)
+    if (point := _checked_point(problem, x_star, y_star)) is None:
+        return solve(with_gauss(problem, 0))
+    _, stay, cut = point
     return SolveResult(
-        x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace
+        x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace, problem.gauss
     )
 
 

@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from contract_forge import cli
+from contract_forge import solver_single as ss
 
 
 def fixture_path(name: str) -> Path:
@@ -503,8 +507,8 @@ class TestScenarioErrors:
     @pytest.mark.parametrize(
         "name, block, digest",
         [
-            ("labor_single", "problem", "d7e3ba07f2a5aba2180e2e66b9cacafeb9f46d2dc850bbac7ae3b88e4f5931c8"),
-            ("agency_beta17_21", "agency", "ce4dc3683931220b9dcba1dc1695705ee4d8e1cb97e8c48a05d50bc466dea63b"),
+            ("labor_single", "problem", "1a45d8b552f0ae55563152e45fc8ada346cfc24d23471dcd25e82f0cfaffe6df"),
+            ("agency_beta17_21", "agency", "0ea89818db95c86c4c32f483337d9e244d688bac8dec03baa6fc51285f6c70e6"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -818,7 +822,8 @@ class TestAssessmentBlock:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert (
-            "error: invalid assessment at $.assessment: contract of principal 0 has messages without recommendations"
+            "error: invalid assessment at $.assessment.contracts[0]: contract of principal 1 has messages without "
+            'recommendations, so the "recommendation" continuation cannot follow them'
         ) in res.output
 
     def test_policies_option_is_read(self, tmp_path):
@@ -1161,3 +1166,70 @@ class TestRevisableCheck:
         assert report.warnings == ["allocation sets differ between revision bounds: 1 only limited, 0 only full"]
         assert report.payload["results"]["only_limited"] == [{"t0": [[0.0, 1.0]], "t1": [[0.5, 1.0]]}]
         assert "only_full" not in report.payload["results"]
+
+
+class TestSolverRuns:
+    """solve-single and solve-agency: the stay integral rule in the report,
+    its fallback, and the default start."""
+
+    def _results(self, tmp_path, raw):
+        tmp_path.mkdir(exist_ok=True)
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 0, res.output
+        return json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+
+    def test_smooth_payoffs_report_gauss_legendre(self, tmp_path):
+        assert self._results(tmp_path / "s", json.loads(fixture_path("labor_single.json").read_text()))[
+            "quadrature"
+        ] == "gauss-legendre"
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        assert self._results(tmp_path / "a", raw)["quadrature"] == ["gauss-legendre"] * 2
+        raw["agency"]["principal_payoffs"][1] = "(1 + beta*x_other)*y*min(theta, 9) - x^2"  # capped: kinked at 9
+        assert self._results(tmp_path / "k", raw)["quadrature"] == ["gauss-legendre", "simpson"]
+
+    def test_payoff_that_twice_the_nodes_move_reports_simpson(self, tmp_path):
+        raw = json.loads(fixture_path("labor_single.json").read_text())
+        raw["problem"].update(agent="theta - 2", principal="y*exp(30*theta)")
+        results = self._results(tmp_path, raw)
+        assert results["quadrature"] == "simpson" and results["cutoff_kind"] == "all-stay"
+
+    def test_agency_fallback_reproduces_the_simpson_run(self, tmp_path, monkeypatch):
+        # with every check failing, the fixed point and the curve run again
+        # on Simpson's rule; their tables are then the pinned Simpson bytes
+        monkeypatch.setattr(ss, "_CHECK_TOL", -1.0)
+        curves, best_response = [], cli.sa.best_response
+
+        def recorded(problem, j, x_other):
+            if np.size(x_other) == 9:
+                curves.append(problem.gauss)
+            return best_response(problem, j, x_other)
+
+        monkeypatch.setattr(cli.sa, "best_response", recorded)
+        res = _invoke_raw(tmp_path, json.loads(fixture_path("agency_beta17_21.json").read_text()))
+        assert res.exit_code == 0, res.output
+        assert curves == [(ss._GL_NODES,) * 2, (0, 0)]
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["results"]["quadrature"] == ["simpson"] * 2
+        digests = {
+            "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
+            "trajectory.csv": "31d1dcb84e31ef7d559fbadfb8f5d34f2e31f0a88d0a2dc65ccb6604b96798a8",
+        }
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+    def test_default_start_is_zero_clipped_into_x_box(self, tmp_path):
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        del raw["agency"]["start"]
+        raw["agency"]["x_box"] = [1, 5]
+        assert self._results(tmp_path, raw)["converged"] is True
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert rows[1].split(",") == ["0", "1", "1"]
+        assert all(1.0 <= float(v) <= 5.0 for row in rows[1:] for v in row.split(",")[1:])
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """The Gauss nodes come from numpy.linalg; loading numpy.polynomial
+    would add to every run's start-up time and memory."""
+    code = "import sys, contract_forge.cli; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True)
+    assert done.stdout.strip() == "False"

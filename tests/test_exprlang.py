@@ -170,3 +170,50 @@ def test_evaluate_referentially_transparent():
     b = el.evaluate(e, ctx)
     assert math.isfinite(a)
     assert a == b  # bit-identical
+
+
+@pytest.mark.parametrize(
+    "source, smooth",
+    [
+        ("theta", True),
+        ("x*y + 3", True),  # theta-free: every function and power allowed
+        ("sqrt(x) + log(y) + abs(x) + min(x, y) + max(x, y) + x^0.5 + 2^y + 1/y", True),
+        ("-theta", True),
+        ("theta + x", True),
+        ("x - theta", True),
+        ("theta*theta*y", True),
+        ("theta/x", True),
+        ("theta/(x + sqrt(y))", True),
+        ("exp(30*theta)", True),
+        ("theta^0", True),
+        ("(theta - 3)^31", True),
+        ("(1 + 0.5*x)*y*theta - x^2", True),
+        ("exp(-(theta - 3.5)^2/2)*sqrt(x)", True),
+        ("x/theta", False),  # theta in a divisor
+        ("1/(theta + 1)", False),
+        ("theta^0.5", False),  # non-integer power of theta
+        ("theta^x", False),  # non-constant exponent
+        ("theta^(1+1)", False),
+        ("theta^-2", False),
+        ("2^theta", False),  # theta in an exponent other than exp's
+        ("x^theta", False),
+        ("sqrt(theta)", False),
+        ("log(theta)", False),
+        ("abs(theta - 3.37)", False),
+        ("min(theta, 4)", False),
+        ("max(x, theta)", False),
+        ("y*theta + abs(theta - 3.37)", False),  # one kinked term is enough
+        ("exp(sqrt(theta))", False),
+        ("-(theta^2)*sqrt(theta)", False),
+    ],
+)
+def test_smooth_in(source, smooth):
+    assert el.smooth_in(el.parse(source), "theta") is smooth
+
+
+def test_smooth_in_names_the_variable():
+    expr = el.parse("sqrt(x)*theta")
+    assert el.smooth_in(expr, "theta") and not el.smooth_in(expr, "x")
+    assert el.smooth_in(el.Bin("^", el.Var("theta"), el.Num(2.0)), "theta")
+    # a hand-built negative literal is a negative power, not a polynomial
+    assert not el.smooth_in(el.Bin("^", el.Var("theta"), el.Num(-2.0)), "theta")

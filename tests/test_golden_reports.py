@@ -24,7 +24,7 @@ DIGESTS = {
         0,
         {
             "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
-            "report.json": "9b50a5372eaae4c0ac9147bcdce508002a4d98b02f4c37689931fbbce26b9117",
+            "report.json": "e24b5d629a4e9f6b73b231e9e226b8cad3223a260b40b6bd70a287f94e3d6f22",
             "trajectory.csv": "31d1dcb84e31ef7d559fbadfb8f5d34f2e31f0a88d0a2dc65ccb6604b96798a8",
         },
     ),
@@ -37,7 +37,7 @@ DIGESTS = {
     "labor_single.json": (
         0,
         {
-            "report.json": "4e55eaed53ffb90c36786917bcdedd9dea59e0e0ae52b1ec66b1d3c94c6b273b",
+            "report.json": "df70d7ce54473940eec54e5c497ccea5a2e88484cc74cb775567d8f32be6b1ca",
             "solve_trace.csv": "746d46f23d4179b5bcb3a92d1d161bbc4f4fcc886aaa15e9f433eb1805e35d98",
         },
     ),
@@ -86,7 +86,7 @@ AGENCY_VARIANTS = {
         {"beta": 0.35},
         {
             "best_response.csv": "cb65ae22104f6ee1cce3120a221e9968e30eb759f8f946595f20f1d0a54edcc5",
-            "report.json": "f04ed9fbca172c9eeea3d0fbac8f6fcf80d95c4638396545a196b210fe1028a9",
+            "report.json": "fd729601db466dc048182a92f01ca74ede04ff91af0936b50928f9066d311ef8",
             "trajectory.csv": "ed76ebd2bb8f24f3ae965d3a802cb11a59ce251c030c6a0f57d6f32067ed917b",
         },
     ),
@@ -94,7 +94,7 @@ AGENCY_VARIANTS = {
         {"beta": 0.6},
         {
             "best_response.csv": "18c5cb61e9e798d363aacae05951d34f47949b13d277ffc606ea40aa80967700",
-            "report.json": "e699f39772d712f74f6e18e5740c14c53ee344706a2ef3cbe175c1ef672672af",
+            "report.json": "759e5581c55c59f61e0c97834cd9d831ba2b68e036808cd13cde713033461bfa",
             "trajectory.csv": "f6558cebab375d78c043a05cb625e8d33605d0a0f2c12ca414d70e47b15ab709",
         },
     ),
@@ -102,7 +102,7 @@ AGENCY_VARIANTS = {
         {"beta": 0.85},
         {
             "best_response.csv": "3c58016c17d6f71043cc2625686d5f53044a1d78ab00b44cc5e54e22f8941158",
-            "report.json": "0b65e1532587f4dbc23836e43dedef8b3add99099fcd01312a69130d9784a90e",
+            "report.json": "6419de72937c7de881d72bd5b3edbd206140196bfddb6d8f79b15393299298b6",
             "trajectory.csv": "6367ed1cb0fa36d4900bad1a8ac592c7993363d95366de0306b574c46dc995c6",
         },
     ),
@@ -110,7 +110,7 @@ AGENCY_VARIANTS = {
         {"start": [1.0, 0.5]},
         {
             "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
-            "report.json": "df69dece6bd078a4c52d7273126a56f7a96fe5d599d2adb63bd5e759e4920914",
+            "report.json": "cf8daa4dd1a0b8bacf763e419fe243fad06ca3853b211d4fbbafd9c47ebd13a1",
             "trajectory.csv": "713ec8302bfacdcb293e62ea41d573309a61c4347166ebb0862a59fffde1d3fd",
         },
     ),
@@ -118,7 +118,7 @@ AGENCY_VARIANTS = {
         {"principal_payoffs": ["(1 + beta*x_other)*y*theta - x^2", "(1 + beta*x_other)*y*theta - 1.2*x^2"]},
         {
             "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
-            "report.json": "2423ad898a1fe8c5bb270ddf8fc6ab256a4781b3bdf6c79858dceb740ad3f63b",
+            "report.json": "5d49bbca069bbee0e3bb60d68a8962924dc8a11716fea4c2fdb513a00454d9e4",
             "trajectory.csv": "c7267420cff7c57a5896418a549d50a014fe7a1159ef7192f6e441acbe45eba4",
         },
     ),

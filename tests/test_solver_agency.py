@@ -78,6 +78,18 @@ class TestBilateralReduce:
         with pytest.raises(ec.DensityError, match="0.828462937177.* at 256 panels"):
             dataclasses.replace(problem, types=narrow)
 
+    def test_slices_take_each_principals_quadrature(self, worked):
+        kinked = dataclasses.replace(
+            worked, principal_payoffs=(worked.principal_payoffs[0], "(1 + beta*x_other)*y*abs(theta - 3.37) - x^2")
+        )
+        assert worked.gauss == (ss._GL_NODES, ss._GL_NODES) and worked.symmetric
+        assert kinked.gauss == (ss._GL_NODES, 0) and not kinked.symmetric
+        for fast in (False, True):
+            assert [sa.bilateral_reduce(kinked, j, 1.0, fast).gauss for j in (0, 1)] == [ss._GL_NODES, 0]
+        # a callable payoff keeps Simpson's rule
+        v = lambda x, y, x_other, theta, beta: (1 + beta * x_other) * y * theta - x * x
+        assert dataclasses.replace(worked, principal_payoffs=(v, v)).gauss == (0, 0)
+
     def test_zero_rival_offer_neutral(self, worked):
         s = sa.bilateral_reduce(worked, 1, 0.0)
         base = ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v="y*theta - x^2")
@@ -150,16 +162,17 @@ class TestBatchedBestResponse:
         assert type(sa.best_response(worked, 0, 1.0)) is float
 
     def test_chunks_inside_a_rival_mesh_do_not_change_grid(self, worked):
-        # the batched mesh is one kernel call; at full panels its Simpson
-        # pass takes _WORKSPACE // 257 = 255 rows at a time and its sweep
-        # _WORKSPACE // 33 = 1,985, while each rival has 31 x 256 = 7,936
-        # rows, a multiple of neither, so chunk boundaries fall inside a
-        # rival's mesh
+        # the batched mesh is one kernel call; its Gauss pass takes
+        # _WORKSPACE // 16 = 4,096 rows at a time (a Simpson pass at full
+        # panels _WORKSPACE // 257 = 255) and its sweep _WORKSPACE // 33 =
+        # 1,985, while each rival has 31 x 256 = 7,936 rows, a multiple of
+        # none, so chunk boundaries fall inside a rival's mesh
         offers = [0.0, 1.5, 3.0]
         batched = sa.bilateral_reduce(worked, 0, offers)
         xs = np.linspace(0.5, 4.5, 31)
         ys = np.linspace(0.0, 5.0, 256)
-        for nodes in (batched.panels + 1, 33):
+        assert batched.gauss == ss._GL_NODES
+        for nodes in (batched.gauss, batched.panels + 1, 33):
             step = ss._WORKSPACE // nodes
             assert step < xs.size * ys.size and (xs.size * ys.size) % step
         grid = ss._profit_grid(batched, np.tile(xs, 3), ys, np.repeat(np.arange(3), xs.size))
@@ -350,6 +363,36 @@ class TestSeededFixedPoint:
         plain = sa.fixed_point(problem, start)
         for name in plain.__slots__:
             assert getattr(seeded, name) == getattr(plain, name), name
+
+
+class TestQuadratureCheck:
+    def test_equilibrium_reports_its_quadrature(self, equilibrium):
+        assert equilibrium.gauss == (ss._GL_NODES, ss._GL_NODES)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_failed_check_reruns_on_simpson(self, worked, monkeypatch, symmetric):
+        problem = worked if symmetric else dataclasses.replace(
+            worked, principal_payoffs=(worked.principal_payoffs[0], "(1 + beta*x_other)*y*theta - 1.2*x^2")
+        )
+        monkeypatch.setattr(ss, "_CHECK_TOL", -1.0)  # every Gauss pair fails its check
+        curve = sa.best_response(problem, 0, _CURVE_OFFERS)
+        eqm = sa.fixed_point(problem, responses=dict(zip(_CURVE_OFFERS, curve.tolist())))
+        assert eqm == sa.fixed_point(ss.with_gauss(problem, (0, 0)))
+        assert eqm.gauss == (0, 0)
+
+    def test_menus_are_valued_on_the_equilibriums_quadrature(self, worked, equilibrium, monkeypatch):
+        seen, reduce = [], sa.bilateral_reduce
+
+        def recorded(problem, *args, **kwargs):
+            seen.append(problem.gauss)
+            return reduce(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sa, "bilateral_reduce", recorded)
+        menus = {0: [[1.0, 2.0, 3.0]], 1: [[2.0, 4.0]]}
+        for gauss in ((0, 0), (ss._GL_NODES, 0)):
+            seen.clear()
+            sa.robustness_check(worked, dataclasses.replace(equilibrium, gauss=gauss), menus)
+            assert seen == [gauss, gauss]
 
 
 def _closed_form_root(beta: float) -> float:

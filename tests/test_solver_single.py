@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from contract_forge import contracts as ct
 from contract_forge import env_core as ec
+from contract_forge import exprlang as el
 from contract_forge import equilibrium as eq
 from contract_forge import solver_agency as sa
 from contract_forge import solver_single as ss
@@ -154,31 +156,45 @@ class TestKernel:
         assert ss._stay(p, [1.0], [2.0], cut)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+_KINKED = "y*sqrt(theta) - x^2"
+_SMOOTH = "y*theta^2 - x*theta - x^2"
+
+
 @functools.lru_cache(maxsize=None)
-def _mixed(density: str) -> ss.SingleProblem:
+def _mixed(density: str, v: str = _KINKED) -> ss.SingleProblem:
     """u = x*(theta - 3) + 1 - y^2 on types in [3, 4.5]: with x > 0 all
     stay at y <= 1, the cutoff is 3 + (y^2 - 1)/x past that, and none stay
     once it passes 4.5; with x <= 0 and y < 1 u is positive and does not
-    rise, failing the audit. v takes a square root of theta, so node rows
-    meet a ufunc, and the uniform density 2/3 is no power of two."""
+    rise, failing the audit. The default v takes a square root of theta,
+    so node rows meet a ufunc and the stay integral is Simpson's;
+    ``_SMOOTH`` takes Gauss-Legendre nodes on the intervals. The uniform
+    density 2/3 is no power of two."""
     types = {
         "uniform": ec.TypeSpace.interval(3.0, 4.5),
         "normal": ec.TypeSpace.interval(3.0, 4.5, density="normal", mean=3.4, sd=0.5),
         "finite": ec.TypeSpace.from_finite([("a", 3.0, 0.2), ("b", 3.4, 0.5), ("c", 4.0, 0.3)]),
     }[density]
-    return ss.SingleProblem(u="x*(theta - 3) + 1 - y^2", v="y*sqrt(theta) - x^2", types=types)
+    return ss.SingleProblem(u="x*(theta - 3) + 1 - y^2", v=v, types=types)
 
 
 class TestKernelChunks:
     """``_profit`` and ``_stay`` bound their own workspace: rows run in
-    chunks, all-stay rows share one Simpson node row, and no bit moves."""
+    chunks, all-stay rows share one node row, and no bit moves. The
+    frozen one-pass kernel integrates by Simpson's rule, which every
+    payoff not smooth in theta keeps."""
 
     @pytest.mark.parametrize("density", ["uniform", "normal", "finite"])
     @pytest.mark.parametrize("audit", [True, False])
-    def test_matches_the_one_pass_kernel_bit_for_bit(self, density, audit):
+    @pytest.mark.parametrize("v", [_KINKED, "y*abs(theta - 3.37) - x^2", "callable"])
+    def test_matches_the_one_pass_kernel_bit_for_bit(self, density, audit, v):
         # 3,000 rows cross the Simpson pass's 255-row chunks; at x = 0 u is
-        # flat in theta, which the audit's strict increase rejects
-        p = _mixed(density)
+        # flat in theta, which the audit's strict increase rejects. A
+        # callable v, even of a smooth expression, keeps Simpson's rule.
+        if v == "callable":
+            p = dataclasses.replace(_mixed(density), v=el.compile_fn(el.parse(_SMOOTH), ["x", "y", "theta"]))
+        else:
+            p = _mixed(density, v)
+        assert p.gauss == 0
         rng = np.random.default_rng(8)
         X, Y = rng.uniform(-1.0, 3.0, 3000), rng.uniform(0.0, 3.0, 3000)
         X[:50] = 0.0
@@ -193,18 +209,22 @@ class TestKernelChunks:
 
     @given(
         density=st.sampled_from(["uniform", "normal", "finite"]),
+        v=st.sampled_from([_KINKED, _SMOOTH]),
         audit=st.booleans(),
         rows=st.lists(st.tuples(st.floats(-1.0, 3.0), st.floats(0.0, 3.0)), min_size=1, max_size=30),
         splits=st.lists(st.integers(0, 30), max_size=3),
         workspace=st.sampled_from([ss._WORKSPACE, 1, 40, 300]),
     )
-    @example(density="normal", audit=True, rows=[(1.0, 0.5), (1.0, 1.2), (1.0, 2.5), (-1.0, 0.5)],
+    @example(density="normal", v=_KINKED, audit=True, rows=[(1.0, 0.5), (1.0, 1.2), (1.0, 2.5), (-1.0, 0.5)],
              splits=[1, 3], workspace=300)
+    @example(density="uniform", v=_SMOOTH, audit=True, rows=[(1.0, 0.5), (1.0, 1.2), (1.0, 2.5), (-1.0, 0.5)],
+             splits=[1, 3], workspace=20)
     @settings(max_examples=80, deadline=None)
-    def test_any_split_of_the_rows_gives_the_same_bits(self, density, audit, rows, splits, workspace):
+    def test_any_split_of_the_rows_gives_the_same_bits(self, density, v, audit, rows, splits, workspace):
         # the whole mesh in chunks as small as one row, against its parts
-        # with the default workspace
-        p = _mixed(density)
+        # with the default workspace, on either stay integral rule
+        p = _mixed(density, v)
+        assert p.gauss == (ss._GL_NODES if v == _SMOOTH and density != "finite" else 0)
         X, Y = np.array(rows).T
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ss, "_WORKSPACE", workspace)
@@ -214,19 +234,83 @@ class TestKernelChunks:
         for k in (0, 1):
             assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
 
-    def test_workspace_stays_bounded(self, labor):
-        # one audited call on 20,000 rows at 256 panels; the one-pass kernel
-        # held (rows x 257)-element temporaries, a peak of about 100 MB
+    @pytest.mark.parametrize("gauss", [ss._GL_NODES, 0])
+    def test_workspace_stays_bounded(self, labor, gauss):
+        # one audited call on 20,000 rows, on 16 Gauss nodes or at 256
+        # panels; the one-pass Simpson kernel held (rows x 257)-element
+        # temporaries, a peak of about 100 MB
         rng = np.random.default_rng(9)
         X = rng.uniform(0.3, 3.0, 20_000)
         Y = np.sqrt(X * rng.uniform(2.5, 4.5, X.size))
         tracemalloc.start()
         try:
-            ss._profit(labor, X, Y)
+            ss._profit(ss.with_gauss(labor, gauss), X, Y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+class TestGaussRule:
+    """Gauss-Legendre stay integrals where v is smooth in theta, checked at
+    twice the nodes; Simpson's rule, as before, everywhere else."""
+
+    @given(
+        coefs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32),
+        lo=st.floats(0.0, 2.0),
+        width=st.floats(0.1, 2.0),
+        cut=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_for_polynomials_of_degree_31(self, coefs, lo, width, cut):
+        # u = theta - x puts the cutoff at x; with coefficients >= 0 the
+        # closed form has no cancellation, so rounding stays relative
+        v = " + ".join(f"{c!r}*theta^{k}" for k, c in enumerate(coefs))
+        hi = lo + width
+        p = ss.SingleProblem(u="theta - x", v=v, types=ec.TypeSpace.interval(lo, hi), x_box=(-1.0, 5.0))
+        assert p.gauss == ss._GL_NODES
+        x = lo + cut * width
+        value, c = ss._profit(p, [x], [0.0])
+        a, b = Fraction(float(c[0])), Fraction(hi)
+        want = sum(Fraction(ck) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, ck in enumerate(coefs)) / Fraction(width)
+        assert abs(value[0] - float(want)) <= 1e-12 * abs(float(want))
+
+    def test_sixteen_nodes_are_exact_to_degree_31_and_no_further(self):
+        # every type in [-1, 1] stays; v = theta^k integrates to 1/(k + 1)
+        # times the density 1/2 for even k, and to 0 for odd k
+        for k in range(33):
+            p = ss.SingleProblem(u="theta + 2", v=f"theta^{k}", types=ec.TypeSpace.interval(-1.0, 1.0))
+            error = abs(ss.expected_profit(p, 0.0, 0.0) - (1.0 / (k + 1) if k % 2 == 0 else 0.0))
+            assert error <= 1e-15 if k < 32 else error > 1e-10
+
+    def test_rule_follows_payoff_and_density(self):
+        def gauss(v, types=ec.TypeSpace.interval(3.0, 4.0)):
+            return ss.SingleProblem(u="(x*theta - y^2)/sqrt(theta)", v=v, types=types).gauss
+
+        assert gauss("y*theta - x^2") == gauss("y*exp(theta)") == ss._GL_NODES
+        assert gauss("y*sqrt(theta) - x^2") == gauss("y*abs(theta - 3.37)") == 0
+        assert gauss(lambda x, y, theta, r: y * theta - x * x) == 0
+        assert gauss("y*theta", ec.TypeSpace.uniform_finite([3.0, 4.0])) == 0
+        assert gauss("y*theta", ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.4)) == ss._GL_NODES
+        # 256 Simpson panels integrate this density to 1 within 1e-9, the 16
+        # Gauss nodes to 1 - 9.8e-8: Simpson's rule
+        assert gauss("y*theta", ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.1)) == 0
+
+    def test_answer_that_twice_the_nodes_move_is_solved_by_simpson(self):
+        # every type stays, so the stay integral spans [3, 4], where 16 nodes
+        # miss the integral of exp(30*theta) by 2.7e-12 of it and 32 by 2e-15
+        p = ss.SingleProblem(u="theta - 2", v="y*exp(30*theta)")
+        assert p.gauss == ss._GL_NODES
+        r = ss.solve(p)
+        assert r.gauss == 0 and r.cutoff.kind == "all-stay"
+        assert r == ss.solve(ss.with_gauss(p, 0))
+
+    def test_failed_check_equals_a_simpson_solve(self, labor, labor_solution, monkeypatch):
+        assert labor_solution.gauss == ss._GL_NODES
+        monkeypatch.setattr(ss, "_CHECK_TOL", -1.0)  # every check fails
+        r = ss.solve(labor)
+        assert r.gauss == 0 and r == ss.solve(ss.with_gauss(labor, 0))
+        assert r.value == pytest.approx(labor_solution.value, abs=1e-12)
 
 
 class TestExpectedProfit:
