@@ -559,13 +559,16 @@ def run(sc: ScenarioFile) -> RunReport:
     return report
 
 
-def _quadrature(gauss: int) -> str:
-    """The report's name of a stay integral rule of ``gauss`` Gauss nodes."""
+def _quadrature(types: ec.TypeSpace, gauss: int) -> str:
+    """The report's name of the stay integral over ``types`` with ``gauss`` Gauss nodes."""
+    if types.kind == "finite":
+        return "finite-sum"
     return "gauss-legendre" if gauss else "simpson"
 
 
 def _run_solve_single(sc, report, opts):
-    result = ss.solve(sc.blocks["problem"])
+    problem = sc.blocks["problem"]
+    result = ss.solve(problem)
     report.payload = {
         "x": result.x,
         "y": result.y,
@@ -574,7 +577,7 @@ def _run_solve_single(sc, report, opts):
         "value": result.value,
         "stay_prob": result.stay_prob,
         "no_trade": result.no_trade,
-        "quadrature": _quadrature(result.gauss),
+        "quadrature": _quadrature(problem.types, problem.gauss),
     }
     report.tables["solve_trace"] = (
         ("x", "inner_value"),
@@ -585,10 +588,8 @@ def _run_solve_single(sc, report, opts):
 def _run_solve_agency(sc, report, opts):
     problem, extras = sc.blocks["agency"]
     offers = np.linspace(problem.x_box[0], min(problem.x_box[1], 4.0), 9)
-    curve = sa.best_response(problem, 0, offers)  # one batched pass, whose answers the iteration reuses
-    eqm = sa.fixed_point(problem, **extras["fixed_point"], responses=dict(zip(offers.tolist(), curve.tolist())))
-    if eqm.gauss[0] != problem.gauss[0]:  # the fixed point fell back to Simpson's rule
-        curve = sa.best_response(ss.with_gauss(problem, eqm.gauss), 0, offers)
+    curve = sa.best_response(problem, 0, offers)  # one batched pass, whose answers the problem keeps for the iteration
+    eqm = sa.fixed_point(problem, **extras["fixed_point"])
     report.payload = {
         "x": list(eqm.x),
         "y": list(eqm.y),
@@ -597,7 +598,7 @@ def _run_solve_agency(sc, report, opts):
         "residual": eqm.residual,
         "iterations": eqm.iterations,
         "converged": eqm.converged,
-        "quadrature": [_quadrature(g) for g in eqm.gauss],
+        "quadrature": [_quadrature(problem.types, g) for g in problem.gauss],
     }
     report.tables["trajectory"] = (
         ("iteration", "x1", "x2"),

@@ -47,7 +47,7 @@ __all__ = [
     "as_expr",
     "evaluate",
     "free_vars",
-    "smooth_in",
+    "degree_in",
     "to_source",
     "compile_fn",
 ]
@@ -262,25 +262,27 @@ def free_vars(expr: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def smooth_in(expr: Expr, var: str) -> bool:
-    """Whether ``var`` reaches ``expr`` only through ``+``, ``-``, ``*``,
-    ``exp``, division by a ``var``-free subexpression and ``^`` with a
-    constant non-negative integer exponent, so that ``expr`` is analytic
-    in ``var``; ``abs``, ``min``, ``max``, ``sqrt`` and ``log`` are not."""
+def degree_in(expr: Expr, var: str) -> float:
+    """The degree of ``expr`` as a polynomial in ``var``, or ``math.inf``
+    where ``var`` reaches it through ``exp``, ``sqrt``, ``log``, ``abs``,
+    ``min``, ``max``, a divisor or an exponent other than a non-negative
+    integer literal."""
     if var not in free_vars(expr):
-        return True
+        return 0
     match expr:
         case Var():
-            return True
-        case Neg(arg) | Call("exp", (arg,)):
-            return smooth_in(arg, var)
-        case Bin("/", left, right):
-            return var not in free_vars(right) and smooth_in(left, var)
-        case Bin("^", left, Num(p)):
-            return p >= 0.0 and p.is_integer() and smooth_in(left, var)
-        case Bin(op, left, right):
-            return op in "+-*" and smooth_in(left, var) and smooth_in(right, var)
-    return False
+            return 1
+        case Neg(arg):
+            return degree_in(arg, var)
+        case Bin("/", left, right) if var not in free_vars(right):
+            return degree_in(left, var)
+        case Bin("^", left, Num(p)) if p >= 0.0 and p.is_integer():
+            return 0 if p == 0.0 else degree_in(left, var) * int(p)  # e^0 is 1, not inf * 0
+        case Bin("*", left, right):
+            return degree_in(left, var) + degree_in(right, var)
+        case Bin("+" | "-", left, right):
+            return max(degree_in(left, var), degree_in(right, var))
+    return math.inf
 
 
 def to_source(expr: Expr) -> str:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .env_core import TypeSpace, beats
-from .solver_single import SingleProblem, _as_fn, _checked_point, _gauss_nodes, _inner_rows, with_gauss, zoom_solve
+from .solver_single import SingleProblem, _as_fn, _gauss_nodes, _inner_rows, _point, zoom_solve
 
 __all__ = [
     "AgencyProblem",
@@ -58,6 +58,8 @@ class AgencyProblem:
     interaction coefficient as the variable ``beta``; it is bound from the
     ``beta`` field at compile time. ``gauss[j]`` is ``SingleProblem.gauss``
     of principal j's slices, set from ``principal_payoffs[j]``.
+    :func:`best_response` keeps its answers on the problem; a copy made by
+    ``dataclasses.replace`` starts without them.
     """
 
     beta: float
@@ -66,6 +68,7 @@ class AgencyProblem:
     types: TypeSpace = field(default_factory=lambda: TypeSpace.interval(3.0, 4.0))
     x_box: tuple[float, float] = (0.0, 5.0)
     y_box: tuple[float, float] = (0.0, 5.0)
+    _responses: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.u_fns = tuple(
@@ -80,12 +83,12 @@ class AgencyProblem:
 
     @property
     def symmetric(self) -> bool:
-        """Both principals share payoffs and quadrature, so best responses coincide."""
+        """Both principals share payoffs, so best responses coincide."""
 
         def same(a, b):
             return a is b or (not callable(a) and not callable(b) and a == b)
 
-        return same(*self.agent_utilities) and same(*self.principal_payoffs) and self.gauss[0] == self.gauss[1]
+        return same(*self.agent_utilities) and same(*self.principal_payoffs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +101,6 @@ class AgencyEquilibrium:
     iterations: int
     converged: bool
     trajectory: tuple[tuple[float, float], ...]
-    gauss: tuple[int, int]  # each principal's Gauss-Legendre nodes; 0: Simpson's rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,18 +157,24 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
 
     The zoomed search of ``zoom_solve`` on the coarse slice. ``x_other``
     is one offer, answered with a float, or an array of offers, answered
-    in one pass with an array whose entries equal their own calls. An
-    offer worth no more than zero is answered with 0 (no trade).
+    with an array whose entries equal their own calls. An offer worth no
+    more than zero is answered with 0 (no trade). Answers are kept on
+    ``problem`` by principal (one set when the problem is symmetric), by
+    that principal's node count and by offer; the offers not answered yet
+    are solved in one pass.
     """
-    value, x, _ = zoom_solve(bilateral_reduce(problem, j, x_other, fast=True))
-    x = np.where(value <= 0.0, 0.0, x)
-    return x if np.ndim(x_other) else float(x[0])
+    key = (0 if problem.symmetric else j, problem.gauss[j])
+    known = problem._responses.setdefault(key, {})
+    offers = np.atleast_1d(np.asarray(x_other, dtype=float)).tolist()
+    if new := [xo for xo in dict.fromkeys(offers) if xo not in known]:
+        value, x, _ = zoom_solve(bilateral_reduce(problem, j, new, fast=True))
+        known.update(zip(new, np.where(value <= 0.0, 0.0, x).tolist()))
+    return np.array([known[xo] for xo in offers]) if np.ndim(x_other) else known[offers[0]]
 
 
 def fixed_point(
     problem: AgencyProblem,
     start: tuple[float, float] | None = None,
-    responses: Mapping[float, float] | None = None,
 ) -> AgencyEquilibrium:
     """Accelerated simultaneous best-response iteration to a simple-offer equilibrium.
 
@@ -178,42 +186,28 @@ def fixed_point(
     residual grew since the previous step. Iterates until the residual
     drops below ``_FP_TOL``, at most ``_MAX_ITER`` steps; raises on
     non-convergence, attaching the trajectory. The best responses search
-    the coarse slice (see :func:`best_response`), each rival offer once;
-    when the problem is symmetric and neither of two differing offers is
-    answered yet, both principals' responses come from one batched call.
-    ``responses`` maps rival offers to principal 1's best responses known
-    beforehand (``solve-agency`` passes its batched curve): the iteration
-    reads them instead of solving them again, for both principals when
-    the problem is symmetric, so they must be ``best_response`` answers
-    for the result to equal an unseeded run's. The reported y, cutoff and
+    the coarse slice (see :func:`best_response`, which solves no rival
+    offer twice); when the problem is symmetric, both principals'
+    responses come from one call. The reported y, cutoff and
     value of each principal come from one full-resolution inner solve at
     the reported own offer against the rival's, shared when the problem
     is symmetric and the offers are equal. At a kink optimum that y is
-    the kink's root, so the lowest type stays (cutoff exactly lo). Where a
-    Gauss pair fails its check at twice the nodes, the iteration runs
-    again, unseeded, with that principal on Simpson's rule.
+    the kink's root, so the lowest type stays (cutoff exactly lo).
     """
     box_lo, box_hi = problem.x_box
     x = np.array(start if start is not None else [min(max(0.0, box_lo), box_hi)] * 2, dtype=float)
     trajectory: list[tuple[float, float]] = [(float(x[0]), float(x[1]))]
     symmetric = problem.symmetric
-    cache = {((xo,) if symmetric else (0, xo)): br for xo, br in (responses or {}).items()}
-
-    def br(j: int, xo: float) -> float:
-        key = (xo,) if symmetric else (j, xo)
-        if key not in cache:
-            cache[key] = best_response(problem, j, xo)
-        return cache[key]
 
     history: list[tuple[np.ndarray, np.ndarray]] = []
     residual = prev_residual = math.inf
     iterations = 0
     for iterations in range(_MAX_ITER + 1):
-        x0, x1 = float(x[0]), float(x[1])
-        if symmetric and x0 != x1 and (x0,) not in cache and (x1,) not in cache:
-            # both principals' responses in one batched pass
-            cache[(x1,)], cache[(x0,)] = best_response(problem, 0, x[::-1]).tolist()
-        f = np.array([br(0, x1), br(1, x0)]) - x
+        if symmetric:
+            br = best_response(problem, 0, x[::-1])
+        else:
+            br = np.array([best_response(problem, 0, x[1]), best_response(problem, 1, x[0])])
+        f = br - x
         residual = float(np.max(np.abs(f)))
         if residual <= _FP_TOL:
             break
@@ -238,20 +232,14 @@ def fixed_point(
 
     ys, cuts, vals = [0.0, 0.0], [None, None], [0.0, 0.0]
     same = symmetric and x[0] == x[1]  # then principal 2's pair is principal 1's
-    gauss = list(problem.gauss)  # Simpson's rule where a Gauss pair fails its check
     for j in range(1 if same else 2):
         single = bilateral_reduce(problem, j, x[1 - j])
         value, y = (float(v[0]) for v in _inner_rows(single, np.array([x[j]])))
         if value > 0.0:  # otherwise no trade: y 0, no cutoff, value 0
-            if (point := _checked_point(single, x[j], y)) is None:
-                gauss[j] = 0
-                continue
-            cut = point[2]  # the lowest type when all stay
+            cut = _point(single, x[j], y)[2]  # the lowest type when all stay
             ys[j], cuts[j], vals[j] = y, (None if math.isnan(cut) else cut), value
     if same:
-        ys[1], cuts[1], vals[1], gauss[1] = ys[0], cuts[0], vals[0], gauss[0]
-    if tuple(gauss) != problem.gauss:
-        return fixed_point(with_gauss(problem, tuple(gauss)), start)
+        ys[1], cuts[1], vals[1] = ys[0], cuts[0], vals[0]
     return AgencyEquilibrium(
         x=(float(x[0]), float(x[1])),
         y=(ys[0], ys[1]),
@@ -261,7 +249,6 @@ def fixed_point(
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),
-        gauss=problem.gauss,
     )
 
 
@@ -294,7 +281,6 @@ def robustness_check(
     best single offer it contains. A menu is flagged only if that bound
     strictly exceeds the equilibrium value plus ``_SAFE_TOL``.
     """
-    problem = with_gauss(problem, equilibrium.gauss)  # menus valued on the equilibrium's quadrature
     findings: list[RobustnessFinding] = []
     for j, menus in deviation_menus.items():
         x_other = equilibrium.x[1 - j]

@@ -16,13 +16,12 @@ participation kink as a root, then Brent's method
 (``_profit``) gives the value and the participation cutoff of many
 (x, y) pairs at once: the cutoff by the bracketed root finder on the
 rows where it is interior, the expectation from exactly the cutoff up,
-by Gauss-Legendre where v is smooth in theta and by composite Simpson
+by Gauss-Legendre where that rule is exact and by composite Simpson
 elsewhere (see :class:`SingleProblem`).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprlang
-from .env_core import DENSITY_TOL, TypeSpace, simpson_coefficients
+from .env_core import TypeSpace, simpson_coefficients
 from .optimize import line_max_rows, root_rows
 
 _EPS = float(np.finfo(float).eps)
@@ -39,8 +38,7 @@ _ROOT_TOL = 4e-15  # root bracket width: about 48 halvings of a unit span
 OPT_TOL = 1e-8  # tol of both line searches (Brent stops within 2*(sqrt(eps)*|x| + tol/3)), and the kink's probe step
 _X_GRID = 256  # x-grid points of ``solve``
 _WORKSPACE = 65_536  # elements of one (rows x nodes) kernel temporary: 512 KiB of floats
-_GL_NODES = 16  # Gauss-Legendre nodes of the stay integral where v is smooth in theta
-_CHECK_TOL = 1e-12  # relative change at twice the Gauss nodes that sends a solve back to Simpson's rule
+_GL_NODES = 16  # Gauss-Legendre nodes of the stay integral where they are exact
 # ``zoom_solve``: zoom stages and x-grid points per stage
 _ZOOM_STAGES = 4
 _ZOOM_GRID = 48
@@ -53,7 +51,6 @@ __all__ = [
     "cutoff",
     "expected_profit",
     "solve",
-    "with_gauss",
     "zoom_solve",
 ]
 
@@ -78,9 +75,9 @@ class SingleProblem:
     rival offer in one pass per stage. ``y_grid`` (y-grid points)
     and ``panels`` (Simpson panels, even) set the kernel's resolution; the
     coarse slice that agency best responses search lowers both. ``gauss``
-    (:func:`_gauss_nodes`) is the stay integral's Gauss-Legendre node count,
-    exact to degree 2 * ``_GL_NODES`` - 1 (Davis & Rabinowitz 1984), or 0 for
-    Simpson's rule; ``panels`` must integrate the density to 1 either way.
+    (:func:`_gauss_nodes`) is the stay integral's Gauss-Legendre node count
+    where those nodes are exact, or 0 for Simpson's rule; ``panels`` must
+    integrate the density to 1 either way.
     """
 
     u: object
@@ -119,7 +116,6 @@ class SolveResult:
     stay_prob: float
     no_trade: bool
     x_trace: tuple[tuple[float, float], ...]  # (x, best inner value)
-    gauss: int  # Gauss-Legendre nodes of the stay integral; 0: Simpson's rule
 
 
 def _root_width(scale: float) -> float:
@@ -159,21 +155,12 @@ def _fixed_nodes(lo: float, hi: float, panels: int, gauss: int = 0) -> tuple:
 
 
 def _gauss_nodes(v, types: TypeSpace) -> int:
-    """``_GL_NODES`` where the stay integral of ``v`` may take Gauss-Legendre
-    nodes, else 0: ``v`` is an expression smooth in theta and the interval's
-    uniform or normal density has Gauss mass 1 within ``DENSITY_TOL``."""
-    smooth = not callable(v) and types.kind == "interval" and exprlang.smooth_in(exprlang.as_expr(v), "theta")
-    if not smooth or types.density not in ("uniform", "normal"):
-        return 0
-    _, frac, w, _ = _fixed_nodes(types.lo, types.hi, 0, _GL_NODES)
-    mass = float(np.sum(w * types.density_at(types.lo + (types.hi - types.lo) * frac))) * (types.hi - types.lo) / 2.0
-    return _GL_NODES if abs(mass - 1.0) <= DENSITY_TOL else 0
-
-
-def with_gauss(problem, gauss):
-    """A copy of a single or agency ``problem`` with Gauss nodes ``gauss`` (0: Simpson's rule)."""
-    (out := copy.copy(problem)).gauss = gauss
-    return out
+    """``_GL_NODES`` where that many Gauss-Legendre nodes integrate ``v``
+    over the stayers exactly, else 0: ``v`` is an expression of degree at
+    most 2 * ``_GL_NODES`` - 1 in theta (Davis & Rabinowitz 1984) and the
+    density is uniform on an interval."""
+    exact = not callable(v) and types.kind == "interval" and types.density == "uniform"
+    return _GL_NODES if exact and exprlang.degree_in(exprlang.as_expr(v), "theta") < 2 * _GL_NODES else 0
 
 
 def _chunks(n: int, nodes: int):
@@ -292,19 +279,6 @@ def _point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, fl
             f"agent utility is not strictly increasing in theta at (x, y) = ({x}, {y})"
         )
     return float(value[0]), float(_stay(problem, [x], [y], cut)[0]), float(cut[0])
-
-
-def _checked_point(problem: SingleProblem, x: float, y: float) -> tuple[float, float, float] | None:
-    """:func:`_point` at a reported pair, or None where the stay integral
-    takes Gauss nodes and twice as many move its value or stay probability
-    q by more than ``_CHECK_TOL`` * max(1, |q|)."""
-    point = _point(problem, x, y)
-    if problem.gauss:
-        fine, cut = with_gauss(problem, 2 * problem.gauss), np.array(point[2:])
-        for fn, q in ((problem.v_fn, point[0]), (None, point[1])):
-            if not abs(_stay(fine, [x], [y], cut, fn=fn)[0] - q) <= _CHECK_TOL * max(1.0, abs(q)):
-                return None
-    return point
 
 
 def _cutoff_result(problem: SingleProblem, cut: float) -> CutoffResult:
@@ -485,7 +459,7 @@ def _no_trade(problem: SingleProblem, xs: np.ndarray, trace) -> SolveResult:
             f"no trade is not certified: (x, y) = ({X[rejected[k]]}, {Y[rejected[k]]}) is worth {float(value[k])!r} "
             "but agent utility is not strictly increasing in theta there"
         )
-    return SolveResult(None, None, None, 0.0, 0.0, True, trace, problem.gauss)
+    return SolveResult(None, None, None, 0.0, 0.0, True, trace)
 
 
 def solve(problem: SingleProblem) -> SolveResult:
@@ -500,7 +474,6 @@ def solve(problem: SingleProblem) -> SolveResult:
     derivative-free search is used throughout. Offers retaining no type
     score zero; when nothing beats zero the result is the no-trade outcome,
     unless an offer the audit rejects would trade (:func:`_no_trade`).
-    A Gauss answer that fails :func:`_checked_point` is solved again by Simpson.
     """
     xs = np.linspace(problem.x_box[0], problem.x_box[1], _X_GRID)
     values, inner_y = _inner_rows(problem, xs)
@@ -520,11 +493,9 @@ def solve(problem: SingleProblem) -> SolveResult:
 
     if value <= 0.0:
         return _no_trade(problem, xs, trace)
-    if (point := _checked_point(problem, x_star, y_star)) is None:
-        return solve(with_gauss(problem, 0))
-    _, stay, cut = point
+    _, stay, cut = _point(problem, x_star, y_star)
     return SolveResult(
-        x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace, problem.gauss
+        x_star, y_star, _cutoff_result(problem, cut), float(value), stay, False, trace
     )
 
 

@@ -8,12 +8,10 @@ from importlib import resources
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from contract_forge import cli
-from contract_forge import solver_single as ss
 
 
 def fixture_path(name: str) -> Path:
@@ -1169,8 +1167,8 @@ class TestRevisableCheck:
 
 
 class TestSolverRuns:
-    """solve-single and solve-agency: the stay integral rule in the report,
-    its fallback, and the default start."""
+    """solve-single and solve-agency: the stay integral rule in the report
+    and the default start."""
 
     def _results(self, tmp_path, raw):
         tmp_path.mkdir(exist_ok=True)
@@ -1187,34 +1185,20 @@ class TestSolverRuns:
         raw["agency"]["principal_payoffs"][1] = "(1 + beta*x_other)*y*min(theta, 9) - x^2"  # capped: kinked at 9
         assert self._results(tmp_path / "k", raw)["quadrature"] == ["gauss-legendre", "simpson"]
 
-    def test_payoff_that_twice_the_nodes_move_reports_simpson(self, tmp_path):
+    def test_payoff_off_the_exact_class_reports_simpson(self, tmp_path):
         raw = json.loads(fixture_path("labor_single.json").read_text())
         raw["problem"].update(agent="theta - 2", principal="y*exp(30*theta)")
         results = self._results(tmp_path, raw)
         assert results["quadrature"] == "simpson" and results["cutoff_kind"] == "all-stay"
 
-    def test_agency_fallback_reproduces_the_simpson_run(self, tmp_path, monkeypatch):
-        # with every check failing, the fixed point and the curve run again
-        # on Simpson's rule; their tables are then the pinned Simpson bytes
-        monkeypatch.setattr(ss, "_CHECK_TOL", -1.0)
-        curves, best_response = [], cli.sa.best_response
-
-        def recorded(problem, j, x_other):
-            if np.size(x_other) == 9:
-                curves.append(problem.gauss)
-            return best_response(problem, j, x_other)
-
-        monkeypatch.setattr(cli.sa, "best_response", recorded)
-        res = _invoke_raw(tmp_path, json.loads(fixture_path("agency_beta17_21.json").read_text()))
-        assert res.exit_code == 0, res.output
-        assert curves == [(ss._GL_NODES,) * 2, (0, 0)]
-        out = tmp_path / "out"
-        assert json.loads((out / "report.json").read_text())["results"]["quadrature"] == ["simpson"] * 2
-        digests = {
-            "best_response.csv": "0cfcc369aa88cc02ec9fc383ef8ae9a0764f7ce7cdae97e93bcfe9139a4067c7",
-            "trajectory.csv": "31d1dcb84e31ef7d559fbadfb8f5d34f2e31f0a88d0a2dc65ccb6604b96798a8",
-        }
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+    def test_finite_types_report_a_finite_sum(self, tmp_path):
+        items = [{"label": "lo", "value": 3.0, "weight": 0.4}, {"label": "hi", "value": 4.0, "weight": 0.6}]
+        raw = json.loads(fixture_path("labor_single.json").read_text())
+        raw["problem"]["types"] = {"kind": "finite", "items": items}
+        assert self._results(tmp_path / "s", raw)["quadrature"] == "finite-sum"
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        raw["agency"]["types"] = {"kind": "finite", "items": items}
+        assert self._results(tmp_path / "a", raw)["quadrature"] == ["finite-sum"] * 2
 
     def test_default_start_is_zero_clipped_into_x_box(self, tmp_path):
         raw = json.loads(fixture_path("agency_beta17_21.json").read_text())

@@ -172,48 +172,59 @@ def test_evaluate_referentially_transparent():
     assert a == b  # bit-identical
 
 
+_INF = math.inf
+
+
 @pytest.mark.parametrize(
-    "source, smooth",
+    "source, degree",
     [
-        ("theta", True),
-        ("x*y + 3", True),  # theta-free: every function and power allowed
-        ("sqrt(x) + log(y) + abs(x) + min(x, y) + max(x, y) + x^0.5 + 2^y + 1/y", True),
-        ("-theta", True),
-        ("theta + x", True),
-        ("x - theta", True),
-        ("theta*theta*y", True),
-        ("theta/x", True),
-        ("theta/(x + sqrt(y))", True),
-        ("exp(30*theta)", True),
-        ("theta^0", True),
-        ("(theta - 3)^31", True),
-        ("(1 + 0.5*x)*y*theta - x^2", True),
-        ("exp(-(theta - 3.5)^2/2)*sqrt(x)", True),
-        ("x/theta", False),  # theta in a divisor
-        ("1/(theta + 1)", False),
-        ("theta^0.5", False),  # non-integer power of theta
-        ("theta^x", False),  # non-constant exponent
-        ("theta^(1+1)", False),
-        ("theta^-2", False),
-        ("2^theta", False),  # theta in an exponent other than exp's
-        ("x^theta", False),
-        ("sqrt(theta)", False),
-        ("log(theta)", False),
-        ("abs(theta - 3.37)", False),
-        ("min(theta, 4)", False),
-        ("max(x, theta)", False),
-        ("y*theta + abs(theta - 3.37)", False),  # one kinked term is enough
-        ("exp(sqrt(theta))", False),
-        ("-(theta^2)*sqrt(theta)", False),
+        ("theta", 1),
+        ("x*y + 3", 0),  # theta-free: every function and power allowed
+        ("sqrt(x) + log(y) + abs(x) + min(x, y) + max(x, y) + x^0.5 + 2^y + 1/y", 0),
+        ("-theta", 1),
+        ("theta + x", 1),
+        ("x - theta", 1),
+        ("theta*theta*y", 2),
+        ("theta/x", 1),
+        ("theta/(x + sqrt(y))", 1),
+        ("theta^0", 0),
+        ("exp(theta)^0", 0),  # e^0 is 1: degree 0, not inf * 0
+        ("theta^31", 31),
+        ("(theta - 3)^31", 31),
+        ("theta^32", 32),
+        ("(theta^4)^8", 32),  # degrees multiply under ^
+        ("theta^16*theta^16", 32),  # and add under *
+        ("theta^3 - theta^7 + x*theta", 7),  # the larger under + and -
+        ("(1 + 0.5*x)*y*theta - x^2", 1),
+        ("x/theta", _INF),  # theta in a divisor
+        ("1/(theta + 1)", _INF),
+        ("theta^0.5", _INF),  # non-integer power of theta
+        ("theta^x", _INF),  # non-constant exponent
+        ("theta^(1+1)", _INF),  # an exponent that is not a literal
+        ("theta^-2", _INF),
+        ("2^theta", _INF),
+        ("x^theta", _INF),
+        ("exp(theta)", _INF),
+        ("exp(30*theta)", _INF),
+        ("exp(-(theta - 3.5)^2/2)*sqrt(x)", _INF),
+        ("sqrt(theta)", _INF),
+        ("log(theta)", _INF),
+        ("abs(theta - 3.37)", _INF),
+        ("min(theta, 4)", _INF),
+        ("max(x, theta)", _INF),
+        ("y*theta + abs(theta - 3.37)", _INF),  # one kinked term is enough
+        ("-(theta^2)*sqrt(theta)", _INF),
+        ("0*exp(theta)", _INF),  # a zero factor is not folded
     ],
 )
-def test_smooth_in(source, smooth):
-    assert el.smooth_in(el.parse(source), "theta") is smooth
+def test_degree_in(source, degree):
+    assert el.degree_in(el.parse(source), "theta") == degree
 
 
-def test_smooth_in_names_the_variable():
-    expr = el.parse("sqrt(x)*theta")
-    assert el.smooth_in(expr, "theta") and not el.smooth_in(expr, "x")
-    assert el.smooth_in(el.Bin("^", el.Var("theta"), el.Num(2.0)), "theta")
+def test_degree_in_names_the_variable():
+    expr = el.parse("sqrt(x)*theta^2")
+    assert el.degree_in(expr, "theta") == 2 and el.degree_in(expr, "x") == _INF
+    assert el.degree_in(expr, "y") == 0
+    assert el.degree_in(el.Bin("^", el.Var("theta"), el.Num(2.0)), "theta") == 2
     # a hand-built negative literal is a negative power, not a polynomial
-    assert not el.smooth_in(el.Bin("^", el.Var("theta"), el.Num(-2.0)), "theta")
+    assert el.degree_in(el.Bin("^", el.Var("theta"), el.Num(-2.0)), "theta") == _INF

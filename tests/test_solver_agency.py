@@ -185,10 +185,10 @@ class TestBatchedBestResponse:
 def fixture_run():
     """One ``cli.run`` of the bundled agency fixture, counting kernel passes
     (``_inner_rows`` calls), ``_profit`` kernel calls, ``root_rows`` calls
-    and the (x, y) mesh cells the y-grid scans evaluate, and recording
-    every best-response call."""
-    seen = {"inner_rows": 0, "profit": 0, "roots": 0, "cells": 0, "best_response": []}
-    inner_rows, profit, best_response = ss._inner_rows, ss._profit, sa.best_response
+    and the (x, y) mesh cells the y-grid scans evaluate, and recording the
+    rival offers each best-response ``zoom_solve`` pass solves."""
+    seen = {"inner_rows": 0, "profit": 0, "roots": 0, "cells": 0, "zoom_rows": []}
+    inner_rows, profit, zoom_solve = ss._inner_rows, ss._profit, sa.zoom_solve
     profit_grid, root_rows = ss._profit_grid, ss.root_rows
 
     def counted(*args, **kwargs):
@@ -207,10 +207,9 @@ def fixture_run():
         seen["cells"] += len(xs) * np.shape(ys)[-1]
         return profit_grid(problem, xs, ys, r)
 
-    def recorded(problem, j, x_other):
-        answer = best_response(problem, j, x_other)
-        seen["best_response"].append((j, x_other, answer))
-        return answer
+    def recorded(problem):
+        seen["zoom_rows"].append(problem.rivals)
+        return zoom_solve(problem)
 
     path = resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json"
     with pytest.MonkeyPatch.context() as mp:
@@ -219,7 +218,7 @@ def fixture_run():
         mp.setattr(ss, "_profit", counted_profit)
         mp.setattr(ss, "_profit_grid", counted_cells)
         mp.setattr(ss, "root_rows", counted_roots)
-        mp.setattr(sa, "best_response", recorded)
+        mp.setattr(sa, "zoom_solve", recorded)
         report = cli.run(cli.parse_scenario(str(path)))
     return report, seen
 
@@ -253,36 +252,35 @@ class TestAgencyRun:
 
     def test_curve_is_one_batch_agreeing_with_fixed_point(self, fixture_run, worked):
         report, seen = fixture_run
-        (j, curve_offers, curve), *iteration = seen["best_response"]
-        assert j == 0 and list(curve_offers) == _CURVE_OFFERS
-        # the iteration asked for no offer the curve answered (the problem
-        # is symmetric, so neither principal did), the start's 0 included
-        assert iteration and not {xo for _, xo, _ in iteration} & set(curve_offers)
-        assert curve[0] == sa.best_response(worked, 0, 0.0)
+        # the curve's 9 offers in one pass, then one offer per solved step:
+        # the 6 iterates' responses need 5 passes, since the curve answers
+        # the start's rival offer 0 (the problem is symmetric, so for both)
+        assert seen["zoom_rows"] == [9, 1, 1, 1, 1, 1]
+        assert len(report.tables["trajectory"][1]) == 6
         rows = dict(report.tables["best_response"][1])
-        assert list(rows.values()) == list(curve)
+        assert list(rows) == _CURVE_OFFERS
+        assert list(rows.values()) == sa.best_response(dataclasses.replace(worked), 0, _CURVE_OFFERS).tolist()
 
 
 def test_offers_apart_are_answered_in_one_pass(tmp_path, monkeypatch):
     """From the start (1.0, 0.5) the fixture's offers differ at every
-    iterate, so each iteration answers both principals with one batched
-    call: the 9-offer curve, then 5 calls of 2 offers (10 calls of one
-    offer when each principal took its own pass)."""
-    sizes = []
-    best_response = sa.best_response
+    iterate, so each iteration answers both principals in one pass: the
+    9-offer curve, then 5 passes of 2 offers (10 passes of one offer when
+    each principal took its own)."""
+    rows, zoom_solve = [], sa.zoom_solve
 
-    def recorded(problem, j, x_other):
-        sizes.append(np.size(x_other))
-        return best_response(problem, j, x_other)
+    def recorded(problem):
+        rows.append(problem.rivals)
+        return zoom_solve(problem)
 
-    monkeypatch.setattr(sa, "best_response", recorded)
+    monkeypatch.setattr(sa, "zoom_solve", recorded)
     doc = json.loads((resources.files("contract_forge") / "fixtures" / "agency_beta17_21.json").read_text())
     doc["agency"]["start"] = [1.0, 0.5]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     report = cli.run(cli.parse_scenario(str(path)))
     assert report.exit_code == 0
-    assert sizes == [9] + [2] * 5
+    assert rows == [9] + [2] * 5
 
 
 class TestFixedPoint:
@@ -345,7 +343,8 @@ _COORD = st.sampled_from(_CURVE_OFFERS) | st.floats(0.0, 5.0)
 
 
 class TestSeededFixedPoint:
-    """Best responses handed to ``fixed_point`` leave its result unchanged."""
+    """Best responses a problem keeps from its curve leave ``fixed_point``'s
+    result unchanged; a copy made by ``dataclasses.replace`` keeps none."""
 
     @given(beta=st.floats(0.3, 0.9), start=st.tuples(_COORD, _COORD), symmetric=st.booleans())
     @example(beta=BETA, start=(0.0, 0.0), symmetric=True)
@@ -358,41 +357,13 @@ class TestSeededFixedPoint:
             problem = dataclasses.replace(
                 problem, principal_payoffs=(problem.principal_payoffs[0], "(1 + beta*x_other)*y*theta - 1.2*x^2")
             )
-        curve = sa.best_response(problem, 0, _CURVE_OFFERS)
-        seeded = sa.fixed_point(problem, start, dict(zip(_CURVE_OFFERS, curve.tolist())))
-        plain = sa.fixed_point(problem, start)
+        sa.best_response(problem, 0, _CURVE_OFFERS)
+        seeded = sa.fixed_point(problem, start)
+        fresh = dataclasses.replace(problem)
+        assert not fresh._responses
+        plain = sa.fixed_point(fresh, start)
         for name in plain.__slots__:
             assert getattr(seeded, name) == getattr(plain, name), name
-
-
-class TestQuadratureCheck:
-    def test_equilibrium_reports_its_quadrature(self, equilibrium):
-        assert equilibrium.gauss == (ss._GL_NODES, ss._GL_NODES)
-
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_failed_check_reruns_on_simpson(self, worked, monkeypatch, symmetric):
-        problem = worked if symmetric else dataclasses.replace(
-            worked, principal_payoffs=(worked.principal_payoffs[0], "(1 + beta*x_other)*y*theta - 1.2*x^2")
-        )
-        monkeypatch.setattr(ss, "_CHECK_TOL", -1.0)  # every Gauss pair fails its check
-        curve = sa.best_response(problem, 0, _CURVE_OFFERS)
-        eqm = sa.fixed_point(problem, responses=dict(zip(_CURVE_OFFERS, curve.tolist())))
-        assert eqm == sa.fixed_point(ss.with_gauss(problem, (0, 0)))
-        assert eqm.gauss == (0, 0)
-
-    def test_menus_are_valued_on_the_equilibriums_quadrature(self, worked, equilibrium, monkeypatch):
-        seen, reduce = [], sa.bilateral_reduce
-
-        def recorded(problem, *args, **kwargs):
-            seen.append(problem.gauss)
-            return reduce(problem, *args, **kwargs)
-
-        monkeypatch.setattr(sa, "bilateral_reduce", recorded)
-        menus = {0: [[1.0, 2.0, 3.0]], 1: [[2.0, 4.0]]}
-        for gauss in ((0, 0), (ss._GL_NODES, 0)):
-            seen.clear()
-            sa.robustness_check(worked, dataclasses.replace(equilibrium, gauss=gauss), menus)
-            assert seen == [gauss, gauss]
 
 
 def _closed_form_root(beta: float) -> float:
