@@ -58,8 +58,9 @@ class AgencyProblem:
     interaction coefficient as the variable ``beta``; it is bound from the
     ``beta`` field at compile time. ``gauss[j]`` is ``SingleProblem.gauss``
     of principal j's slices, set from ``principal_payoffs[j]``.
-    :func:`best_response` keeps its answers on the problem; a copy made by
-    ``dataclasses.replace`` starts without them.
+    :func:`best_response` keeps its answers on the problem, so its fields
+    must not change after the first call; a changed problem is a
+    ``dataclasses.replace`` copy, which starts without them.
     """
 
     beta: float
@@ -159,12 +160,11 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
     is one offer, answered with a float, or an array of offers, answered
     with an array whose entries equal their own calls. An offer worth no
     more than zero is answered with 0 (no trade). Answers are kept on
-    ``problem`` by principal (one set when the problem is symmetric), by
-    that principal's node count and by offer; the offers not answered yet
-    are solved in one pass.
+    ``problem`` by principal (one set when the problem is symmetric) and
+    by offer, so ``problem`` must not be changed after the first call; the
+    offers not answered yet are solved in one pass.
     """
-    key = (0 if problem.symmetric else j, problem.gauss[j])
-    known = problem._responses.setdefault(key, {})
+    known = problem._responses.setdefault(0 if problem.symmetric else j, {})
     offers = np.atleast_1d(np.asarray(x_other, dtype=float)).tolist()
     if new := [xo for xo in dict.fromkeys(offers) if xo not in known]:
         value, x, _ = zoom_solve(bilateral_reduce(problem, j, new, fast=True))

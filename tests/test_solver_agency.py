@@ -137,7 +137,8 @@ class TestBatchedBestResponse:
         batch = sa.best_response(problem, 0, offers)
         assert batch.shape == (len(offers),)
         for xo, got in zip(offers, batch):
-            assert got == sa.best_response(problem, 0, xo)
+            # a copy keeps no answers, so each offer is solved alone
+            assert got == sa.best_response(dataclasses.replace(problem), 0, xo)
 
     def test_rival_without_finite_value_stops_alone(self):
         # v is nan for rival offers below 1, so those rivals stop at stage 1
@@ -294,9 +295,10 @@ class TestFixedPoint:
 
     def test_residual_meets_tolerance(self, worked, equilibrium):
         assert equilibrium.residual <= sa._FP_TOL
-        # re-evaluating the best response at the fixed point reproduces it
+        # re-solving the best response at the fixed point, on a copy that
+        # keeps none of the iteration's answers, reproduces it
         for j in (0, 1):
-            br = sa.best_response(worked, j, equilibrium.x[1 - j])
+            br = sa.best_response(dataclasses.replace(worked), j, equilibrium.x[1 - j])
             assert br == pytest.approx(equilibrium.x[j], abs=1e-3)
 
     def test_beta_zero_decouples(self):
@@ -310,7 +312,7 @@ class TestFixedPoint:
         assert eqm.x[1] == pytest.approx(1.3193, abs=1e-3)
 
     def test_start_at_fixed_point_residual_zero(self, worked, equilibrium):
-        eqm2 = sa.fixed_point(worked, start=equilibrium.x)
+        eqm2 = sa.fixed_point(dataclasses.replace(worked), start=equilibrium.x)
         assert eqm2.iterations == 0
         assert eqm2.residual <= sa._FP_TOL
 
