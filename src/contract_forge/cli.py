@@ -130,8 +130,12 @@ class RunReport:
     payload: dict
     tables: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    exit_code: int = 0
     wall_time: float = 0.0  # informational; never serialized
+
+    @property
+    def exit_code(self) -> int:
+        """1 when the run has at least one finding (a warning), else 0."""
+        return 1 if self.warnings else 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +384,12 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
         raise ScenarioError(f"invalid revisable at {path}.receiver: {e}") from None
     except rv.IdealFormError as e:
         raise ScenarioError(f"schema error at {path}.ideal_form: {e}") from None
+    if ideal is None:  # a receiver strictly concave in z puts every posterior's ideal between the types' ideals
+        for label, value in zip(types.labels, types.values):
+            try:
+                rv.posterior_ideal(model, ec.Belief.point_mass(value))
+            except ValueError as e:
+                raise ScenarioError(f"invalid revisable at {path}.z_range: type {label!r}: {e}") from None
     for name, fn in (("sender", model.sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
         if not np.all(np.isfinite(fn(z[:, None], types.values))):
             raise ScenarioError(f"invalid revisable at {path}.{name}: not finite at every grid point and type")
@@ -623,7 +633,6 @@ def _run_solve_agency(sc, report, opts):
             for f in findings
         ]
         if not ok:
-            report.exit_code = 1
             report.warnings.append("safe-profitable deviation found")
 
 
@@ -656,13 +665,11 @@ def _run_revisable_check(sc, report, opts):
     report.tables["gamma_alpha"] = (("type", "z", "probability", "regime"), rows_of(gamma.limited))
     report.tables["gamma_zero"] = (("type", "z", "probability", "regime"), rows_of(gamma.full))
     if not gamma.equal:
-        report.exit_code = 1
         report.warnings.append(
             f"allocation sets differ between revision bounds: {len(gamma.only_limited)} only limited, "
             f"{len(gamma.only_full)} only full"
         )
     if not gamma.transforms_ok:
-        report.exit_code = 1
         report.warnings.append(f"lift or collapse fails: {gamma.lift_failures} lift, {gamma.collapse_failures} collapse")
 
 
@@ -680,14 +687,16 @@ def _run_check_equilibrium(sc, report, opts):
     rep = eq.check_continuation(sc.blocks["environment"], sc.blocks["assessment"], opts.search.tol)
     report.payload = _equilibrium_payload(rep)
     if not rep.passed:
-        report.exit_code = 1
         report.warnings.append("assessment fails continuation checks")
 
 
 def _findings(report, rep, keys=None, plain="plain") -> list[dict]:
     """The payload of a robustness audit's findings, each with ``keys``
-    only when given. A failed audit exits 1 with one warning per
-    safe-profitable deviation, which names a plain menu ``plain``."""
+    only when given. A failed audit warns once per safe-profitable
+    deviation, which names a plain menu ``plain``, or once for a base
+    assessment that fails the continuation checks."""
+    if not rep.base.passed:
+        report.warnings.append("assessment fails continuation checks")
     out = []
     for f in rep.findings:
         kind = f.deviation.kind
@@ -696,8 +705,6 @@ def _findings(report, rep, keys=None, plain="plain") -> list[dict]:
         out.append({k: row[k] for k in keys or row})
         if not rep.passed and f.outcome == "safe-profitable":
             report.warnings.append(f"safe-profitable deviation: {plain if kind == 'plain' else kind} for principal {f.principal + 1}")
-    if not rep.passed:
-        report.exit_code = 1
     return out
 
 
@@ -710,9 +717,7 @@ def _run_robust(sc, report, opts):
     }
     rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search)
     if not rep.base.passed:
-        report.payload = {"base": _equilibrium_payload(rep.base), "findings": []}
-        report.exit_code = 1
-        report.warnings.append("assessment fails continuation checks")
+        report.payload = {"base": _equilibrium_payload(rep.base), "findings": _findings(report, rep)}
         return
     report.payload = {"passed": rep.passed, "base": _equilibrium_payload(rep.base), "findings": _findings(report, rep)}
 
@@ -748,7 +753,6 @@ def _run_necessity(sc, report, opts):
         "image_matches_menu": image_ok,
     }
     if not (validation.passed and rep.passed and values_ok and image_ok):
-        report.exit_code = 1
         report.warnings.append("necessity construction failed a check")
 
 

@@ -49,7 +49,7 @@ _ITER_PANELS = 96
 _SAFE_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgencyProblem:
     """Bilateral payoffs, interaction strength, type space and search boxes.
 
@@ -57,10 +57,10 @@ class AgencyProblem:
     is v_j over (x, y, x_other, theta). Expression text may reference the
     interaction coefficient as the variable ``beta``; it is bound from the
     ``beta`` field at compile time. ``gauss[j]`` is ``SingleProblem.gauss``
-    of principal j's slices, set from ``principal_payoffs[j]``.
-    :func:`best_response` keeps its answers on the problem, so its fields
-    must not change after the first call; a changed problem is a
-    ``dataclasses.replace`` copy, which starts without them.
+    of principal j's slices, set from ``principal_payoffs[j]``. The
+    problem is frozen, as :func:`best_response` keeps its answers on it; a
+    changed problem is a ``dataclasses.replace`` copy, which starts
+    without them.
     """
 
     beta: float
@@ -72,14 +72,11 @@ class AgencyProblem:
     _responses: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self.u_fns = tuple(
-            _as_fn(u, ["x", "y", "theta", "beta"]) for u in self.agent_utilities
+        object.__setattr__(self, "u_fns", tuple(_as_fn(u, ["x", "y", "theta", "beta"]) for u in self.agent_utilities))
+        object.__setattr__(
+            self, "v_fns", tuple(_as_fn(v, ["x", "y", "x_other", "theta", "beta"]) for v in self.principal_payoffs)
         )
-        self.v_fns = tuple(
-            _as_fn(v, ["x", "y", "x_other", "theta", "beta"])
-            for v in self.principal_payoffs
-        )
-        self.gauss = tuple(_gauss_nodes(v, self.types) for v in self.principal_payoffs)
+        object.__setattr__(self, "gauss", tuple(_gauss_nodes(v, self.types) for v in self.principal_payoffs))
         bilateral_reduce(self, 0, 0.0)  # a slice's kernel must integrate the type density
 
     @property
@@ -159,10 +156,10 @@ def best_response(problem: AgencyProblem, j: int, x_other) -> float | np.ndarray
     The zoomed search of ``zoom_solve`` on the coarse slice. ``x_other``
     is one offer, answered with a float, or an array of offers, answered
     with an array whose entries equal their own calls. An offer worth no
-    more than zero is answered with 0 (no trade). Answers are kept on
-    ``problem`` by principal (one set when the problem is symmetric) and
-    by offer, so ``problem`` must not be changed after the first call; the
-    offers not answered yet are solved in one pass.
+    more than zero is answered with 0 (no trade). Answers are kept on the
+    frozen ``problem`` by principal (one set when the problem is
+    symmetric) and by offer; the offers not answered yet are solved in
+    one pass.
     """
     known = problem._responses.setdefault(0 if problem.symmetric else j, {})
     offers = np.atleast_1d(np.asarray(x_other, dtype=float)).tolist()

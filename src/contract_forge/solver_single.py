@@ -232,12 +232,12 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
 
     0 where no type stays (cutoff nan); otherwise, with interval types,
     the problem's rule (``gauss`` nodes, else ``panels``) for fn times the
-    density from the cutoff up, and with finite types the weighted sum of
-    fn over the types whose u is at least 0. Rows run in chunks of at
-    most ``_WORKSPACE`` elements per (rows x nodes) temporary. Rows whose
-    cutoff is lo share one node row, a uniform density is the scalar
-    1/(hi - lo), and every row sums (coef * fn) * density, so sharing
-    changes no bit. ``r`` is each row's rival index, as in :func:`_profit`.
+    density on each row's own nodes cut + (hi - cut) * frac, and with
+    finite types the weighted sum of fn over the types whose u is at
+    least 0. Rows run in chunks of at most ``_WORKSPACE`` elements per
+    (rows x nodes) temporary, one payoff call per chunk; a uniform density
+    is the scalar 1/(hi - lo). ``r`` is each row's rival index, as in
+    :func:`_profit`.
     """
     X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
     R = np.zeros(X.size, int) + r
@@ -256,17 +256,13 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
         return out
     lo, hi = _theta_span(types)
     _, frac, coef, div = _fixed_nodes(lo, hi, problem.panels, problem.gauss)
-    shared = lo + (hi - lo) * frac[None, :]  # the nodes of every row whose cutoff is lo
     for s in _chunks(X.size, frac.size):
-        c = cut[s]
-        for rows, at_lo in ((np.flatnonzero(c == lo), True), (np.flatnonzero((c != lo) & ~np.isnan(c)), False)):
-            if not rows.size:
-                continue
-            span = hi - c[rows]
-            nodes = shared if at_lo else c[rows, None] + span[:, None] * frac[None, :]
+        if (rows := s.start + np.flatnonzero(~np.isnan(cut[s]))).size:
+            span = hi - cut[rows]
+            nodes = cut[rows, None] + span[:, None] * frac[None, :]
             dens = 1.0 / (hi - lo) if types.density == "uniform" else types.density_at(nodes)
-            integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows + s.start, nodes)) * dens
-            out[rows + s.start] = np.sum(integrand, axis=1) * span / div[0] / div[1]
+            integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows, nodes)) * dens
+            out[rows] = np.sum(integrand, axis=1) * span / div[0] / div[1]
     return out
 
 
@@ -351,26 +347,34 @@ def _y_scan(problem: SingleProblem, xs: np.ndarray, ys: np.ndarray, r: np.ndarra
     return idx, value
 
 
+def _drops(problem: SingleProblem, X, r, a, b, th) -> tuple[np.ndarray, np.ndarray]:
+    """The participation drops on each row's y-bracket [a, b]: for each row
+    and each type in ``th`` whose u(x, ., theta) changes sign there, the
+    row and the y at which that type is just indifferent, solved by
+    :func:`optimize.root_rows` (the end where it stays). Without a sign
+    change no root is solved."""
+    ua, ub = (_rows(problem.u_fn(X[:, None], e[:, None], th, r[:, None]), (X.size, th.size)) for e in (a, b))
+    k, j = np.nonzero((ua >= 0.0) != (ub >= 0.0))
+    if not k.size:
+        return k, a[k]
+    return k, root_rows(
+        lambda i, yi: _rows(problem.u_fn(X[k[i]], yi, th[j[i]], r[k[i]]), (i.size,)),
+        a[k], b[k], ua[k, j], ub[k, j],
+        _root_width(max(abs(problem.y_box[0]), abs(problem.y_box[1]))),
+    )
+
+
 def _type_drops(problem: SingleProblem, X, r, a, b, y, value) -> tuple[np.ndarray, np.ndarray]:
     """Each row's best of (``y``, ``value``) and the drops of finite types
     in its bracket [a, b], ``y`` on ties.
 
     With finite types f jumps where a type leaves and rises up to the jump,
-    so a line search stops short of that peak. Each type whose
-    u(x, ., theta) changes sign on a row's bracket has its indifference y
-    solved by :func:`optimize.root_rows` (the end where it stays), as the
-    kink is, and valued by one audited kernel pass.
+    so a line search stops short of that peak. Every type's drop on a
+    row's bracket (:func:`_drops`) is valued by one audited kernel pass.
     """
-    th = problem.types.values
-    ua, ub = (_rows(problem.u_fn(X[:, None], e[:, None], th, r[:, None]), (X.size, th.size)) for e in (a, b))
-    k, j = np.nonzero((ua >= 0.0) != (ub >= 0.0))
+    k, yd = _drops(problem, X, r, a, b, problem.types.values)
     if not k.size:
         return y, value
-    yd = root_rows(
-        lambda i, yi: _rows(problem.u_fn(X[k[i]], yi, th[j[i]], r[k[i]]), (i.size,)),
-        a[k], b[k], ua[k, j], ub[k, j],
-        _root_width(max(abs(problem.y_box[0]), abs(problem.y_box[1]))),
-    )
     at, ys = np.r_[np.arange(X.size), k], np.r_[y, yd]
     vs = np.r_[value, _profit(problem, X[k], yd, r[k])[0]]
     order = np.lexsort((-vs, at))  # by row, best first; stable, so ``y`` first on ties
@@ -386,8 +390,8 @@ def _inner_rows(
     A y-grid scan (:func:`_y_scan`) brackets each row's optimum in [a, b],
     the grid neighbours of its best point.
     With interval types, where u(x, ., lo) changes sign on [a, b],
-    :func:`optimize.root_rows` finds the kink y_k at which the lowest type
-    is just indifferent (and stays), and one unaudited kernel pass
+    :func:`_drops` solves the kink y_k at which the lowest type is just
+    indifferent (and stays), and one unaudited kernel pass
     evaluates y_k and y_k -/+ :data:`OPT_TOL`, clipped to the bracket. The
     line search (Brent's method, :func:`optimize.line_max_rows`) assumes
     the objective unimodal on the bracket; so does this rule: if f(y_k) is
@@ -397,9 +401,9 @@ def _inner_rows(
     drops at every type's indifference y, so another type's drop in the
     bracket can beat y_k. The search refines all rows at once, each
     stopping within 2*(sqrt(eps)*|y| + OPT_TOL/3) of its maximum (a taken
-    y_k is a zero-width bracket, not evaluated). With finite types each
-    drop in the bracket is also solved as a root (:func:`_type_drops`),
-    and kept where it beats the search. The refined value honors the audit
+    y_k is a zero-width bracket, not evaluated). With finite types every
+    type's drop in the bracket is also solved by :func:`_drops` and kept
+    where it beats the search (:func:`_type_drops`). The refined value honors the audit
     and is kept only when it beats the grid value. ``r`` gives
     each offer its rival index (see :func:`_profit`).
     """
@@ -411,30 +415,21 @@ def _inner_rows(
     rows = np.flatnonzero(np.isfinite(value))
     if rows.size:
         X, rr, tol = xs[rows], r[rows], OPT_TOL
-        lo = _theta_span(problem.types)[0]
         a = ys[np.maximum(idx[rows] - 1, 0)]
         b = ys[np.minimum(idx[rows] + 1, problem.y_grid - 1)]
-
-        def u_lo(k, yk):  # the lowest type's utility at rows k
-            return _rows(problem.u_fn(X[k], yk, lo, rr[k]), (k.size,))
 
         def f(k, yk):
             return _profit(problem, X[k], yk, rr[k], audit=False)[0]
 
-        ua, ub = u_lo(np.arange(rows.size), a), u_lo(np.arange(rows.size), b)
-        kink = np.flatnonzero(((ua >= 0.0) != (ub >= 0.0)) & (problem.types.kind == "interval"))
-        if kink.size:
-            ak, bk = a[kink], b[kink]
-            yk = root_rows(
-                lambda k, yk: u_lo(kink[k], yk),
-                ak, bk, ua[kink], ub[kink],
-                _root_width(max(abs(problem.y_box[0]), abs(problem.y_box[1]))),
-            )
-            probes = np.clip(yk + np.array([[0.0], [-tol], [tol]]), ak, bk)
-            fk, fm, fp = f(np.tile(kink, 3), probes.ravel()).reshape(3, kink.size)
-            peak, left = (fk >= fm) & (fk >= fp), fm > fp  # left: rising toward a
-            a[kink] = np.where(left & ~peak, ak, yk)  # a peak's bracket is [y_k, y_k]
-            b[kink] = np.where(left | peak, yk, bk)
+        if problem.types.kind == "interval":
+            kink, yk = _drops(problem, X, rr, a, b, np.array([problem.types.lo]))
+            if kink.size:
+                ak, bk = a[kink], b[kink]
+                probes = np.clip(yk + np.array([[0.0], [-tol], [tol]]), ak, bk)
+                fk, fm, fp = f(np.tile(kink, 3), probes.ravel()).reshape(3, kink.size)
+                peak, left = (fk >= fm) & (fk >= fp), fm > fp  # left: rising toward a
+                a[kink] = np.where(left & ~peak, ak, yk)  # a peak's bracket is [y_k, y_k]
+                b[kink] = np.where(left | peak, yk, bk)
         yr = line_max_rows(f, a, b, tol)
         vr = _profit(problem, X, yr, rr)[0]
         if problem.types.kind == "finite":

@@ -401,6 +401,31 @@ class TestEngineScenarios:
             ]
             assert [len(f) for f in report.payload["findings"]] == [keys] * 3
 
+    def test_demo_with_a_failing_base_names_it(self):
+        # an audit whose base fails has no findings; the demo still exits 1
+        # and says why, as robust-check does
+        from contract_forge import contracts as ct
+        from contract_forge import equilibrium as eq
+
+        env, assessment, _, _ = ct.plain_menu_scenario(n_aux=2)
+        base = dataclasses.replace(eq.check_continuation(env, assessment), bayes_ok=False)
+        built = cli._build_blocks({"schema": 1, "command": "plain-menu-demo", "options": {}}, "plain-menu-demo")
+        sc = cli.ScenarioFile(command="plain-menu-demo", raw={}, blocks=built)
+        report = cli.RunReport("plain-menu-demo", "", {})
+        with mock.patch.object(cli.eq, "check_robust", return_value=eq.RobustReport(False, base, ())):
+            cli._COMMAND_SPECS["plain-menu-demo"][2](sc, report, sc.blocks["options"])
+        assert report.exit_code == 1
+        assert report.warnings == ["assessment fails continuation checks"]
+        assert report.payload["robust_passed"] is False and report.payload["findings"] == []
+
+    def test_exit_code_is_read_from_the_warnings(self):
+        report = cli.RunReport("solve-single", "", {})
+        assert report.exit_code == 0
+        report.warnings.append("a finding")
+        assert report.exit_code == 1
+        with pytest.raises(AttributeError):
+            report.exit_code = 0
+
 
 class TestScenarioErrors:
     """Malformed or invalid scenarios exit 2 with a message, never a traceback."""
@@ -1027,6 +1052,18 @@ class TestRevisableCheck:
         assert res.exit_code == 2
         assert "$.revisable.ideal_form" in res.output
 
+    def test_z_range_without_a_types_ideal_is_a_scenario_error(self, tmp_path):
+        """Exited 1 with "lift or collapse fails: 25 lift, 0 collapse": without
+        ``ideal_form`` no posterior ideal had an interior bracket on z_range."""
+        raw = json.loads(fixture_path("revisable_grid.json").read_text())
+        del raw["revisable"]["ideal_form"]
+        assert _invoke_raw(tmp_path, raw).exit_code == 0
+        raw["revisable"]["z_range"] = [1.5, 3.0]  # every type's ideal, 0.05 + 0.7 theta, lies below
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "invalid revisable at $.revisable.z_range: type 't0': posterior ideal search" in res.output
+
     def test_ideal_form_needs_one_curvature(self, tmp_path):
         """Passed the per-type check and exited 1 with every lift failing: with
         a curvature that varies with theta, 0.05 + 0.7 E[theta] is not the
@@ -1092,6 +1129,7 @@ class TestRevisableCheck:
             {"label": f"t{i}", "value": float(i), "weight": w} for i, w in enumerate((0.1, 0.2, 0.3, 0.1, 0.2, 0.1))
         ]
         block["z_grid"]["points"] = 4
+        block["z_range"] = [-1.0, 4.0]  # holds every type's ideal, 0.05 + 0.7 theta <= 3.55
         del block["ideal_form"]
         raw["options"] = {"tol": 0}
         res = _invoke_raw(tmp_path, raw)
@@ -1199,6 +1237,25 @@ class TestSolverRuns:
         raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
         raw["agency"]["types"] = {"kind": "finite", "items": items}
         assert self._results(tmp_path / "a", raw)["quadrature"] == ["finite-sum"] * 2
+
+    def test_menu_audit_catches_a_coarse_slice_miss(self, tmp_path):
+        """Agents stay only within 0.002 of y = 80/255, a point of the full
+        256-point y-grid that the coarse 64-point slice misses: the
+        iteration stops at no trade and the audit's full slice flags both
+        menus."""
+        raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
+        agency = raw["agency"]
+        agency["agent_utilities"] = ["theta*(0.000004 - (y - 0.3137254901960784)^2)"] * 2
+        agency["principal_payoffs"] = ["(1 + beta*x_other)*y*theta - (x - 2)^2"] * 2
+        agency["deviation_menus"] = {"1": [[2.0], [0.0, 1.0]]}
+        res = _invoke_raw(tmp_path, raw)
+        assert res.exit_code == 1
+        assert "finding: safe-profitable deviation found" in res.output
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert (results["x"], results["values"], results["iterations"]) == ([0.0, 0.0], [0.0, 0.0], 0)
+        flagged = [(f["menu"], f["best_offer"], round(f["deviation_value"], 3), f["safe_profitable"])
+                   for f in results["robustness"]]
+        assert flagged == [([2.0], 2.0, 1.098, True), ([0.0, 1.0], 1.0, 0.098, True)]
 
     def test_default_start_is_zero_clipped_into_x_box(self, tmp_path):
         raw = json.loads(fixture_path("agency_beta17_21.json").read_text())

@@ -149,6 +149,26 @@ def test_validate_interval_bounds():
     assert not ec.validate(env).passed
 
 
+def test_validate_checks_a_well_formed_intervals_density():
+    # lo < hi, so the density must integrate to 1 on the 1,025-point grid:
+    # a uniform one does, a normal narrower than the grid's spacing does not
+    env = ec.Environment(
+        types=ec.TypeSpace.interval(3.0, 4.0),
+        principals=(
+            ec.PrincipalSpec(
+                contractible=(ec.ActionValue("x"),),
+                noncontractible=(ec.ActionValue("y"), ec.ActionValue("yb")),
+                feasible={"x": ("y", "yb")},
+            ),
+        ),
+        payoffs=ec.PayoffModel.from_expressions("0", ["0"]),
+    )
+    assert ec.validate(env).passed
+    narrow = ec.validate(replace(env, types=ec.TypeSpace.interval(3.0, 4.0, density="normal", mean=3.5, sd=0.0005)))
+    assert not narrow.passed
+    assert len(narrow.violations) == 1 and narrow.violations[0].startswith("density integrates to ")
+
+
 def test_allocation_mass_and_feasibility(example4_env):
     alloc = ec.Allocation(
         {

@@ -349,6 +349,15 @@ class TestGammaEquality:
         assert rep.transforms_ok
         assert rep.n_limited == rep.n_full > 0
 
+    def test_lift_without_an_interior_ideal_counts_as_a_failure(self):
+        # every type's ideal, 0.05 + 0.7 theta, lies below z_range, so no
+        # lift can place its posterior ideal; collapses need no ideal
+        types = TypeSpace.uniform_finite([0.0, 0.5, 1.0])
+        model = rv.RevisableModel.additive("-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2", types, 0.0, (1.5, 3.0))
+        rep = rv.check_gamma_equal(model, tuple(np.linspace(0, 1, 5)), 1)
+        assert rep.equal and not rep.transforms_ok
+        assert (rep.lift_failures, rep.collapse_failures) == (rep.n_full, 0) == (25, 0)
+
     def test_dedicated_enumerator_matches_generic_engine(self):
         from contract_forge import contracts as ct
         from contract_forge import equilibrium as eq

@@ -367,6 +367,17 @@ class TestSeededFixedPoint:
         for name in plain.__slots__:
             assert getattr(seeded, name) == getattr(plain, name), name
 
+    def test_a_problem_with_kept_answers_cannot_change(self):
+        # the answers are keyed by principal and offer only, so a changed
+        # beta would read them back; only a fresh copy may change it
+        problem = _worked_family(BETA)
+        answer = sa.best_response(problem, 0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.beta = 0.3
+        changed = dataclasses.replace(problem, beta=0.3)
+        assert problem._responses and not changed._responses
+        assert changed.beta == 0.3 and sa.best_response(changed, 0, 1.0) != answer
+
 
 def _closed_form_root(beta: float) -> float:
     """Positive root of x = worked_family_best_response(beta, x), by bisection."""
