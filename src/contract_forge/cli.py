@@ -384,12 +384,6 @@ def _revisable_from(obj, path: str) -> tuple[rv.RevisableModel, tuple[float, ...
         raise ScenarioError(f"invalid revisable at {path}.receiver: {e}") from None
     except rv.IdealFormError as e:
         raise ScenarioError(f"schema error at {path}.ideal_form: {e}") from None
-    if ideal is None:  # a receiver strictly concave in z puts every posterior's ideal between the types' ideals
-        for label, value in zip(types.labels, types.values):
-            try:
-                rv.posterior_ideal(model, ec.Belief.point_mass(value))
-            except ValueError as e:
-                raise ScenarioError(f"invalid revisable at {path}.z_range: type {label!r}: {e}") from None
     for name, fn in (("sender", model.sender_fn), ("receiver", model.receiver_fn)):  # finite, as validated payoffs are
         if not np.all(np.isfinite(fn(z[:, None], types.values))):
             raise ScenarioError(f"invalid revisable at {path}.{name}: not finite at every grid point and type")
@@ -638,7 +632,10 @@ def _run_solve_agency(sc, report, opts):
 
 def _run_revisable_check(sc, report, opts):
     model, z, steps = sc.blocks["revisable"]
-    gamma = rv.check_gamma_equal(model, z, steps, tol=opts.search.tol)
+    try:
+        gamma = rv.check_gamma_equal(model, z, steps, tol=opts.search.tol)
+    except rv.IdealBracketError as e:
+        raise ScenarioError(f"invalid revisable at $.revisable.z_range: {e}") from None
     report.payload = {
         "equal": gamma.equal,
         "n_limited": gamma.n_limited,
@@ -716,9 +713,6 @@ def _run_robust(sc, report, opts):
         j: getattr(ct, f"enumerate_{opts.deviations}")(env, j) for j in range(env.n)
     }
     rep = eq.check_robust(env, assessment, deviation_space=space, options=opts.search)
-    if not rep.base.passed:
-        report.payload = {"base": _equilibrium_payload(rep.base), "findings": _findings(report, rep)}
-        return
     report.payload = {"passed": rep.passed, "base": _equilibrium_payload(rep.base), "findings": _findings(report, rep)}
 
 

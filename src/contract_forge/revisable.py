@@ -43,6 +43,7 @@ __all__ = [
     "audit_concavity",
     "IdealFormError",
     "audit_ideal_form",
+    "IdealBracketError",
     "posterior_ideal",
     "feasible_final_interval",
     "endpoint_baseline",
@@ -72,6 +73,10 @@ class ConcavityError(ValueError):
 
 class IdealFormError(ValueError):
     """A declared ``ideal_form`` is not the receiver's ideal under every belief."""
+
+
+class IdealBracketError(ValueError):
+    """The scan of ``z_range`` found no interior bracket of a posterior ideal."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +204,7 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     the working range followed by Brent's method
     (:func:`optimize.line_max_rows`) at tol :func:`_ideal_tol` on the
     offset from the scan's best point, which stops within tol of the
-    ideal. Raises if the scan cannot bracket an interior maximizer.
+    ideal. Raises :class:`IdealBracketError` if the scan brackets none.
     """
     if model.ideal_form is not None:
         _, k, a = model.ideal_form
@@ -207,9 +212,7 @@ def posterior_ideal(model: RevisableModel, belief: Belief) -> float:
     zs = np.linspace(model.z_range[0], model.z_range[1], 201)
     i = int(np.argmax(_expected_receiver(model, zs, belief)))
     if i in (0, len(zs) - 1):
-        raise ValueError(
-            "posterior ideal search found no interior bracket; widen z_range"
-        )
+        raise IdealBracketError("posterior ideal search found no interior bracket; widen z_range")
     # search the offset t = z - zs[i], so Brent's stop 2*(sqrt(eps)*|t| + tol/3) stays below tol
     t = line_max_rows(
         lambda _, t: _expected_receiver(model, zs[i] + t, belief), zs[i - 1] - zs[i], zs[i + 1] - zs[i], _ideal_tol(model)
@@ -656,7 +659,8 @@ def check_gamma_equal(
     (``alpha_steps`` grid steps of discretion) and full-commitment models
     and checks set equality; additionally lifts every full-commitment
     equilibrium and collapses every limited one, re-checking each
-    transformed assessment in its target model.
+    transformed assessment in its target model. A lift whose posterior
+    ideal ``z_range`` does not bracket raises :class:`IdealBracketError`.
     """
     game_a = build_grid_game(model, z_values, alpha_steps)
     game_0 = build_grid_game(model, z_values, 0)
@@ -676,7 +680,9 @@ def check_gamma_equal(
                 rep = check_continuation(target.env, transform(source, assessment, target), tol)
                 if not rep.passed or final_allocation_of(target, rep.allocation).key() != key:
                     failed += 1
-            except ValueError:  # no interior ideal, or a failed placement
+            except IdealBracketError:  # an input error, not a failed transform
+                raise
+            except ValueError:  # a failed placement
                 failed += 1
         failures.append(failed)
     lift_failures, collapse_failures = failures

@@ -232,12 +232,12 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
 
     0 where no type stays (cutoff nan); otherwise, with interval types,
     the problem's rule (``gauss`` nodes, else ``panels``) for fn times the
-    density on each row's own nodes cut + (hi - cut) * frac, and with
-    finite types the weighted sum of fn over the types whose u is at
-    least 0. Rows run in chunks of at most ``_WORKSPACE`` elements per
-    (rows x nodes) temporary, one payoff call per chunk; a uniform density
-    is the scalar 1/(hi - lo). ``r`` is each row's rival index, as in
-    :func:`_profit`.
+    density from the cutoff up, and with finite types the weighted sum of
+    fn over the types whose u is at least 0. Rows run in chunks of at
+    most ``_WORKSPACE`` elements per (rows x nodes) temporary. Rows whose
+    cutoff is lo share one node row, a uniform density is the scalar
+    1/(hi - lo), and every row sums (coef * fn) * density, so sharing
+    changes no bit. ``r`` is each row's rival index, as in :func:`_profit`.
     """
     X, Y = np.asarray(X, dtype=float).ravel(), np.asarray(Y, dtype=float).ravel()
     R = np.zeros(X.size, int) + r
@@ -256,13 +256,17 @@ def _stay(problem: SingleProblem, X, Y, cut, r=0, fn=None) -> np.ndarray:
         return out
     lo, hi = _theta_span(types)
     _, frac, coef, div = _fixed_nodes(lo, hi, problem.panels, problem.gauss)
+    shared = lo + (hi - lo) * frac[None, :]  # the nodes of every row whose cutoff is lo
     for s in _chunks(X.size, frac.size):
-        if (rows := s.start + np.flatnonzero(~np.isnan(cut[s]))).size:
-            span = hi - cut[rows]
-            nodes = cut[rows, None] + span[:, None] * frac[None, :]
+        c = cut[s]
+        for rows, at_lo in ((np.flatnonzero(c == lo), True), (np.flatnonzero((c != lo) & ~np.isnan(c)), False)):
+            if not rows.size:
+                continue
+            span = hi - c[rows]
+            nodes = shared if at_lo else c[rows, None] + span[:, None] * frac[None, :]
             dens = 1.0 / (hi - lo) if types.density == "uniform" else types.density_at(nodes)
-            integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows, nodes)) * dens
-            out[rows] = np.sum(integrand, axis=1) * span / div[0] / div[1]
+            integrand = coef[None, :] * (1.0 if fn is None else pay(fn, rows + s.start, nodes)) * dens
+            out[rows + s.start] = np.sum(integrand, axis=1) * span / div[0] / div[1]
     return out
 
 

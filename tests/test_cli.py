@@ -322,7 +322,7 @@ class TestEngineScenarios:
         assert report.exit_code == 1
         assert report.warnings == ["assessment fails continuation checks"]
         assert report.payload["results"]["findings"] == []
-        assert report.payload["results"]["base"]["passed"] is False
+        assert report.payload["results"]["passed"] is report.payload["results"]["base"]["passed"] is False
 
     def test_robust_check_scenario(self, tmp_path):
         raw = json.loads(fixture_path("necessity_env.json").read_text())
@@ -1052,7 +1052,7 @@ class TestRevisableCheck:
         assert res.exit_code == 2
         assert "$.revisable.ideal_form" in res.output
 
-    def test_z_range_without_a_types_ideal_is_a_scenario_error(self, tmp_path):
+    def test_z_range_missing_a_posterior_ideal_is_a_scenario_error(self, tmp_path):
         """Exited 1 with "lift or collapse fails: 25 lift, 0 collapse": without
         ``ideal_form`` no posterior ideal had an interior bracket on z_range."""
         raw = json.loads(fixture_path("revisable_grid.json").read_text())
@@ -1062,7 +1062,7 @@ class TestRevisableCheck:
         res = _invoke_raw(tmp_path, raw)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
-        assert "invalid revisable at $.revisable.z_range: type 't0': posterior ideal search" in res.output
+        assert "invalid revisable at $.revisable.z_range: posterior ideal search found no interior bracket" in res.output
 
     def test_ideal_form_needs_one_curvature(self, tmp_path):
         """Passed the per-type check and exited 1 with every lift failing: with
@@ -1129,7 +1129,6 @@ class TestRevisableCheck:
             {"label": f"t{i}", "value": float(i), "weight": w} for i, w in enumerate((0.1, 0.2, 0.3, 0.1, 0.2, 0.1))
         ]
         block["z_grid"]["points"] = 4
-        block["z_range"] = [-1.0, 4.0]  # holds every type's ideal, 0.05 + 0.7 theta <= 3.55
         del block["ideal_form"]
         raw["options"] = {"tol": 0}
         res = _invoke_raw(tmp_path, raw)
@@ -1240,9 +1239,10 @@ class TestSolverRuns:
 
     def test_menu_audit_catches_a_coarse_slice_miss(self, tmp_path):
         """Agents stay only within 0.002 of y = 80/255, a point of the full
-        256-point y-grid that the coarse 64-point slice misses: the
-        iteration stops at no trade and the audit's full slice flags both
-        menus."""
+        256-point y-grid that the coarse 64-point slice misses, so the best
+        responses can miss the trade; the audit values the menus on the full
+        slice and flags both. Only the audit is pinned, not where the
+        iteration stops."""
         raw = json.loads(fixture_path("agency_beta17_21.json").read_text())
         agency = raw["agency"]
         agency["agent_utilities"] = ["theta*(0.000004 - (y - 0.3137254901960784)^2)"] * 2
@@ -1252,10 +1252,7 @@ class TestSolverRuns:
         assert res.exit_code == 1
         assert "finding: safe-profitable deviation found" in res.output
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
-        assert (results["x"], results["values"], results["iterations"]) == ([0.0, 0.0], [0.0, 0.0], 0)
-        flagged = [(f["menu"], f["best_offer"], round(f["deviation_value"], 3), f["safe_profitable"])
-                   for f in results["robustness"]]
-        assert flagged == [([2.0], 2.0, 1.098, True), ([0.0, 1.0], 1.0, 0.098, True)]
+        assert [(f["menu"], f["safe_profitable"]) for f in results["robustness"]] == [([2.0], True), ([0.0, 1.0], True)]
 
     def test_default_start_is_zero_clipped_into_x_box(self, tmp_path):
         raw = json.loads(fixture_path("agency_beta17_21.json").read_text())

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,13 +351,33 @@ class TestGammaEquality:
         assert rep.transforms_ok
         assert rep.n_limited == rep.n_full > 0
 
-    def test_lift_without_an_interior_ideal_counts_as_a_failure(self):
+    def test_z_range_without_a_posterior_ideal_raises(self):
         # every type's ideal, 0.05 + 0.7 theta, lies below z_range, so no
-        # lift can place its posterior ideal; collapses need no ideal
+        # lift can place its posterior ideal: an input error, not a failed lift
         types = TypeSpace.uniform_finite([0.0, 0.5, 1.0])
         model = rv.RevisableModel.additive("-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2", types, 0.0, (1.5, 3.0))
-        rep = rv.check_gamma_equal(model, tuple(np.linspace(0, 1, 5)), 1)
+        with pytest.raises(rv.IdealBracketError, match="no interior bracket"):
+            rv.check_gamma_equal(model, tuple(np.linspace(0, 1, 5)), 1)
+
+    def test_failed_transforms_are_counted(self):
+        # a transform that raises, or whose result fails the re-check,
+        # counts once per equilibrium
+        types = TypeSpace.uniform_finite([0.0, 0.5, 1.0])
+        model = rv.RevisableModel.additive("-(z - theta)^2", "-(z - 0.05 - 0.7*theta)^2", types, 0.0, (-1.0, 2.0))
+        z = tuple(np.linspace(0, 1, 5))
+        with mock.patch.object(rv, "lift_to_limited", side_effect=ValueError("endpoint placement failed")):
+            rep = rv.check_gamma_equal(model, z, 1)
         assert rep.equal and not rep.transforms_ok
+        assert (rep.lift_failures, rep.collapse_failures) == (rep.n_full, 0) == (25, 0)
+        lifted, lift, check = [], rv.lift_to_limited, rv.check_continuation
+
+        def fail_lifted(env, assessment, tol):
+            rep = check(env, assessment, tol)
+            return dataclasses.replace(rep, bayes_ok=False) if any(a is assessment for a in lifted) else rep
+
+        with mock.patch.object(rv, "lift_to_limited", side_effect=lambda *a: lifted.append(lift(*a)) or lifted[-1]), \
+                mock.patch.object(rv, "check_continuation", side_effect=fail_lifted):
+            rep = rv.check_gamma_equal(model, z, 1)
         assert (rep.lift_failures, rep.collapse_failures) == (rep.n_full, 0) == (25, 0)
 
     def test_dedicated_enumerator_matches_generic_engine(self):

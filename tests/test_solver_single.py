@@ -186,7 +186,7 @@ def _with_gauss(problem: ss.SingleProblem, gauss: int) -> ss.SingleProblem:
 
 class TestKernelChunks:
     """``_profit`` and ``_stay`` bound their own workspace: rows run in
-    chunks, each staying row on its own nodes, and no bit moves. The
+    chunks, all-stay rows share one node row, and no bit moves. The
     frozen one-pass kernel integrates by Simpson's rule, which every
     problem off the Gauss rule's exact class keeps."""
 
